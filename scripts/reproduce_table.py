@@ -53,21 +53,10 @@ def main(argv=None) -> int:
         help="pursuit scenario to sweep (default: bundled benchmark)",
     )
     parser.add_argument("--out", default="out/table", help="artifact directory")
-    parser.add_argument(
-        "--cross-check",
-        action="store_true",
-        help="also compare each cell against a sliced longer-horizon solve",
-    )
     args = parser.parse_args(argv)
 
     scenario = load_scenario(args.scenario)
-    sweep = run_sweep(
-        scenario,
-        TF_LIST,
-        modes=("nash", "team"),
-        out_dir=args.out,
-        cross_check=args.cross_check,
-    )
+    sweep = run_sweep(scenario, TF_LIST, modes=("nash", "team"), out_dir=args.out)
 
     failed_cells = 0
     print(f"{'mode':<6}{'tf':>4}   {'measured d1/d2/d3':<26}{'reference':<22}{'max dev':>8}")
@@ -95,10 +84,6 @@ def main(argv=None) -> int:
     else:
         failed_cells += 1
         print(f"team tf=18: solver failed: {cell.status}")
-
-    if args.cross_check and sweep.cross_check is not None:
-        worst = max(v for v in sweep.cross_check.values() if v is not None)
-        print(f"cross-check vs sliced long-horizon solve: worst delta {worst:.2e}")
 
     print(f"sweep artifacts in {args.out}")
     return 3 if failed_cells else 0

@@ -5,7 +5,8 @@ Subcommands:
 * ``check``    validate a scenario, solve backward, write conditions.txt
 * ``solve``    check plus solution.csv
 * ``simulate`` full pipeline: trajectory, distances, summary
-* ``sweep``    fresh solve per horizon in --tf-list, write sweep.csv
+* ``sweep``    simulate every horizon in --tf-list off one backward solve
+               per mode and step, write sweep.csv
 
 Exit codes: 0 success, 2 validation or scenario failure, 3 backward solve
 blow-up, 4 closed-loop divergence.
@@ -43,14 +44,12 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=text)
         _add_common(p)
-    p = sub.add_parser("sweep", help="re-solve over a list of horizons and tabulate distances")
+    p = sub.add_parser(
+        "sweep",
+        help="simulate a list of horizons off one backward solve and tabulate distances",
+    )
     _add_common(p)
     p.add_argument("--tf-list", required=True, help="comma separated horizon end times")
-    p.add_argument(
-        "--cross-check",
-        action="store_true",
-        help="also read intermediate horizons out of one long solve and compare",
-    )
     return parser
 
 
@@ -103,13 +102,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             modes = tuple(m.strip() for m in args.mode.split(",")) if args.mode else None
             tf_list = _parse_floats(args.tf_list, "--tf-list")
-            result = run_sweep(
-                scenario,
-                tf_list,
-                modes=modes,
-                out_dir=args.out,
-                cross_check=args.cross_check,
-            )
+            result = run_sweep(scenario, tf_list, modes=modes, out_dir=args.out)
             bad = [c for c in result.cells if c.status != "ok"]
             print(f"sweep: {len(result.cells)} cells, {len(bad)} failed")
             return EXIT_OK if not bad else EXIT_BLOWUP

@@ -41,8 +41,9 @@ from .errors import IncompleteSolutionError, ValidationError
 
 #: Squared-trace norm above which a solution is declared escaped. Bounded
 #: games can pass through violent but finite transients (the benchmark
-#: pursuit game peaks near 3e20 in this norm before relaxing), so the
-#: threshold sits far above those excursions yet far below overflow.
+#: pursuit game's stored solution peaks at 3.47e18 in this norm, at
+#: time-to-go 0.028, before relaxing), so the threshold sits far above
+#: those excursions yet far below overflow.
 BLOWUP_NORM = 1e26
 
 #: Stability guard: substeps are sized so substep * coupling_rate stays at
@@ -150,26 +151,28 @@ def _rhs_factory(game: game_mod.GameDefinition):
     at = a.T.copy()
     a_norm = float(np.sqrt((a * a).sum()))
 
-    def rhs(s: np.ndarray) -> np.ndarray:
-        hs = h_stack @ s
+    def rhs(s: np.ndarray, hs: np.ndarray | None = None) -> np.ndarray:
+        if hs is None:
+            hs = h_stack @ s
         g = hs.sum(axis=0)
         quad = s @ hs  # S_i H_i S_i, batched over i
         mix = s @ g  # S_i sum_j H_j S_j
         out = -(s @ a + at @ s + q_stack + quad - mix - g.T @ s)
         return linalg.symmetrize(out)
 
-    def rate(s: np.ndarray) -> float:
+    def rate(s: np.ndarray) -> tuple[float, np.ndarray]:
         # Local linearization magnitude of the right-hand side: the
         # Jacobian action on a perturbation D_i is dominated by terms of
         # the form D A, S H D and D (sum_j H_j S_j), so twice the norms of
         # the aggregate coupling and the largest own-coupling, plus the
         # drift part, bound the fastest local eigenvalue well enough for
-        # step-size control.
+        # step-size control. The product H_i S_i is returned as well so the
+        # first RK4 stage at the same iterate can reuse it.
         hs = h_stack @ s
         g = hs.sum(axis=0)
         g_norm = float(np.sqrt((g * g).sum()))
         own = float(np.sqrt(np.einsum("ijk,ijk->i", hs, hs).max()))
-        return 2.0 * (g_norm + own + a_norm)
+        return 2.0 * (g_norm + own + a_norm), hs
 
     return rhs, rate
 
@@ -232,12 +235,12 @@ def solve_coupled(
             remaining = dt
             ok = True
             while remaining > 0.0:
-                local = rate(cur)
+                local, hs = rate(cur)
                 h = min(remaining, max(stability_target / max(local, 1e-300), h_min))
                 if remaining - h < h_min:
                     h = remaining  # avoid a vanishing tail substep
                 hb = -h
-                k1 = rhs(cur)
+                k1 = rhs(cur, hs)
                 k2 = rhs(cur + (0.5 * hb) * k1)
                 k3 = rhs(cur + (0.5 * hb) * k2)
                 k4 = rhs(cur + hb * k3)

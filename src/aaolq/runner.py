@@ -9,17 +9,16 @@ codes: 0 success, 2 validation failure, 3 backward solve blow-up,
 from __future__ import annotations
 
 import dataclasses
-import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import analysis, team as team_mod
+from . import analysis
 from .errors import DivergenceError, NotApplicableError
-from .game import GameDefinition, ValidationReport, absolute_starts, build_pursuit_example, validate
-from .riccati import RiccatiSolution, SolveStatus, TimeGrid, gains, solve_coupled
+from .game import GameDefinition, ValidationReport, absolute_starts, validate
+from .riccati import FeedbackGain, RiccatiSolution, SolveStatus, TimeGrid, gains, solve_coupled
 from .scenario import Scenario
 from .sim import LyapunovReport, PursuitReport, Trajectory, lyapunov_check, pursuit_report, simulate
 from .team import TeamGame, TeamWeights, build_team_game, team_gains_to_players
@@ -28,11 +27,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_BLOWUP = 3
 EXIT_DIVERGENCE = 4
-
-#: Final-distance agreement required between a fresh solve and a sliced
-#: longer-horizon solve in sweep cross-check mode.
-CROSS_CHECK_TOL = 1e-6
-
 
 def _fmt(v) -> str:
     return repr(float(v))
@@ -271,6 +265,28 @@ def _summary_text(result: RunResult, scenario: Scenario, team_cost: float | None
     return "\n".join(lines) + "\n"
 
 
+def _team_game(scenario: Scenario, game: GameDefinition, mode: str) -> TeamGame | None:
+    """The reduced game the regulators play as one team; None in nash mode."""
+    if mode != "team":
+        return None
+    weights = TeamWeights(scenario.run.alphas) if scenario.run.alphas else None
+    return build_team_game(game, weights)
+
+
+def _player_gains(
+    game: GameDefinition, team_game: TeamGame | None, sol: RiccatiSolution
+) -> list[FeedbackGain]:
+    """Feedback gains of every player of ``game``.
+
+    ``sol`` solves ``game`` itself in nash mode and ``team_game.reduced`` in
+    team mode, where the team gain is split back into per-regulator gains.
+    """
+    if team_game is None:
+        return gains(game, sol)
+    opponent, team = gains(team_game.reduced, sol)
+    return [opponent] + team_gains_to_players(team_game, team)
+
+
 def run(scenario: Scenario, out_dir=None, *, level: str = "simulate") -> RunResult:
     """Execute one scenario: validate, solve, verify, simulate, write artifacts.
 
@@ -303,12 +319,8 @@ def run(scenario: Scenario, out_dir=None, *, level: str = "simulate") -> RunResu
         _write_text(out / "summary.txt", _summary_text(result, scenario, None))
         return result
 
-    weights = None
-    active_game = game
-    if mode == "team":
-        weights = TeamWeights(scenario.run.alphas) if scenario.run.alphas else None
-        result.team_game = build_team_game(game, weights)
-        active_game = result.team_game.reduced
+    result.team_game = _team_game(scenario, game, mode)
+    active_game = game if result.team_game is None else result.team_game.reduced
 
     sol = solve_coupled(active_game, grid)
     result.sol = sol
@@ -351,13 +363,7 @@ def run(scenario: Scenario, out_dir=None, *, level: str = "simulate") -> RunResu
 
     team_cost = None
     if level == "simulate":
-        reduced_gains = gains(active_game, sol)
-        if mode == "team":
-            player_gains = [reduced_gains[0]] + team_gains_to_players(
-                result.team_game, reduced_gains[1]
-            )
-        else:
-            player_gains = reduced_gains
+        player_gains = _player_gains(game, result.team_game, sol)
         try:
             traj = simulate(game, player_gains, x0, sol=sol, mode=mode)
         except DivergenceError as exc:
@@ -400,7 +406,6 @@ class SweepResult:
     modes: tuple[str, ...]
     tf_list: tuple[float, ...]
     cells: list[SweepCell]
-    cross_check: dict | None = None
 
     def cell(self, mode: str, tf: float) -> SweepCell:
         for c in self.cells:
@@ -415,46 +420,62 @@ def _scenario_with_tf(scenario: Scenario, tf: float) -> Scenario:
     return dataclasses.replace(scenario, explicit=dataclasses.replace(scenario.explicit, tf=tf))
 
 
-def _solve_cell(scenario: Scenario, mode: str):
-    """Fresh backward solve and closed-loop run for one sweep cell."""
-    game = scenario.build_game()
-    grid = TimeGrid.from_step(game.t0, game.tf, scenario.run.dt)
-    active = game
-    team_game = None
-    if mode == "team":
-        weights = TeamWeights(scenario.run.alphas) if scenario.run.alphas else None
-        team_game = build_team_game(game, weights)
-        active = team_game.reduced
-    sol = solve_coupled(active, grid)
-    if not sol.complete:
-        return None, "blow_up"
-    reduced_gains = gains(active, sol)
-    if mode == "team":
-        player_gains = [reduced_gains[0]] + team_gains_to_players(team_game, reduced_gains[1])
-    else:
-        player_gains = reduced_gains
-    try:
-        traj = simulate(game, player_gains, scenario.x0, mode=mode)
-    except DivergenceError:
-        return None, "diverged"
-    return traj, "ok"
+def _sweep_group(scenario: Scenario, mode: str, tfs: list[float]) -> dict:
+    """Cells of one (mode, dt) group, all read off one solve of its longest horizon.
+
+    A separate function so the long solution is released on return: a
+    sweep holds one at a time.
+    """
+    long_game = _scenario_with_tf(scenario, max(tfs)).build_game()
+    long_team = _team_game(scenario, long_game, mode)
+    long_grid = TimeGrid.from_step(long_game.t0, long_game.tf, scenario.run.dt)
+    long_sol = solve_coupled(long_game if long_team is None else long_team.reduced, long_grid)
+    cells = {}
+    for tf in tfs:
+        game = _scenario_with_tf(scenario, tf).build_game()
+        grid = TimeGrid.from_step(game.t0, game.tf, scenario.run.dt)
+        tail = long_sol.S[:, long_grid.steps - grid.steps :]
+        # Nodes a failed solve never reached stay NaN; a fresh solve of this
+        # horizon fails at the same node once its slice starts at one.
+        if not np.isfinite(tail[:, 0]).all():
+            cells[tf] = SweepCell(mode=mode, tf=tf, distances=None, captured=None, status="blow_up")
+            continue
+        sol = RiccatiSolution(
+            grid=grid,
+            S=tail,
+            status=SolveStatus.COMPLETE,
+            failure_time=None,
+            failure_reason=None,
+            max_symmetry_residual=long_sol.max_symmetry_residual,
+        )
+        player_gains = _player_gains(game, _team_game(scenario, game, mode), sol)
+        try:
+            traj = simulate(game, player_gains, scenario.x0, mode=mode)
+        except DivergenceError:
+            cells[tf] = SweepCell(mode=mode, tf=tf, distances=None, captured=None, status="diverged")
+            continue
+        report = pursuit_report(traj, scenario.capture_radius)
+        cells[tf] = SweepCell(
+            mode=mode,
+            tf=tf,
+            distances=report.final_distances,
+            captured=report.captured,
+            status="ok",
+        )
+    return cells
 
 
-def run_sweep(
-    scenario: Scenario,
-    tf_list,
-    modes=None,
-    out_dir=None,
-    *,
-    cross_check: bool = False,
-) -> SweepResult:
-    """Fresh solve and simulation per (tf, mode); rectangular results table.
+def run_sweep(scenario: Scenario, tf_list, modes=None, out_dir=None) -> SweepResult:
+    """Solve and simulate every (mode, tf) cell; rectangular results table.
 
+    Every game here is time-invariant, so the Riccati solution depends on
+    time-to-go only and one long solve holds every shorter horizon. Cells
+    are grouped by mode and by the step of their grid
+    ``TimeGrid.from_step(t0, tf, dt)``, compared exactly; each group solves
+    its longest horizon once and every cell simulates on the tail slice of
+    that solve, which equals a fresh solve of the cell's horizon bitwise.
     Every cell is attempted; blow-ups and divergences are recorded in the
-    cell status and the sweep continues. With ``cross_check`` enabled the
-    longest horizon is solved once per mode and intermediate horizons are
-    read out of it by time-to-go slicing, then compared against the fresh
-    per-cell solves.
+    cell status and the sweep continues.
     """
     out = Path(out_dir) if out_dir is not None else Path(scenario.run.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -469,40 +490,16 @@ def run_sweep(
     if base_game.n % 2:
         raise ValueError("sweeps need an even state dimension for distance reporting")
     k = base_game.n // 2
-    radius = scenario.capture_radius
 
+    groups: dict[float, list[float]] = {}
+    for tf in tf_tuple:
+        groups.setdefault(TimeGrid.from_step(base_game.t0, tf, scenario.run.dt).dt, []).append(tf)
     cells: list[SweepCell] = []
-    per_cell_traj: dict = {}
     for mode in modes:
-        for tf in tf_tuple:
-            cell_scenario = _scenario_with_tf(scenario, tf)
-            traj, status = _solve_cell(cell_scenario, mode)
-            if status != "ok":
-                cells.append(SweepCell(mode=mode, tf=tf, distances=None, captured=None, status=status))
-                continue
-            report = pursuit_report(traj, radius)
-            per_cell_traj[(mode, tf)] = report.final_distances
-            cells.append(
-                SweepCell(
-                    mode=mode,
-                    tf=tf,
-                    distances=report.final_distances,
-                    captured=report.captured,
-                    status=status,
-                )
-            )
-
-    cross = None
-    if cross_check:
-        cross = {}
-        for mode in modes:
-            cross.update(_cross_check_mode(scenario, mode, tf_tuple, per_cell_traj))
-        lines = ["cross-check: per-horizon solves vs sliced longest-horizon solve"]
-        for (mode, tf), delta in sorted(cross.items()):
-            verdict = "ok" if (delta is not None and delta <= CROSS_CHECK_TOL) else str(delta)
-            shown = "skipped" if delta is None else _fmt(delta)
-            lines.append(f"  mode={mode} tf={_fmt(tf)} max_delta={shown} ({verdict})")
-        _write_text(out / "crosscheck.txt", "\n".join(lines) + "\n")
+        by_tf = {}
+        for tfs in groups.values():
+            by_tf.update(_sweep_group(scenario, mode, tfs))
+        cells.extend(by_tf[tf] for tf in tf_tuple)
 
     header = ["mode", "tf"] + [f"d{j + 1}" for j in range(k)] + ["captured"]
 
@@ -517,58 +514,4 @@ def run_sweep(
             yield [c.mode, _fmt(c.tf)] + ds + [cap]
 
     _write_rows(out / "sweep.csv", header, rows())
-    return SweepResult(modes=modes, tf_list=tf_tuple, cells=cells, cross_check=cross)
-
-
-def _cross_check_mode(scenario: Scenario, mode: str, tf_tuple, per_cell) -> dict:
-    """Compare per-cell fresh solves against slices of one long solve."""
-    tf_max = max(tf_tuple)
-    long_scenario = _scenario_with_tf(scenario, tf_max)
-    game = long_scenario.build_game()
-    grid = TimeGrid.from_step(game.t0, game.tf, long_scenario.run.dt)
-    active = game
-    team_game = None
-    if mode == "team":
-        weights = TeamWeights(scenario.run.alphas) if scenario.run.alphas else None
-        team_game = build_team_game(game, weights)
-        active = team_game.reduced
-    sol = solve_coupled(active, grid)
-    out = {}
-    if not sol.complete:
-        return {(mode, tf): None for tf in tf_tuple}
-    for tf in tf_tuple:
-        if (mode, tf) not in per_cell:
-            out[(mode, tf)] = None
-            continue
-        small_scenario = _scenario_with_tf(scenario, tf)
-        small_game = small_scenario.build_game()
-        small_grid = TimeGrid.from_step(small_game.t0, small_game.tf, scenario.run.dt)
-        offset = grid.steps - small_grid.steps
-        if offset < 0 or abs(small_grid.dt - grid.dt) > 1e-12 * (1.0 + grid.dt):
-            out[(mode, tf)] = None  # incommensurate grids, slicing undefined
-            continue
-        sliced = RiccatiSolution(
-            grid=small_grid,
-            S=sol.S[:, offset:],
-            status=SolveStatus.COMPLETE,
-            failure_time=None,
-            failure_reason=None,
-            max_symmetry_residual=sol.max_symmetry_residual,
-        )
-        small_active = small_game
-        if mode == "team":
-            weights = TeamWeights(scenario.run.alphas) if scenario.run.alphas else None
-            small_team = build_team_game(small_game, weights)
-            small_active = small_team.reduced
-            reduced_gains = gains(small_active, sliced)
-            player_gains = [reduced_gains[0]] + team_gains_to_players(small_team, reduced_gains[1])
-        else:
-            player_gains = gains(small_game, sliced)
-        try:
-            traj = simulate(small_game, player_gains, scenario.x0, mode=mode)
-        except DivergenceError:
-            out[(mode, tf)] = math.inf
-            continue
-        finals = pursuit_report(traj, scenario.capture_radius).final_distances
-        out[(mode, tf)] = float(np.max(np.abs(finals - per_cell[(mode, tf)])))
-    return out
+    return SweepResult(modes=modes, tf_list=tf_tuple, cells=cells)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +22,12 @@ from aaolq import (
     run,
     run_sweep,
 )
+from aaolq import runner
 from aaolq.cli import main as cli_main
 from aaolq.errors import ScenarioError
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 ESCAPE_GAME = {
     # Unopposed de-regulation: the backward solve escapes in finite time.
@@ -56,6 +59,13 @@ DIVERGENT_GAME = {
     },
     "run": {"mode": "nash", "dt": 0.001, "out_dir": "out/divergent"},
 }
+
+
+def _with_mode_and_tf(scenario: Scenario, mode: str, tf: float) -> Scenario:
+    scenario = dataclasses.replace(scenario, run=dataclasses.replace(scenario.run, mode=mode))
+    if scenario.pursuit is not None:
+        return dataclasses.replace(scenario, pursuit=dataclasses.replace(scenario.pursuit, tf=tf))
+    return dataclasses.replace(scenario, explicit=dataclasses.replace(scenario.explicit, tf=tf))
 
 
 def _write_scenario(tmp_path: Path, doc: dict, name: str = "scenario.json") -> Path:
@@ -146,6 +156,15 @@ class TestParseScenario:
     def test_not_json_rejected(self):
         with pytest.raises(ScenarioError, match="not valid JSON"):
             parse_scenario("mode: nash")
+
+
+class TestReadmeExamples:
+    def test_readme_scenario_blocks_parse(self):
+        text = README.read_text()
+        blocks = re.findall(r"```jsonc?\n(.*?)```", text, flags=re.S)
+        assert blocks, "README.md has no json/jsonc block"
+        for block in blocks:
+            parse_scenario(re.sub(r"(^|\s)//.*$", "", block, flags=re.M))
 
 
 class TestRoundTrip:
@@ -327,9 +346,7 @@ class TestRunSweep:
         scenario = dataclasses.replace(
             scenario, run=dataclasses.replace(scenario.run, dt=0.01)
         )
-        result = run_sweep(
-            scenario, [1.0, 2.0], modes=("nash", "team"), out_dir=tmp_path, cross_check=True
-        )
+        result = run_sweep(scenario, [1.0, 2.0], modes=("nash", "team"), out_dir=tmp_path)
         assert len(result.cells) == 4
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert lines[0] == "mode,tf,d1,d2,d3,captured"
@@ -337,20 +354,56 @@ class TestRunSweep:
         for cell in result.cells:
             assert cell.status == "ok"
             assert cell.distances is not None and len(cell.distances) == 3
-        assert result.cross_check is not None
-        assert all(d is not None and d <= 1e-6 for d in result.cross_check.values())
-        assert (tmp_path / "crosscheck.txt").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.csv"]
+
+    def test_sliced_cells_equal_fresh_solves(self, tmp_path, monkeypatch):
+        # One backward solve per (mode, dt) group; every cell must match a
+        # fresh run of its own horizon bitwise. tf = 1.01 rounds to 102
+        # steps, so its dt differs from 0.01 and it forms its own group.
+        scenario = load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
+        tf_list = [1.0, 2.0, 3.0, 1.01]
+        calls = []
+        real_solve = runner.solve_coupled
+
+        def counting_solve(game, grid, **kwargs):
+            calls.append(grid.steps)
+            return real_solve(game, grid, **kwargs)
+
+        monkeypatch.setattr(runner, "solve_coupled", counting_solve)
+        result = run_sweep(scenario, tf_list, modes=("nash", "team"), out_dir=tmp_path / "sweep")
+        assert calls == [300, 102, 300, 102]
+        monkeypatch.undo()
+        for mode in ("nash", "team"):
+            for tf in tf_list:
+                cell = result.cell(mode, tf)
+                fresh = run(
+                    _with_mode_and_tf(scenario, mode, tf),
+                    out_dir=tmp_path / f"{mode}_{tf}",
+                    level="simulate",
+                )
+                assert cell.status == "ok" and fresh.exit_code == 0
+                assert cell.distances.tobytes() == fresh.pursuit.final_distances.tobytes()
+                assert cell.captured == fresh.pursuit.captured
 
     def test_failed_cells_marked_and_swept_past(self, tmp_path):
+        # The tf = 1.0 solve escapes at t = 0.852. The tf = 0.05 cell is a
+        # slice of the part it reached and must equal a fresh run bitwise.
         scenario = parse_scenario(json.dumps(ESCAPE_GAME))
         result = run_sweep(scenario, [0.05, 1.0], out_dir=tmp_path)
         statuses = {c.tf: c.status for c in result.cells}
         assert statuses[0.05] == "ok"
-        assert statuses[1.0] != "ok"
+        assert statuses[1.0] == "blow_up"
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert len(lines) == 3
         bad = [l for l in lines if "nan" in l]
         assert len(bad) == 1
+        short = run(_with_mode_and_tf(scenario, "nash", 0.05), out_dir=tmp_path / "short")
+        assert short.exit_code == 0
+        assert (
+            result.cell("nash", 0.05).distances.tobytes()
+            == short.pursuit.final_distances.tobytes()
+        )
+        assert run(scenario, out_dir=tmp_path / "long").exit_code == 3
 
     def test_empty_tf_list_rejected(self):
         scenario = load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
