@@ -2,8 +2,11 @@
 
 Every artifact is written deterministically: floats are serialized with
 ``repr`` (shortest round-trip form), row order is fixed, and files land
-via a temp-file rename so readers never observe partial writes. Exit
-codes: 0 success, 2 validation failure, 3 backward solve blow-up,
+via a temp-file rename so readers never observe partial writes. The CSV
+writers format whole arrays at once: each distinct value, told apart by
+its bit pattern, is formatted once, and the rows stream into the temp
+file in chunks before the rename, so no whole file is held in memory.
+Exit codes: 0 success, 2 validation failure, 3 backward solve blow-up,
 4 closed-loop divergence.
 """
 from __future__ import annotations
@@ -36,10 +39,16 @@ def _fmt_bool(v) -> str:
     return "true" if v else "false"
 
 
-def _write_text(path: Path, text: str):
+def _write_chunks(path: Path, chunks) -> None:
+    """Stream ``chunks`` into ``path.tmp``, then rename it over ``path``."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    with tmp.open("w") as f:
+        f.writelines(chunks)
     os.replace(tmp, path)
+
+
+def _write_text(path: Path, text: str):
+    _write_chunks(path, (text,))
 
 
 def _write_rows(path: Path, header: list[str], rows) -> None:
@@ -48,50 +57,68 @@ def _write_rows(path: Path, header: list[str], rows) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
+#: Rows per chunk :func:`_write_table` hands to the file.
+_CHUNK_ROWS = 4096
+
+
+def _reprs(values: np.ndarray) -> list[str]:
+    """``_fmt`` of every value in C order, formatting each distinct value once.
+
+    Values are uniqued by their bit patterns, so ``-0.0`` and ``0.0`` (equal
+    as floats, different in print) stay apart.
+    """
+    bits = np.ascontiguousarray(values, dtype=float).reshape(-1).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    texts = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)
+    return texts[inverse].tolist()
+
+
+def _write_table(path: Path, header: list[str], table: np.ndarray) -> None:
+    """One CSV row per row of the float array ``table``."""
+    width = table.shape[1]
+    cells = _reprs(table)
+    row = ",".join(["%s"] * width) + "\n"
+    step = _CHUNK_ROWS * width
+
+    def chunks():
+        yield ",".join(header) + "\n"
+        for lo in range(0, len(cells), step):
+            block = cells[lo : lo + step]
+            yield (row * (len(block) // width)) % tuple(block)
+
+    _write_chunks(path, chunks())
+
+
 def write_solution_csv(path: Path, sol: RiccatiSolution):
     """Long-form dump: one row per (time, player, entry)."""
-    times = sol.grid.times()
     m, _, n, _ = sol.S.shape
+    width = m * n * n
+    # One time node's rows; "\0" stands for its time, "%s" for each value.
+    node = "".join(
+        f"\0,{i + 1},{r + 1},{c + 1},%s\n" for i in range(m) for r in range(n) for c in range(n)
+    )
+    values = _reprs(np.moveaxis(sol.S, 1, 0))
 
-    def rows():
-        for k, t in enumerate(times):
-            ts = _fmt(t)
-            for i in range(m):
-                mat = sol.S[i, k]
-                for r in range(n):
-                    for c in range(n):
-                        yield (ts, str(i + 1), str(r + 1), str(c + 1), _fmt(mat[r, c]))
+    def chunks():
+        yield "t,player,row,col,value\n"
+        for k, t in enumerate(sol.grid.times().tolist()):
+            yield node.replace("\0", repr(t)) % tuple(values[k * width : (k + 1) * width])
 
-    _write_rows(path, ["t", "player", "row", "col", "value"], rows())
+    _write_chunks(path, chunks())
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory):
-    times = traj.grid.times()
     n = traj.x.shape[1]
     header = ["t"] + [f"x{j + 1}" for j in range(n)]
     for i, ui in enumerate(traj.u):
         header += [f"u{i + 1}_{j + 1}" for j in range(ui.shape[1])]
-
-    def rows():
-        for k, t in enumerate(times):
-            row = [_fmt(t)] + [_fmt(v) for v in traj.x[k]]
-            for ui in traj.u:
-                row += [_fmt(v) for v in ui[k]]
-            yield row
-
-    _write_rows(path, header, rows())
+    _write_table(path, header, np.column_stack([traj.grid.times(), traj.x, *traj.u]))
 
 
 def write_distances_csv(path: Path, traj: Trajectory, report: PursuitReport):
-    times = traj.grid.times()
     k = report.distances.shape[1]
     header = ["t"] + [f"d{j + 1}" for j in range(k)]
-
-    def rows():
-        for i, t in enumerate(times):
-            yield [_fmt(t)] + [_fmt(v) for v in report.distances[i]]
-
-    _write_rows(path, header, rows())
+    _write_table(path, header, np.column_stack([traj.grid.times(), report.distances]))
 
 
 def write_positions_csv(path: Path, traj: Trajectory, params):
@@ -108,19 +135,11 @@ def write_positions_csv(path: Path, traj: Trajectory, params):
     k = params.num_pursuers
     blocks = traj.x.reshape(-1, k, 2)
     pursuers = evader[:, None, :] - blocks
-    times = traj.grid.times()
     header = ["t", "evader_x", "evader_y"]
     for j in range(k):
         header += [f"p{j + 1}_x", f"p{j + 1}_y"]
-
-    def rows():
-        for i, t in enumerate(times):
-            row = [_fmt(t), _fmt(evader[i, 0]), _fmt(evader[i, 1])]
-            for j in range(k):
-                row += [_fmt(pursuers[i, j, 0]), _fmt(pursuers[i, j, 1])]
-            yield row
-
-    _write_rows(path, header, rows())
+    table = np.column_stack([traj.grid.times(), evader, pursuers.reshape(len(evader), 2 * k)])
+    _write_table(path, header, table)
 
 
 def format_conditions(

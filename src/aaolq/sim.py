@@ -74,7 +74,9 @@ def simulate(
     By default the simulation reuses the first gain's grid, matching the
     backward solve step for step. A Euclidean state norm above
     ``divergence_norm`` aborts with :class:`DivergenceError`; running past
-    capture is normal and expected, play continues to tf.
+    capture is normal and expected, play continues to tf. A gain that is
+    not finite at some node raises :class:`ValidationError` naming the
+    player and the first such grid time.
     """
     if len(gains) != game.num_players:
         raise ValidationError(f"expected {game.num_players} gains, got {len(gains)}")
@@ -87,6 +89,11 @@ def simulate(
         raise ValidationError(f"x0: expected {game.n} entries, got {x0v.size}")
     steps = grid.steps
     times = grid.times()
+    for i, g in enumerate(gains):
+        if not np.isfinite(g.K).all():
+            first = np.flatnonzero(~np.isfinite(g.K).reshape(len(g.K), -1).all(axis=1))[0]
+            t_bad = float(g.grid.times()[first])
+            raise ValidationError(f"player {i + 1}: gain is not finite at t={t_bad!r}")
     k_nodes = [gain_series(g, times) for g in gains]
     a = np.array(game.A)
     acl_nodes = np.broadcast_to(a, (steps + 1,) + a.shape).copy()

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from aaolq import GameDefinition
+from aaolq import GameDefinition, absolute_starts
 
 
 def mat(v) -> np.ndarray:
@@ -82,3 +82,87 @@ def random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-ish orthogonal matrix via QR of a Gaussian draw."""
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     return q * np.sign(np.diag(r))
+
+
+# Reference CSV writers: the artifact formats spelled out one value and one
+# row at a time. The bulk writers in ``aaolq.runner`` must match them byte
+# for byte.
+
+
+def _fmt(v) -> str:
+    return repr(float(v))
+
+
+def _csv(header: list[str], rows) -> str:
+    lines = [",".join(header)]
+    lines.extend(",".join(r) for r in rows)
+    return "\n".join(lines) + "\n"
+
+
+def reference_solution_csv(sol) -> str:
+    times = sol.grid.times()
+    m, _, n, _ = sol.S.shape
+
+    def rows():
+        for k, t in enumerate(times):
+            ts = _fmt(t)
+            for i in range(m):
+                mat = sol.S[i, k]
+                for r in range(n):
+                    for c in range(n):
+                        yield (ts, str(i + 1), str(r + 1), str(c + 1), _fmt(mat[r, c]))
+
+    return _csv(["t", "player", "row", "col", "value"], rows())
+
+
+def reference_trajectory_csv(traj) -> str:
+    times = traj.grid.times()
+    n = traj.x.shape[1]
+    header = ["t"] + [f"x{j + 1}" for j in range(n)]
+    for i, ui in enumerate(traj.u):
+        header += [f"u{i + 1}_{j + 1}" for j in range(ui.shape[1])]
+
+    def rows():
+        for k, t in enumerate(times):
+            row = [_fmt(t)] + [_fmt(v) for v in traj.x[k]]
+            for ui in traj.u:
+                row += [_fmt(v) for v in ui[k]]
+            yield row
+
+    return _csv(header, rows())
+
+
+def reference_distances_csv(traj, report) -> str:
+    times = traj.grid.times()
+    k = report.distances.shape[1]
+    header = ["t"] + [f"d{j + 1}" for j in range(k)]
+
+    def rows():
+        for i, t in enumerate(times):
+            yield [_fmt(t)] + [_fmt(v) for v in report.distances[i]]
+
+    return _csv(header, rows())
+
+
+def reference_positions_csv(traj, params) -> str:
+    evader0, _ = absolute_starts(params)
+    u_evader = np.asarray(traj.u[0])
+    dt = traj.grid.dt
+    increments = 0.5 * dt * (u_evader[1:] + u_evader[:-1])
+    evader = evader0[None, :] + np.vstack([np.zeros((1, 2)), np.cumsum(increments, axis=0)])
+    k = params.num_pursuers
+    blocks = traj.x.reshape(-1, k, 2)
+    pursuers = evader[:, None, :] - blocks
+    times = traj.grid.times()
+    header = ["t", "evader_x", "evader_y"]
+    for j in range(k):
+        header += [f"p{j + 1}_x", f"p{j + 1}_y"]
+
+    def rows():
+        for i, t in enumerate(times):
+            row = [_fmt(t), _fmt(evader[i, 0]), _fmt(evader[i, 1])]
+            for j in range(k):
+                row += [_fmt(pursuers[i, j, 0]), _fmt(pursuers[i, j, 1])]
+            yield row
+
+    return _csv(header, rows())

@@ -12,19 +12,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aaolq import (
+    GameDefinition,
     PursuitParams,
+    RiccatiSolution,
     RunConfig,
     Scenario,
+    SolveStatus,
+    TimeGrid,
     build_pursuit_example,
     emit_scenario,
+    gains,
     load_scenario,
     parse_scenario,
     run,
     run_sweep,
+    simulate,
+    solve_coupled,
 )
 from aaolq import runner
 from aaolq.cli import main as cli_main
 from aaolq.errors import ScenarioError
+from aaolq.sim import PursuitReport, Trajectory
+from helpers import (
+    reference_distances_csv,
+    reference_positions_csv,
+    reference_solution_csv,
+    reference_trajectory_csv,
+)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -338,6 +352,103 @@ class TestRunPipeline:
         run(scenario, out_dir=tmp_path / "b")
         for path in sorted((tmp_path / "a").iterdir()):
             assert path.read_bytes() == (tmp_path / "b" / path.name).read_bytes()
+
+
+#: Values whose print forms a writer must keep apart: signed zeros, NaN,
+#: infinities, the smallest subnormal and values at repr's format switches.
+SPECIAL_VALUES = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-05, 1e16, 0.1, -2.5]
+
+
+def _same_bytes(path: Path, expected: str):
+    assert path.read_bytes() == expected.encode()
+
+
+class TestWriterBytes:
+    """The bulk CSV writers against the one-value-at-a-time reference."""
+
+    def _check_run(self, scenario, out: Path):
+        result = run(scenario, out_dir=out)
+        assert result.exit_code == 0
+        _same_bytes(out / "solution.csv", reference_solution_csv(result.sol))
+        _same_bytes(out / "trajectory.csv", reference_trajectory_csv(result.traj))
+        _same_bytes(out / "distances.csv", reference_distances_csv(result.traj, result.pursuit))
+        _same_bytes(out / "positions.csv", reference_positions_csv(result.traj, scenario.pursuit))
+        return result
+
+    @pytest.mark.parametrize("mode", ["nash", "team"])
+    def test_pursuit_coarse_run(self, tmp_path, mode):
+        scenario = load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
+        self._check_run(_with_mode_and_tf(scenario, mode, scenario.pursuit.tf), tmp_path)
+
+    def test_zero_step_grid(self, tmp_path):
+        scenario = _with_mode_and_tf(load_scenario(SCENARIO_DIR / "pursuit_coarse.json"), "nash", 0.0)
+        result = self._check_run(scenario, tmp_path)
+        assert result.grid.steps == 0
+
+    def test_failed_solve_nan_tail(self, tmp_path):
+        result = run(parse_scenario(json.dumps(ESCAPE_GAME)), out_dir=tmp_path, level="solve")
+        assert result.exit_code == 3
+        expected = reference_solution_csv(result.sol)
+        # Nodes the backward solve never reached, from t0 on, stay NaN.
+        assert expected.startswith("t,player,row,col,value\n0.0,1,1,1,nan\n")
+        _same_bytes(tmp_path / "solution.csv", expected)
+
+    def test_single_player_odd_dimension(self, tmp_path):
+        rng = np.random.default_rng(7)
+        q = rng.normal(size=(3, 3))
+        game = GameDefinition(
+            A=rng.normal(size=(3, 3)),
+            B=(rng.normal(size=(3, 2)),),
+            Q=(q @ q.T + np.eye(3),),
+            R=(np.diag([1.0, 2.0]),),
+            S_f=(np.eye(3),),
+            t0=0.0,
+            tf=1.0,
+        )
+        sol = solve_coupled(game, TimeGrid.from_step(0.0, 1.0, 0.05))
+        traj = simulate(game, gains(game, sol), [1.0, -2.0, 0.5])
+        runner.write_solution_csv(tmp_path / "solution.csv", sol)
+        runner.write_trajectory_csv(tmp_path / "trajectory.csv", traj)
+        _same_bytes(tmp_path / "solution.csv", reference_solution_csv(sol))
+        _same_bytes(tmp_path / "trajectory.csv", reference_trajectory_csv(traj))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_special_values(self, tmp_path):
+        grid = TimeGrid(0.0, 1.0, 4)
+        rng = np.random.default_rng(11)
+        values = np.array(SPECIAL_VALUES)
+        # Not symmetric; every special value appears in both players.
+        S = rng.choice(values, size=(2, grid.steps + 1, 3, 3))
+        S[:, 0, 0, 0] = [-0.0, 0.0]
+        S[:, 0, 0, 1] = [0.0, -0.0]
+        sol = RiccatiSolution(
+            grid=grid,
+            S=S,
+            status=SolveStatus.COMPLETE,
+            failure_time=None,
+            failure_reason=None,
+            max_symmetry_residual=0.0,
+        )
+        runner.write_solution_csv(tmp_path / "solution.csv", sol)
+        expected = reference_solution_csv(sol)
+        for text in ("-0.0", "0.0", "nan", "inf", "-inf", "5e-324", "1e-05", "1e+16"):
+            assert f",{text}\n" in expected
+        _same_bytes(tmp_path / "solution.csv", expected)
+
+        params = PursuitParams()
+        x = rng.choice(values, size=(grid.steps + 1, 6))
+        x[0, :2] = [-0.0, 0.0]
+        u = tuple(rng.choice(values, size=(grid.steps + 1, 2)) for _ in range(4))
+        traj = Trajectory(grid=grid, x=x, u=u, costs=np.zeros(4), lyapunov=None, mode="nash")
+        report = PursuitReport(
+            distances=x[:, ::-1].copy(), capture_radius=0.1, capture_time=None, captured_by=None
+        )
+        runner.write_trajectory_csv(tmp_path / "trajectory.csv", traj)
+        runner.write_distances_csv(tmp_path / "distances.csv", traj, report)
+        runner.write_positions_csv(tmp_path / "positions.csv", traj, params)
+        _same_bytes(tmp_path / "trajectory.csv", reference_trajectory_csv(traj))
+        _same_bytes(tmp_path / "distances.csv", reference_distances_csv(traj, report))
+        _same_bytes(tmp_path / "positions.csv", reference_positions_csv(traj, params))
 
 
 class TestRunSweep:

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from aaolq import (
     FeedbackGain,
     TimeGrid,
     gains,
+    load_scenario,
     lyapunov_check,
     pursuit_report,
     simulate,
@@ -19,6 +22,8 @@ from aaolq import (
 from aaolq.errors import DivergenceError, NotApplicableError, ValidationError
 from aaolq.sim import Trajectory
 from helpers import scalar_game, scalar_lqr
+
+COARSE = Path(__file__).resolve().parent.parent / "scenarios" / "pursuit_coarse.json"
 
 
 def _zero_gains(game, grid):
@@ -120,6 +125,21 @@ class TestSimulate:
         )
         diff = np.abs(benchmark_traj.lyapunov - recomputed)
         assert np.all(diff <= 1e-12 * (1.0 + np.abs(recomputed)))
+
+    @pytest.mark.parametrize("node", [0, 5])
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_gain_named(self, node, bad):
+        scenario = load_scenario(COARSE)
+        game = scenario.build_game()
+        sol = solve_coupled(game, TimeGrid.from_step(game.t0, game.tf, scenario.run.dt))
+        player_gains = gains(game, sol)
+        k = player_gains[2].K.copy()
+        k[node, 1, 3] = bad
+        player_gains[2] = FeedbackGain(player=2, grid=sol.grid, K=k)
+        t = float(sol.grid.times()[node])
+        message = rf"player 3: gain is not finite at t={re.escape(repr(t))}$"
+        with pytest.raises(ValidationError, match=message):
+            simulate(game, player_gains, scenario.x0)
 
 
 class TestPursuitReport:
