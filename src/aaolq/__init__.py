@@ -23,7 +23,6 @@ from .analysis import (
 from .errors import (
     AaolqError,
     DivergenceError,
-    EigenConvergenceError,
     IncompleteSolutionError,
     NotApplicableError,
     ScenarioError,

@@ -33,16 +33,10 @@ CHAIN_TOL = 1e-7
 
 @dataclass(frozen=True)
 class WeightSums:
-    """Aggregate weights: q_sum = sf-style sum over all players.
-
-    ``q_sum`` and ``q_hat`` are the same matrix (the sum of every player's
-    state weight); both names are kept because the positivity condition and
-    the decay-rate formula are stated against them separately.
-    """
+    """Aggregate weights: the sums over all players of Q_i and of S_if."""
 
     q_sum: np.ndarray
     sf_sum: np.ndarray
-    q_hat: np.ndarray
 
 
 def sum_matrices(game: GameDefinition) -> WeightSums:
@@ -50,7 +44,16 @@ def sum_matrices(game: GameDefinition) -> WeightSums:
     sf_sum = linalg.symmetrize(sum(np.array(s) for s in game.S_f))
     q_sum.flags.writeable = False
     sf_sum.flags.writeable = False
-    return WeightSums(q_sum=q_sum, sf_sum=sf_sum, q_hat=q_sum)
+    return WeightSums(q_sum=q_sum, sf_sum=sf_sum)
+
+
+def _q_matrix(game: GameDefinition, q_bound) -> np.ndarray:
+    """``q_bound`` as a validated n x n array; None means the zero matrix."""
+    n = game.n
+    q = np.zeros((n, n)) if q_bound is None else np.array(linalg.as_symmetric(q_bound, "q_bound"))
+    if q.shape[0] != n:
+        raise ValidationError(f"q_bound must be {n} x {n}")
+    return q
 
 
 @dataclass(frozen=True)
@@ -70,34 +73,42 @@ def existence_map(game: GameDefinition, q_bound, W) -> ExistenceMapResult:
     evaluated literally and symmetrized. The game is solvable on the whole
     horizon when this map sends the expected sign pattern into the PSD
     cone; at solved values its PSD-ness is the hypothesis under which the
-    envelope bound applies.
+    envelope bound applies. :func:`verify_solution` evaluates the same map
+    at every grid node in one stacked pass.
     """
     m = game.num_players
     if len(W) != m:
         raise ValidationError(f"expected {m} candidate matrices, got {len(W)}")
     n = game.n
-    q = np.zeros((n, n)) if q_bound is None else np.array(linalg.as_symmetric(q_bound, "q_bound"))
-    if q.shape[0] != n:
-        raise ValidationError(f"q_bound must be {n} x {n}")
+    q = _q_matrix(game, q_bound)
     ws = [linalg.as_symmetric(w, f"W[{i + 1}]") for i, w in enumerate(W)]
     for w in ws:
         if w.shape[0] != n:
             raise ValidationError(f"candidate matrices must be {n} x {n}")
-    hs = [game_mod.control_coupling(game, i) for i in range(m)]
-    d = -np.array(ws[OPPONENT])
-    for i in range(1, m):
-        d += ws[i]
-    g = np.zeros((n, n))
-    for j in range(m):
-        g += hs[j] @ ws[j]
-    value = q + ws[OPPONENT] @ hs[OPPONENT] @ ws[OPPONENT]
-    for i in range(1, m):
-        value -= ws[i] @ hs[i] @ ws[i]
-    value = value + d @ g + g.T @ d
-    value = linalg.symmetrize(value)
-    min_eig = float(linalg.sym_eigenvalues(value).values[0])
+    value, min_eig = _existence_stack(game_mod.coupling_stack(game), q, np.stack(ws)[:, None])
+    value = value[0]
+    min_eig = float(min_eig[0])
     value.flags.writeable = False
     return ExistenceMapResult(value=value, min_eigenvalue=min_eig, psd=bool(min_eig >= -PSD_TOL))
+
+
+def _existence_stack(h: np.ndarray, q: np.ndarray, w: np.ndarray):
+    """The existence map at K stacked nodes: (values (K, n, n), min eigenvalues (K,)).
+
+    ``h`` is the (M, n, n) coupling stack and ``w`` holds the candidates as
+    (M, K, n, n); each term of the map is one stacked product per player.
+    """
+    d = -w[OPPONENT]
+    g = h[OPPONENT] @ w[OPPONENT]
+    value = q + w[OPPONENT] @ g
+    for i in range(1, len(h)):
+        d += w[i]
+        hw = h[i] @ w[i]
+        g += hw
+        value -= w[i] @ hw
+    value = linalg.symmetrize(value + d @ g + np.swapaxes(g, -1, -2) @ d)
+    lo, _ = linalg.sym_extrema_stack(value)
+    return value, lo
 
 
 @dataclass(frozen=True)
@@ -119,37 +130,45 @@ def solve_envelope(game: GameDefinition, q_bound, grid: TimeGrid) -> EnvelopeBou
 
     The envelope satisfies dL/dt = -(L A + A' L + C) with constant
     C = q_bound - Q_1 + sum_{i>=2} Q_i and terminal value
-    L(tf) = -S_1f + sum_{i>=2} S_if.
+    L(tf) = -S_1f + sum_{i>=2} S_if. The ODE is linear with constant
+    coefficients, so one RK4 step is a fixed affine map of vec(L). It is
+    built once, by applying the step to the n^2 basis matrices and to the
+    zero matrix, and then iterated, one product per grid node.
     """
     if game.num_players < 2:
         raise NotApplicableError("the envelope bound needs at least two players")
     n = game.n
-    q = np.zeros((n, n)) if q_bound is None else np.array(linalg.as_symmetric(q_bound, "q_bound"))
-    if q.shape[0] != n:
-        raise ValidationError(f"q_bound must be {n} x {n}")
-    c = q - np.array(game.Q[OPPONENT])
+    c = _q_matrix(game, q_bound) - np.array(game.Q[OPPONENT])
     terminal = -np.array(game.S_f[OPPONENT])
     for i in range(1, game.num_players):
         c += game.Q[i]
         terminal += game.S_f[i]
     a = np.array(game.A)
     at = a.T.copy()
+    h = -grid.dt
 
-    def rhs(lmat):
-        return -(lmat @ a + at @ lmat + c)
+    def rhs(lmat, const):
+        return -(lmat @ a + at @ lmat + const)
+
+    def rk4_step(lmat, const):
+        k1 = rhs(lmat, const)
+        k2 = rhs(lmat + (0.5 * h) * k1, const)
+        k3 = rhs(lmat + (0.5 * h) * k2, const)
+        k4 = rhs(lmat + h * k3, const)
+        return lmat + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    zero = np.zeros((n, n))
+    step_t = np.stack([rk4_step(e.reshape(n, n), zero).reshape(-1) for e in np.eye(n * n)])
+    offset = rk4_step(zero, c).reshape(-1)
 
     steps = grid.steps
-    hist = np.empty((steps + 1, n, n))
-    hist[steps] = terminal
-    cur = terminal.copy()
-    h = -grid.dt
+    hist = np.empty((steps + 1, n * n))
+    hist[steps] = terminal.reshape(-1)
+    cur = hist[steps]
     for k in range(steps - 1, -1, -1):
-        k1 = rhs(cur)
-        k2 = rhs(cur + (0.5 * h) * k1)
-        k3 = rhs(cur + (0.5 * h) * k2)
-        k4 = rhs(cur + h * k3)
-        cur = linalg.symmetrize(cur + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        hist[k] = cur
+        cur = np.matmul(cur, step_t, out=hist[k])
+        cur += offset
+    hist = linalg.symmetrize(hist.reshape(steps + 1, n, n))
     norms = np.einsum("kij,kij->k", hist, hist)
     hist.flags.writeable = False
     return EnvelopeBound(grid=grid, L=hist, bound=float(norms.max()))
@@ -248,22 +267,26 @@ def min_horizon(game: GameDefinition, sol: RiccatiSolution, x0_norm: float, r: f
     """
     if not sol.complete:
         raise IncompleteSolutionError("min_horizon needs a complete solve")
+    sums = sum_matrices(game)
+    q_min = float(linalg.sym_eigenvalues(sums.q_sum).values[0])
+    sf_min = float(linalg.sym_eigenvalues(sums.sf_sum).values[0])
+    p_lo, p_hi = linalg.sym_extrema_stack(lyapunov_weight_series(sol))
+    return _horizon_from_extrema(q_min, sf_min, p_lo, p_hi, x0_norm, r)
+
+
+def _horizon_from_extrema(q_min, sf_min, p_lo, p_hi, x0_norm: float, r: float) -> float:
+    """:func:`min_horizon` from the weight-sum minima and P's per-node extrema."""
     if not r > 0:
         raise ValidationError("r must be positive")
     if not x0_norm > 0:
         raise ValidationError("x0_norm must be positive")
-    sums = sum_matrices(game)
-    q_min = float(linalg.sym_eigenvalues(sums.q_sum).values[0])
-    sf_min = float(linalg.sym_eigenvalues(sums.sf_sum).values[0])
     if q_min <= PSD_TOL or sf_min <= PSD_TOL:
         raise NotApplicableError(
             "exponential capture bound not applicable: the summed state and "
             "terminal weights must be positive definite"
         )
-    p_series = lyapunov_weight_series(sol)
-    lo, hi = linalg.sym_extrema_stack(p_series)
-    p_min = float(lo.min())
-    p_max = float(hi.max())
+    p_min = float(p_lo.min())
+    p_max = float(p_hi.max())
     if p_min <= 0.0:
         raise NotApplicableError(
             "exponential capture bound not applicable: P(t) lost positive definiteness"
@@ -309,14 +332,15 @@ def verify_solution(
     *,
     x0_norm: float | None = None,
     r: float | None = None,
-    screen_stride: int = 10,
+    screen_stride: int = 1,
 ) -> ConditionsReport:
     """Run every certificate against a completed solve and collect verdicts.
 
     ``q_bound`` enters the existence map and the envelope ODE; None means
-    the zero matrix. The existence screen is sampled every
-    ``screen_stride``-th grid point (terminal point always included).
-    Failed checks are entries in the report, never exceptions.
+    the zero matrix. The existence screen evaluates the map at every grid
+    node by default, all nodes in one stacked pass; ``screen_stride`` > 1
+    samples every ``screen_stride``-th node instead (terminal node always
+    included). Failed checks are entries in the report, never exceptions.
     """
     if not sol.complete:
         raise IncompleteSolutionError(
@@ -326,6 +350,7 @@ def verify_solution(
         raise ValidationError("solution and game disagree on the player count")
     if screen_stride < 1:
         raise ValidationError("screen_stride must be at least 1")
+    q = _q_matrix(game, q_bound)
     notes: list[str] = []
     sums = sum_matrices(game)
     q_min = float(linalg.sym_eigenvalues(sums.q_sum).values[0])
@@ -344,20 +369,22 @@ def verify_solution(
     definiteness_ok = bool(opponent_max < PSD_TOL and regulator_min > -PSD_TOL)
 
     steps = sol.grid.steps
-    sample = sorted(set(range(0, steps + 1, screen_stride)) | {steps})
-    screen_min = math.inf
-    for k in sample:
-        res = existence_map(game, q_bound, [sol.S[i, k] for i in range(game.num_players)])
-        screen_min = min(screen_min, res.min_eigenvalue)
+    nodes = sol.S[:, ::screen_stride]
+    if steps % screen_stride:
+        nodes = np.concatenate((nodes, sol.S[:, steps:]), axis=1)  # the terminal node
+    _, screen_lo = _existence_stack(game_mod.coupling_stack(game), q, nodes)
+    screen_min = float(screen_lo.min())
     rq_screen_psd = bool(screen_min >= -PSD_TOL)
 
+    p_series = lyapunov_weight_series(sol)
+    p_lo, p_hi = linalg.sym_extrema_stack(p_series)
     per_norm = np.einsum("ikrc,ikrc->ik", sol.S, sol.S)
     max_norm = float(per_norm.max())
     if game.num_players >= 2:
-        envelope = solve_envelope(game, q_bound, sol.grid)
+        envelope = solve_envelope(game, q, sol.grid)
         envelope_bound = envelope.bound
         inside = bool(max_norm <= envelope.bound)
-        combo = lyapunov_weight_series(sol) - 2.0 * sol.S[OPPONENT]  # -S_1 + sum_{i>=2} S_i
+        combo = p_series - 2.0 * sol.S[OPPONENT]  # -S_1 + sum_{i>=2} S_i
         combo_lo, _ = linalg.sym_extrema_stack(combo)
         upper_lo, _ = linalg.sym_extrema_stack(envelope.L - combo)
         chain_lower = float(combo_lo.min())
@@ -388,7 +415,6 @@ def verify_solution(
         notes.append("existence screen not PSD at sampled points; envelope bound not certified")
 
     if sum_q_pd and sum_sf_pd:
-        p_lo, _ = linalg.sym_extrema_stack(lyapunov_weight_series(sol))
         p_min_eig: float | None = float(p_lo.min())
         p_pd: bool | None = bool(p_min_eig > PSD_TOL)
     else:
@@ -399,7 +425,7 @@ def verify_solution(
     horizon_bound: float | None = None
     if x0_norm is not None and r is not None:
         try:
-            horizon_bound = min_horizon(game, sol, x0_norm, r)
+            horizon_bound = _horizon_from_extrema(q_min, sf_min, p_lo, p_hi, x0_norm, r)
         except (NotApplicableError, ValidationError) as exc:
             notes.append(f"minimum horizon unavailable: {exc}")
 
@@ -413,7 +439,7 @@ def verify_solution(
         opponent_max_eig=opponent_max,
         regulator_min_eig=regulator_min,
         rq_screen_psd=rq_screen_psd,
-        rq_screen_min_eig=float(screen_min),
+        rq_screen_min_eig=screen_min,
         envelope_bound=envelope_bound,
         max_solution_norm=max_norm,
         e_membership=e_membership,

@@ -13,18 +13,6 @@ class ScenarioError(ValidationError):
     """Scenario document is malformed; the message carries the field path."""
 
 
-class EigenConvergenceError(AaolqError):
-    """Jacobi sweep limit reached before the off-diagonal mass target."""
-
-    def __init__(self, residual: float, sweeps: int):
-        super().__init__(
-            f"eigenvalue iteration did not converge after {sweeps} sweeps "
-            f"(max off-diagonal residual {residual:.3e})"
-        )
-        self.residual = residual
-        self.sweeps = sweeps
-
-
 class SingularMatrixError(AaolqError):
     """Matrix is numerically singular or too ill-conditioned to invert."""
 

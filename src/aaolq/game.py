@@ -123,13 +123,12 @@ class ValidationReport:
 
 def _verdict(name: str, matrix: np.ndarray, requirement: str) -> MatrixVerdict:
     values = linalg.sym_eigenvalues(matrix).values
-    ok = linalg.is_definite(matrix, requirement)
     return MatrixVerdict(
         name=name,
         requirement=requirement,
         eig_min=float(values[0]),
         eig_max=float(values[-1]),
-        ok=ok,
+        ok=linalg._definite(values, requirement),
     )
 
 

@@ -10,9 +10,10 @@ All matrix data is plain float64 numpy arrays. Two conventions are global:
   tolerance (default ``1e-9``), sized for the integration error that feeds
   them rather than for machine precision.
 
-The eigensolver is a cyclic Jacobi iteration. Dimensions never exceed a
-dozen here, and Jacobi gives an auditable off-diagonal residual to attach
-to each result.
+Every eigenvalue comes from LAPACK (``numpy.linalg.eigvalsh`` and
+``eigh``) on the exact symmetric part of the input, one matrix or a whole
+stack at a time. The test suite keeps a cyclic Jacobi iteration as an
+independent oracle for both.
 """
 from __future__ import annotations
 
@@ -20,13 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EigenConvergenceError, SingularMatrixError, ValidationError
+from .errors import SingularMatrixError, ValidationError
 
 SYMMETRY_RTOL = 1e-10
 DEFINITENESS_TOL = 1e-9
-JACOBI_MAX_SWEEPS = 100
-_JACOBI_MASS_TOL = 1e-12
-_ENTRY_RESIDUAL_RTOL = 1e-10
 
 DEFINITENESS_KINDS = ("pd", "psd", "nd", "nsd")
 
@@ -121,83 +119,16 @@ def frob_norm(s) -> float:
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Eigenvalues of a symmetric matrix, ascending, plus the Jacobi residual."""
+    """Eigenvalues of a symmetric matrix, ascending."""
 
     values: np.ndarray
-    max_offdiag_residual: float
 
 
-def _jacobi(a: np.ndarray, max_sweeps: int):
-    """Cyclic Jacobi diagonalization. Returns (values, vectors, residual).
-
-    Sweeps stop once the squared off-diagonal mass falls under
-    ``1e-12 * (1 + frob_norm)`` and the largest off-diagonal entry is under
-    ``1e-10 * (1 + max|diag|)``; the second condition keeps the reported
-    residual small relative to the spectral radius.
-    """
-    s = np.array(a, dtype=float)
-    n = s.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return s[0, 0:1].copy(), v, 0.0
-    mass_target = _JACOBI_MASS_TOL * (1.0 + float(np.sum(s * s)))
-    for sweep in range(max_sweeps + 1):
-        diag = np.diag(s)
-        off = s - np.diag(diag)
-        off_mass = float(np.sum(off * off))
-        max_off = float(np.max(np.abs(off)))
-        entry_target = _ENTRY_RESIDUAL_RTOL * (1.0 + float(np.max(np.abs(diag))))
-        if off_mass <= mass_target and max_off <= entry_target:
-            order = np.argsort(diag, kind="stable")
-            return diag[order].copy(), v[:, order].copy(), max_off
-        if sweep == max_sweeps:
-            raise EigenConvergenceError(max_off, max_sweeps)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = s[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (s[q, q] - s[p, p]) / (2.0 * apq)
-                if theta >= 0.0:
-                    t = 1.0 / (theta + np.hypot(theta, 1.0))
-                else:
-                    t = 1.0 / (theta - np.hypot(theta, 1.0))
-                c = 1.0 / np.hypot(t, 1.0)
-                sn = t * c
-                cp = s[:, p].copy()
-                cq = s[:, q].copy()
-                s[:, p] = c * cp - sn * cq
-                s[:, q] = sn * cp + c * cq
-                rp = s[p, :].copy()
-                rq = s[q, :].copy()
-                s[p, :] = c * rp - sn * rq
-                s[q, :] = sn * rp + c * rq
-                s[p, q] = 0.0
-                s[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - sn * vq
-                v[:, q] = sn * vp + c * vq
-    raise AssertionError("unreachable")
-
-
-def sym_eigenvalues(s, max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigenResult:
-    """Eigenvalues of a symmetric matrix via cyclic Jacobi rotations.
-
-    Raises :class:`EigenConvergenceError` (carrying the residual) if the
-    sweep cap is hit first.
-    """
-    sym = as_symmetric(s, "sym_eigenvalues input")
-    values, _, residual = _jacobi(sym, max_sweeps)
+def sym_eigenvalues(s) -> EigenResult:
+    """Eigenvalues of a symmetric matrix, ascending (LAPACK ``eigvalsh``)."""
+    values = np.linalg.eigvalsh(as_symmetric(s, "sym_eigenvalues input"))
     values.flags.writeable = False
-    return EigenResult(values=values, max_offdiag_residual=residual)
-
-
-def sym_eigh(s, max_sweeps: int = JACOBI_MAX_SWEEPS):
-    """Eigenvalues (ascending) and orthonormal eigenvectors, Jacobi route."""
-    sym = as_symmetric(s, "sym_eigh input")
-    values, vectors, residual = _jacobi(sym, max_sweeps)
-    return values, vectors, residual
+    return EigenResult(values=values)
 
 
 def spd_inverse(r, cond_limit: float = 1e12, name: str = "matrix") -> np.ndarray:
@@ -206,7 +137,7 @@ def spd_inverse(r, cond_limit: float = 1e12, name: str = "matrix") -> np.ndarray
     The condition estimate ``lambda_max / lambda_min`` must stay under
     ``cond_limit`` and the smallest eigenvalue must be positive.
     """
-    values, vectors, _ = sym_eigh(r)
+    values, vectors = np.linalg.eigh(as_symmetric(r, name))
     lo = float(values[0])
     hi = float(values[-1])
     if lo <= 0.0 or hi / lo > cond_limit:
@@ -229,7 +160,11 @@ def is_definite(s, kind: str, tol: float = DEFINITENESS_TOL) -> bool:
         raise ValueError(f"unknown definiteness kind {kind!r}")
     if tol < 0.0:
         raise ValueError("tolerance must be nonnegative")
-    values = sym_eigenvalues(s).values
+    return _definite(sym_eigenvalues(s).values, kind, tol)
+
+
+def _definite(values: np.ndarray, kind: str, tol: float = DEFINITENESS_TOL) -> bool:
+    """The threshold test of :func:`is_definite` on ascending eigenvalues."""
     if kind == "pd":
         return bool(values[0] > tol)
     if kind == "psd":
@@ -242,9 +177,8 @@ def is_definite(s, kind: str, tol: float = DEFINITENESS_TOL) -> bool:
 def sym_extrema_stack(stack: np.ndarray):
     """Smallest and largest eigenvalue of each matrix in a (..., n, n) stack.
 
-    Bulk grids go through LAPACK here for speed; the Jacobi path above stays
-    the reference implementation and the two are cross-checked in the test
-    suite.
+    The stack is symmetrized and handed to LAPACK in one call, so a whole
+    grid costs one call rather than one per node.
     """
     arr = np.asarray(stack, dtype=float)
     w = np.linalg.eigvalsh(symmetrize(arr))

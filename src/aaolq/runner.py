@@ -496,8 +496,6 @@ def run_sweep(scenario: Scenario, tf_list, modes=None, out_dir=None) -> SweepRes
     Every cell is attempted; blow-ups and divergences are recorded in the
     cell status and the sweep continues.
     """
-    out = Path(out_dir) if out_dir is not None else Path(scenario.run.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     modes = tuple(modes) if modes else (scenario.run.mode,)
     for m in modes:
         if m not in ("nash", "team"):
@@ -509,6 +507,8 @@ def run_sweep(scenario: Scenario, tf_list, modes=None, out_dir=None) -> SweepRes
     if base_game.n % 2:
         raise ValueError("sweeps need an even state dimension for distance reporting")
     k = base_game.n // 2
+    out = Path(out_dir) if out_dir is not None else Path(scenario.run.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     groups: dict[float, list[float]] = {}
     for tf in tf_tuple:

@@ -84,6 +84,99 @@ def random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
+# Reference eigensolver: cyclic Jacobi rotations in plain Python, an
+# independent oracle for the LAPACK path in ``aaolq.linalg``.
+
+JACOBI_MAX_SWEEPS = 100
+
+
+class JacobiNotConverged(ArithmeticError):
+    """The sweep cap was hit before the off-diagonal targets were met."""
+
+    def __init__(self, residual: float, sweeps: int):
+        super().__init__(f"no convergence after {sweeps} sweeps (residual {residual:.3e})")
+        self.residual = residual
+        self.sweeps = sweeps
+
+
+def reference_jacobi(a, max_sweeps: int = JACOBI_MAX_SWEEPS):
+    """Cyclic Jacobi diagonalization of a symmetric matrix.
+
+    Returns (values ascending, orthonormal vectors, max off-diagonal
+    residual). Sweeps stop once the squared off-diagonal mass falls under
+    ``1e-12 * (1 + frob_norm)`` and the largest off-diagonal entry is under
+    ``1e-10 * (1 + max|diag|)``; :class:`JacobiNotConverged` is raised if
+    ``max_sweeps`` sweeps do not get there.
+    """
+    s = np.array(a, dtype=float)
+    n = s.shape[0]
+    v = np.eye(n)
+    if n == 1:
+        return s[0, 0:1].copy(), v, 0.0
+    mass_target = 1e-12 * (1.0 + float(np.sum(s * s)))
+    for sweep in range(max_sweeps + 1):
+        diag = np.diag(s)
+        off = s - np.diag(diag)
+        off_mass = float(np.sum(off * off))
+        max_off = float(np.max(np.abs(off)))
+        entry_target = 1e-10 * (1.0 + float(np.max(np.abs(diag))))
+        if off_mass <= mass_target and max_off <= entry_target:
+            order = np.argsort(diag, kind="stable")
+            return diag[order].copy(), v[:, order].copy(), max_off
+        if sweep == max_sweeps:
+            raise JacobiNotConverged(max_off, max_sweeps)
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = s[p, q]
+                if apq == 0.0:
+                    continue
+                theta = (s[q, q] - s[p, p]) / (2.0 * apq)
+                if theta >= 0.0:
+                    t = 1.0 / (theta + np.hypot(theta, 1.0))
+                else:
+                    t = 1.0 / (theta - np.hypot(theta, 1.0))
+                c = 1.0 / np.hypot(t, 1.0)
+                sn = t * c
+                cp = s[:, p].copy()
+                cq = s[:, q].copy()
+                s[:, p] = c * cp - sn * cq
+                s[:, q] = sn * cp + c * cq
+                rp = s[p, :].copy()
+                rq = s[q, :].copy()
+                s[p, :] = c * rp - sn * rq
+                s[q, :] = sn * rp + c * rq
+                s[p, q] = 0.0
+                s[q, p] = 0.0
+                vp = v[:, p].copy()
+                vq = v[:, q].copy()
+                v[:, p] = c * vp - sn * vq
+                v[:, q] = sn * vp + c * vq
+    raise AssertionError("unreachable")
+
+
+def reference_existence_min(game, S) -> float:
+    """Smallest eigenvalue of the existence map (Q = 0) over nodes S (M, K, n, n).
+
+    The map Q + W_1 H_1 W_1 - sum_{i>=2} W_i H_i W_i + D G + G' D, with
+    D = -W_1 + sum_{i>=2} W_i and G = sum_j H_j W_j, spelled out one node
+    and one player at a time, with H_i = B_i R_i^{-1} B_i' from
+    ``numpy.linalg.inv``.
+    """
+    m, nodes, n, _ = S.shape
+    hs = [b @ np.linalg.inv(r) @ b.T for b, r in zip(game.B, game.R)]
+    worst = np.inf
+    for k in range(nodes):
+        ws = [S[i, k] for i in range(m)]
+        d = -ws[0] + sum(ws[1:], np.zeros((n, n)))
+        g = sum((hs[j] @ ws[j] for j in range(m)), np.zeros((n, n)))
+        value = ws[0] @ hs[0] @ ws[0] - sum(
+            (ws[i] @ hs[i] @ ws[i] for i in range(1, m)), np.zeros((n, n))
+        )
+        value = value + d @ g + g.T @ d
+        worst = min(worst, float(np.linalg.eigvalsh((value + value.T) / 2.0)[0]))
+    return worst
+
+
 # Reference CSV writers: the artifact formats spelled out one value and one
 # row at a time. The bulk writers in ``aaolq.runner`` must match them byte
 # for byte.

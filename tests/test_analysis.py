@@ -1,17 +1,22 @@
 """Certificate module contract: existence map, envelope, subclass, horizons."""
 from __future__ import annotations
 
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from aaolq import (
+    GameDefinition,
     RiccatiSolution,
     SolveStatus,
     TimeGrid,
+    build_team_game,
     check_diagonal_subclass,
     existence_map,
+    load_scenario,
     min_horizon,
     solve_coupled,
     solve_envelope,
@@ -26,7 +31,16 @@ from aaolq.errors import (
 )
 from aaolq.game import control_coupling
 from aaolq.linalg import frob_norm
-from helpers import random_diagonal_game, scalar_game, scalar_lqr
+from helpers import (
+    random_diagonal_game,
+    random_orthogonal,
+    reference_existence_min,
+    scalar_game,
+    scalar_lqr,
+    single_player_matrix_game,
+)
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def _crafted_solution(p_values, q1=-1.0, q2=2.0):
@@ -91,6 +105,70 @@ class TestExistenceMap:
     def test_dimension_mismatch_rejected(self, benchmark_game):
         with pytest.raises(ValidationError):
             existence_map(benchmark_game, None, [np.zeros((6, 6))] * 3)
+
+
+def _rotated(game: GameDefinition, rng: np.random.Generator) -> GameDefinition:
+    """The same game in a random orthonormal basis of the state space."""
+    q = random_orthogonal(rng, game.n)
+    return dataclasses.replace(
+        game,
+        A=q @ game.A @ q.T,
+        B=tuple(q @ b for b in game.B),
+        Q=tuple(q @ m @ q.T for m in game.Q),
+        S_f=tuple(q @ m @ q.T for m in game.S_f),
+    )
+
+
+def _screen_games():
+    """(game, dt) params: pursuit_coarse in both modes and seeded explicit games."""
+    coarse = load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
+    nash = coarse.build_game()
+    yield pytest.param(nash, coarse.run.dt, id="coarse_nash")
+    yield pytest.param(build_team_game(nash).reduced, coarse.run.dt, id="coarse_team")
+    rng = np.random.default_rng(17)
+    for k in range(3):
+        game = random_diagonal_game(rng)
+        yield pytest.param(game, 1e-2, id=f"diagonal_{k}_n{game.n}_m{game.num_players}")
+    yield pytest.param(_rotated(random_diagonal_game(np.random.default_rng(2)), rng), 1e-2, id="rotated_n3")
+    yield pytest.param(single_player_matrix_game(), 1e-2, id="single_player_n2")
+    yield pytest.param(scalar_lqr(), 1e-2, id="scalar_lqr_n1")
+
+
+class TestExistenceScreen:
+    """verify_solution's stacked screen against per-node evaluations."""
+
+    @pytest.mark.parametrize("game,dt", list(_screen_games()))
+    def test_every_node_matches_pointwise_maps(self, game, dt):
+        sol = solve_coupled(game, TimeGrid.from_step(game.t0, game.tf, dt))
+        assert sol.complete
+        m = game.num_players
+        pointwise = min(
+            existence_map(game, None, [sol.S[i, k] for i in range(m)]).min_eigenvalue
+            for k in range(sol.grid.steps + 1)
+        )
+        screened = verify_solution(game, sol).rq_screen_min_eig
+        assert abs(screened - pointwise) <= 1e-12 * (1.0 + abs(pointwise))
+        reference = reference_existence_min(game, sol.S)
+        assert abs(screened - reference) <= 1e-12 * (1.0 + abs(reference))
+
+    def test_stride_samples_old_node_set_with_terminal(self):
+        # 105 steps: the stride-10 sample ends at node 100, so the terminal
+        # node 105 (where this game's map is smallest) must be added.
+        game = dataclasses.replace(single_player_matrix_game(), tf=1.05)
+        sol = solve_coupled(game, TimeGrid(game.t0, game.tf, 105))
+        steps = sol.grid.steps
+        per_node = [existence_map(game, None, [sol.S[0, k]]).min_eigenvalue for k in range(steps + 1)]
+        sample = sorted(set(range(0, steps + 1, 10)) | {steps})
+        assert min(per_node[k] for k in sample) < min(per_node[k] for k in range(0, steps + 1, 10))
+        report = verify_solution(game, sol, screen_stride=10)
+        assert report.rq_screen_min_eig == min(per_node[k] for k in sample)
+
+    def test_default_screens_every_node(self, benchmark_game, benchmark_sol):
+        # The benchmark's map is smallest off the stride-10 nodes.
+        strided = verify_solution(benchmark_game, benchmark_sol, screen_stride=10)
+        full = verify_solution(benchmark_game, benchmark_sol)
+        assert full.rq_screen_min_eig < strided.rq_screen_min_eig
+        assert full.rq_screen_min_eig == pytest.approx(-2.5508943822521214e10, rel=1e-9)
 
 
 class TestSolveEnvelope:
@@ -172,7 +250,6 @@ class TestSumMatrices:
         sums = sum_matrices(benchmark_game)
         assert np.max(np.abs(sums.q_sum - 0.25 * np.eye(6))) <= 1e-12
         assert np.max(np.abs(sums.sf_sum - 0.25 * np.eye(6))) <= 1e-12
-        assert np.array_equal(sums.q_hat, sums.q_sum)
 
     def test_team_reduction_sums(self, benchmark_team):
         sums = sum_matrices(benchmark_team.reduced)

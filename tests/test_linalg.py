@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aaolq import linalg
-from aaolq.errors import EigenConvergenceError, SingularMatrixError, ValidationError
-from helpers import random_orthogonal
+from aaolq.errors import SingularMatrixError, ValidationError
+from helpers import JacobiNotConverged, random_orthogonal, reference_jacobi
 
 
 def _sym(entries: list[float], n: int) -> np.ndarray:
@@ -85,14 +85,16 @@ class TestSymEigenvalues:
             n = int(rng.integers(1, 9))
             s = rng.standard_normal((n, n))
             s = (s + s.T) / 2.0
-            res = linalg.sym_eigenvalues(s)
-            assert np.all(np.diff(res.values) >= 0.0)
-            spectral = float(np.max(np.abs(res.values)))
-            assert res.max_offdiag_residual <= 1e-10 * (1.0 + spectral)
+            values = linalg.sym_eigenvalues(s).values
+            assert np.all(np.diff(values) >= 0.0)
+            ref, _, residual = reference_jacobi(s)
+            assert np.all(np.diff(ref) >= 0.0)
+            spectral = float(np.max(np.abs(ref)))
+            assert residual <= 1e-10 * (1.0 + spectral)
 
     def test_sweep_cap_raises_with_residual(self):
-        with pytest.raises(EigenConvergenceError) as err:
-            linalg.sym_eigenvalues([[2.0, 1.0], [1.0, 2.0]], max_sweeps=0)
+        with pytest.raises(JacobiNotConverged) as err:
+            reference_jacobi(np.array([[2.0, 1.0], [1.0, 2.0]]), max_sweeps=0)
         assert err.value.residual == pytest.approx(1.0)
 
     @given(st.integers(min_value=1, max_value=5), st.data())
@@ -125,9 +127,68 @@ class TestSymEigenvalues:
         stack = (stack + np.swapaxes(stack, -1, -2)) / 2.0
         lo, hi = linalg.sym_extrema_stack(stack)
         for k in range(stack.shape[0]):
-            values = linalg.sym_eigenvalues(stack[k]).values
+            values, _, _ = reference_jacobi(stack[k])
             assert float(values[0]) == pytest.approx(float(lo[k]), abs=1e-10)
             assert float(values[-1]) == pytest.approx(float(hi[k]), abs=1e-10)
+
+
+def _oracle_cases(n: int):
+    """Seeded symmetric n x n matrices: random, diagonal, repeated spectrum, SPD."""
+    rng = np.random.default_rng(100 + n)
+    a = rng.standard_normal((n, n))
+    q = random_orthogonal(rng, n)
+    repeated = np.repeat(rng.standard_normal((n + 1) // 2), 2)[:n]
+    spd = rng.uniform(0.5, 2.0, n)
+    return {
+        "random": (a + a.T) / 2.0,
+        "diagonal": np.diag(rng.standard_normal(n)),
+        "repeated": linalg.symmetrize(q @ np.diag(repeated) @ q.T),
+        "spd": linalg.symmetrize(q @ np.diag(spd) @ q.T),
+    }
+
+
+class TestJacobiOracle:
+    """The LAPACK path against the cyclic Jacobi reference in helpers.
+
+    By Weyl's inequality the oracle's eigenvalues are off by at most n times
+    its off-diagonal residual, so that residual widens the tolerance.
+    """
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_eigenvalues_agree(self, n):
+        for name, s in _oracle_cases(n).items():
+            ref, _, residual = reference_jacobi(s)
+            values = linalg.sym_eigenvalues(s).values
+            tol = n * residual + 1e-13 * (1.0 + float(np.max(np.abs(ref))))
+            assert np.max(np.abs(values - ref)) <= tol, name
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_spd_inverse_agrees(self, n):
+        s = _oracle_cases(n)["spd"]
+        ref_values, vectors, _ = reference_jacobi(s)
+        ref = (vectors / ref_values) @ vectors.T
+        inv = linalg.spd_inverse(s)
+        assert np.max(np.abs(inv - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_ill_conditioned_spd(self, seed):
+        # Eigenvalues 1.001e-12 .. 1 in a random basis: condition just under
+        # spd_inverse's 1e12 limit. A relative perturbation e of the matrix
+        # moves its inverse by about cond * e, relatively.
+        n = 8
+        rng = np.random.default_rng(seed)
+        q = random_orthogonal(rng, n)
+        spectrum = np.logspace(-12, 0, n)
+        spectrum[0] *= 1.001
+        s = linalg.symmetrize(q @ np.diag(spectrum) @ q.T)
+        ref_values, vectors, residual = reference_jacobi(s)
+        values = linalg.sym_eigenvalues(s).values
+        perturbation = n * (residual + 1e-15)
+        assert np.max(np.abs(values - ref_values)) <= perturbation
+        ref = (vectors / ref_values) @ vectors.T
+        inv = linalg.spd_inverse(s)
+        cond = spectrum[-1] / spectrum[0]
+        assert np.max(np.abs(inv - ref)) <= cond * perturbation * np.max(np.abs(ref))
 
 
 class TestFrobNorm:

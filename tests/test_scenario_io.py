@@ -521,6 +521,33 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             run_sweep(scenario, [], out_dir="unused")
 
+    def test_rejected_calls_create_no_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        scenario = load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
+        odd = {
+            "schema_version": 1,
+            "explicit": {
+                "A": [[0.0]],
+                "B": [[[1.0]], [[1.0]]],
+                "Q": [[[-1.0]], [[2.0]]],
+                "R": [[[1.0]], [[1.0]]],
+                "S_f": [[[-1.0]], [[2.0]]],
+                "tf": 1.0,
+                "x0": [2.0],
+            },
+            "run": {"mode": "nash", "dt": 0.01, "out_dir": "out/odd"},
+        }
+        calls = [
+            (scenario, [1.0], ("pursuit",)),
+            (scenario, [], None),
+            (parse_scenario(json.dumps(odd)), [1.0], None),
+        ]
+        for sc, tfs, modes in calls:
+            for out_dir in (None, "sweep_out"):
+                with pytest.raises(ValueError):
+                    run_sweep(sc, tfs, modes=modes, out_dir=out_dir)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCli:
     def test_check_exit_zero(self, tmp_path):
