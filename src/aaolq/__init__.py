@@ -10,10 +10,11 @@ from .analysis import (
     DiagonalSubclassVerdict,
     EnvelopeBound,
     ExistenceMapResult,
+    LyapunovReport,
     WeightSums,
     check_diagonal_subclass,
-    compute_P,
     existence_map,
+    lyapunov_check,
     lyapunov_weight_series,
     min_horizon,
     solve_envelope,
@@ -40,36 +41,19 @@ from .game import (
     control_coupling,
     validate,
 )
-from .linalg import (
-    EigenResult,
-    block_diag,
-    frob_norm,
-    is_definite,
-    kron,
-    sym_eigenvalues,
-)
+from .linalg import block_diag, frob_norm, is_definite, sym_eigenvalues
 from .riccati import (
     FeedbackGain,
     RiccatiSolution,
     SolveStatus,
     TimeGrid,
-    gain_at,
     gains,
     riccati_rhs,
     solve_coupled,
 )
 from .runner import RunResult, SweepResult, run, run_sweep
 from .scenario import RunConfig, Scenario, emit_scenario, load_scenario, parse_scenario
-from .sim import (
-    LyapunovReport,
-    ProbeSample,
-    PursuitReport,
-    Trajectory,
-    lyapunov_check,
-    pursuit_report,
-    simulate,
-    stationarity_probe,
-)
-from .team import TeamGame, TeamWeights, build_team_game, split_team_control, team_gains_to_players
+from .sim import ProbeSample, PursuitReport, Trajectory, pursuit_report, simulate, stationarity_probe
+from .team import TeamGame, TeamWeights, build_team_game, team_gains_to_players
 
 __version__ = "0.1.0"

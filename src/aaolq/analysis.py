@@ -9,8 +9,10 @@ three main tools:
 * a linear envelope ODE whose solution dominates the regulator-minus-
   opponent combination of the solution matrices and yields an a-priori
   norm ball for them,
-* eigenvalue summaries of P(t) = sum_i S_i(t), the Lyapunov weight behind
-  the exponential capture bound and the minimum-horizon formula.
+* the decay certificate: P(t) = sum_i S_i(t) is the Lyapunov weight,
+  V = x' P x, and the rate q_min / p_max gives both the exponential
+  capture bound checked along a trajectory and the minimum-horizon
+  formula.
 
 Norms follow the squared-trace convention of :func:`aaolq.linalg.frob_norm`.
 """
@@ -25,7 +27,8 @@ from . import game as game_mod
 from . import linalg
 from .errors import IncompleteSolutionError, NotApplicableError, ValidationError
 from .game import OPPONENT, GameDefinition
-from .riccati import RiccatiSolution, TimeGrid, SolveStatus
+from .riccati import RiccatiSolution, TimeGrid
+from .sim import Trajectory
 
 PSD_TOL = 1e-9
 CHAIN_TOL = 1e-7
@@ -45,6 +48,14 @@ def sum_matrices(game: GameDefinition) -> WeightSums:
     q_sum.flags.writeable = False
     sf_sum.flags.writeable = False
     return WeightSums(q_sum=q_sum, sf_sum=sf_sum)
+
+
+def _weight_sum_minima(game: GameDefinition) -> tuple[float, float]:
+    """Smallest eigenvalues (q_min, sf_min) of the summed state and terminal weights."""
+    sums = sum_matrices(game)
+    q_min = float(linalg.sym_eigenvalues(sums.q_sum)[0])
+    sf_min = float(linalg.sym_eigenvalues(sums.sf_sum)[0])
+    return q_min, sf_min
 
 
 def _q_matrix(game: GameDefinition, q_bound) -> np.ndarray:
@@ -200,9 +211,7 @@ def _max_offdiag(m: np.ndarray) -> float:
 
 
 def check_diagonal_subclass(game: GameDefinition) -> DiagonalSubclassVerdict:
-    sums = sum_matrices(game)
-    q_min = float(linalg.sym_eigenvalues(sums.q_sum).values[0])
-    sf_min = float(linalg.sym_eigenvalues(sums.sf_sum).values[0])
+    q_min, sf_min = _weight_sum_minima(game)
     sums_ok = q_min > PSD_TOL and sf_min > PSD_TOL
 
     worst = 0.0
@@ -229,7 +238,7 @@ def check_diagonal_subclass(game: GameDefinition) -> DiagonalSubclassVerdict:
         h_opp = game_mod.control_coupling(game, OPPONENT)
         for i in range(1, game.num_players):
             diff = game_mod.control_coupling(game, i) - h_opp
-            h_margin = min(h_margin, float(linalg.sym_eigenvalues(diff).values[0]))
+            h_margin = min(h_margin, float(linalg.sym_eigenvalues(diff)[0]))
     h_order_ok = game.num_players >= 2 and h_margin >= -PSD_TOL
 
     return DiagonalSubclassVerdict(
@@ -249,12 +258,11 @@ def lyapunov_weight_series(sol: RiccatiSolution) -> np.ndarray:
     return linalg.symmetrize(sol.S.sum(axis=0))
 
 
-def compute_P(sol: RiccatiSolution, k: int) -> np.ndarray:
-    """Lyapunov weight P at grid index k."""
-    steps = sol.grid.steps
-    if not 0 <= k <= steps:
-        raise ValidationError(f"grid index {k} out of range 0..{steps}")
-    return linalg.symmetrize(sol.S[:, k].sum(axis=0))
+def _lyapunov_weight_extrema(sol: RiccatiSolution) -> tuple[np.ndarray, float, float]:
+    """P(t) at every grid node, with its smallest and largest eigenvalue over the grid."""
+    p_series = lyapunov_weight_series(sol)
+    p_lo, p_hi = linalg.sym_extrema_stack(p_series)
+    return p_series, float(p_lo.min()), float(p_hi.max())
 
 
 def min_horizon(game: GameDefinition, sol: RiccatiSolution, x0_norm: float, r: float) -> float:
@@ -267,15 +275,15 @@ def min_horizon(game: GameDefinition, sol: RiccatiSolution, x0_norm: float, r: f
     """
     if not sol.complete:
         raise IncompleteSolutionError("min_horizon needs a complete solve")
-    sums = sum_matrices(game)
-    q_min = float(linalg.sym_eigenvalues(sums.q_sum).values[0])
-    sf_min = float(linalg.sym_eigenvalues(sums.sf_sum).values[0])
-    p_lo, p_hi = linalg.sym_extrema_stack(lyapunov_weight_series(sol))
-    return _horizon_from_extrema(q_min, sf_min, p_lo, p_hi, x0_norm, r)
+    q_min, sf_min = _weight_sum_minima(game)
+    _, p_min, p_max = _lyapunov_weight_extrema(sol)
+    return _horizon_from_extrema(q_min, sf_min, p_min, p_max, x0_norm, r)
 
 
-def _horizon_from_extrema(q_min, sf_min, p_lo, p_hi, x0_norm: float, r: float) -> float:
-    """:func:`min_horizon` from the weight-sum minima and P's per-node extrema."""
+def _horizon_from_extrema(
+    q_min: float, sf_min: float, p_min: float, p_max: float, x0_norm: float, r: float
+) -> float:
+    """:func:`min_horizon` from the weight-sum minima and P's extrema over the grid."""
     if not r > 0:
         raise ValidationError("r must be positive")
     if not x0_norm > 0:
@@ -285,13 +293,91 @@ def _horizon_from_extrema(q_min, sf_min, p_lo, p_hi, x0_norm: float, r: float) -
             "exponential capture bound not applicable: the summed state and "
             "terminal weights must be positive definite"
         )
-    p_min = float(p_lo.min())
-    p_max = float(p_hi.max())
     if p_min <= 0.0:
         raise NotApplicableError(
             "exponential capture bound not applicable: P(t) lost positive definiteness"
         )
     return (p_max / q_min) * (2.0 * math.log(x0_norm / r) + math.log(p_max / p_min))
+
+
+@dataclass(frozen=True)
+class LyapunovReport:
+    """Checks of the exponential decay certificate along one trajectory."""
+
+    decay_rate: float
+    v0: float
+    monotone_ok: bool
+    max_increase: float
+    exp_bound_ok: bool
+    exp_bound_max_excess: float
+    ratio_bound_ok: bool
+    ratio_max_excess: float
+
+    @property
+    def ok(self) -> bool:
+        return self.monotone_ok and self.exp_bound_ok and self.ratio_bound_ok
+
+
+def lyapunov_check(
+    game: GameDefinition,
+    traj: Trajectory,
+    sol: RiccatiSolution,
+    *,
+    rel_slack: float = 1e-6,
+    mono_slack: float = 1e-9,
+) -> LyapunovReport:
+    """Verify V = x' P x decays as certified.
+
+    Needs the summed state and terminal weights positive definite, else
+    raises :class:`NotApplicableError` ("not applicable"). Checks that V is
+    strictly decreasing between grid points up to ``mono_slack``, that it
+    stays under V(t0) exp(-rate (t - t0)) with relative slack, and that the
+    squared state-norm ratio respects the matching spectral bound.
+    """
+    q_min, sf_min = _weight_sum_minima(game)
+    if q_min <= 0.0 or sf_min <= 0.0:
+        raise NotApplicableError(
+            "decay certificate not applicable: summed state and terminal weights "
+            "must be positive definite"
+        )
+    if sol.grid != traj.grid:
+        raise ValidationError("trajectory and solution live on different grids")
+    p_series, p_min, p_max = _lyapunov_weight_extrema(sol)
+    if p_min <= 0.0:
+        raise NotApplicableError("decay certificate not applicable: P(t) is not positive definite")
+    rate = q_min / p_max
+    v = np.einsum("kn,knm,km->k", traj.x, p_series, traj.x)
+    times = traj.grid.times()
+    decay = np.exp(-rate * (times - times[0]))
+    v0 = float(v[0])
+    diffs = np.diff(v)
+    max_increase = float(diffs.max()) if diffs.size else 0.0
+    monotone_ok = bool(max_increase < mono_slack)
+    if v0 > 0.0:
+        excess = float((v / (v0 * decay)).max() - 1.0)
+        exp_ok = bool((v <= v0 * decay * (1.0 + rel_slack)).all())
+    else:
+        excess = float(np.abs(v).max())
+        exp_ok = bool(excess <= mono_slack)
+    x0_norm = float(np.linalg.norm(traj.x[0]))
+    if x0_norm > 0.0:
+        ratios = (np.linalg.norm(traj.x, axis=1) / x0_norm) ** 2
+        bound = (p_max / p_min) * decay
+        ratio_excess = float((ratios / bound).max() - 1.0)
+        ratio_ok = bool((ratios <= bound * (1.0 + rel_slack)).all())
+    else:
+        ratio_excess = 0.0
+        ratio_ok = True
+    return LyapunovReport(
+        decay_rate=rate,
+        v0=v0,
+        monotone_ok=monotone_ok,
+        max_increase=max_increase,
+        exp_bound_ok=exp_ok,
+        exp_bound_max_excess=excess,
+        ratio_bound_ok=ratio_ok,
+        ratio_max_excess=ratio_excess,
+    )
 
 
 @dataclass(frozen=True)
@@ -352,9 +438,7 @@ def verify_solution(
         raise ValidationError("screen_stride must be at least 1")
     q = _q_matrix(game, q_bound)
     notes: list[str] = []
-    sums = sum_matrices(game)
-    q_min = float(linalg.sym_eigenvalues(sums.q_sum).values[0])
-    sf_min = float(linalg.sym_eigenvalues(sums.sf_sum).values[0])
+    q_min, sf_min = _weight_sum_minima(game)
     sum_q_pd = q_min > PSD_TOL
     sum_sf_pd = sf_min > PSD_TOL
     subclass = check_diagonal_subclass(game)
@@ -376,8 +460,7 @@ def verify_solution(
     screen_min = float(screen_lo.min())
     rq_screen_psd = bool(screen_min >= -PSD_TOL)
 
-    p_series = lyapunov_weight_series(sol)
-    p_lo, p_hi = linalg.sym_extrema_stack(p_series)
+    p_series, p_min, p_max = _lyapunov_weight_extrema(sol)
     per_norm = np.einsum("ikrc,ikrc->ik", sol.S, sol.S)
     max_norm = float(per_norm.max())
     if game.num_players >= 2:
@@ -415,7 +498,7 @@ def verify_solution(
         notes.append("existence screen not PSD at sampled points; envelope bound not certified")
 
     if sum_q_pd and sum_sf_pd:
-        p_min_eig: float | None = float(p_lo.min())
+        p_min_eig: float | None = p_min
         p_pd: bool | None = bool(p_min_eig > PSD_TOL)
     else:
         p_min_eig = None
@@ -425,7 +508,7 @@ def verify_solution(
     horizon_bound: float | None = None
     if x0_norm is not None and r is not None:
         try:
-            horizon_bound = _horizon_from_extrema(q_min, sf_min, p_lo, p_hi, x0_norm, r)
+            horizon_bound = _horizon_from_extrema(q_min, sf_min, p_min, p_max, x0_norm, r)
         except (NotApplicableError, ValidationError) as exc:
             notes.append(f"minimum horizon unavailable: {exc}")
 

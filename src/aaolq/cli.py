@@ -19,7 +19,7 @@ import sys
 
 from .errors import AaolqError, DivergenceError, ScenarioError, ValidationError
 from .runner import EXIT_BLOWUP, EXIT_DIVERGENCE, EXIT_OK, EXIT_VALIDATION, run, run_sweep
-from .scenario import RunConfig, Scenario, load_scenario
+from .scenario import Scenario, load_scenario
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -83,14 +83,7 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
             raise ScenarioError(str(exc)) from exc
     scenario = dataclasses.replace(scenario, run=run_cfg)
     if args.tf is not None:
-        if scenario.pursuit is not None:
-            scenario = dataclasses.replace(
-                scenario, pursuit=dataclasses.replace(scenario.pursuit, tf=args.tf)
-            )
-        else:
-            scenario = dataclasses.replace(
-                scenario, explicit=dataclasses.replace(scenario.explicit, tf=args.tf)
-            )
+        scenario = scenario.with_tf(args.tf)
     return scenario
 
 

@@ -122,7 +122,7 @@ class ValidationReport:
 
 
 def _verdict(name: str, matrix: np.ndarray, requirement: str) -> MatrixVerdict:
-    values = linalg.sym_eigenvalues(matrix).values
+    values = linalg.sym_eigenvalues(matrix)
     return MatrixVerdict(
         name=name,
         requirement=requirement,

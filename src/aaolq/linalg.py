@@ -17,8 +17,6 @@ independent oracle for both.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import SingularMatrixError, ValidationError
@@ -83,15 +81,6 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return (a + np.swapaxes(a, -1, -2)) / 2.0
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with input validation."""
-    am = as_matrix(a, "kron lhs")
-    bm = as_matrix(b, "kron rhs")
-    out = np.kron(am, bm)
-    out.flags.writeable = False
-    return out
-
-
 def block_diag(blocks) -> np.ndarray:
     """Square block-diagonal assembly of square blocks. Empty input is an error."""
     mats = [as_matrix(b, f"block_diag[{i}]") for i, b in enumerate(blocks)]
@@ -117,18 +106,11 @@ def frob_norm(s) -> float:
     return float(np.sum(arr * arr))
 
 
-@dataclass(frozen=True)
-class EigenResult:
-    """Eigenvalues of a symmetric matrix, ascending."""
-
-    values: np.ndarray
-
-
-def sym_eigenvalues(s) -> EigenResult:
-    """Eigenvalues of a symmetric matrix, ascending (LAPACK ``eigvalsh``)."""
+def sym_eigenvalues(s) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, ascending and read-only (LAPACK ``eigvalsh``)."""
     values = np.linalg.eigvalsh(as_symmetric(s, "sym_eigenvalues input"))
     values.flags.writeable = False
-    return EigenResult(values=values)
+    return values
 
 
 def spd_inverse(r, cond_limit: float = 1e12, name: str = "matrix") -> np.ndarray:
@@ -160,7 +142,7 @@ def is_definite(s, kind: str, tol: float = DEFINITENESS_TOL) -> bool:
         raise ValueError(f"unknown definiteness kind {kind!r}")
     if tol < 0.0:
         raise ValueError("tolerance must be nonnegative")
-    return _definite(sym_eigenvalues(s).values, kind, tol)
+    return _definite(sym_eigenvalues(s), kind, tol)
 
 
 def _definite(values: np.ndarray, kind: str, tol: float = DEFINITENESS_TOL) -> bool:

@@ -193,14 +193,7 @@ def riccati_rhs(game: game_mod.GameDefinition, S) -> list[np.ndarray]:
     return [out[i] for i in range(game.num_players)]
 
 
-def solve_coupled(
-    game: game_mod.GameDefinition,
-    grid: TimeGrid,
-    *,
-    blowup_norm: float = BLOWUP_NORM,
-    stability_target: float = STABILITY_TARGET,
-    max_substeps: int = MAX_SUBSTEPS,
-) -> RiccatiSolution:
+def solve_coupled(game: game_mod.GameDefinition, grid: TimeGrid) -> RiccatiSolution:
     """Integrate the M coupled Riccati equations backward over ``grid``.
 
     The terminal slice equals the boundary data bitwise. Each output
@@ -225,7 +218,7 @@ def solve_coupled(
     times = grid.times()
     cur = terminal.copy()
     dt = grid.dt
-    h_min = dt / float(max_substeps) if steps else 0.0
+    h_min = dt / float(MAX_SUBSTEPS) if steps else 0.0
     max_drift = 0.0
     status = SolveStatus.COMPLETE
     failure_time = None
@@ -236,7 +229,7 @@ def solve_coupled(
             ok = True
             while remaining > 0.0:
                 local, hs = rate(cur)
-                h = min(remaining, max(stability_target / max(local, 1e-300), h_min))
+                h = min(remaining, max(STABILITY_TARGET / max(local, 1e-300), h_min))
                 if remaining - h < h_min:
                     h = remaining  # avoid a vanishing tail substep
                 hb = -h
@@ -250,7 +243,7 @@ def solve_coupled(
                     max_drift = max(max_drift, drift)
                 new = linalg.symmetrize(new)
                 norms = np.einsum("ijk,ijk->i", new, new)
-                if not np.isfinite(new).all() or bool((norms > blowup_norm).any()):
+                if not np.isfinite(new).all() or bool((norms > BLOWUP_NORM).any()):
                     status = SolveStatus.BLOW_UP
                     failure_time = float(times[k])
                     failure_reason = (
@@ -307,10 +300,13 @@ def gains(game: game_mod.GameDefinition, sol: RiccatiSolution) -> list[FeedbackG
 
 
 def gain_series(gain: FeedbackGain, times: np.ndarray) -> np.ndarray:
-    """Vectorized linear interpolation of a gain at many query times."""
+    """Vectorized linear interpolation of a gain at many query times.
+
+    Queries at grid points return the stored matrix exactly; queries
+    outside the horizon raise.
+    """
     ts = np.asarray(times, dtype=float)
     grid = gain.grid
-    span = grid.tf - grid.t0
     slack = 1e-9 * (1.0 + abs(grid.tf) + abs(grid.t0))
     if bool((ts < grid.t0 - slack).any()) or bool((ts > grid.tf + slack).any()):
         raise ValidationError(
@@ -330,12 +326,3 @@ def gain_series(gain: FeedbackGain, times: np.ndarray) -> np.ndarray:
     if exact.any():
         out[exact] = gain.K[lo[exact]]
     return out
-
-
-def gain_at(gain: FeedbackGain, t: float) -> np.ndarray:
-    """Gain at one time, linearly interpolated between grid points.
-
-    Queries at grid points return the stored matrix exactly; queries
-    outside the horizon raise.
-    """
-    return gain_series(gain, np.array([float(t)]))[0]

@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 validation failure, 3 backward solve blow-up,
 """
 from __future__ import annotations
 
-import dataclasses
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,11 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
+from .analysis import LyapunovReport, lyapunov_check
 from .errors import DivergenceError, NotApplicableError
 from .game import GameDefinition, ValidationReport, absolute_starts, validate
 from .riccati import FeedbackGain, RiccatiSolution, SolveStatus, TimeGrid, gains, solve_coupled
 from .scenario import Scenario
-from .sim import LyapunovReport, PursuitReport, Trajectory, lyapunov_check, pursuit_report, simulate
+from .sim import PursuitReport, Trajectory, pursuit_report, simulate
 from .team import TeamGame, TeamWeights, build_team_game, team_gains_to_players
 
 EXIT_OK = 0
@@ -384,7 +384,7 @@ def run(scenario: Scenario, out_dir=None, *, level: str = "simulate") -> RunResu
     if level == "simulate":
         player_gains = _player_gains(game, result.team_game, sol)
         try:
-            traj = simulate(game, player_gains, x0, sol=sol, mode=mode)
+            traj = simulate(game, player_gains, x0)
         except DivergenceError as exc:
             result.exit_code = EXIT_DIVERGENCE
             result.messages.append(str(exc))
@@ -433,25 +433,19 @@ class SweepResult:
         raise KeyError((mode, tf))
 
 
-def _scenario_with_tf(scenario: Scenario, tf: float) -> Scenario:
-    if scenario.pursuit is not None:
-        return dataclasses.replace(scenario, pursuit=dataclasses.replace(scenario.pursuit, tf=tf))
-    return dataclasses.replace(scenario, explicit=dataclasses.replace(scenario.explicit, tf=tf))
-
-
 def _sweep_group(scenario: Scenario, mode: str, tfs: list[float]) -> dict:
     """Cells of one (mode, dt) group, all read off one solve of its longest horizon.
 
     A separate function so the long solution is released on return: a
     sweep holds one at a time.
     """
-    long_game = _scenario_with_tf(scenario, max(tfs)).build_game()
+    long_game = scenario.with_tf(max(tfs)).build_game()
     long_team = _team_game(scenario, long_game, mode)
     long_grid = TimeGrid.from_step(long_game.t0, long_game.tf, scenario.run.dt)
     long_sol = solve_coupled(long_game if long_team is None else long_team.reduced, long_grid)
     cells = {}
     for tf in tfs:
-        game = _scenario_with_tf(scenario, tf).build_game()
+        game = scenario.with_tf(tf).build_game()
         grid = TimeGrid.from_step(game.t0, game.tf, scenario.run.dt)
         tail = long_sol.S[:, long_grid.steps - grid.steps :]
         # Nodes a failed solve never reached stay NaN; a fresh solve of this
@@ -469,7 +463,7 @@ def _sweep_group(scenario: Scenario, mode: str, tfs: list[float]) -> dict:
         )
         player_gains = _player_gains(game, _team_game(scenario, game, mode), sol)
         try:
-            traj = simulate(game, player_gains, scenario.x0, mode=mode)
+            traj = simulate(game, player_gains, scenario.x0)
         except DivergenceError:
             cells[tf] = SweepCell(mode=mode, tf=tf, distances=None, captured=None, status="diverged")
             continue

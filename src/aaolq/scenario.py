@@ -19,6 +19,7 @@ every matrix bitwise.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -67,6 +68,12 @@ class Scenario:
             raise ScenarioError("exactly one of 'pursuit' or 'explicit' must be given")
         if self.explicit is not None and self.explicit_x0 is None:
             raise ScenarioError("explicit.x0: required for explicit games")
+
+    def with_tf(self, tf: float) -> "Scenario":
+        """The same scenario with its horizon ending at ``tf``."""
+        if self.pursuit is not None:
+            return dataclasses.replace(self, pursuit=dataclasses.replace(self.pursuit, tf=tf))
+        return dataclasses.replace(self, explicit=dataclasses.replace(self.explicit, tf=tf))
 
     def build_game(self) -> GameDefinition:
         if self.pursuit is not None:
@@ -204,9 +211,6 @@ def _parse_run(obj, path: str, regulators: int) -> RunConfig:
         obj = {}
     if not isinstance(obj, dict):
         raise ScenarioError(f"{path}: expected an object")
-    mode = obj.get("mode", "nash")
-    if mode not in MODES:
-        raise ScenarioError(f"{path}.mode: expected one of {MODES}, got {mode!r}")
     alphas = obj.get("alphas")
     parsed_alphas = None
     if alphas is not None:
@@ -220,8 +224,6 @@ def _parse_run(obj, path: str, regulators: int) -> RunConfig:
                 f"{path}.alphas: expected {regulators} weights, got {len(parsed_alphas)}"
             )
     dt = _number(obj.get("dt", 1e-3), f"{path}.dt")
-    if not dt > 0:
-        raise ScenarioError(f"{path}.dt: dt must be positive")
     bound_q = None
     if obj.get("bound_q") is not None:
         raw = _matrix(obj["bound_q"], f"{path}.bound_q")
@@ -230,13 +232,11 @@ def _parse_run(obj, path: str, regulators: int) -> RunConfig:
         except ValidationError as exc:
             raise ScenarioError(f"{path}.bound_q: {exc}") from exc
     radius = _number(obj.get("capture_radius", 0.1), f"{path}.capture_radius")
-    if not radius > 0:
-        raise ScenarioError(f"{path}.capture_radius: must be positive")
     out_dir = obj.get("out_dir", "out")
     if not isinstance(out_dir, str) or not out_dir:
         raise ScenarioError(f"{path}.out_dir: expected a non-empty string")
     return RunConfig(
-        mode=mode,
+        mode=obj.get("mode", "nash"),
         alphas=parsed_alphas,
         dt=dt,
         bound_q=bound_q,

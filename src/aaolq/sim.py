@@ -1,4 +1,4 @@
-"""Closed-loop simulation, pursuit reporting and bound checking.
+"""Closed-loop simulation, pursuit reporting and equilibrium probing.
 
 The forward pass integrates dx/dt = (A - sum_j B_j K_j(t)) x with RK4 on
 the same uniform grid as the backward solver, interpolating gains linearly
@@ -9,7 +9,8 @@ by the same kind of stability guard the backward solver uses; smooth games
 take exactly one substep per interval. Costs accumulate by composite
 Simpson quadrature over the simulation grid plus the terminal term, which
 is why grids built through :meth:`TimeGrid.from_step` always carry an even
-step count.
+step count. The decay certificate along a trajectory lives in
+:func:`aaolq.analysis.lyapunov_check`.
 """
 from __future__ import annotations
 
@@ -19,34 +20,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .analysis import lyapunov_weight_series, sum_matrices
-from .errors import DivergenceError, NotApplicableError, ValidationError
+from .errors import DivergenceError, ValidationError
 from .game import GameDefinition
-from .riccati import MAX_SUBSTEPS, FeedbackGain, RiccatiSolution, TimeGrid, gain_series
+from .riccati import MAX_SUBSTEPS, STABILITY_TARGET, FeedbackGain, TimeGrid, gain_series
 
 DIVERGENCE_NORM = 1e12
-
-#: Stability guard for forward substeps: substep * closed-loop rate stays
-#: at or below this target (see the backward solver for the rationale).
-STABILITY_TARGET = 0.5
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Closed-loop run: states, controls, costs and optional Lyapunov values.
+    """Closed-loop run: states, controls and costs.
 
     ``x`` has shape (steps+1, n); ``u[i]`` has shape (steps+1, m_i) and
     holds the control player i applied at each grid point. ``costs[i]`` is
-    player i's accumulated cost. ``lyapunov`` is x' P x per grid point when
-    a backward solution was supplied to the simulation, else None.
+    player i's accumulated cost.
     """
 
     grid: TimeGrid
     x: np.ndarray
     u: tuple[np.ndarray, ...]
     costs: np.ndarray
-    lyapunov: np.ndarray | None
-    mode: str
 
 
 def _simpson_weights(steps: int, dt: float) -> np.ndarray:
@@ -64,16 +57,12 @@ def simulate(
     x0,
     *,
     grid: TimeGrid | None = None,
-    sol: RiccatiSolution | None = None,
-    mode: str = "nash",
-    divergence_norm: float = DIVERGENCE_NORM,
-    stability_target: float = STABILITY_TARGET,
 ) -> Trajectory:
     """Integrate the closed loop forward and accumulate per-player costs.
 
     By default the simulation reuses the first gain's grid, matching the
     backward solve step for step. A Euclidean state norm above
-    ``divergence_norm`` aborts with :class:`DivergenceError`; running past
+    ``DIVERGENCE_NORM`` aborts with :class:`DivergenceError`; running past
     capture is normal and expected, play continues to tf. A gain that is
     not finite at some node raises :class:`ValidationError` naming the
     player and the first such grid time.
@@ -111,7 +100,7 @@ def simulate(
         # endpoint norm bounds it throughout; substeps are equal-sized for
         # determinism and exact interval coverage.
         local = 2.0 * float(max(acl_norms[k], acl_norms[k + 1]))
-        n_sub = min(MAX_SUBSTEPS, max(1, math.ceil(dt * local / stability_target)))
+        n_sub = min(MAX_SUBSTEPS, max(1, math.ceil(dt * local / STABILITY_TARGET)))
         h = dt / n_sub
         xk = x[k]
         for j in range(n_sub):
@@ -127,7 +116,7 @@ def simulate(
             k4 = a_hi @ (xk + h * k3)
             xk = xk + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             norm = float(np.linalg.norm(xk))
-            if not math.isfinite(norm) or norm > divergence_norm:
+            if not math.isfinite(norm) or norm > DIVERGENCE_NORM:
                 raise DivergenceError(float(times[k + 1]), norm)
         x[k + 1] = xk
     u = tuple(-np.einsum("kmn,kn->km", kn, x) for kn in k_nodes)
@@ -136,21 +125,16 @@ def simulate(
     for i in range(game.num_players):
         state_term = np.einsum("kn,nm,km->k", x, game.Q[i], x)
         control_term = np.einsum("km,mp,kp->k", u[i], game.R[i], u[i])
-        running = 0.5 * float(weights @ (state_term + control_term))
+        # Elementwise product and numpy's pairwise sum: a BLAS dot product
+        # of this length can change its last bits with the thread count.
+        running = 0.5 * float((weights * (state_term + control_term)).sum())
         terminal = 0.5 * float(x[-1] @ game.S_f[i] @ x[-1])
         costs[i] = running + terminal
-    lyap = None
-    if sol is not None:
-        if sol.grid != grid:
-            raise ValidationError("the supplied solution lives on a different grid")
-        p_series = lyapunov_weight_series(sol)
-        lyap = np.einsum("kn,knm,km->k", x, p_series, x)
-        lyap.flags.writeable = False
     x.flags.writeable = False
     costs.flags.writeable = False
     for ui in u:
         ui.flags.writeable = False
-    return Trajectory(grid=grid, x=x, u=u, costs=costs, lyapunov=lyap, mode=mode)
+    return Trajectory(grid=grid, x=x, u=u, costs=costs)
 
 
 @dataclass(frozen=True)
@@ -204,94 +188,6 @@ def pursuit_report(traj: Trajectory, capture_radius: float) -> PursuitReport:
         capture_radius=float(capture_radius),
         capture_time=capture_time,
         captured_by=captured_by,
-    )
-
-
-@dataclass(frozen=True)
-class LyapunovReport:
-    """Checks of the exponential decay certificate along one trajectory."""
-
-    decay_rate: float
-    v0: float
-    monotone_ok: bool
-    max_increase: float
-    exp_bound_ok: bool
-    exp_bound_max_excess: float
-    ratio_bound_ok: bool
-    ratio_max_excess: float
-
-    @property
-    def ok(self) -> bool:
-        return self.monotone_ok and self.exp_bound_ok and self.ratio_bound_ok
-
-
-def lyapunov_check(
-    game: GameDefinition,
-    traj: Trajectory,
-    sol: RiccatiSolution,
-    *,
-    rel_slack: float = 1e-6,
-    mono_slack: float = 1e-9,
-) -> LyapunovReport:
-    """Verify V = x' P x decays as certified.
-
-    Needs the summed state and terminal weights positive definite, else
-    raises :class:`NotApplicableError` ("not applicable"). Checks that V is
-    strictly decreasing between grid points up to ``mono_slack``, that it
-    stays under V(t0) exp(-rate (t - t0)) with relative slack, and that the
-    squared state-norm ratio respects the matching spectral bound.
-    """
-    sums = sum_matrices(game)
-    q_min = float(linalg.sym_eigenvalues(sums.q_sum).values[0])
-    sf_min = float(linalg.sym_eigenvalues(sums.sf_sum).values[0])
-    if q_min <= 0.0 or sf_min <= 0.0:
-        raise NotApplicableError(
-            "decay certificate not applicable: summed state and terminal weights "
-            "must be positive definite"
-        )
-    if sol.grid != traj.grid:
-        raise ValidationError("trajectory and solution live on different grids")
-    p_series = lyapunov_weight_series(sol)
-    p_lo, p_hi = linalg.sym_extrema_stack(p_series)
-    p_min = float(p_lo.min())
-    p_max = float(p_hi.max())
-    if p_min <= 0.0:
-        raise NotApplicableError("decay certificate not applicable: P(t) is not positive definite")
-    rate = q_min / p_max
-    if traj.lyapunov is not None:
-        v = np.asarray(traj.lyapunov)
-    else:
-        v = np.einsum("kn,knm,km->k", traj.x, p_series, traj.x)
-    times = traj.grid.times()
-    decay = np.exp(-rate * (times - times[0]))
-    v0 = float(v[0])
-    diffs = np.diff(v)
-    max_increase = float(diffs.max()) if diffs.size else 0.0
-    monotone_ok = bool(max_increase < mono_slack)
-    if v0 > 0.0:
-        excess = float((v / (v0 * decay)).max() - 1.0)
-        exp_ok = bool((v <= v0 * decay * (1.0 + rel_slack)).all())
-    else:
-        excess = float(np.abs(v).max())
-        exp_ok = bool(excess <= mono_slack)
-    x0_norm = float(np.linalg.norm(traj.x[0]))
-    if x0_norm > 0.0:
-        ratios = (np.linalg.norm(traj.x, axis=1) / x0_norm) ** 2
-        bound = (p_max / p_min) * decay
-        ratio_excess = float((ratios / bound).max() - 1.0)
-        ratio_ok = bool((ratios <= bound * (1.0 + rel_slack)).all())
-    else:
-        ratio_excess = 0.0
-        ratio_ok = True
-    return LyapunovReport(
-        decay_rate=rate,
-        v0=v0,
-        monotone_ok=monotone_ok,
-        max_increase=max_increase,
-        exp_bound_ok=exp_ok,
-        exp_bound_max_excess=excess,
-        ratio_bound_ok=ratio_ok,
-        ratio_max_excess=ratio_excess,
     )
 
 

@@ -89,15 +89,6 @@ def build_team_game(game: GameDefinition, weights: TeamWeights | None = None) ->
     return TeamGame(reduced=reduced, slots=tuple(slots), weights=w)
 
 
-def split_team_control(team_game: TeamGame, u_team) -> list[np.ndarray]:
-    """Cut one stacked team control vector back into per-regulator pieces."""
-    u = np.asarray(u_team, dtype=float).reshape(-1)
-    total = team_game.slots[-1][1]
-    if u.size != total:
-        raise ValidationError(f"expected a team control of length {total}, got {u.size}")
-    return [u[a:b].copy() for a, b in team_game.slots]
-
-
 def team_gains_to_players(team_game: TeamGame, team_gain: FeedbackGain) -> list[FeedbackGain]:
     """Row-slice the team feedback gain into per-regulator gains.
 

@@ -62,14 +62,8 @@ def benchmark_gains(benchmark_game, benchmark_sol):
 
 
 @pytest.fixture(scope="session")
-def benchmark_traj(benchmark_game, benchmark_gains, benchmark_params, benchmark_sol):
-    return simulate(
-        benchmark_game,
-        benchmark_gains,
-        np.array(benchmark_params.x0),
-        sol=benchmark_sol,
-        mode="nash",
-    )
+def benchmark_traj(benchmark_game, benchmark_gains, benchmark_params):
+    return simulate(benchmark_game, benchmark_gains, np.array(benchmark_params.x0))
 
 
 @pytest.fixture(scope="session")
@@ -90,11 +84,5 @@ def team_gains(benchmark_team, team_sol):
 
 
 @pytest.fixture(scope="session")
-def team_traj(benchmark_team, team_gains, benchmark_params, team_sol):
-    return simulate(
-        benchmark_team.reduced,
-        team_gains,
-        np.array(benchmark_params.x0),
-        sol=team_sol,
-        mode="team",
-    )
+def team_traj(benchmark_team, team_gains, benchmark_params):
+    return simulate(benchmark_team.reduced, team_gains, np.array(benchmark_params.x0))

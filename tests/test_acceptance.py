@@ -19,15 +19,16 @@ from aaolq import (
     TimeGrid,
     gains,
     load_scenario,
+    lyapunov_check,
     run,
     run_sweep,
     simulate,
     solve_coupled,
     solve_envelope,
+    stationarity_probe,
     team_gains_to_players,
 )
-from aaolq.analysis import min_horizon
-from aaolq.sim import lyapunov_check, stationarity_probe
+from aaolq.analysis import lyapunov_weight_series, min_horizon
 from helpers import random_diagonal_game, scalar_lqr
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -207,7 +208,7 @@ def test_criterion_06_scalar_oracle():
 
     value, sol = s0(1000)
     s_err = abs(value - math.tanh(1.0))
-    traj = simulate(game, gains(game, sol), [1.0], sol=sol)
+    traj = simulate(game, gains(game, sol), [1.0])
     cost_err = abs(float(traj.costs[0]) - 0.5 * math.tanh(1.0))
     reference = s0(400)[0]
     ratio = abs(s0(50)[0] - reference) / abs(s0(100)[0] - reference)
@@ -224,7 +225,9 @@ def test_criterion_07_decay_certificate(
     benchmark_game, benchmark_traj, benchmark_sol, benchmark_params
 ):
     report = lyapunov_check(benchmark_game, benchmark_traj, benchmark_sol)
-    rises = int(np.sum(np.diff(benchmark_traj.lyapunov) > 1e-9))
+    x = benchmark_traj.x
+    v = np.einsum("kn,knm,km->k", x, lyapunov_weight_series(benchmark_sol), x)
+    rises = int(np.sum(np.diff(v) > 1e-9))
     horizon = min_horizon(
         benchmark_game,
         benchmark_sol,

@@ -23,14 +23,14 @@ from aaolq import (
     sum_matrices,
     verify_solution,
 )
-from aaolq.analysis import compute_P, lyapunov_weight_series
+from aaolq.analysis import lyapunov_weight_series
 from aaolq.errors import (
     IncompleteSolutionError,
     NotApplicableError,
     ValidationError,
 )
 from aaolq.game import control_coupling
-from aaolq.linalg import frob_norm
+from aaolq.linalg import frob_norm, symmetrize
 from helpers import (
     random_diagonal_game,
     random_orthogonal,
@@ -264,28 +264,26 @@ class TestSumMatrices:
 
 
 class TestComputeP:
+    """P(t_k) = sum_i S_i(t_k) at single grid nodes of ``lyapunov_weight_series``."""
+
     def test_benchmark_terminal(self, benchmark_sol):
-        p_tf = compute_P(benchmark_sol, benchmark_sol.grid.steps)
+        p_tf = lyapunov_weight_series(benchmark_sol)[benchmark_sol.grid.steps]
         assert np.max(np.abs(p_tf - 0.25 * np.eye(6))) <= 1e-12
 
     def test_zero_solution(self):
         game = scalar_game(0.0, [1.0, 1.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0], tf=0.0)
         sol = solve_coupled(game, TimeGrid(0.0, 0.0, 0))
-        assert compute_P(sol, 0)[0, 0] == 0.0
+        assert lyapunov_weight_series(sol)[0, 0, 0] == 0.0
 
     def test_single_player_is_identity(self):
         game = scalar_lqr()
         sol = solve_coupled(game, TimeGrid.from_step(0.0, 1.0, 1e-3))
-        assert compute_P(sol, 0)[0, 0] == sol.S[0, 0, 0, 0]
-
-    def test_index_range_checked(self, benchmark_sol):
-        with pytest.raises(ValidationError):
-            compute_P(benchmark_sol, benchmark_sol.grid.steps + 1)
+        assert lyapunov_weight_series(sol)[0, 0, 0] == sol.S[0, 0, 0, 0]
 
     def test_series_matches_pointwise(self, benchmark_sol):
         series = lyapunov_weight_series(benchmark_sol)
         for k in (0, 777, benchmark_sol.grid.steps):
-            assert np.array_equal(series[k], compute_P(benchmark_sol, k))
+            assert np.array_equal(series[k], symmetrize(benchmark_sol.S[:, k].sum(axis=0)))
 
 
 class TestMinHorizon:

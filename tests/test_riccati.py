@@ -11,13 +11,13 @@ from aaolq import (
     FeedbackGain,
     SolveStatus,
     TimeGrid,
-    gain_at,
     gains,
     riccati_rhs,
     solve_coupled,
 )
 from aaolq.errors import IncompleteSolutionError, ValidationError
 from aaolq.linalg import sym_extrema_stack
+from aaolq.riccati import gain_series
 from helpers import scalar_game, scalar_lqr, single_player_matrix_game
 
 
@@ -222,6 +222,8 @@ class TestGains:
 
 
 class TestGainAt:
+    """Linear interpolation of a gain between grid points, through ``gain_series``."""
+
     def _toy_gain(self):
         grid = TimeGrid(0.0, 1.0, 2)
         k = np.array([[[0.0]], [[2.0]], [[6.0]]])
@@ -229,15 +231,14 @@ class TestGainAt:
 
     def test_exact_at_grid_points(self):
         g = self._toy_gain()
-        assert gain_at(g, 0.5)[0, 0] == 2.0
-        assert gain_at(g, 0.0)[0, 0] == 0.0
+        assert list(gain_series(g, [0.5, 0.0])[:, 0, 0]) == [2.0, 0.0]
 
     def test_linear_midpoint(self):
         g = self._toy_gain()
-        assert gain_at(g, 0.25)[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert gain_series(g, [0.25])[0, 0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_terminal_value_is_terminal_gain(self, benchmark_game, benchmark_gains):
-        k_tf = gain_at(benchmark_gains[0], 10.0)
+        k_tf = gain_series(benchmark_gains[0], [10.0])[0]
         expected = (
             np.linalg.inv(benchmark_game.R[0]) @ benchmark_game.B[0].T @ benchmark_game.S_f[0]
         )
@@ -246,6 +247,6 @@ class TestGainAt:
     def test_outside_horizon_rejected(self):
         g = self._toy_gain()
         with pytest.raises(ValidationError):
-            gain_at(g, -0.1)
+            gain_series(g, [-0.1])
         with pytest.raises(ValidationError):
-            gain_at(g, 1.1)
+            gain_series(g, [0.5, 1.1])

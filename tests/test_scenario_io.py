@@ -180,6 +180,12 @@ class TestReadmeExamples:
         for block in blocks:
             parse_scenario(re.sub(r"(^|\s)//.*$", "", block, flags=re.M))
 
+    def test_readme_python_blocks_run(self):
+        blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
+        assert blocks, "README.md has no python block"
+        for block in blocks:
+            exec(compile(block, str(README), "exec"), {})
+
 
 class TestRoundTrip:
     def test_shipped_scenarios_round_trip_bitwise(self):
@@ -439,7 +445,7 @@ class TestWriterBytes:
         x = rng.choice(values, size=(grid.steps + 1, 6))
         x[0, :2] = [-0.0, 0.0]
         u = tuple(rng.choice(values, size=(grid.steps + 1, 2)) for _ in range(4))
-        traj = Trajectory(grid=grid, x=x, u=u, costs=np.zeros(4), lyapunov=None, mode="nash")
+        traj = Trajectory(grid=grid, x=x, u=u, costs=np.zeros(4))
         report = PursuitReport(
             distances=x[:, ::-1].copy(), capture_radius=0.1, capture_time=None, captured_by=None
         )

@@ -1,8 +1,12 @@
 """Forward simulation contract: integration, costs, capture, decay, probes."""
 from __future__ import annotations
 
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,10 +24,30 @@ from aaolq import (
     stationarity_probe,
 )
 from aaolq.errors import DivergenceError, NotApplicableError, ValidationError
+from aaolq.riccati import gain_series
 from aaolq.sim import Trajectory
 from helpers import scalar_game, scalar_lqr
 
-COARSE = Path(__file__).resolve().parent.parent / "scenarios" / "pursuit_coarse.json"
+ROOT = Path(__file__).resolve().parent.parent
+COARSE = ROOT / "scenarios" / "pursuit_coarse.json"
+
+#: Simulates open-loop scalar games on long grids and prints the cost bits.
+#: At these lengths a BLAS dot product of the Simpson weights changed its
+#: last bits between one and two threads.
+_COSTS_CHILD = """
+import json
+import numpy as np
+from aaolq import FeedbackGain, TimeGrid, simulate
+from helpers import scalar_game
+
+bits = []
+for steps, a in ((10_000, -0.2), (20_000, 0.1), (20_000, 0.3)):
+    game = scalar_game(a, [1.0, 1.0], [-1.0, 2.0], [1.0, 1.0], [-1.0, 2.0], tf=1.0)
+    grid = TimeGrid(0.0, 1.0, steps)
+    zero = [FeedbackGain(player=i, grid=grid, K=np.zeros((steps + 1, 1, 1))) for i in range(2)]
+    bits.append([float(c).hex() for c in simulate(game, zero, [1.0]).costs])
+print(json.dumps(bits))
+"""
 
 
 def _zero_gains(game, grid):
@@ -98,16 +122,16 @@ class TestSimulate:
             sol = solve_coupled(game, grid)
             gs = gains(game, sol)
             traj = simulate(game, gs, [1.0], grid=grid)
-            from aaolq import closed_loop_A, gain_at
 
             worst = 0.0
             times = grid.times()
+            t_mid = (times[:-1] + times[1:]) / 2.0
+            k_mid = [gain_series(g, t_mid) for g in gs]
             for k in range(grid.steps):
-                t_mid = (times[k] + times[k + 1]) / 2.0
                 x_mid = (traj.x[k] + traj.x[k + 1]) / 2.0
                 acl = np.array(game.A)
                 for i in range(game.num_players):
-                    acl -= game.B[i] @ gain_at(gs[i], t_mid)
+                    acl -= game.B[i] @ k_mid[i][k]
                 lhs = (traj.x[k + 1] - traj.x[k]) / grid.dt
                 worst = max(worst, float(np.max(np.abs(lhs - acl @ x_mid))))
             return worst
@@ -115,16 +139,6 @@ class TestSimulate:
         coarse = max_residual(0.01)
         fine = max_residual(0.005)
         assert coarse / fine == pytest.approx(4.0, rel=0.15)
-
-    def test_lyapunov_series_matches_recomputation(self, benchmark_sol, benchmark_traj):
-        from aaolq.analysis import lyapunov_weight_series
-
-        p_series = lyapunov_weight_series(benchmark_sol)
-        recomputed = np.einsum(
-            "kn,knm,km->k", benchmark_traj.x, p_series, benchmark_traj.x
-        )
-        diff = np.abs(benchmark_traj.lyapunov - recomputed)
-        assert np.all(diff <= 1e-12 * (1.0 + np.abs(recomputed)))
 
     @pytest.mark.parametrize("node", [0, 5])
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
@@ -141,6 +155,22 @@ class TestSimulate:
         with pytest.raises(ValidationError, match=message):
             simulate(game, player_gains, scenario.x0)
 
+    def test_costs_independent_of_blas_threads(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))
+        bits = []
+        for threads in ("1", "2"):
+            env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            child = subprocess.run(
+                [sys.executable, "-c", _COSTS_CHILD],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=300,
+            )
+            assert child.returncode == 0, child.stderr
+            bits.append(json.loads(child.stdout))
+        assert bits[0] == bits[1]
+
 
 class TestPursuitReport:
     def test_benchmark_initial_distances(self, benchmark_traj):
@@ -152,9 +182,7 @@ class TestPursuitReport:
     def test_no_capture_when_far(self):
         grid = TimeGrid(0.0, 1.0, 2)
         x = np.tile([3.0, 4.0], (3, 1))
-        traj = Trajectory(
-            grid=grid, x=x, u=(), costs=np.zeros(0), lyapunov=None, mode="nash"
-        )
+        traj = Trajectory(grid=grid, x=x, u=(), costs=np.zeros(0))
         report = pursuit_report(traj, 0.1)
         assert report.capture_time is None
         assert report.captured_by is None
@@ -170,23 +198,14 @@ class TestPursuitReport:
     def test_capture_tie_goes_to_lowest_index(self):
         grid = TimeGrid(0.0, 1.0, 1)
         x = np.array([[1.0, 0.0, 1.0, 0.0], [0.05, 0.0, 0.05, 0.0]])
-        traj = Trajectory(
-            grid=grid, x=x, u=(), costs=np.zeros(0), lyapunov=None, mode="nash"
-        )
+        traj = Trajectory(grid=grid, x=x, u=(), costs=np.zeros(0))
         report = pursuit_report(traj, 0.1)
         assert report.capture_time == 1.0
         assert report.captured_by == 0
 
     def test_odd_dimension_rejected(self):
         grid = TimeGrid(0.0, 1.0, 1)
-        traj = Trajectory(
-            grid=grid,
-            x=np.zeros((2, 3)),
-            u=(),
-            costs=np.zeros(0),
-            lyapunov=None,
-            mode="nash",
-        )
+        traj = Trajectory(grid=grid, x=np.zeros((2, 3)), u=(), costs=np.zeros(0))
         with pytest.raises(ValidationError):
             pursuit_report(traj, 0.1)
 
@@ -214,7 +233,7 @@ class TestLyapunovCheck:
     def test_zero_initial_state_trivially_passes(
         self, benchmark_game, benchmark_gains, benchmark_sol
     ):
-        traj = simulate(benchmark_game, benchmark_gains, np.zeros(6), sol=benchmark_sol)
+        traj = simulate(benchmark_game, benchmark_gains, np.zeros(6))
         report = lyapunov_check(benchmark_game, traj, benchmark_sol)
         assert report.v0 == 0.0
         assert report.ok is True

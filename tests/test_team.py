@@ -15,7 +15,6 @@ from aaolq import (
     riccati_rhs,
     simulate,
     solve_coupled,
-    split_team_control,
     team_gains_to_players,
 )
 from aaolq.errors import ValidationError
@@ -98,31 +97,6 @@ class TestBuildTeamGame:
             for i in range(1, 4)
         )
         assert np.max(np.abs(h_team - expected)) <= 1e-10
-
-
-class TestSplitTeamControl:
-    def test_three_pursuers(self, benchmark_team):
-        parts = split_team_control(benchmark_team, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-        assert [list(p) for p in parts] == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
-
-    def test_single_member_identity(self):
-        game = scalar_game(0.0, [1.0, 1.0], [-1.0, 2.0], [1.0, 1.0], [-1.0, 2.0])
-        team = build_team_game(game)
-        parts = split_team_control(team, [7.0])
-        assert len(parts) == 1 and parts[0][0] == 7.0
-
-    def test_zero_vector(self, benchmark_team):
-        parts = split_team_control(benchmark_team, np.zeros(6))
-        assert all(np.array_equal(p, np.zeros(2)) for p in parts)
-
-    def test_concatenation_round_trip(self, benchmark_team):
-        u = np.arange(6.0) + 0.5
-        parts = split_team_control(benchmark_team, u)
-        assert np.array_equal(np.concatenate(parts), u)
-
-    def test_length_mismatch_rejected(self, benchmark_team):
-        with pytest.raises(ValidationError):
-            split_team_control(benchmark_team, np.zeros(5))
 
 
 class TestTeamGainsToPlayers:
