@@ -211,7 +211,11 @@ def _max_offdiag(m: np.ndarray) -> float:
 
 
 def check_diagonal_subclass(game: GameDefinition) -> DiagonalSubclassVerdict:
-    q_min, sf_min = _weight_sum_minima(game)
+    return _subclass_verdict(game, *_weight_sum_minima(game))
+
+
+def _subclass_verdict(game: GameDefinition, q_min: float, sf_min: float) -> DiagonalSubclassVerdict:
+    """:func:`check_diagonal_subclass` given the weight-sum minima."""
     sums_ok = q_min > PSD_TOL and sf_min > PSD_TOL
 
     worst = 0.0
@@ -441,7 +445,7 @@ def verify_solution(
     q_min, sf_min = _weight_sum_minima(game)
     sum_q_pd = q_min > PSD_TOL
     sum_sf_pd = sf_min > PSD_TOL
-    subclass = check_diagonal_subclass(game)
+    subclass = _subclass_verdict(game, q_min, sf_min)
 
     lo, hi = linalg.sym_extrema_stack(sol.S)  # (M, steps+1) each
     opponent_max = float(hi[OPPONENT].max())

@@ -71,16 +71,11 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
     if args.alphas is not None:
         updates["alphas"] = _parse_floats(args.alphas, "--alphas")
     if args.dt is not None:
-        if not args.dt > 0:
-            raise ScenarioError("--dt: dt must be positive")
         updates["dt"] = args.dt
     if args.out is not None:
         updates["out_dir"] = args.out
     if updates:
-        try:
-            run_cfg = dataclasses.replace(run_cfg, **updates)
-        except ValidationError as exc:
-            raise ScenarioError(str(exc)) from exc
+        run_cfg = dataclasses.replace(run_cfg, **updates)
     scenario = dataclasses.replace(scenario, run=run_cfg)
     if args.tf is not None:
         scenario = scenario.with_tf(args.tf)

@@ -71,7 +71,10 @@ def as_symmetric(a, name: str = "matrix") -> np.ndarray:
         raise ValidationError(
             f"{name}: asymmetry {drift:.3e} exceeds tolerance {SYMMETRY_RTOL * scale:.3e}"
         )
-    out = (arr + arr.T) / 2.0
+    with np.errstate(over="ignore"):
+        out = (arr + arr.T) / 2.0
+    # Entries past half the float range overflow the sum; their halves add exactly.
+    out = np.where(np.isfinite(out), out, arr / 2.0 + arr.T / 2.0)
     out.flags.writeable = False
     return out
 

@@ -6,15 +6,17 @@ between their grid points. Because interpolated gains can swing over
 orders of magnitude within one interval on near-escape games, each
 interval is subdivided into a deterministic number of equal substeps sized
 by the same kind of stability guard the backward solver uses; smooth games
-take exactly one substep per interval. Costs accumulate by composite
-Simpson quadrature over the simulation grid plus the terminal term, which
-is why grids built through :meth:`TimeGrid.from_step` always carry an even
-step count. The decay certificate along a trajectory lives in
-:func:`aaolq.analysis.lyapunov_check`.
+take exactly one substep per interval. On a linear ODE one RK4 substep is
+a matrix polynomial in its three stage matrices, so the n x n transition
+maps of a chunk of substeps are built in one stacked pass and then applied
+to the state in order, one matrix-vector product each. Costs accumulate by
+composite Simpson quadrature over the simulation grid plus the terminal
+term, which is why grids built through :meth:`TimeGrid.from_step` always
+carry an even step count. The decay certificate along a trajectory lives
+in :func:`aaolq.analysis.lyapunov_check`.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,7 @@ from .game import GameDefinition
 from .riccati import MAX_SUBSTEPS, STABILITY_TARGET, FeedbackGain, TimeGrid, gain_series
 
 DIVERGENCE_NORM = 1e12
+_CHUNK = 512  # substeps per stacked map build; bounds memory, not results
 
 
 @dataclass(frozen=True)
@@ -61,11 +64,14 @@ def simulate(
     """Integrate the closed loop forward and accumulate per-player costs.
 
     By default the simulation reuses the first gain's grid, matching the
-    backward solve step for step. A Euclidean state norm above
-    ``DIVERGENCE_NORM`` aborts with :class:`DivergenceError`; running past
-    capture is normal and expected, play continues to tf. A gain that is
-    not finite at some node raises :class:`ValidationError` naming the
-    player and the first such grid time.
+    backward solve step for step. Each interval takes the number of equal
+    RK4 substeps its stability guard asks for; the substeps' transition
+    maps are formed ``_CHUNK`` at a time and applied in order. A Euclidean
+    state norm above ``DIVERGENCE_NORM`` after any substep aborts with
+    :class:`DivergenceError` at the end time of that substep's interval;
+    running past capture is normal and expected, play continues to tf. A
+    gain that is not finite at some node raises :class:`ValidationError`
+    naming the player and the first such grid time.
     """
     if len(gains) != game.num_players:
         raise ValidationError(f"expected {game.num_players} gains, got {len(gains)}")
@@ -88,37 +94,43 @@ def simulate(
     acl_nodes = np.broadcast_to(a, (steps + 1,) + a.shape).copy()
     for b, kn in zip(game.B, k_nodes):
         acl_nodes -= np.matmul(b, kn)
-    if steps:
-        acl_norms = np.sqrt(np.einsum("kij,kij->k", acl_nodes, acl_nodes))
-    x = np.empty((steps + 1, game.n))
-    x[0] = x0v
+    acl_norms = np.sqrt(np.einsum("kij,kij->k", acl_nodes, acl_nodes))
     dt = grid.dt
-    for k in range(steps):
+    # The closed-loop matrix is linear on each interval, so the larger
+    # endpoint norm bounds it throughout; substeps are equal-sized for
+    # determinism and exact interval coverage.
+    local = 2.0 * np.maximum(acl_norms[:-1], acl_norms[1:])
+    n_sub = np.clip(np.ceil(dt * local / STABILITY_TARGET), 1, MAX_SUBSTEPS).astype(np.int64)
+    ends = np.cumsum(n_sub)
+    eye = np.eye(game.n)
+    x = np.empty((steps + 1, game.n))
+    x[0] = xk = x0v
+    total = int(ends[-1]) if steps else 0
+    for s0 in range(0, total, _CHUNK):
+        sub = np.arange(s0, min(s0 + _CHUNK, total))
+        k = np.searchsorted(ends, sub, side="right")  # interval of each substep
+        n = n_sub[k][:, None, None]
+        j = (sub - ends[k] + n_sub[k])[:, None, None]
         a0 = acl_nodes[k]
         da = acl_nodes[k + 1] - a0
-        # The closed-loop matrix is linear on the interval, so the larger
-        # endpoint norm bounds it throughout; substeps are equal-sized for
-        # determinism and exact interval coverage.
-        local = 2.0 * float(max(acl_norms[k], acl_norms[k + 1]))
-        n_sub = min(MAX_SUBSTEPS, max(1, math.ceil(dt * local / STABILITY_TARGET)))
-        h = dt / n_sub
-        xk = x[k]
-        for j in range(n_sub):
-            th0 = j / n_sub
-            thm = (j + 0.5) / n_sub
-            th1 = (j + 1) / n_sub
-            a_lo = a0 + th0 * da
-            a_mid = a0 + thm * da
-            a_hi = a0 + th1 * da
-            k1 = a_lo @ xk
-            k2 = a_mid @ (xk + (0.5 * h) * k1)
-            k3 = a_mid @ (xk + (0.5 * h) * k2)
-            k4 = a_hi @ (xk + h * k3)
-            xk = xk + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            norm = float(np.linalg.norm(xk))
-            if not math.isfinite(norm) or norm > DIVERGENCE_NORM:
-                raise DivergenceError(float(times[k + 1]), norm)
-        x[k + 1] = xk
+        a_lo = a0 + (j / n) * da
+        a_mid = a0 + ((j + 0.5) / n) * da
+        a_hi = a0 + ((j + 1) / n) * da
+        # RK4 on a linear ODE is a matrix polynomial: one map per substep.
+        h = dt / n
+        k2 = a_mid @ (eye + (0.5 * h) * a_lo)
+        k3 = a_mid @ (eye + (0.5 * h) * k2)
+        k4 = a_hi @ (eye + h * k3)
+        phi = eye + (h / 6.0) * (a_lo + 2.0 * k2 + 2.0 * k3 + k4)
+        xs = np.empty((sub.size, game.n))
+        for i, p in enumerate(phi):
+            xk = xs[i] = p @ xk
+        norms = np.linalg.norm(xs, axis=1)
+        bad = np.flatnonzero(~(norms <= DIVERGENCE_NORM))
+        if bad.size:
+            raise DivergenceError(float(times[k[bad[0]] + 1]), float(norms[bad[0]]))
+        last = sub == ends[k] - 1  # substeps that close an interval
+        x[k[last] + 1] = xs[last]
     u = tuple(-np.einsum("kmn,kn->km", kn, x) for kn in k_nodes)
     weights = _simpson_weights(steps, dt)
     costs = np.empty(game.num_players)

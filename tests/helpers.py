@@ -5,9 +5,15 @@ Everything here is deterministic: random constructions take an explicit
 """
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import numpy as np
 
 from aaolq import GameDefinition, absolute_starts
+from aaolq.errors import DivergenceError
+from aaolq.riccati import MAX_SUBSTEPS, STABILITY_TARGET, gain_series
+from aaolq.sim import DIVERGENCE_NORM, _simpson_weights
 
 
 def mat(v) -> np.ndarray:
@@ -82,6 +88,18 @@ def random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-ish orthogonal matrix via QR of a Gaussian draw."""
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     return q * np.sign(np.diag(r))
+
+
+def rotated_game(game: GameDefinition, rng: np.random.Generator) -> GameDefinition:
+    """The same game in a random orthonormal basis of the state space."""
+    q = random_orthogonal(rng, game.n)
+    return dataclasses.replace(
+        game,
+        A=q @ game.A @ q.T,
+        B=tuple(q @ b for b in game.B),
+        Q=tuple(q @ m @ q.T for m in game.Q),
+        S_f=tuple(q @ m @ q.T for m in game.S_f),
+    )
 
 
 # Reference eigensolver: cyclic Jacobi rotations in plain Python, an
@@ -175,6 +193,59 @@ def reference_existence_min(game, S) -> float:
         value = value + d @ g + g.T @ d
         worst = min(worst, float(np.linalg.eigvalsh((value + value.T) / 2.0)[0]))
     return worst
+
+
+# Reference forward pass: the closed-loop RK4 spelled out one substep at a
+# time, with the stage matrices interpolated and applied to the state
+# vector. ``aaolq.simulate`` composes the same steps as per-substep
+# transition matrices, so the two agree to rounding.
+
+
+def reference_simulate(game, gains, x0, grid=None):
+    """Staged RK4 over the closed loop; returns (x, costs).
+
+    Substep counts, divergence checks and the Simpson cost sum follow
+    ``aaolq.simulate``; inputs are assumed valid.
+    """
+    grid = gains[0].grid if grid is None else grid
+    steps, dt = grid.steps, grid.dt
+    times = grid.times()
+    k_nodes = [gain_series(g, times) for g in gains]
+    acl_nodes = np.array([np.array(game.A)] * (steps + 1))
+    for b, kn in zip(game.B, k_nodes):
+        acl_nodes -= np.matmul(b, kn)
+    acl_norms = np.sqrt(np.einsum("kij,kij->k", acl_nodes, acl_nodes))
+    x = np.empty((steps + 1, game.n))
+    x[0] = np.asarray(x0, dtype=float)
+    for k in range(steps):
+        a0 = acl_nodes[k]
+        da = acl_nodes[k + 1] - a0
+        local = 2.0 * float(max(acl_norms[k], acl_norms[k + 1]))
+        n_sub = min(MAX_SUBSTEPS, max(1, math.ceil(dt * local / STABILITY_TARGET)))
+        h = dt / n_sub
+        xk = x[k]
+        for j in range(n_sub):
+            a_lo = a0 + (j / n_sub) * da
+            a_mid = a0 + ((j + 0.5) / n_sub) * da
+            a_hi = a0 + ((j + 1) / n_sub) * da
+            k1 = a_lo @ xk
+            k2 = a_mid @ (xk + (0.5 * h) * k1)
+            k3 = a_mid @ (xk + (0.5 * h) * k2)
+            k4 = a_hi @ (xk + h * k3)
+            xk = xk + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            norm = float(np.linalg.norm(xk))
+            if not math.isfinite(norm) or norm > DIVERGENCE_NORM:
+                raise DivergenceError(float(times[k + 1]), norm)
+        x[k + 1] = xk
+    weights = _simpson_weights(steps, dt)
+    costs = np.empty(game.num_players)
+    for i in range(game.num_players):
+        u = -np.einsum("kmn,kn->km", k_nodes[i], x)
+        state_term = np.einsum("kn,nm,km->k", x, game.Q[i], x)
+        control_term = np.einsum("km,mp,kp->k", u, game.R[i], u)
+        running = 0.5 * float((weights * (state_term + control_term)).sum())
+        costs[i] = running + 0.5 * float(x[-1] @ game.S_f[i] @ x[-1])
+    return x, costs
 
 
 # Reference CSV writers: the artifact formats spelled out one value and one

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from aaolq import (
-    GameDefinition,
     RiccatiSolution,
     SolveStatus,
     TimeGrid,
@@ -33,8 +32,8 @@ from aaolq.game import control_coupling
 from aaolq.linalg import frob_norm, symmetrize
 from helpers import (
     random_diagonal_game,
-    random_orthogonal,
     reference_existence_min,
+    rotated_game,
     scalar_game,
     scalar_lqr,
     single_player_matrix_game,
@@ -107,18 +106,6 @@ class TestExistenceMap:
             existence_map(benchmark_game, None, [np.zeros((6, 6))] * 3)
 
 
-def _rotated(game: GameDefinition, rng: np.random.Generator) -> GameDefinition:
-    """The same game in a random orthonormal basis of the state space."""
-    q = random_orthogonal(rng, game.n)
-    return dataclasses.replace(
-        game,
-        A=q @ game.A @ q.T,
-        B=tuple(q @ b for b in game.B),
-        Q=tuple(q @ m @ q.T for m in game.Q),
-        S_f=tuple(q @ m @ q.T for m in game.S_f),
-    )
-
-
 def _screen_games():
     """(game, dt) params: pursuit_coarse in both modes and seeded explicit games."""
     coarse = load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
@@ -129,7 +116,7 @@ def _screen_games():
     for k in range(3):
         game = random_diagonal_game(rng)
         yield pytest.param(game, 1e-2, id=f"diagonal_{k}_n{game.n}_m{game.num_players}")
-    yield pytest.param(_rotated(random_diagonal_game(np.random.default_rng(2)), rng), 1e-2, id="rotated_n3")
+    yield pytest.param(rotated_game(random_diagonal_game(np.random.default_rng(2)), rng), 1e-2, id="rotated_n3")
     yield pytest.param(single_player_matrix_game(), 1e-2, id="single_player_n2")
     yield pytest.param(scalar_lqr(), 1e-2, id="scalar_lqr_n1")
 
@@ -243,6 +230,21 @@ class TestDiagonalSubclass:
         for _ in range(5):
             verdict = check_diagonal_subclass(random_diagonal_game(rng))
             assert verdict.applicable is True
+
+    @pytest.mark.parametrize("case", ["benchmark", "coarse_team", "single_player"])
+    def test_verify_solution_verdict_matches(self, case, request):
+        if case == "benchmark":
+            game = request.getfixturevalue("benchmark_game")
+            sol = request.getfixturevalue("benchmark_sol")
+        else:
+            if case == "coarse_team":
+                coarse = load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
+                game, dt = build_team_game(coarse.build_game()).reduced, coarse.run.dt
+            else:
+                game, dt = single_player_matrix_game(), 1e-2
+            sol = solve_coupled(game, TimeGrid.from_step(game.t0, game.tf, dt))
+        report = verify_solution(game, sol)
+        assert report.diagonal_subclass == check_diagonal_subclass(game)
 
 
 class TestSumMatrices:

@@ -215,6 +215,11 @@ class TestValidation:
         with pytest.raises(ValidationError):
             linalg.as_symmetric([[0.0, 1.0], [0.0, 0.0]])
 
+    def test_symmetric_part_of_huge_entries_stays_finite(self):
+        big = np.array([[1.7e308, -1.5e308], [-1.5e308, 1e308]])
+        out = linalg.as_symmetric(big)
+        assert out.tobytes() == big.tobytes()
+
     def test_nonfinite_rejected(self):
         with pytest.raises(ValidationError):
             linalg.as_matrix([[np.nan, 0.0], [0.0, 1.0]])

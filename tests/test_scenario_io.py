@@ -187,6 +187,50 @@ class TestReadmeExamples:
             exec(compile(block, str(README), "exec"), {})
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _float_matrix(draw, rows, cols, elements=_FINITE):
+    values = draw(st.lists(elements, min_size=rows * cols, max_size=rows * cols))
+    return np.array(values, dtype=float).reshape(rows, cols)
+
+
+def _symmetric_matrix(draw, n):
+    """Mirror a drawn upper triangle: exactly symmetric, no arithmetic."""
+    upper = np.triu(_float_matrix(draw, n, n))
+    return upper + np.triu(upper, 1).T
+
+
+@st.composite
+def explicit_scenarios(draw):
+    """Explicit games with n in 1..5 and M in 1..4, with run settings."""
+    n = draw(st.integers(1, 5))
+    players = draw(st.integers(1, 4))
+    dims = [draw(st.integers(1, 3)) for _ in range(players)]
+    positive = st.floats(min_value=1e-3, max_value=1e3)
+    t0 = draw(st.floats(min_value=-1e3, max_value=1e3))
+    game = GameDefinition(
+        A=_float_matrix(draw, n, n),
+        B=tuple(_float_matrix(draw, n, m) for m in dims),
+        Q=tuple(_symmetric_matrix(draw, n) for _ in dims),
+        R=tuple(np.diag(_float_matrix(draw, 1, m, positive)[0]) for m in dims),
+        S_f=tuple(_symmetric_matrix(draw, n) for _ in dims),
+        t0=t0,
+        tf=t0 + draw(st.floats(min_value=0.0, max_value=1e3)),
+    )
+    team = players >= 2 and draw(st.booleans())
+    run_cfg = RunConfig(
+        mode="team" if team else "nash",
+        alphas=tuple([1.0 / (players - 1)] * (players - 1)) if team else None,
+        dt=draw(st.floats(min_value=1e-9, max_value=1e3)),
+        bound_q=_symmetric_matrix(draw, n) if draw(st.booleans()) else None,
+        capture_radius=draw(st.floats(min_value=1e-9, max_value=1e3)),
+        out_dir="out/prop",
+    )
+    x0 = _float_matrix(draw, 1, n)[0]
+    return Scenario(pursuit=None, explicit=game, explicit_x0=x0, run=run_cfg)
+
+
 class TestRoundTrip:
     def test_shipped_scenarios_round_trip_bitwise(self):
         for name in ("pursuit_benchmark.json", "pursuit_coarse.json", "explicit_small.json"):
@@ -239,6 +283,24 @@ class TestRoundTrip:
         again = parse_scenario(emit_scenario(scenario))
         assert again.pursuit == params
         assert again.run == run_cfg
+
+
+    @given(explicit_scenarios())
+    @settings(max_examples=60, deadline=None)
+    def test_random_explicit_round_trip_bitwise(self, scenario):
+        again = parse_scenario(emit_scenario(scenario))
+        game, back = scenario.explicit, again.explicit
+        for field in ("B", "Q", "R", "S_f"):
+            lhs, rhs = getattr(back, field), getattr(game, field)
+            assert [m.tobytes() for m in lhs] == [m.tobytes() for m in rhs], field
+        assert back.A.tobytes() == game.A.tobytes()
+        assert (back.t0, back.tf) == (game.t0, game.tf)
+        assert again.explicit_x0.tobytes() == scenario.explicit_x0.tobytes()
+        if scenario.run.bound_q is None:
+            assert again.run.bound_q is None
+        else:
+            assert again.run.bound_q.tobytes() == scenario.run.bound_q.tobytes()
+        assert again.run == dataclasses.replace(scenario.run, bound_q=again.run.bound_q)
 
 
 class TestRunPipeline:
@@ -624,6 +686,22 @@ class TestCli:
         lines = (tmp_path / "trajectory.csv").read_text().splitlines()
         assert len(lines) == 102  # header + 101 grid points
         assert lines[-1].split(",")[0] == "1.0"
+
+    @pytest.mark.parametrize("dt", ["0", "-1e-3"])
+    def test_non_positive_dt_override_rejected(self, tmp_path, capsys, dt):
+        code = cli_main(
+            [
+                "simulate",
+                "--scenario",
+                str(SCENARIO_DIR / "explicit_small.json"),
+                f"--dt={dt}",
+                "--out",
+                str(tmp_path / "o"),
+            ]
+        )
+        assert code == runner.EXIT_VALIDATION
+        assert "run.dt: dt must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_mode_override(self, tmp_path):
         code = cli_main(

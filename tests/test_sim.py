@@ -14,7 +14,9 @@ import pytest
 
 from aaolq import (
     FeedbackGain,
+    GameDefinition,
     TimeGrid,
+    build_team_game,
     gains,
     load_scenario,
     lyapunov_check,
@@ -26,18 +28,28 @@ from aaolq import (
 from aaolq.errors import DivergenceError, NotApplicableError, ValidationError
 from aaolq.riccati import gain_series
 from aaolq.sim import Trajectory
-from helpers import scalar_game, scalar_lqr
+from helpers import (
+    random_diagonal_game,
+    reference_simulate,
+    rotated_game,
+    scalar_game,
+    scalar_lqr,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 COARSE = ROOT / "scenarios" / "pursuit_coarse.json"
 
-#: Simulates open-loop scalar games on long grids and prints the cost bits.
-#: At these lengths a BLAS dot product of the Simpson weights changed its
-#: last bits between one and two threads.
+#: Simulates open-loop scalar games on long grids and the closed loop of
+#: the scenario named by argv[1] (n = 6, stacked transition maps and 6x6
+#: matrix-vector products), and prints the cost and state bits. At these
+#: lengths a BLAS dot product of the Simpson weights changed its last bits
+#: between one and two threads.
 _COSTS_CHILD = """
+import hashlib
 import json
+import sys
 import numpy as np
-from aaolq import FeedbackGain, TimeGrid, simulate
+from aaolq import FeedbackGain, TimeGrid, gains, load_scenario, simulate, solve_coupled
 from helpers import scalar_game
 
 bits = []
@@ -46,8 +58,55 @@ for steps, a in ((10_000, -0.2), (20_000, 0.1), (20_000, 0.3)):
     grid = TimeGrid(0.0, 1.0, steps)
     zero = [FeedbackGain(player=i, grid=grid, K=np.zeros((steps + 1, 1, 1))) for i in range(2)]
     bits.append([float(c).hex() for c in simulate(game, zero, [1.0]).costs])
+scenario = load_scenario(sys.argv[1])
+game = scenario.build_game()
+sol = solve_coupled(game, TimeGrid.from_step(game.t0, game.tf, scenario.run.dt))
+traj = simulate(game, gains(game, sol), scenario.x0)
+bits.append([float(c).hex() for c in traj.costs] + [hashlib.sha256(traj.x.tobytes()).hexdigest()])
 print(json.dumps(bits))
 """
+
+
+def _oracle_case(name, request):
+    """(game, player gains, x0) for the forward-pass oracle comparison."""
+    if name == "benchmark_nash":
+        x0 = np.array(request.getfixturevalue("benchmark_params").x0)
+        return (
+            request.getfixturevalue("benchmark_game"),
+            request.getfixturevalue("benchmark_gains"),
+            x0,
+        )
+    rng = np.random.default_rng(5)
+    if name.startswith("coarse"):
+        scenario = load_scenario(COARSE)
+        game = scenario.build_game()
+        if name == "coarse_team":
+            game = build_team_game(game).reduced
+        grid = TimeGrid.from_step(game.t0, game.tf, scenario.run.dt)
+        x0 = scenario.x0
+    elif name == "one_player_n3":
+        b = rng.standard_normal((3, 1))
+        q = rng.standard_normal((3, 3))
+        game = GameDefinition(
+            A=rng.standard_normal((3, 3)),
+            B=(b,),
+            Q=(q @ q.T,),
+            R=(np.eye(1),),
+            S_f=(np.eye(3),),
+            t0=0.0,
+            tf=1.5,
+        )
+        grid = TimeGrid.from_step(0.0, 1.5, 1e-2)
+        x0 = rng.standard_normal(3)
+    elif name == "rotated_explicit":
+        game = rotated_game(random_diagonal_game(rng), rng)
+        grid = TimeGrid.from_step(0.0, game.tf, 1e-2)
+        x0 = rng.standard_normal(game.n)
+    else:
+        game = scalar_game(0.3, [1.0, 2.0], [-1.0, 1.0], [1.0, 1.0], [-2.0, 3.0], tf=0.0)
+        grid = TimeGrid(0.0, 0.0, 0)
+        x0 = [1.5]
+    return game, gains(game, solve_coupled(game, grid)), x0
 
 
 def _zero_gains(game, grid):
@@ -98,6 +157,28 @@ class TestSimulate:
             simulate(game, gains(game, sol), [1e11], grid=grid)
         assert 0.0 < err.value.time <= 2.0
         assert err.value.norm > 1e12
+        with pytest.raises(DivergenceError) as ref:
+            reference_simulate(game, gains(game, sol), [1e11], grid=grid)
+        assert err.value.time == ref.value.time
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "benchmark_nash",  # 36 subdivided intervals, many chunks
+            "coarse_nash",
+            "coarse_team",
+            "one_player_n3",
+            "rotated_explicit",
+            "zero_steps",
+        ],
+    )
+    def test_matches_staged_rk4_oracle(self, case, request):
+        game, player_gains, x0 = _oracle_case(case, request)
+        traj = simulate(game, player_gains, x0)
+        x_ref, costs_ref = reference_simulate(game, player_gains, x0)
+        scale = np.abs(x_ref).max(axis=1, keepdims=True)
+        assert np.all(np.abs(traj.x - x_ref) <= 1e-12 * scale)
+        assert np.all(np.abs(traj.costs - costs_ref) <= 1e-12 * np.abs(costs_ref))
 
     def test_odd_step_grid_rejected(self, benchmark_game, benchmark_gains):
         with pytest.raises(ValidationError):
@@ -161,7 +242,7 @@ class TestSimulate:
         for threads in ("1", "2"):
             env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
             child = subprocess.run(
-                [sys.executable, "-c", _COSTS_CHILD],
+                [sys.executable, "-c", _COSTS_CHILD, str(COARSE)],
                 env=env,
                 capture_output=True,
                 text=True,
