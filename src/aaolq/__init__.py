@@ -45,6 +45,7 @@ from .linalg import block_diag, frob_norm, is_definite, sym_eigenvalues
 from .riccati import (
     FeedbackGain,
     RiccatiSolution,
+    SolveStats,
     SolveStatus,
     TimeGrid,
     gains,

@@ -16,7 +16,7 @@ control efforts in the costs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -27,8 +27,31 @@ from .errors import ValidationError
 OPPONENT = 0
 
 
-@dataclass(frozen=True)
-class GameDefinition:
+def _same_value(a, b) -> bool:
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(_same_value(x, y) for x, y in zip(a, b))
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return bool(np.array_equal(a, b))
+    return bool(a == b)
+
+
+class ValueEquality:
+    """``==`` by value for dataclasses with array fields (declared ``eq=False``).
+
+    Arrays, also inside tuples, compare entrywise; other fields with their
+    own ``==``. Instances are unhashable, as their arrays are.
+    """
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(_same_value(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
+@dataclass(frozen=True, eq=False)
+class GameDefinition(ValueEquality):
     """Immutable description of one game.
 
     ``B``, ``Q``, ``R`` and ``S_f`` are per-player tuples. Shapes: ``A`` is

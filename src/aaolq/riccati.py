@@ -13,9 +13,12 @@ appears once with a plus and twice inside the sum. For M = 1 the equation
 collapses to the standard regulator Riccati equation.
 
 Integration is classic RK4 marching backward on a uniform output grid.
-Every stage output is symmetrized, which keeps the iterates exactly
-symmetric and lets the stored asymmetry drift serve as a cheap integrity
-probe.
+The right-hand side is evaluated as -(Y_i + Y_i' + Q_i) with
+Y_i = S_i (A - G + H_i S_i / 2) and G = sum_j H_j S_j: the equation above
+with S_i H_i S_i replaced by its symmetric part. A matrix plus its own
+transpose is bitwise symmetric, so every stage and every iterate is exactly
+symmetric without a symmetrization pass; the largest asymmetry over the
+stored nodes is kept as an integrity probe.
 
 Near-escape games make the right-hand side arbitrarily stiff: the local
 coupling magnitude can swing over many orders within one output interval,
@@ -112,6 +115,25 @@ class TimeGrid:
         return cls(t0, tf, steps)
 
 
+@dataclass(frozen=True)
+class SolveStats:
+    """Deterministic counters of one backward solve.
+
+    ``substeps`` counts the RK4 substeps taken and ``subdivided_intervals``
+    the output intervals that needed more than one; ``min_substep`` is the
+    shortest substep (the grid step when none was shorter, 0.0 on a
+    single-point grid). ``peak_norm`` is the largest squared-trace norm of
+    any player over the terminal data and every substep iterate, reached at
+    ``peak_time``: it marks the boundary layer of near-escape games.
+    """
+
+    substeps: int
+    subdivided_intervals: int
+    min_substep: float
+    peak_norm: float
+    peak_time: float
+
+
 class SolveStatus(Enum):
     COMPLETE = "complete"
     BLOW_UP = "blow_up"
@@ -134,6 +156,7 @@ class RiccatiSolution:
     failure_time: float | None
     failure_reason: str | None
     max_symmetry_residual: float
+    stats: SolveStats
 
     @property
     def complete(self) -> bool:
@@ -148,31 +171,30 @@ def _rhs_factory(game: game_mod.GameDefinition):
     h_stack = game_mod.coupling_stack(game)
     q_stack = np.stack(game.Q)
     a = np.array(game.A)
-    at = a.T.copy()
     a_norm = float(np.sqrt((a * a).sum()))
 
-    def rhs(s: np.ndarray, hs: np.ndarray | None = None) -> np.ndarray:
+    def rhs(s: np.ndarray, hs: np.ndarray | None = None, g: np.ndarray | None = None) -> np.ndarray:
+        # -(Y_i + Y_i' + Q_i) of the module docstring, with neg_y = -Y_i.
         if hs is None:
             hs = h_stack @ s
-        g = hs.sum(axis=0)
-        quad = s @ hs  # S_i H_i S_i, batched over i
-        mix = s @ g  # S_i sum_j H_j S_j
-        out = -(s @ a + at @ s + q_stack + quad - mix - g.T @ s)
-        return linalg.symmetrize(out)
+            g = hs.sum(axis=0)
+        neg_y = s @ (g - a - 0.5 * hs)
+        return neg_y + neg_y.swapaxes(-1, -2) - q_stack
 
-    def rate(s: np.ndarray) -> tuple[float, np.ndarray]:
+    def rate(s: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         # Local linearization magnitude of the right-hand side: the
         # Jacobian action on a perturbation D_i is dominated by terms of
         # the form D A, S H D and D (sum_j H_j S_j), so twice the norms of
         # the aggregate coupling and the largest own-coupling, plus the
         # drift part, bound the fastest local eigenvalue well enough for
-        # step-size control. The product H_i S_i is returned as well so the
-        # first RK4 stage at the same iterate can reuse it.
+        # step-size control. The products H_i S_i and their sum are
+        # returned as well so the first RK4 stage at the same iterate can
+        # reuse them.
         hs = h_stack @ s
         g = hs.sum(axis=0)
-        g_norm = float(np.sqrt((g * g).sum()))
-        own = float(np.sqrt(np.einsum("ijk,ijk->i", hs, hs).max()))
-        return 2.0 * (g_norm + own + a_norm), hs
+        g_norm = math.sqrt((g * g).sum())
+        own = math.sqrt(np.einsum("ijk,ijk->i", hs, hs).max())
+        return 2.0 * (g_norm + own + a_norm), hs, g
 
     return rhs, rate
 
@@ -181,7 +203,7 @@ def riccati_rhs(game: game_mod.GameDefinition, S) -> list[np.ndarray]:
     """One right-hand-side evaluation, mostly useful for testing and audits.
 
     ``S`` is a per-player sequence of symmetric matrices; the returned list
-    holds dS_i/dt in the same order, symmetrized.
+    holds dS_i/dt in the same order, each bitwise symmetric.
     """
     if len(S) != game.num_players:
         raise ValidationError(f"expected {game.num_players} matrices, got {len(S)}")
@@ -198,8 +220,9 @@ def solve_coupled(game: game_mod.GameDefinition, grid: TimeGrid) -> RiccatiSolut
 
     The terminal slice equals the boundary data bitwise. Each output
     interval is covered by deterministic RK4 substeps sized by the
-    stability guard; after every substep the iterate is checked for
-    finiteness and against the squared-trace escape threshold. The first
+    stability guard; after every substep the largest squared-trace norm is
+    tested against the escape threshold, a test that non-finite entries
+    fail as well. The first
     output time that cannot be reached flips the status to BLOW_UP and
     integration stops. Escape is an answer here, not an accident: it is
     exactly what a violated existence condition looks like numerically.
@@ -219,31 +242,33 @@ def solve_coupled(game: game_mod.GameDefinition, grid: TimeGrid) -> RiccatiSolut
     cur = terminal.copy()
     dt = grid.dt
     h_min = dt / float(MAX_SUBSTEPS) if steps else 0.0
-    max_drift = 0.0
+    substeps = 0
+    subdivided = 0
+    smallest = dt
+    peak = float(np.einsum("ijk,ijk->i", terminal, terminal).max())
+    peak_time = grid.tf
     status = SolveStatus.COMPLETE
     failure_time = None
     failure_reason = None
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps - 1, -1, -1):
             remaining = dt
-            ok = True
+            taken = 0
             while remaining > 0.0:
-                local, hs = rate(cur)
+                local, hs, g = rate(cur)
                 h = min(remaining, max(STABILITY_TARGET / max(local, 1e-300), h_min))
                 if remaining - h < h_min:
                     h = remaining  # avoid a vanishing tail substep
                 hb = -h
-                k1 = rhs(cur, hs)
+                k1 = rhs(cur, hs, g)
                 k2 = rhs(cur + (0.5 * hb) * k1)
                 k3 = rhs(cur + (0.5 * hb) * k2)
                 k4 = rhs(cur + hb * k3)
                 new = cur + (hb / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                drift = float(np.max(np.abs(new - np.swapaxes(new, -1, -2))))
-                if math.isfinite(drift):
-                    max_drift = max(max_drift, drift)
-                new = linalg.symmetrize(new)
-                norms = np.einsum("ijk,ijk->i", new, new)
-                if not np.isfinite(new).all() or bool((norms > BLOWUP_NORM).any()):
+                # A NaN or inf entry makes its player's norm NaN or inf, so
+                # this one test also catches non-finite arithmetic.
+                top = float(np.einsum("ijk,ijk->i", new, new).max())
+                if not top <= BLOWUP_NORM:
                     status = SolveStatus.BLOW_UP
                     failure_time = float(times[k])
                     failure_reason = (
@@ -251,13 +276,23 @@ def solve_coupled(game: game_mod.GameDefinition, grid: TimeGrid) -> RiccatiSolut
                         if np.isfinite(new).all()
                         else "non-finite entries during backward integration"
                     )
-                    ok = False
                     break
                 cur = new
                 remaining -= h
-            if not ok:
+                taken += 1
+                smallest = min(smallest, h)
+                if top > peak:
+                    peak = top
+                    peak_time = float(times[k]) + remaining
+            substeps += taken
+            subdivided += taken > 1
+            if failure_time is not None:
                 break
             s_hist[:, k] = cur
+    # Integrity probe over the stored nodes: every stage is bitwise
+    # symmetric, so this reads 0.0 unless the arithmetic stops preserving it.
+    stored = s_hist[:, 0 if failure_time is None else k + 1 :]
+    max_residual = max(float(np.abs(si - si.swapaxes(-1, -2)).max()) for si in stored)
     s_hist.flags.writeable = False
     return RiccatiSolution(
         grid=grid,
@@ -265,7 +300,14 @@ def solve_coupled(game: game_mod.GameDefinition, grid: TimeGrid) -> RiccatiSolut
         status=status,
         failure_time=failure_time,
         failure_reason=failure_reason,
-        max_symmetry_residual=max_drift,
+        max_symmetry_residual=max_residual,
+        stats=SolveStats(
+            substeps=substeps,
+            subdivided_intervals=subdivided,
+            min_substep=smallest,
+            peak_norm=peak,
+            peak_time=peak_time,
+        ),
     )
 
 

@@ -175,6 +175,12 @@ def format_conditions(
             lines.append(f"  failure_time: {_fmt(sol.failure_time)}")
             lines.append(f"  failure_reason: {sol.failure_reason}")
         lines.append(f"  max_symmetry_residual: {_fmt(sol.max_symmetry_residual)}")
+        stats = sol.stats
+        lines.append(
+            f"  substeps: {stats.substeps}  subdivided_intervals: {stats.subdivided_intervals}  "
+            f"min_substep: {_fmt(stats.min_substep)}"
+        )
+        lines.append(f"  peak_norm: {_fmt(stats.peak_norm)} at t={_fmt(stats.peak_time)}")
     lines.append("")
     lines.append("certificates")
     if report is None:
@@ -460,6 +466,7 @@ def _sweep_group(scenario: Scenario, mode: str, tfs: list[float]) -> dict:
             failure_time=None,
             failure_reason=None,
             max_symmetry_residual=long_sol.max_symmetry_residual,
+            stats=long_sol.stats,
         )
         player_gains = _player_gains(game, _team_game(scenario, game, mode), sol)
         try:

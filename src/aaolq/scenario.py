@@ -29,15 +29,15 @@ import numpy as np
 
 from . import linalg
 from .errors import ScenarioError, ValidationError
-from .game import GameDefinition, PursuitParams, build_pursuit_example
+from .game import GameDefinition, PursuitParams, ValueEquality, build_pursuit_example
 from .team import TeamWeights
 
 SCHEMA_VERSION = 1
 MODES = ("nash", "team")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+@dataclass(frozen=True, eq=False)
+class RunConfig(ValueEquality):
     mode: str = "nash"
     alphas: tuple[float, ...] | None = None
     dt: float = 1e-3
@@ -54,8 +54,8 @@ class RunConfig:
             raise ScenarioError("run.capture_radius: must be positive")
 
 
-@dataclass(frozen=True)
-class Scenario:
+@dataclass(frozen=True, eq=False)
+class Scenario(ValueEquality):
     """Parsed scenario: a game source, an initial state and run settings."""
 
     pursuit: PursuitParams | None

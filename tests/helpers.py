@@ -10,9 +10,10 @@ import math
 
 import numpy as np
 
-from aaolq import GameDefinition, absolute_starts
+from aaolq import GameDefinition, SolveStatus, absolute_starts
+from aaolq import game as game_mod, linalg
 from aaolq.errors import DivergenceError
-from aaolq.riccati import MAX_SUBSTEPS, STABILITY_TARGET, gain_series
+from aaolq.riccati import BLOWUP_NORM, MAX_SUBSTEPS, STABILITY_TARGET, gain_series
 from aaolq.sim import DIVERGENCE_NORM, _simpson_weights
 
 
@@ -100,6 +101,108 @@ def rotated_game(game: GameDefinition, rng: np.random.Generator) -> GameDefiniti
         Q=tuple(q @ m @ q.T for m in game.Q),
         S_f=tuple(q @ m @ q.T for m in game.S_f),
     )
+
+
+ESCAPE_GAME = {
+    # Unopposed de-regulation: the backward solve escapes in finite time.
+    "schema_version": 1,
+    "explicit": {
+        "A": [[0.0, 0.0], [0.0, 0.0]],
+        "B": [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]],
+        "Q": [[[-100.0, 0.0], [0.0, -100.0]], [[0.0, 0.0], [0.0, 0.0]]],
+        "R": [[[1.0, 0.0], [0.0, 1.0]], [[1e6, 0.0], [0.0, 1e6]]],
+        "S_f": [[[-1.0, 0.0], [0.0, -1.0]], [[0.0, 0.0], [0.0, 0.0]]],
+        "tf": 1.0,
+        "x0": [1.0, 1.0],
+    },
+    "run": {"mode": "nash", "dt": 0.001, "out_dir": "out/escape"},
+}
+
+
+# Reference backward solve: the stability-guarded RK4 loop with the
+# right-hand side spelled out term by term, every stage and every iterate
+# symmetrized and the asymmetry drift of each raw iterate recorded.
+# ``aaolq.solve_coupled`` evaluates the same equation as -(Y + Y' + Q) with
+# no symmetrization, so the two agree to rounding.
+
+
+def _reference_rhs_factory(game):
+    h_stack = game_mod.coupling_stack(game)
+    q_stack = np.stack(game.Q)
+    a = np.array(game.A)
+    at = a.T.copy()
+    a_norm = float(np.sqrt((a * a).sum()))
+
+    def rhs(s, hs=None):
+        if hs is None:
+            hs = h_stack @ s
+        g = hs.sum(axis=0)
+        quad = s @ hs  # S_i H_i S_i, batched over i
+        mix = s @ g  # S_i sum_j H_j S_j
+        out = -(s @ a + at @ s + q_stack + quad - mix - g.T @ s)
+        return linalg.symmetrize(out)
+
+    def rate(s):
+        hs = h_stack @ s
+        g = hs.sum(axis=0)
+        g_norm = float(np.sqrt((g * g).sum()))
+        own = float(np.sqrt(np.einsum("ijk,ijk->i", hs, hs).max()))
+        return 2.0 * (g_norm + own + a_norm), hs
+
+    return rhs, rate
+
+
+def reference_solve_coupled(game, grid):
+    """Staged backward solve; returns (S, status, failure_time, max_drift).
+
+    Substep sizing and the escape test follow ``aaolq.solve_coupled``;
+    inputs are assumed valid.
+    """
+    m = game.num_players
+    n = game.n
+    steps = grid.steps
+    rhs, rate = _reference_rhs_factory(game)
+    terminal = np.stack(game.S_f)
+    s_hist = np.full((m, steps + 1, n, n), np.nan)
+    s_hist[:, steps] = terminal
+    times = grid.times()
+    cur = terminal.copy()
+    dt = grid.dt
+    h_min = dt / float(MAX_SUBSTEPS) if steps else 0.0
+    max_drift = 0.0
+    status = SolveStatus.COMPLETE
+    failure_time = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps - 1, -1, -1):
+            remaining = dt
+            ok = True
+            while remaining > 0.0:
+                local, hs = rate(cur)
+                h = min(remaining, max(STABILITY_TARGET / max(local, 1e-300), h_min))
+                if remaining - h < h_min:
+                    h = remaining  # avoid a vanishing tail substep
+                hb = -h
+                k1 = rhs(cur, hs)
+                k2 = rhs(cur + (0.5 * hb) * k1)
+                k3 = rhs(cur + (0.5 * hb) * k2)
+                k4 = rhs(cur + hb * k3)
+                new = cur + (hb / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                drift = float(np.max(np.abs(new - np.swapaxes(new, -1, -2))))
+                if math.isfinite(drift):
+                    max_drift = max(max_drift, drift)
+                new = linalg.symmetrize(new)
+                norms = np.einsum("ijk,ijk->i", new, new)
+                if not np.isfinite(new).all() or bool((norms > BLOWUP_NORM).any()):
+                    status = SolveStatus.BLOW_UP
+                    failure_time = float(times[k])
+                    ok = False
+                    break
+                cur = new
+                remaining -= h
+            if not ok:
+                break
+            s_hist[:, k] = cur
+    return s_hist, status, failure_time, max_drift
 
 
 # Reference eigensolver: cyclic Jacobi rotations in plain Python, an

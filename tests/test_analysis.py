@@ -10,6 +10,7 @@ import pytest
 
 from aaolq import (
     RiccatiSolution,
+    SolveStats,
     SolveStatus,
     TimeGrid,
     build_team_game,
@@ -59,6 +60,7 @@ def _crafted_solution(p_values, q1=-1.0, q2=2.0):
         failure_time=None,
         failure_reason=None,
         max_symmetry_residual=0.0,
+        stats=SolveStats(0, 0, grid.dt, 0.0, grid.tf),
     )
     return game, sol
 

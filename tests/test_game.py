@@ -235,6 +235,21 @@ class TestGameDefinition:
         with pytest.raises(ValueError):
             benchmark_game.A[0, 0] = 1.0
 
+    def test_equality_by_value(self, benchmark_params, benchmark_game):
+        again = build_pursuit_example(benchmark_params)
+        assert again is not benchmark_game
+        assert again == benchmark_game and not again != benchmark_game
+        doubled = (2.0 * again.Q[0],) + again.Q[1:]
+        assert dataclasses.replace(again, Q=doubled) != benchmark_game
+        assert dataclasses.replace(again, tf=11.0) != benchmark_game
+        one = scalar_game(0.0, [1.0], [1.0], [1.0], [0.0])
+        two = scalar_game(0.0, [1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0])
+        assert one == scalar_game(0.0, [1.0], [1.0], [1.0], [0.0]) and one != two
+        assert one != benchmark_game
+        assert benchmark_game != "game"
+        with pytest.raises(TypeError, match="unhashable type"):
+            hash(benchmark_game)
+
     def test_properties(self, benchmark_game):
         assert benchmark_game.n == 6
         assert benchmark_game.num_players == 4

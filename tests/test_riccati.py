@@ -1,7 +1,9 @@
 """Backward solver contract: RHS algebra, integration, gains, interpolation."""
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,16 +11,78 @@ from scipy.integrate import solve_ivp
 
 from aaolq import (
     FeedbackGain,
+    GameDefinition,
+    SolveStats,
     SolveStatus,
     TimeGrid,
+    build_team_game,
     gains,
+    load_scenario,
+    parse_scenario,
     riccati_rhs,
     solve_coupled,
 )
 from aaolq.errors import IncompleteSolutionError, ValidationError
 from aaolq.linalg import sym_extrema_stack
 from aaolq.riccati import gain_series
-from helpers import scalar_game, scalar_lqr, single_player_matrix_game
+from helpers import (
+    ESCAPE_GAME,
+    random_diagonal_game,
+    reference_solve_coupled,
+    rotated_game,
+    scalar_game,
+    scalar_lqr,
+    single_player_matrix_game,
+)
+
+COARSE = Path(__file__).resolve().parent.parent / "scenarios" / "pursuit_coarse.json"
+
+
+def _random_game(rng, m, n, tf=1.0):
+    """An M-player game with n states and dense random data, no AAO sign pattern."""
+    def sym(scale):
+        x = rng.standard_normal((n, n))
+        return scale * (x + x.T) / 2.0
+
+    dims = rng.integers(1, n + 1, m)
+    return GameDefinition(
+        A=rng.standard_normal((n, n)),
+        B=tuple(0.5 * rng.standard_normal((n, d)) for d in dims),
+        Q=tuple(sym(0.5) for _ in range(m)),
+        R=tuple(np.diag(rng.uniform(0.5, 2.0, d)) for d in dims),
+        S_f=tuple(sym(0.5) for _ in range(m)),
+        t0=0.0,
+        tf=tf,
+    )
+
+
+def _oracle_game(name):
+    """(game, grid) for the comparison with ``reference_solve_coupled``."""
+    rng = np.random.default_rng(19)
+    if name.startswith("coarse"):
+        scenario = load_scenario(COARSE)
+        game = scenario.build_game()
+        if name == "coarse_team":
+            game = build_team_game(game).reduced
+        return game, TimeGrid.from_step(game.t0, game.tf, scenario.run.dt)
+    if name == "one_player":
+        game = single_player_matrix_game()
+    elif name == "odd_n":
+        game = _random_game(rng, 3, 5)
+    elif name == "rotated_explicit":
+        game = rotated_game(random_diagonal_game(rng), rng)
+    elif name == "escape_explicit":
+        game = parse_scenario(json.dumps(ESCAPE_GAME)).build_game()
+    else:  # escape_scalar, the game of test_finite_escape_reported_not_raised
+        game = scalar_game(0.0, [1.0, 1.0], [-100.0, 0.0], [1.0, 1e6], [-1.0, 0.0])
+    return game, TimeGrid.from_step(game.t0, game.tf, 1e-3)
+
+
+def _node_deviation(S, ref) -> float:
+    """Largest per-node max|S - ref| relative to max|ref| at that node."""
+    diff = np.abs(S - ref).max(axis=(0, 2, 3))
+    scale = np.abs(ref).max(axis=(0, 2, 3))
+    return float(np.max(diff / scale))
 
 
 class TestTimeGrid:
@@ -69,6 +133,25 @@ class TestRhs:
         assert out[0][0, 0] == pytest.approx(3.0, abs=1e-12)
         assert out[1][0, 0] == pytest.approx(3.0, abs=1e-12)
 
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_matches_literal_formula(self, m):
+        # dS_i/dt = -(S_i A + A' S_i + Q_i + S_i H_i S_i
+        #             - sum_j (S_i H_j S_j + S_j H_j S_i)), one player at a time.
+        rng = np.random.default_rng(m)
+        for n in range(1, 8):
+            game = _random_game(rng, m, n)
+            S = [game.S_f[i] + game.Q[i] for i in range(m)]
+            h = [b @ np.linalg.inv(r) @ b.T for b, r in zip(game.B, game.R)]
+            out = riccati_rhs(game, S)
+            for i in range(m):
+                coupling = sum(S[i] @ h[j] @ S[j] + S[j] @ h[j] @ S[i] for j in range(m))
+                expected = -(
+                    S[i] @ game.A + game.A.T @ S[i] + game.Q[i] + S[i] @ h[i] @ S[i] - coupling
+                )
+                assert np.array_equal(out[i], out[i].T)
+                scale = float(np.abs(expected).max())
+                assert float(np.abs(out[i] - expected).max()) <= 1e-13 * scale, (n, i)
+
     def test_output_symmetric(self, benchmark_game, benchmark_sol):
         mid = benchmark_sol.S[:, benchmark_sol.grid.steps // 2]
         out = riccati_rhs(benchmark_game, list(mid))
@@ -83,6 +166,51 @@ class TestSolveCoupled:
         assert sol.complete
         assert sol.S.shape == (1, 1, 1, 1)
         assert sol.S[0, 0, 0, 0] == 0.75
+        assert sol.stats == SolveStats(0, 0, 0.0, 0.5625, 2.0)
+
+    @pytest.mark.parametrize("name", ["coarse_team", "one_player", "odd_n", "rotated_explicit"])
+    def test_matches_staged_reference(self, name):
+        game, grid = _oracle_game(name)
+        sol = solve_coupled(game, grid)
+        ref, status, _, drift = reference_solve_coupled(game, grid)
+        assert status is SolveStatus.COMPLETE and sol.complete
+        assert drift == 0.0 and sol.max_symmetry_residual == 0.0
+        assert _node_deviation(sol.S, ref) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["benchmark_nash", "coarse_nash"])
+    def test_boundary_layer_matches_staged_reference(self, name, request):
+        # Both nash pursuit games cross the near-escape spike at time-to-go
+        # 0.028, which amplifies rounding differences to about 1e-8
+        # relative in the nodes further back.
+        if name == "benchmark_nash":
+            game = request.getfixturevalue("benchmark_game")
+            grid = request.getfixturevalue("benchmark_grid")
+            sol = request.getfixturevalue("benchmark_sol")
+        else:
+            game, grid = _oracle_game(name)
+            sol = solve_coupled(game, grid)
+        ref, status, _, _ = reference_solve_coupled(game, grid)
+        assert status is SolveStatus.COMPLETE and sol.complete
+        assert _node_deviation(sol.S, ref) <= 1e-7
+
+    @pytest.mark.parametrize("name", ["escape_explicit", "escape_scalar"])
+    def test_escape_matches_staged_reference(self, name):
+        game, grid = _oracle_game(name)
+        sol = solve_coupled(game, grid)
+        _, status, failure_time, _ = reference_solve_coupled(game, grid)
+        assert sol.status is status is SolveStatus.BLOW_UP
+        assert sol.failure_time == failure_time
+
+    def test_benchmark_solve_stats(self, benchmark_sol):
+        stats = benchmark_sol.stats
+        assert (stats.substeps, stats.subdivided_intervals) == (10_584, 57)
+        assert stats.min_substep == pytest.approx(4.808e-7, rel=1e-3)
+        # The substep iterates inside the boundary layer peak above every
+        # stored node (3.47e18 at time-to-go 0.028).
+        nodes = np.einsum("ikrc,ikrc->ik", benchmark_sol.S, benchmark_sol.S)
+        assert stats.peak_norm >= float(nodes.max())
+        assert stats.peak_norm == pytest.approx(3.064e20, rel=1e-3)
+        assert benchmark_sol.grid.tf - stats.peak_time == pytest.approx(0.0278, abs=1e-4)
 
     def test_scalar_lqr_matches_tanh(self):
         game = scalar_lqr()
@@ -130,7 +258,7 @@ class TestSolveCoupled:
         assert sol.status is SolveStatus.BLOW_UP
         assert not sol.complete
         assert sol.failure_time is not None and 0.0 < sol.failure_time < 1.0
-        assert sol.failure_reason
+        assert sol.failure_reason == "solution norm escaped the existence threshold"
 
     def test_single_player_matches_independent_integrator(self):
         game = single_player_matrix_game()

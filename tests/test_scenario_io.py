@@ -17,6 +17,7 @@ from aaolq import (
     RiccatiSolution,
     RunConfig,
     Scenario,
+    SolveStats,
     SolveStatus,
     TimeGrid,
     build_pursuit_example,
@@ -34,6 +35,7 @@ from aaolq.cli import main as cli_main
 from aaolq.errors import ScenarioError
 from aaolq.sim import PursuitReport, Trajectory
 from helpers import (
+    ESCAPE_GAME,
     reference_distances_csv,
     reference_positions_csv,
     reference_solution_csv,
@@ -42,21 +44,6 @@ from helpers import (
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 README = Path(__file__).resolve().parent.parent / "README.md"
-
-ESCAPE_GAME = {
-    # Unopposed de-regulation: the backward solve escapes in finite time.
-    "schema_version": 1,
-    "explicit": {
-        "A": [[0.0, 0.0], [0.0, 0.0]],
-        "B": [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]],
-        "Q": [[[-100.0, 0.0], [0.0, -100.0]], [[0.0, 0.0], [0.0, 0.0]]],
-        "R": [[[1.0, 0.0], [0.0, 1.0]], [[1e6, 0.0], [0.0, 1e6]]],
-        "S_f": [[[-1.0, 0.0], [0.0, -1.0]], [[0.0, 0.0], [0.0, 0.0]]],
-        "tf": 1.0,
-        "x0": [1.0, 1.0],
-    },
-    "run": {"mode": "nash", "dt": 0.001, "out_dir": "out/escape"},
-}
 
 DIVERGENT_GAME = {
     # Solvable backward, but the closed loop is unstable enough that a huge
@@ -236,7 +223,8 @@ class TestRoundTrip:
         for name in ("pursuit_benchmark.json", "pursuit_coarse.json", "explicit_small.json"):
             scenario = load_scenario(SCENARIO_DIR / name)
             again = parse_scenario(emit_scenario(scenario))
-            assert again.run == dataclasses.replace(scenario.run)
+            assert again == scenario
+            assert again.run == scenario.run
             if scenario.pursuit is not None:
                 assert again.pursuit == scenario.pursuit
             else:
@@ -300,7 +288,29 @@ class TestRoundTrip:
             assert again.run.bound_q is None
         else:
             assert again.run.bound_q.tobytes() == scenario.run.bound_q.tobytes()
-        assert again.run == dataclasses.replace(scenario.run, bound_q=again.run.bound_q)
+        assert again.run == scenario.run
+
+
+class TestValueEquality:
+    def test_run_config_compares_bound_q_by_value(self):
+        cfg = RunConfig(bound_q=np.eye(2))
+        assert cfg == RunConfig(bound_q=np.eye(2)) and not cfg != RunConfig(bound_q=np.eye(2))
+        assert cfg != RunConfig(bound_q=2.0 * np.eye(2))
+        assert cfg != RunConfig(bound_q=np.eye(3))
+        assert cfg != RunConfig()
+        assert RunConfig() == RunConfig()
+        with pytest.raises(TypeError, match="unhashable type"):
+            hash(cfg)
+
+    def test_scenarios_compare_by_value(self):
+        small = load_scenario(SCENARIO_DIR / "explicit_small.json")
+        assert small == load_scenario(SCENARIO_DIR / "explicit_small.json")
+        assert small != small.with_tf(1.0)
+        moved = dataclasses.replace(small, explicit_x0=small.explicit_x0 + 1.0)
+        assert small != moved
+        assert small != load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
+        with pytest.raises(TypeError, match="unhashable type"):
+            hash(small)
 
 
 class TestRunPipeline:
@@ -364,6 +374,10 @@ class TestRunPipeline:
         text = (tmp_path / "conditions.txt").read_text()
         assert "sum_Q_pd: false" in text
         assert "certificates refer to the reduced two-player game" in text
+        stats = result.sol.stats
+        assert (stats.substeps, stats.subdivided_intervals) == (531, 14)
+        assert f"  substeps: 531  subdivided_intervals: 14  min_substep: {stats.min_substep!r}\n" in text
+        assert f"  peak_norm: {stats.peak_norm!r} at t={stats.peak_time!r}\n" in text
         assert result.conditions.sum_q_min_eig == pytest.approx(-3.92, abs=0.005)
         assert result.conditions.sum_sf_min_eig == pytest.approx(-11.92, abs=0.005)
 
@@ -496,6 +510,7 @@ class TestWriterBytes:
             failure_time=None,
             failure_reason=None,
             max_symmetry_residual=0.0,
+            stats=SolveStats(0, 0, grid.dt, 0.0, grid.tf),
         )
         runner.write_solution_csv(tmp_path / "solution.csv", sol)
         expected = reference_solution_csv(sol)

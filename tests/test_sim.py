@@ -61,6 +61,7 @@ for steps, a in ((10_000, -0.2), (20_000, 0.1), (20_000, 0.3)):
 scenario = load_scenario(sys.argv[1])
 game = scenario.build_game()
 sol = solve_coupled(game, TimeGrid.from_step(game.t0, game.tf, scenario.run.dt))
+bits.append(hashlib.sha256(sol.S.tobytes()).hexdigest())
 traj = simulate(game, gains(game, sol), scenario.x0)
 bits.append([float(c).hex() for c in traj.costs] + [hashlib.sha256(traj.x.tobytes()).hexdigest()])
 print(json.dumps(bits))
@@ -237,6 +238,7 @@ class TestSimulate:
             simulate(game, player_gains, scenario.x0)
 
     def test_costs_independent_of_blas_threads(self):
+        # Costs, states and the backward solve's S, at 1 and 2 OpenBLAS threads.
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))
         bits = []
         for threads in ("1", "2"):
