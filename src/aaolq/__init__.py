@@ -11,14 +11,12 @@ from .analysis import (
     EnvelopeBound,
     ExistenceMapResult,
     LyapunovReport,
-    WeightSums,
     check_diagonal_subclass,
     existence_map,
     lyapunov_check,
     lyapunov_weight_series,
     min_horizon,
     solve_envelope,
-    sum_matrices,
     verify_solution,
 )
 from .errors import (
@@ -41,7 +39,7 @@ from .game import (
     control_coupling,
     validate,
 )
-from .linalg import block_diag, frob_norm, is_definite, sym_eigenvalues
+from .linalg import block_diag, is_definite, sym_eigenvalues
 from .riccati import (
     FeedbackGain,
     RiccatiSolution,

@@ -14,7 +14,10 @@ three main tools:
   capture bound checked along a trajectory and the minimum-horizon
   formula.
 
-Norms follow the squared-trace convention of :func:`aaolq.linalg.frob_norm`.
+Every matrix norm here is the squared trace norm tr(S S') of
+:mod:`aaolq.linalg`: the sum of squared entries, no square root taken.
+Every positive-definiteness verdict tests its smallest eigenvalue against
+``PSD_TOL``, the tolerance :mod:`aaolq.linalg` uses.
 """
 from __future__ import annotations
 
@@ -26,35 +29,20 @@ import numpy as np
 from . import game as game_mod
 from . import linalg
 from .errors import IncompleteSolutionError, NotApplicableError, ValidationError
-from .game import OPPONENT, GameDefinition
+from .game import OPPONENT, GameDefinition, ValueEquality
 from .riccati import RiccatiSolution, TimeGrid
 from .sim import Trajectory
 
-PSD_TOL = 1e-9
+PSD_TOL = linalg.DEFINITENESS_TOL
 CHAIN_TOL = 1e-7
-
-
-@dataclass(frozen=True)
-class WeightSums:
-    """Aggregate weights: the sums over all players of Q_i and of S_if."""
-
-    q_sum: np.ndarray
-    sf_sum: np.ndarray
-
-
-def sum_matrices(game: GameDefinition) -> WeightSums:
-    q_sum = linalg.symmetrize(sum(np.array(q) for q in game.Q))
-    sf_sum = linalg.symmetrize(sum(np.array(s) for s in game.S_f))
-    q_sum.flags.writeable = False
-    sf_sum.flags.writeable = False
-    return WeightSums(q_sum=q_sum, sf_sum=sf_sum)
 
 
 def _weight_sum_minima(game: GameDefinition) -> tuple[float, float]:
     """Smallest eigenvalues (q_min, sf_min) of the summed state and terminal weights."""
-    sums = sum_matrices(game)
-    q_min = float(linalg.sym_eigenvalues(sums.q_sum)[0])
-    sf_min = float(linalg.sym_eigenvalues(sums.sf_sum)[0])
+    q_sum = linalg.symmetrize(sum(np.array(q) for q in game.Q))
+    sf_sum = linalg.symmetrize(sum(np.array(s) for s in game.S_f))
+    q_min = float(linalg.sym_eigenvalues(q_sum)[0])
+    sf_min = float(linalg.sym_eigenvalues(sf_sum)[0])
     return q_min, sf_min
 
 
@@ -67,8 +55,8 @@ def _q_matrix(game: GameDefinition, q_bound) -> np.ndarray:
     return q
 
 
-@dataclass(frozen=True)
-class ExistenceMapResult:
+@dataclass(frozen=True, eq=False)
+class ExistenceMapResult(ValueEquality):
     value: np.ndarray
     min_eigenvalue: float
     psd: bool
@@ -122,8 +110,8 @@ def _existence_stack(h: np.ndarray, q: np.ndarray, w: np.ndarray):
     return value, lo
 
 
-@dataclass(frozen=True)
-class EnvelopeBound:
+@dataclass(frozen=True, eq=False)
+class EnvelopeBound(ValueEquality):
     """Solution of the linear envelope ODE and its norm bound.
 
     ``L`` has shape (steps+1, n, n). ``bound`` is the supremum over the
@@ -297,7 +285,7 @@ def _horizon_from_extrema(
             "exponential capture bound not applicable: the summed state and "
             "terminal weights must be positive definite"
         )
-    if p_min <= 0.0:
+    if p_min <= PSD_TOL:
         raise NotApplicableError(
             "exponential capture bound not applicable: P(t) lost positive definiteness"
         )
@@ -339,7 +327,7 @@ def lyapunov_check(
     squared state-norm ratio respects the matching spectral bound.
     """
     q_min, sf_min = _weight_sum_minima(game)
-    if q_min <= 0.0 or sf_min <= 0.0:
+    if q_min <= PSD_TOL or sf_min <= PSD_TOL:
         raise NotApplicableError(
             "decay certificate not applicable: summed state and terminal weights "
             "must be positive definite"
@@ -347,7 +335,7 @@ def lyapunov_check(
     if sol.grid != traj.grid:
         raise ValidationError("trajectory and solution live on different grids")
     p_series, p_min, p_max = _lyapunov_weight_extrema(sol)
-    if p_min <= 0.0:
+    if p_min <= PSD_TOL:
         raise NotApplicableError("decay certificate not applicable: P(t) is not positive definite")
     rate = q_min / p_max
     v = np.einsum("kn,knm,km->k", traj.x, p_series, traj.x)

@@ -31,15 +31,16 @@ def _same_value(a, b) -> bool:
     if isinstance(a, tuple) and isinstance(b, tuple):
         return len(a) == len(b) and all(_same_value(x, y) for x, y in zip(a, b))
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return bool(np.array_equal(a, b))
+        return bool(np.array_equal(a, b, equal_nan=True))
     return bool(a == b)
 
 
 class ValueEquality:
     """``==`` by value for dataclasses with array fields (declared ``eq=False``).
 
-    Arrays, also inside tuples, compare entrywise; other fields with their
-    own ``==``. Instances are unhashable, as their arrays are.
+    Arrays, also inside tuples, compare entrywise, NaN equal to NaN (the
+    unreached nodes of a failed solve); other fields with their own ``==``.
+    Instances are unhashable, as their arrays are.
     """
 
     __hash__ = None

@@ -2,13 +2,13 @@
 
 All matrix data is plain float64 numpy arrays. Two conventions are global:
 
-* ``frob_norm`` is the squared trace norm ``tr(S S^T)``, i.e. the sum of
+* A matrix norm is the squared trace norm ``tr(S S^T)``, i.e. the sum of
   squared entries with no square root taken. Every bound comparison in
-  :mod:`aaolq.analysis` uses the same convention, so the envelope
-  inequalities compose without unit juggling.
-* Definiteness verdicts are eigenvalue threshold tests with an absolute
-  tolerance (default ``1e-9``), sized for the integration error that feeds
-  them rather than for machine precision.
+  :mod:`aaolq.analysis` and the escape threshold of :mod:`aaolq.riccati`
+  use it, so the envelope inequalities compose without unit juggling.
+* Definiteness verdicts are eigenvalue threshold tests with the absolute
+  tolerance ``DEFINITENESS_TOL`` (``1e-9``), sized for the integration
+  error that feeds them rather than for machine precision.
 
 Every eigenvalue comes from LAPACK (``numpy.linalg.eigvalsh`` and
 ``eigh``) on the exact symmetric part of the input, one matrix or a whole
@@ -23,6 +23,8 @@ from .errors import SingularMatrixError, ValidationError
 
 SYMMETRY_RTOL = 1e-10
 DEFINITENESS_TOL = 1e-9
+#: Largest eigenvalue ratio :func:`spd_inverse` accepts.
+SPD_COND_LIMIT = 1e12
 
 DEFINITENESS_KINDS = ("pd", "psd", "nd", "nsd")
 
@@ -103,12 +105,6 @@ def block_diag(blocks) -> np.ndarray:
     return out
 
 
-def frob_norm(s) -> float:
-    """Squared trace norm: the plain sum of squared entries (no square root)."""
-    arr = np.asarray(s, dtype=float)
-    return float(np.sum(arr * arr))
-
-
 def sym_eigenvalues(s) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, ascending and read-only (LAPACK ``eigvalsh``)."""
     values = np.linalg.eigvalsh(as_symmetric(s, "sym_eigenvalues input"))
@@ -116,16 +112,16 @@ def sym_eigenvalues(s) -> np.ndarray:
     return values
 
 
-def spd_inverse(r, cond_limit: float = 1e12, name: str = "matrix") -> np.ndarray:
+def spd_inverse(r, name: str = "matrix") -> np.ndarray:
     """Inverse of a symmetric positive definite matrix via eigendecomposition.
 
     The condition estimate ``lambda_max / lambda_min`` must stay under
-    ``cond_limit`` and the smallest eigenvalue must be positive.
+    ``SPD_COND_LIMIT`` and the smallest eigenvalue must be positive.
     """
     values, vectors = np.linalg.eigh(as_symmetric(r, name))
     lo = float(values[0])
     hi = float(values[-1])
-    if lo <= 0.0 or hi / lo > cond_limit:
+    if lo <= 0.0 or hi / lo > SPD_COND_LIMIT:
         raise SingularMatrixError(
             f"{name}: not safely invertible (eigenvalue range [{lo:.3e}, {hi:.3e}])"
         )
@@ -135,21 +131,20 @@ def spd_inverse(r, cond_limit: float = 1e12, name: str = "matrix") -> np.ndarray
     return out
 
 
-def is_definite(s, kind: str, tol: float = DEFINITENESS_TOL) -> bool:
-    """Eigenvalue definiteness test.
+def is_definite(s, kind: str) -> bool:
+    """Eigenvalue definiteness test with tolerance ``DEFINITENESS_TOL``.
 
     ``pd`` means smallest eigenvalue > tol, ``psd`` means >= -tol; ``nd``
     and ``nsd`` mirror those on the largest eigenvalue.
     """
     if kind not in DEFINITENESS_KINDS:
         raise ValueError(f"unknown definiteness kind {kind!r}")
-    if tol < 0.0:
-        raise ValueError("tolerance must be nonnegative")
-    return _definite(sym_eigenvalues(s), kind, tol)
+    return _definite(sym_eigenvalues(s), kind)
 
 
-def _definite(values: np.ndarray, kind: str, tol: float = DEFINITENESS_TOL) -> bool:
+def _definite(values: np.ndarray, kind: str) -> bool:
     """The threshold test of :func:`is_definite` on ascending eigenvalues."""
+    tol = DEFINITENESS_TOL
     if kind == "pd":
         return bool(values[0] > tol)
     if kind == "psd":

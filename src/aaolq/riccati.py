@@ -137,12 +137,10 @@ class SolveStats:
 class SolveStatus(Enum):
     COMPLETE = "complete"
     BLOW_UP = "blow_up"
-    # Reserved for non-finite arithmetic not preceded by a norm escape.
-    NUMERICAL_FAILURE = "numerical_failure"
 
 
-@dataclass(frozen=True)
-class RiccatiSolution:
+@dataclass(frozen=True, eq=False)
+class RiccatiSolution(game_mod.ValueEquality):
     """Backward solve output.
 
     ``S`` has shape (M, steps+1, n, n); ``S[i, k]`` is player i's matrix at
@@ -311,8 +309,8 @@ def solve_coupled(game: game_mod.GameDefinition, grid: TimeGrid) -> RiccatiSolut
     )
 
 
-@dataclass(frozen=True)
-class FeedbackGain:
+@dataclass(frozen=True, eq=False)
+class FeedbackGain(game_mod.ValueEquality):
     """Time-varying feedback gain of one player: u_i = -K_i(t) x.
 
     ``K`` has shape (steps+1, m_i, n) with ``K[k]`` the gain at grid point
@@ -338,33 +336,4 @@ def gains(game: game_mod.GameDefinition, sol: RiccatiSolution) -> list[FeedbackG
         k_series = np.matmul(r_inv_bt, sol.S[i])
         k_series.flags.writeable = False
         out.append(FeedbackGain(player=i, grid=sol.grid, K=k_series))
-    return out
-
-
-def gain_series(gain: FeedbackGain, times: np.ndarray) -> np.ndarray:
-    """Vectorized linear interpolation of a gain at many query times.
-
-    Queries at grid points return the stored matrix exactly; queries
-    outside the horizon raise.
-    """
-    ts = np.asarray(times, dtype=float)
-    grid = gain.grid
-    slack = 1e-9 * (1.0 + abs(grid.tf) + abs(grid.t0))
-    if bool((ts < grid.t0 - slack).any()) or bool((ts > grid.tf + slack).any()):
-        raise ValidationError(
-            f"gain query outside the solved horizon [{grid.t0}, {grid.tf}]"
-        )
-    if grid.steps == 0:
-        return np.broadcast_to(gain.K[0], (ts.size,) + gain.K.shape[1:]).copy()
-    idx = (ts - grid.t0) / grid.dt
-    near = np.rint(idx)
-    snap = np.abs(idx - near) <= 1e-9 * (1.0 + np.abs(idx))
-    idx = np.where(snap, near, idx)
-    idx = np.clip(idx, 0.0, float(grid.steps))
-    lo = np.minimum(idx.astype(int), grid.steps - 1)
-    theta = idx - lo
-    out = (1.0 - theta)[:, None, None] * gain.K[lo] + theta[:, None, None] * gain.K[lo + 1]
-    exact = theta == 0.0
-    if exact.any():
-        out[exact] = gain.K[lo[exact]]
     return out

@@ -252,7 +252,7 @@ class RunResult:
     messages: list[str] = field(default_factory=list)
 
 
-def _summary_text(result: RunResult, scenario: Scenario, team_cost: float | None) -> str:
+def _summary_text(result: RunResult, team_cost: float | None) -> str:
     lines = ["run summary", "==========="]
     lines.append(f"mode: {result.mode}")
     if result.grid is not None:
@@ -341,7 +341,7 @@ def run(scenario: Scenario, out_dir=None, *, level: str = "simulate") -> RunResu
             out / "conditions.txt",
             format_conditions(mode, game, grid, validation, None, None),
         )
-        _write_text(out / "summary.txt", _summary_text(result, scenario, None))
+        _write_text(out / "summary.txt", _summary_text(result, None))
         return result
 
     result.team_game = _team_game(scenario, game, mode)
@@ -366,7 +366,7 @@ def run(scenario: Scenario, out_dir=None, *, level: str = "simulate") -> RunResu
         )
         if level in ("solve", "simulate"):
             write_solution_csv(out / "solution.csv", sol)
-        _write_text(out / "summary.txt", _summary_text(result, scenario, None))
+        _write_text(out / "summary.txt", _summary_text(result, None))
         return result
 
     x0 = scenario.x0
@@ -394,7 +394,7 @@ def run(scenario: Scenario, out_dir=None, *, level: str = "simulate") -> RunResu
         except DivergenceError as exc:
             result.exit_code = EXIT_DIVERGENCE
             result.messages.append(str(exc))
-            _write_text(out / "summary.txt", _summary_text(result, scenario, None))
+            _write_text(out / "summary.txt", _summary_text(result, None))
             return result
         result.traj = traj
         if mode == "team":
@@ -413,7 +413,7 @@ def run(scenario: Scenario, out_dir=None, *, level: str = "simulate") -> RunResu
             result.lyapunov = lyapunov_check(active_game, traj, sol)
         except NotApplicableError as exc:
             result.messages.append(str(exc))
-    _write_text(out / "summary.txt", _summary_text(result, scenario, team_cost))
+    _write_text(out / "summary.txt", _summary_text(result, team_cost))
     return result
 
 

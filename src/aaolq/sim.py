@@ -1,19 +1,20 @@
 """Closed-loop simulation, pursuit reporting and equilibrium probing.
 
 The forward pass integrates dx/dt = (A - sum_j B_j K_j(t)) x with RK4 on
-the same uniform grid as the backward solver, interpolating gains linearly
-between their grid points. Because interpolated gains can swing over
-orders of magnitude within one interval on near-escape games, each
-interval is subdivided into a deterministic number of equal substeps sized
-by the same kind of stability guard the backward solver uses; smooth games
-take exactly one substep per interval. On a linear ODE one RK4 substep is
-a matrix polynomial in its three stage matrices, so the n x n transition
-maps of a chunk of substeps are built in one stacked pass and then applied
-to the state in order, one matrix-vector product each. Costs accumulate by
-composite Simpson quadrature over the simulation grid plus the terminal
-term, which is why grids built through :meth:`TimeGrid.from_step` always
-carry an even step count. The decay certificate along a trajectory lives
-in :func:`aaolq.analysis.lyapunov_check`.
+the uniform grid its gains share, the backward solver's own, reading each
+gain at its nodes and interpolating it linearly between them. Because
+interpolated gains can swing over orders of magnitude within one interval
+on near-escape games, each interval is subdivided into a deterministic
+number of equal substeps sized by the same kind of stability guard the
+backward solver uses; smooth games take exactly one substep per interval.
+On a linear ODE one RK4 substep is a matrix polynomial in its three stage
+matrices, so the n x n transition maps of a chunk of substeps are built in
+one stacked pass and then applied to the state in order, one
+matrix-vector product each. Costs accumulate by composite Simpson
+quadrature over the simulation grid plus the terminal term, which is why
+grids built through :meth:`TimeGrid.from_step` always carry an even step
+count. The decay certificate along a trajectory lives in
+:func:`aaolq.analysis.lyapunov_check`.
 """
 from __future__ import annotations
 
@@ -23,15 +24,15 @@ import numpy as np
 
 from . import linalg
 from .errors import DivergenceError, ValidationError
-from .game import GameDefinition
-from .riccati import MAX_SUBSTEPS, STABILITY_TARGET, FeedbackGain, TimeGrid, gain_series
+from .game import GameDefinition, ValueEquality
+from .riccati import MAX_SUBSTEPS, STABILITY_TARGET, FeedbackGain, TimeGrid
 
 DIVERGENCE_NORM = 1e12
 _CHUNK = 512  # substeps per stacked map build; bounds memory, not results
 
 
-@dataclass(frozen=True)
-class Trajectory:
+@dataclass(frozen=True, eq=False)
+class Trajectory(ValueEquality):
     """Closed-loop run: states, controls and costs.
 
     ``x`` has shape (steps+1, n); ``u[i]`` has shape (steps+1, m_i) and
@@ -54,46 +55,46 @@ def _simpson_weights(steps: int, dt: float) -> np.ndarray:
     return w * (dt / 3.0)
 
 
-def simulate(
-    game: GameDefinition,
-    gains: list[FeedbackGain],
-    x0,
-    *,
-    grid: TimeGrid | None = None,
-) -> Trajectory:
+def simulate(game: GameDefinition, gains: list[FeedbackGain], x0) -> Trajectory:
     """Integrate the closed loop forward and accumulate per-player costs.
 
-    By default the simulation reuses the first gain's grid, matching the
-    backward solve step for step. Each interval takes the number of equal
-    RK4 substeps its stability guard asks for; the substeps' transition
-    maps are formed ``_CHUNK`` at a time and applied in order. A Euclidean
-    state norm above ``DIVERGENCE_NORM`` after any substep aborts with
-    :class:`DivergenceError` at the end time of that substep's interval;
-    running past capture is normal and expected, play continues to tf. A
-    gain that is not finite at some node raises :class:`ValidationError`
-    naming the player and the first such grid time.
+    The simulation runs on the grid every gain shares, the backward solve's
+    own, and reads each ``K`` at its nodes; gains on different grids, or a
+    ``K`` without one matrix per node, raise :class:`ValidationError`. Each
+    interval takes the number of equal RK4 substeps its stability guard
+    asks for; the substeps' transition maps are formed ``_CHUNK`` at a time
+    and applied in order. A Euclidean state norm above ``DIVERGENCE_NORM``
+    after any substep aborts with :class:`DivergenceError` at the end time
+    of that substep's interval; running past capture is normal and
+    expected, play continues to tf. A gain that is not finite at some node
+    raises :class:`ValidationError` naming the player and the first such
+    grid time.
     """
     if len(gains) != game.num_players:
         raise ValidationError(f"expected {game.num_players} gains, got {len(gains)}")
-    if grid is None:
-        grid = gains[0].grid
-    if grid.steps % 2:
+    grid = gains[0].grid
+    steps = grid.steps
+    times = grid.times()
+    for i, g in enumerate(gains):
+        if g.grid != grid:
+            raise ValidationError(f"player {i + 1}: gain grid {g.grid} differs from {grid}")
+        if len(g.K) != steps + 1:
+            raise ValidationError(
+                f"player {i + 1}: gain holds {len(g.K)} nodes, its grid has {steps + 1}"
+            )
+        if not np.isfinite(g.K).all():
+            first = np.flatnonzero(~np.isfinite(g.K).reshape(len(g.K), -1).all(axis=1))[0]
+            t_bad = float(times[first])
+            raise ValidationError(f"player {i + 1}: gain is not finite at t={t_bad!r}")
+    if steps % 2:
         raise ValidationError("simulation needs an even step count for Simpson quadrature")
     x0v = linalg.as_vector(x0, "x0")
     if x0v.size != game.n:
         raise ValidationError(f"x0: expected {game.n} entries, got {x0v.size}")
-    steps = grid.steps
-    times = grid.times()
-    for i, g in enumerate(gains):
-        if not np.isfinite(g.K).all():
-            first = np.flatnonzero(~np.isfinite(g.K).reshape(len(g.K), -1).all(axis=1))[0]
-            t_bad = float(g.grid.times()[first])
-            raise ValidationError(f"player {i + 1}: gain is not finite at t={t_bad!r}")
-    k_nodes = [gain_series(g, times) for g in gains]
     a = np.array(game.A)
     acl_nodes = np.broadcast_to(a, (steps + 1,) + a.shape).copy()
-    for b, kn in zip(game.B, k_nodes):
-        acl_nodes -= np.matmul(b, kn)
+    for b, g in zip(game.B, gains):
+        acl_nodes -= np.matmul(b, g.K)
     acl_norms = np.sqrt(np.einsum("kij,kij->k", acl_nodes, acl_nodes))
     dt = grid.dt
     # The closed-loop matrix is linear on each interval, so the larger
@@ -131,7 +132,7 @@ def simulate(
             raise DivergenceError(float(times[k[bad[0]] + 1]), float(norms[bad[0]]))
         last = sub == ends[k] - 1  # substeps that close an interval
         x[k[last] + 1] = xs[last]
-    u = tuple(-np.einsum("kmn,kn->km", kn, x) for kn in k_nodes)
+    u = tuple(-np.einsum("kmn,kn->km", g.K, x) for g in gains)
     weights = _simpson_weights(steps, dt)
     costs = np.empty(game.num_players)
     for i in range(game.num_players):
@@ -149,8 +150,8 @@ def simulate(
     return Trajectory(grid=grid, x=x, u=u, costs=costs)
 
 
-@dataclass(frozen=True)
-class PursuitReport:
+@dataclass(frozen=True, eq=False)
+class PursuitReport(ValueEquality):
     """Pursuer-evader separations along one trajectory.
 
     ``distances[k, j]`` is the Euclidean norm of state block j at grid
@@ -217,8 +218,6 @@ def stationarity_probe(
     player: int,
     direction,
     epsilons,
-    *,
-    grid: TimeGrid | None = None,
 ) -> list[ProbeSample]:
     """Perturb one player's gain by eps * direction and record that player's cost.
 
@@ -245,7 +244,7 @@ def stationarity_probe(
             player=base.player, grid=base.grid, K=base.K + eps * d[None]
         )
         try:
-            traj = simulate(game, perturbed, x0, grid=grid)
+            traj = simulate(game, perturbed, x0)
         except DivergenceError:
             out.append(ProbeSample(epsilon=eps, cost=None, diverged=True))
         else:

@@ -10,10 +10,10 @@ import math
 
 import numpy as np
 
-from aaolq import GameDefinition, SolveStatus, absolute_starts
+from aaolq import FeedbackGain, GameDefinition, SolveStatus, absolute_starts
 from aaolq import game as game_mod, linalg
-from aaolq.errors import DivergenceError
-from aaolq.riccati import BLOWUP_NORM, MAX_SUBSTEPS, STABILITY_TARGET, gain_series
+from aaolq.errors import DivergenceError, ValidationError
+from aaolq.riccati import BLOWUP_NORM, MAX_SUBSTEPS, STABILITY_TARGET
 from aaolq.sim import DIVERGENCE_NORM, _simpson_weights
 
 
@@ -225,7 +225,7 @@ def reference_jacobi(a, max_sweeps: int = JACOBI_MAX_SWEEPS):
 
     Returns (values ascending, orthonormal vectors, max off-diagonal
     residual). Sweeps stop once the squared off-diagonal mass falls under
-    ``1e-12 * (1 + frob_norm)`` and the largest off-diagonal entry is under
+    ``1e-12 * (1 + squared-trace norm)`` and the largest off-diagonal entry is under
     ``1e-10 * (1 + max|diag|)``; :class:`JacobiNotConverged` is raised if
     ``max_sweeps`` sweeps do not get there.
     """
@@ -304,13 +304,49 @@ def reference_existence_min(game, S) -> float:
 # transition matrices, so the two agree to rounding.
 
 
-def reference_simulate(game, gains, x0, grid=None):
-    """Staged RK4 over the closed loop; returns (x, costs).
+def gain_series(gain, times) -> np.ndarray:
+    """Vectorized linear interpolation of a gain at many query times.
 
-    Substep counts, divergence checks and the Simpson cost sum follow
+    Queries at grid points return the stored matrix exactly; queries
+    outside the horizon raise.
+    """
+    ts = np.asarray(times, dtype=float)
+    grid = gain.grid
+    slack = 1e-9 * (1.0 + abs(grid.tf) + abs(grid.t0))
+    if bool((ts < grid.t0 - slack).any()) or bool((ts > grid.tf + slack).any()):
+        raise ValidationError(
+            f"gain query outside the solved horizon [{grid.t0}, {grid.tf}]"
+        )
+    if grid.steps == 0:
+        return np.broadcast_to(gain.K[0], (ts.size,) + gain.K.shape[1:]).copy()
+    idx = (ts - grid.t0) / grid.dt
+    near = np.rint(idx)
+    snap = np.abs(idx - near) <= 1e-9 * (1.0 + np.abs(idx))
+    idx = np.where(snap, near, idx)
+    idx = np.clip(idx, 0.0, float(grid.steps))
+    lo = np.minimum(idx.astype(int), grid.steps - 1)
+    theta = idx - lo
+    out = (1.0 - theta)[:, None, None] * gain.K[lo] + theta[:, None, None] * gain.K[lo + 1]
+    exact = theta == 0.0
+    if exact.any():
+        out[exact] = gain.K[lo[exact]]
+    return out
+
+
+def regrid(gains, grid) -> list:
+    """The gains interpolated onto ``grid`` through :func:`gain_series`."""
+    times = grid.times()
+    return [FeedbackGain(player=g.player, grid=grid, K=gain_series(g, times)) for g in gains]
+
+
+def reference_simulate(game, gains, x0):
+    """Staged RK4 over the closed loop on the gains' grid; returns (x, costs).
+
+    Gains enter through :func:`gain_series` at the grid's times. Substep
+    counts, divergence checks and the Simpson cost sum follow
     ``aaolq.simulate``; inputs are assumed valid.
     """
-    grid = gains[0].grid if grid is None else grid
+    grid = gains[0].grid
     steps, dt = grid.steps, grid.dt
     times = grid.times()
     k_nodes = [gain_series(g, times) for g in gains]

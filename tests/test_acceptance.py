@@ -287,7 +287,7 @@ def test_criterion_08_nash_stationarity(
 
 
 def test_criterion_09_team_consistency(
-    benchmark_game, benchmark_team, benchmark_params, team_sol, team_gains, team_traj
+    benchmark_game, benchmark_team, benchmark_params, team_gains, team_traj
 ):
     realloc = team_gains_to_players(benchmark_team, team_gains[1])
     full_gains = [team_gains[0], *realloc]
@@ -301,9 +301,7 @@ def test_criterion_09_team_consistency(
     )
     a_diff = float(np.max(np.abs(feedback_full - feedback_team)))
 
-    full = simulate(
-        benchmark_game, full_gains, np.array(benchmark_params.x0), grid=team_sol.grid
-    )
+    full = simulate(benchmark_game, full_gains, np.array(benchmark_params.x0))
     j_team = float(team_traj.costs[1])
     weighted = float(
         sum(

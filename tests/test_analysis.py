@@ -20,7 +20,6 @@ from aaolq import (
     min_horizon,
     solve_coupled,
     solve_envelope,
-    sum_matrices,
     verify_solution,
 )
 from aaolq.analysis import lyapunov_weight_series
@@ -30,7 +29,7 @@ from aaolq.errors import (
     ValidationError,
 )
 from aaolq.game import control_coupling
-from aaolq.linalg import frob_norm, symmetrize
+from aaolq.linalg import symmetrize
 from helpers import (
     random_diagonal_game,
     reference_existence_min,
@@ -250,21 +249,23 @@ class TestDiagonalSubclass:
 
 
 class TestSumMatrices:
+    """Smallest eigenvalues of the summed state and terminal weights."""
+
     def test_benchmark_sums(self, benchmark_game):
-        sums = sum_matrices(benchmark_game)
-        assert np.max(np.abs(sums.q_sum - 0.25 * np.eye(6))) <= 1e-12
-        assert np.max(np.abs(sums.sf_sum - 0.25 * np.eye(6))) <= 1e-12
+        verdict = check_diagonal_subclass(benchmark_game)
+        assert abs(verdict.sum_q_min_eig - 0.25) <= 1e-12
+        assert abs(verdict.sum_sf_min_eig - 0.25) <= 1e-12
 
     def test_team_reduction_sums(self, benchmark_team):
-        sums = sum_matrices(benchmark_team.reduced)
-        assert sums.q_sum[0, 0] == pytest.approx(-3.92, abs=0.005)
-        assert sums.sf_sum[0, 0] == pytest.approx(-11.92, abs=0.005)
+        verdict = check_diagonal_subclass(benchmark_team.reduced)
+        assert verdict.sum_q_min_eig == pytest.approx(-3.92, abs=0.005)
+        assert verdict.sum_sf_min_eig == pytest.approx(-11.92, abs=0.005)
 
     def test_zero_weights(self):
         game = scalar_game(0.0, [1.0, 1.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0])
-        sums = sum_matrices(game)
-        assert np.array_equal(sums.q_sum, np.zeros((1, 1)))
-        assert np.array_equal(sums.sf_sum, np.zeros((1, 1)))
+        verdict = check_diagonal_subclass(game)
+        assert verdict.sum_q_min_eig == 0.0
+        assert verdict.sum_sf_min_eig == 0.0
 
 
 class TestComputeP:
@@ -409,4 +410,4 @@ class TestDiagonalPreservation:
             upper = np.linalg.eigvalsh(env.L[k] - combo[k])[0]
             assert lower >= -1e-7
             assert upper >= -1e-7
-            assert frob_norm(sol.S[0, k]) <= env.bound
+            assert float(np.sum(sol.S[0, k] ** 2)) <= env.bound  # squared-trace norm

@@ -24,9 +24,9 @@ from aaolq import (
 )
 from aaolq.errors import IncompleteSolutionError, ValidationError
 from aaolq.linalg import sym_extrema_stack
-from aaolq.riccati import gain_series
 from helpers import (
     ESCAPE_GAME,
+    gain_series,
     random_diagonal_game,
     reference_solve_coupled,
     rotated_game,
@@ -350,7 +350,8 @@ class TestGains:
 
 
 class TestGainAt:
-    """Linear interpolation of a gain between grid points, through ``gain_series``."""
+    """Linear interpolation of a gain between grid points, through the test
+    oracle ``helpers.gain_series``."""
 
     def _toy_gain(self):
         grid = TimeGrid(0.0, 1.0, 2)

@@ -22,13 +22,16 @@ from aaolq import (
     TimeGrid,
     build_pursuit_example,
     emit_scenario,
+    existence_map,
     gains,
     load_scenario,
     parse_scenario,
     run,
     run_sweep,
+    pursuit_report,
     simulate,
     solve_coupled,
+    solve_envelope,
 )
 from aaolq import runner
 from aaolq.cli import main as cli_main
@@ -311,6 +314,40 @@ class TestValueEquality:
         assert small != load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
         with pytest.raises(TypeError, match="unhashable type"):
             hash(small)
+
+    def test_results_compare_by_value(self):
+        game = load_scenario(SCENARIO_DIR / "explicit_small.json").build_game()
+        grid = TimeGrid(game.t0, game.tf, 4)
+
+        def results():
+            sol = solve_coupled(game, grid)
+            player_gains = gains(game, sol)
+            traj = simulate(game, player_gains, [1.0, 1.0])
+            return (
+                sol,
+                player_gains[1],
+                traj,
+                pursuit_report(traj, 0.1),
+                existence_map(game, None, sol.S[:, 0]),
+                solve_envelope(game, None, grid),
+            )
+
+        for first, again in zip(results(), results()):
+            assert first == again and not first != again
+            name = next(
+                f.name for f in dataclasses.fields(first)
+                if isinstance(getattr(first, f.name), np.ndarray)
+            )
+            moved = np.nextafter(getattr(first, name), np.inf)
+            assert first != dataclasses.replace(first, **{name: moved})
+            with pytest.raises(TypeError, match="unhashable type"):
+                hash(first)
+        # A failed solve keeps NaN at the nodes it never reached.
+        escape = parse_scenario(json.dumps(ESCAPE_GAME)).build_game()
+        escape_grid = TimeGrid.from_step(escape.t0, escape.tf, 1e-3)
+        failed = solve_coupled(escape, escape_grid)
+        assert not failed.complete and np.isnan(failed.S[:, 0]).all()
+        assert failed == solve_coupled(escape, escape_grid)
 
 
 class TestRunPipeline:

@@ -20,17 +20,20 @@ from aaolq import (
     gains,
     load_scenario,
     lyapunov_check,
+    parse_scenario,
     pursuit_report,
+    run,
     simulate,
     solve_coupled,
     stationarity_probe,
 )
 from aaolq.errors import DivergenceError, NotApplicableError, ValidationError
-from aaolq.riccati import gain_series
 from aaolq.sim import Trajectory
 from helpers import (
+    gain_series,
     random_diagonal_game,
     reference_simulate,
+    regrid,
     rotated_game,
     scalar_game,
     scalar_lqr,
@@ -122,7 +125,7 @@ class TestSimulate:
     def test_zero_gains_static_state_closed_form_costs(self):
         game = scalar_game(0.0, [1.0, 1.0], [-1.0, 2.0], [1.0, 1.0], [-2.0, 3.0], tf=2.0)
         grid = TimeGrid.from_step(0.0, 2.0, 0.01)
-        traj = simulate(game, _zero_gains(game, grid), [3.0], grid=grid)
+        traj = simulate(game, _zero_gains(game, grid), [3.0])
         assert np.all(traj.x == 3.0)
         x0sq = 9.0
         for i, (q, sf) in enumerate(((-1.0, -2.0), (2.0, 3.0))):
@@ -155,11 +158,11 @@ class TestSimulate:
         sol = solve_coupled(game, grid)
         assert sol.complete
         with pytest.raises(DivergenceError) as err:
-            simulate(game, gains(game, sol), [1e11], grid=grid)
+            simulate(game, gains(game, sol), [1e11])
         assert 0.0 < err.value.time <= 2.0
         assert err.value.norm > 1e12
         with pytest.raises(DivergenceError) as ref:
-            reference_simulate(game, gains(game, sol), [1e11], grid=grid)
+            reference_simulate(game, gains(game, sol), [1e11])
         assert err.value.time == ref.value.time
 
     @pytest.mark.parametrize(
@@ -182,16 +185,29 @@ class TestSimulate:
         assert np.all(np.abs(traj.costs - costs_ref) <= 1e-12 * np.abs(costs_ref))
 
     def test_odd_step_grid_rejected(self, benchmark_game, benchmark_gains):
+        odd = regrid(benchmark_gains, TimeGrid(0.0, 10.0, 9_999))
         with pytest.raises(ValidationError):
-            simulate(benchmark_game, benchmark_gains, np.zeros(6), grid=TimeGrid(0.0, 10.0, 9_999))
+            simulate(benchmark_game, odd, np.zeros(6))
+
+    def test_gains_on_different_grids_rejected(self, benchmark_game, benchmark_gains):
+        mixed = list(benchmark_gains)
+        mixed[1:2] = regrid(benchmark_gains[1:2], TimeGrid.from_step(0.0, 10.0, 2e-3))
+        with pytest.raises(ValidationError, match="player 2: gain grid"):
+            simulate(benchmark_game, mixed, np.zeros(6))
+
+    def test_gain_node_count_checked(self, benchmark_game, benchmark_gains):
+        short = list(benchmark_gains)
+        g = short[3]
+        short[3] = FeedbackGain(player=g.player, grid=g.grid, K=g.K[:-1])
+        with pytest.raises(ValidationError, match="player 4: gain holds 10000 nodes"):
+            simulate(benchmark_game, short, np.zeros(6))
 
     def test_grid_refinement_stability(self, benchmark_game, benchmark_gains, benchmark_params):
         base = simulate(benchmark_game, benchmark_gains, np.array(benchmark_params.x0))
         fine = simulate(
             benchmark_game,
-            benchmark_gains,
+            regrid(benchmark_gains, TimeGrid.from_step(0.0, 10.0, 5e-4)),
             np.array(benchmark_params.x0),
-            grid=TimeGrid.from_step(0.0, 10.0, 5e-4),
         )
         diff = float(np.linalg.norm(base.x[-1] - fine.x[-1]))
         assert diff <= 1e-6 * (1.0 + float(np.linalg.norm(base.x[-1])))
@@ -203,7 +219,7 @@ class TestSimulate:
             grid = TimeGrid.from_step(0.0, 1.0, dt)
             sol = solve_coupled(game, grid)
             gs = gains(game, sol)
-            traj = simulate(game, gs, [1.0], grid=grid)
+            traj = simulate(game, gs, [1.0])
 
             worst = 0.0
             times = grid.times()
@@ -325,12 +341,38 @@ class TestLyapunovCheck:
         with pytest.raises(NotApplicableError, match="not applicable"):
             lyapunov_check(benchmark_team.reduced, team_traj, team_sol)
 
+    def test_near_singular_weight_sum_not_applicable(self, tmp_path):
+        # sum Q = 6e-10 is positive but under PSD_TOL: conditions.txt reads
+        # sum_Q_pd false, so the decay certificate must not pass either.
+        doc = {
+            "schema_version": 1,
+            "explicit": {
+                "A": [[0.0]],
+                "B": [[[1.0]], [[1.0]]],
+                "Q": [[[-1.0]], [[1.0000000006]]],
+                "R": [[[1.0]], [[0.5]]],
+                "S_f": [[[-1.0]], [[2.0]]],
+                "tf": 1.0,
+                "x0": [1.0],
+            },
+            "run": {"mode": "nash", "dt": 0.01},
+        }
+        result = run(parse_scenario(json.dumps(doc)), tmp_path)
+        conditions = (tmp_path / "conditions.txt").read_text()
+        assert "sum_Q_pd: false" in conditions
+        assert "min_horizon: not applicable" in conditions
+        assert result.lyapunov is None
+        summary = (tmp_path / "summary.txt").read_text()
+        assert "decay_certificate_ok" not in summary
+        assert "decay certificate not applicable" in summary
+        with pytest.raises(NotApplicableError, match="not applicable"):
+            lyapunov_check(result.game, result.traj, result.sol)
+
     def test_grid_mismatch_rejected(self, benchmark_game, benchmark_sol, benchmark_gains):
         other = simulate(
             benchmark_game,
-            benchmark_gains,
+            regrid(benchmark_gains, TimeGrid.from_step(0.0, 10.0, 2e-3)),
             np.zeros(6),
-            grid=TimeGrid.from_step(0.0, 10.0, 2e-3),
         )
         with pytest.raises(ValidationError):
             lyapunov_check(benchmark_game, other, benchmark_sol)

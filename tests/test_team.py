@@ -159,15 +159,10 @@ class TestTeamDynamicsConsistency:
         assert coarse / fine == pytest.approx(4.0, rel=0.15)
 
     def test_team_cost_is_weighted_player_sum(
-        self, benchmark_game, benchmark_team, benchmark_params, team_sol, team_gains, team_traj
+        self, benchmark_game, benchmark_team, benchmark_params, team_gains, team_traj
     ):
         players = team_gains_to_players(benchmark_team, team_gains[1])
-        full = simulate(
-            benchmark_game,
-            [team_gains[0], *players],
-            np.array(benchmark_params.x0),
-            grid=team_sol.grid,
-        )
+        full = simulate(benchmark_game, [team_gains[0], *players], np.array(benchmark_params.x0))
         assert np.max(np.abs(full.x - team_traj.x)) == 0.0
         j_team = team_traj.costs[1]
         weighted = sum(
