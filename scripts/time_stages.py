@@ -1,0 +1,162 @@
+#!/usr/bin/env python3
+"""Wall-clock medians of the stages of ``run()`` and of a sweep's solves.
+
+Runs ``run(level="simulate")`` on one scenario ``--repeats`` times and
+times each stage: the backward solve, ``verify_solution``, solution.csv,
+gain synthesis plus ``simulate``, ``lyapunov_check``, the other CSV writers
+and the rest of ``run()`` (validation, conditions.txt, summary.txt, the
+pursuit report). Then it runs ``run_sweep`` over the paper's horizons
+tf = 2, 4, ..., 14 in nash and in team mode, as many times, and times
+every backward solve and the simulations of each sweep. Solve lines give
+microseconds per RK4 substep from the solve's ``SolveStats``.
+
+Stages are timed by replacing, for the duration of the script, the module
+attributes that ``run()`` and ``run_sweep()`` look up at call time with
+timing wrappers, so the pipeline itself runs unchanged. Artifacts go to a
+temporary directory that is removed on exit; no timing reaches an
+artifact. Pin the BLAS thread count for comparable numbers:
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/time_stages.py \\
+        --scenario scenarios/pursuit_benchmark.json --repeats 5
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import statistics
+import tempfile
+import time
+from collections import defaultdict
+from pathlib import Path
+
+from aaolq import analysis, load_scenario, run, run_sweep, runner
+
+ROOT = Path(__file__).resolve().parent.parent
+TF_LIST = [2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0]
+
+#: Stage name -> the (module, attribute) pairs ``run()`` calls for it.
+STAGES = {
+    "solve": ((runner, "solve_coupled"),),
+    "verify_solution": ((analysis, "verify_solution"),),
+    "solution.csv": ((runner, "write_solution_csv"),),
+    "gains + simulate": (
+        (runner, "gains"),
+        (runner, "team_gains_to_players"),
+        (runner, "simulate"),
+    ),
+    "lyapunov_check": ((runner, "lyapunov_check"),),
+    "other writers": (
+        (runner, "write_trajectory_csv"),
+        (runner, "write_distances_csv"),
+        (runner, "write_positions_csv"),
+    ),
+}
+
+
+@contextlib.contextmanager
+def timed(stages: dict, log: list):
+    """Wrap every stage attribute; each call appends (stage, seconds, result).
+
+    A call that raises (``lyapunov_check`` on a game it does not apply to)
+    is logged with the result None.
+    """
+    saved = []
+
+    def wrap(stage, fn):
+        def timed_call(*args, **kwargs):
+            result = None
+            start = time.perf_counter()
+            try:
+                result = fn(*args, **kwargs)
+                return result
+            finally:
+                log.append((stage, time.perf_counter() - start, result))
+
+        return timed_call
+
+    try:
+        for stage, targets in stages.items():
+            for module, attr in targets:
+                fn = getattr(module, attr)
+                saved.append((module, attr, fn))
+                setattr(module, attr, wrap(stage, fn))
+        yield log
+    finally:
+        for module, attr, fn in reversed(saved):
+            setattr(module, attr, fn)
+
+
+def _line(label: str, seconds: list[float], sol=None) -> str:
+    """Median and range of ``seconds``; with a solve, its substeps and the
+    median microseconds per substep."""
+    median = statistics.median(seconds)
+    text = f"  {label:<18}{median:9.4f} s  [{min(seconds):.4f}, {max(seconds):.4f}]"
+    if sol is not None:
+        per = 1e6 * median / max(sol.stats.substeps, 1)
+        text += f"  {sol.stats.substeps:>7,} substeps  {per:6.1f} us/substep"
+    return text
+
+
+def time_run(scenario, repeats: int, work: Path) -> list[str]:
+    per_stage = defaultdict(list)
+    for i in range(repeats):
+        log = []
+        with timed(STAGES, log):
+            start = time.perf_counter()
+            result = run(scenario, work / f"run{i}", level="simulate")
+            total = time.perf_counter() - start
+        for stage in STAGES:
+            per_stage[stage].append(sum(s for name, s, _ in log if name == stage))
+        per_stage["rest"].append(total - sum(s for _, s, _ in log))
+        per_stage["total"].append(total)
+    lines = [f"run(level='simulate'), mode {scenario.run.mode}, exit code {result.exit_code}"]
+    for stage, seconds in per_stage.items():
+        lines.append(_line(stage, seconds, result.sol if stage == "solve" else None))
+    return lines
+
+
+def time_sweep(scenario, repeats: int, work: Path) -> list[str]:
+    lines = []
+    stages = {"solve": STAGES["solve"], "simulate": ((runner, "simulate"),)}
+    for mode in ("nash", "team"):
+        solve_s = defaultdict(list)
+        sim_s = []
+        sols = {}
+        for i in range(repeats):
+            log = []
+            with timed(stages, log):
+                run_sweep(scenario, TF_LIST, modes=(mode,), out_dir=work / f"sweep_{mode}{i}")
+            for j, (_, seconds, sol) in enumerate(e for e in log if e[0] == "solve"):
+                solve_s[j].append(seconds)
+                sols[j] = sol
+            sim_s.append(sum(s for name, s, _ in log if name == "simulate"))
+        lines.append(f"run_sweep, mode {mode}, tf {','.join(f'{t:g}' for t in TF_LIST)}")
+        for j, sol in sols.items():
+            lines.append(_line(f"solve tf={sol.grid.tf:g}", solve_s[j], sol))
+        lines.append(_line(f"{len(TF_LIST)} simulations", sim_s))
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--scenario",
+        default=str(ROOT / "scenarios" / "pursuit_benchmark.json"),
+        help="scenario to run (default: bundled benchmark)",
+    )
+    parser.add_argument("--repeats", type=int, default=5, help="timed repeats of each part")
+    args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+    scenario = load_scenario(args.scenario)
+    print(f"{args.scenario}: {args.repeats} repeats, medians [min, max] of wall-clock seconds")
+    with tempfile.TemporaryDirectory() as tmp:
+        for line in time_run(scenario, args.repeats, Path(tmp)):
+            print(line)
+        for line in time_sweep(scenario, args.repeats, Path(tmp)):
+            print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -15,10 +15,19 @@ collapses to the standard regulator Riccati equation.
 Integration is classic RK4 marching backward on a uniform output grid.
 The right-hand side is evaluated as -(Y_i + Y_i' + Q_i) with
 Y_i = S_i (A - G + H_i S_i / 2) and G = sum_j H_j S_j: the equation above
-with S_i H_i S_i replaced by its symmetric part. A matrix plus its own
-transpose is bitwise symmetric, so every stage and every iterate is exactly
-symmetric without a symmetrization pass; the largest asymmetry over the
-stored nodes is kept as an integrity probe.
+with S_i H_i S_i replaced by its symmetric part. One stage costs three
+products for all players at once: H_i S_i for every i; one product of the
+stacked H_i S_i and A with a constant (M+1) x (M+1) weight matrix, which
+gives T_i = G - A - H_i S_i / 2 for every i and G itself; and N_i = S_i T_i.
+The stage is then N_i + N_i' - Q_i. The four stages land in one stacked
+buffer and the RK4 combination k1 + 2 k2 + 2 k3 + k4 is one product with
+the weights (1, 2, 2, 1). The step-size rate at the start of a substep
+reads H_i S_i and G from the products of the first stage. A matrix plus
+its own transpose is bitwise symmetric, and the combination's weights
+multiply exactly, so mirrored entries of the combination are the same sum
+of the same terms: every stage and every iterate is exactly symmetric
+without a symmetrization pass. The largest asymmetry over the stored
+nodes is kept as an integrity probe.
 
 Near-escape games make the right-hand side arbitrarily stiff: the local
 coupling magnitude can swing over many orders within one output interval,
@@ -165,36 +174,95 @@ class RiccatiSolution(game_mod.ValueEquality):
         return self.S.shape[0]
 
 
-def _rhs_factory(game: game_mod.GameDefinition):
-    h_stack = game_mod.coupling_stack(game)
-    q_stack = np.stack(game.Q)
-    a = np.array(game.A)
-    a_norm = float(np.sqrt((a * a).sum()))
+#: RK4 stage weights. Multiplying by them is exact, so the one product
+#: over the stacked stages rounds only in its sums.
+_RK4_WEIGHTS = np.array([1.0, 2.0, 2.0, 1.0])
 
-    def rhs(s: np.ndarray, hs: np.ndarray | None = None, g: np.ndarray | None = None) -> np.ndarray:
-        # -(Y_i + Y_i' + Q_i) of the module docstring, with neg_y = -Y_i.
-        if hs is None:
-            hs = h_stack @ s
-            g = hs.sum(axis=0)
-        neg_y = s @ (g - a - 0.5 * hs)
-        return neg_y + neg_y.swapaxes(-1, -2) - q_stack
 
-    def rate(s: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        # Local linearization magnitude of the right-hand side: the
-        # Jacobian action on a perturbation D_i is dominated by terms of
-        # the form D A, S H D and D (sum_j H_j S_j), so twice the norms of
-        # the aggregate coupling and the largest own-coupling, plus the
+def _squared_norms(s: np.ndarray) -> list[float]:
+    """Squared-trace norm of every matrix in the stack ``s``."""
+    flat = s.reshape(len(s), -1)
+    return np.vecdot(flat, flat).tolist()
+
+
+class _Stages:
+    """The right-hand side of one game, on buffers allocated once.
+
+    ``couple(s)`` forms H_i S_i and, in one product with a constant weight
+    matrix, T_i = G - A - H_i S_i / 2 for every player and G itself;
+    ``rate(s)`` couples s and reads the step-size rate off those products.
+    ``stage(s, out)`` then writes -(Y_i + Y_i' + Q_i) = N_i + N_i' - Q_i
+    with N_i = S_i T_i. The coupling buffer holds rows of n*n entries in
+    the order T_1..T_M, G, H_1 S_1..H_M S_M, A, so the weights read the
+    last M + 1 rows, write the first M + 1, and the rate's norms read G and
+    every H_i S_i as one contiguous block.
+    """
+
+    def __init__(self, game: game_mod.GameDefinition):
+        m, n = game.num_players, game.n
+        a = np.array(game.A)
+        self.a_norm = float(np.sqrt((a * a).sum()))
+        self.h_stack = game_mod.coupling_stack(game)
+        self.q_stack = np.stack(game.Q)
+        z = np.empty((2 * m + 2, n * n))
+        z[-1] = a.reshape(-1)
+        # Row i < M: 1 for the other players, 1/2 for player i, -1 for A.
+        # Row M: 1 for every player, 0 for A.
+        self.weights = np.ones((m + 1, m + 1))
+        self.weights[np.arange(m), np.arange(m)] = 0.5
+        self.weights[:m, m] = -1.0
+        self.weights[m, m] = 0.0
+        self.hs_and_a = z[m + 1 :]
+        self.t_and_g = z[: m + 1]
+        self.norm_rows = z[m : 2 * m + 1]
+        self.hs = z[m + 1 : 2 * m + 1].reshape(m, n, n)
+        self.t = z[:m].reshape(m, n, n)
+        self.n_buf = np.empty((m, n, n))
+        self.n_transposed = self.n_buf.swapaxes(-1, -2)
+        # Substep buffers: the four stage slopes, a stage iterate and an
+        # increment.
+        self.k = np.empty((4, m, n, n))
+        self.k_flat = self.k.reshape(4, -1)
+        self.s_stage = np.empty((m, n, n))
+        self.inc = np.empty((m, n, n))
+        self.inc_flat = self.inc.reshape(-1)
+
+    def couple(self, s: np.ndarray) -> None:
+        np.matmul(self.h_stack, s, out=self.hs)
+        np.matmul(self.weights, self.hs_and_a, out=self.t_and_g)
+
+    def rate(self, s: np.ndarray) -> float:
+        # Local linearization magnitude of the right-hand side at ``s``:
+        # the Jacobian action on a perturbation D_i is dominated by terms
+        # of the form D A, S H D and D (sum_j H_j S_j), so twice the norms
+        # of the aggregate coupling and the largest own-coupling, plus the
         # drift part, bound the fastest local eigenvalue well enough for
-        # step-size control. The products H_i S_i and their sum are
-        # returned as well so the first RK4 stage at the same iterate can
-        # reuse them.
-        hs = h_stack @ s
-        g = hs.sum(axis=0)
-        g_norm = math.sqrt((g * g).sum())
-        own = math.sqrt(np.einsum("ijk,ijk->i", hs, hs).max())
-        return 2.0 * (g_norm + own + a_norm), hs, g
+        # step-size control. The products stay for the first stage at s.
+        self.couple(s)
+        g2, *own2 = np.vecdot(self.norm_rows, self.norm_rows).tolist()
+        return 2.0 * (math.sqrt(g2) + math.sqrt(max(own2)) + self.a_norm)
 
-    return rhs, rate
+    def stage(self, s: np.ndarray, out: np.ndarray) -> None:
+        # N_i = S_i T_i = -Y_i of the module docstring.
+        np.matmul(s, self.t, out=self.n_buf)
+        np.add(self.n_buf, self.n_transposed, out=out)
+        np.subtract(out, self.q_stack, out=out)
+
+    def step(self, cur: np.ndarray, hb: float, out: np.ndarray) -> None:
+        """One RK4 substep of signed length ``hb`` from ``cur`` into ``out``.
+
+        ``rate(cur)`` must have run; the first stage reuses its products.
+        """
+        k = self.k
+        self.stage(cur, k[0])
+        for j, c in enumerate((0.5 * hb, 0.5 * hb, hb)):
+            np.multiply(k[j], c, out=self.inc)
+            np.add(cur, self.inc, out=self.s_stage)
+            self.couple(self.s_stage)
+            self.stage(self.s_stage, k[j + 1])
+        np.matmul(_RK4_WEIGHTS, self.k_flat, out=self.inc_flat)
+        np.multiply(self.inc, hb / 6.0, out=self.inc)
+        np.add(cur, self.inc, out=out)
 
 
 def riccati_rhs(game: game_mod.GameDefinition, S) -> list[np.ndarray]:
@@ -208,9 +276,11 @@ def riccati_rhs(game: game_mod.GameDefinition, S) -> list[np.ndarray]:
     stack = np.stack([linalg.as_symmetric(si, f"S[{i + 1}]") for i, si in enumerate(S)])
     if stack.shape[1] != game.n:
         raise ValidationError(f"solution matrices must be {game.n} x {game.n}")
-    rhs, _ = _rhs_factory(game)
-    out = rhs(stack)
-    return [out[i] for i in range(game.num_players)]
+    stages = _Stages(game)
+    out = np.empty_like(stack)
+    stages.couple(stack)
+    stages.stage(stack, out)
+    return list(out)
 
 
 def solve_coupled(game: game_mod.GameDefinition, grid: TimeGrid) -> RiccatiSolution:
@@ -232,18 +302,19 @@ def solve_coupled(game: game_mod.GameDefinition, grid: TimeGrid) -> RiccatiSolut
     m = game.num_players
     n = game.n
     steps = grid.steps
-    rhs, rate = _rhs_factory(game)
+    stages = _Stages(game)
     terminal = np.stack(game.S_f)
     s_hist = np.full((m, steps + 1, n, n), np.nan)
     s_hist[:, steps] = terminal
     times = grid.times()
     cur = terminal.copy()
+    new = np.empty_like(cur)
     dt = grid.dt
     h_min = dt / float(MAX_SUBSTEPS) if steps else 0.0
     substeps = 0
     subdivided = 0
     smallest = dt
-    peak = float(np.einsum("ijk,ijk->i", terminal, terminal).max())
+    peak = max(_squared_norms(terminal))
     peak_time = grid.tf
     status = SolveStatus.COMPLETE
     failure_time = None
@@ -253,20 +324,17 @@ def solve_coupled(game: game_mod.GameDefinition, grid: TimeGrid) -> RiccatiSolut
             remaining = dt
             taken = 0
             while remaining > 0.0:
-                local, hs, g = rate(cur)
+                local = stages.rate(cur)
                 h = min(remaining, max(STABILITY_TARGET / max(local, 1e-300), h_min))
                 if remaining - h < h_min:
                     h = remaining  # avoid a vanishing tail substep
-                hb = -h
-                k1 = rhs(cur, hs, g)
-                k2 = rhs(cur + (0.5 * hb) * k1)
-                k3 = rhs(cur + (0.5 * hb) * k2)
-                k4 = rhs(cur + hb * k3)
-                new = cur + (hb / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                # A NaN or inf entry makes its player's norm NaN or inf, so
-                # this one test also catches non-finite arithmetic.
-                top = float(np.einsum("ijk,ijk->i", new, new).max())
-                if not top <= BLOWUP_NORM:
+                stages.step(cur, -h, new)
+                # A NaN or inf entry makes its player's norm NaN or inf.
+                # max() can pass over a NaN but the sum cannot, so this
+                # test also catches non-finite arithmetic.
+                norms = _squared_norms(new)
+                top = max(norms)
+                if not top <= BLOWUP_NORM or math.isnan(sum(norms)):
                     status = SolveStatus.BLOW_UP
                     failure_time = float(times[k])
                     failure_reason = (
@@ -275,7 +343,7 @@ def solve_coupled(game: game_mod.GameDefinition, grid: TimeGrid) -> RiccatiSolut
                         else "non-finite entries during backward integration"
                     )
                     break
-                cur = new
+                cur, new = new, cur
                 remaining -= h
                 taken += 1
                 smallest = min(smallest, h)

@@ -20,7 +20,7 @@ import numpy as np
 from . import analysis
 from .analysis import LyapunovReport, lyapunov_check
 from .errors import DivergenceError, NotApplicableError
-from .game import GameDefinition, ValidationReport, absolute_starts, validate
+from .game import GameDefinition, ValidationReport, ValueEquality, absolute_starts, validate
 from .riccati import FeedbackGain, RiccatiSolution, SolveStatus, TimeGrid, gains, solve_coupled
 from .scenario import Scenario
 from .sim import PursuitReport, Trajectory, pursuit_report, simulate
@@ -417,8 +417,8 @@ def run(scenario: Scenario, out_dir=None, *, level: str = "simulate") -> RunResu
     return result
 
 
-@dataclass
-class SweepCell:
+@dataclass(eq=False)
+class SweepCell(ValueEquality):
     mode: str
     tf: float
     distances: np.ndarray | None
@@ -426,8 +426,8 @@ class SweepCell:
     status: str
 
 
-@dataclass
-class SweepResult:
+@dataclass(eq=False)
+class SweepResult(ValueEquality):
     modes: tuple[str, ...]
     tf_list: tuple[float, ...]
     cells: list[SweepCell]

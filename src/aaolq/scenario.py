@@ -9,9 +9,9 @@ Schema version 1. Top level keys:
   ``Q``, ``R``, ``S_f``, scalars ``t0``/``tf`` and the initial state
   ``x0``). Matrices are row-major arrays of arrays of decimal literals.
 * ``run``: mode ("nash" or "team"), optional team weights ``alphas``,
-  step size ``dt``, optional symmetric ``bound_q`` fed to the existence
-  screen and envelope bound, ``capture_radius`` for explicit games, and
-  the output directory ``out_dir``.
+  step size ``dt``, optional symmetric n x n ``bound_q`` fed to the
+  existence screen and envelope bound, ``capture_radius`` for explicit
+  games, and the output directory ``out_dir``.
 
 Parsing errors carry the path of the offending field. Emission uses
 ``repr`` floats (17 significant digits), so parse(emit(s)) reproduces
@@ -206,7 +206,7 @@ def _parse_explicit(obj, path: str) -> tuple[GameDefinition, np.ndarray]:
     return game, x0
 
 
-def _parse_run(obj, path: str, regulators: int) -> RunConfig:
+def _parse_run(obj, path: str, regulators: int, n: int) -> RunConfig:
     if obj is None:
         obj = {}
     if not isinstance(obj, dict):
@@ -231,6 +231,9 @@ def _parse_run(obj, path: str, regulators: int) -> RunConfig:
             bound_q = linalg.as_symmetric(raw, f"{path}.bound_q")
         except ValidationError as exc:
             raise ScenarioError(f"{path}.bound_q: {exc}") from exc
+        if bound_q.shape[0] != n:
+            k = bound_q.shape[0]
+            raise ScenarioError(f"{path}.bound_q: expected {n} x {n}, got {k} x {k}")
     radius = _number(obj.get("capture_radius", 0.1), f"{path}.capture_radius")
     out_dir = obj.get("out_dir", "out")
     if not isinstance(out_dir, str) or not out_dir:
@@ -271,10 +274,12 @@ def parse_scenario(text: str) -> Scenario:
     if has_pursuit:
         pursuit = _parse_pursuit(doc["pursuit"], "pursuit")
         regulators = pursuit.num_pursuers
+        n = len(pursuit.x0)
     else:
         explicit, x0 = _parse_explicit(doc["explicit"], "explicit")
         regulators = explicit.num_players - 1
-    run = _parse_run(doc.get("run"), "run", regulators)
+        n = explicit.n
+    run = _parse_run(doc.get("run"), "run", regulators, n)
     return Scenario(pursuit=pursuit, explicit=explicit, explicit_x0=x0, run=run)
 
 

@@ -24,6 +24,7 @@ from aaolq import (
 )
 from aaolq.errors import IncompleteSolutionError, ValidationError
 from aaolq.linalg import sym_extrema_stack
+from aaolq.riccati import MAX_SUBSTEPS
 from helpers import (
     ESCAPE_GAME,
     gain_series,
@@ -53,6 +54,28 @@ def _random_game(rng, m, n, tf=1.0):
         S_f=tuple(sym(0.5) for _ in range(m)),
         t0=0.0,
         tf=tf,
+    )
+
+
+def _semidefinite_game(rng, m, n):
+    """Dense random data with positive semidefinite weights and a mild drift.
+
+    These games solve without a boundary layer, so rounding differences
+    between two evaluation orders stay at the level of a few ulps.
+    """
+    def psd(scale):
+        x = rng.standard_normal((n, n))
+        return scale * (x @ x.T) / n
+
+    dims = rng.integers(1, n + 1, m)
+    return GameDefinition(
+        A=0.5 * rng.standard_normal((n, n)),
+        B=tuple(0.5 * rng.standard_normal((n, d)) for d in dims),
+        Q=tuple(psd(0.5) for _ in range(m)),
+        R=tuple(np.diag(rng.uniform(0.5, 2.0, d)) for d in dims),
+        S_f=tuple(psd(0.5) for _ in range(m)),
+        t0=0.0,
+        tf=1.0,
     )
 
 
@@ -177,6 +200,18 @@ class TestSolveCoupled:
         assert drift == 0.0 and sol.max_symmetry_residual == 0.0
         assert _node_deviation(sol.S, ref) <= 1e-12
 
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_random_games_match_staged_reference(self, m):
+        rng = np.random.default_rng(100 + m)
+        for n in range(1, 9):
+            game = _semidefinite_game(rng, m, n)
+            grid = TimeGrid.from_step(game.t0, game.tf, 1e-2)
+            sol = solve_coupled(game, grid)
+            ref, status, _, _ = reference_solve_coupled(game, grid)
+            assert status is SolveStatus.COMPLETE and sol.complete, n
+            assert sol.max_symmetry_residual == 0.0, n
+            assert _node_deviation(sol.S, ref) <= 1e-12, n
+
     @pytest.mark.parametrize("name", ["benchmark_nash", "coarse_nash"])
     def test_boundary_layer_matches_staged_reference(self, name, request):
         # Both nash pursuit games cross the near-escape spike at time-to-go
@@ -200,6 +235,39 @@ class TestSolveCoupled:
         _, status, failure_time, _ = reference_solve_coupled(game, grid)
         assert sol.status is status is SolveStatus.BLOW_UP
         assert sol.failure_time == failure_time
+
+    @pytest.mark.parametrize("bad_first", [True, False])
+    def test_nan_in_one_player_stops_the_solve(self, bad_first):
+        # The "bad" player has no control (H = 0), so it leaves G = 0, and
+        # its S = s I meets the antisymmetric A in N + N' = -s (A + A'),
+        # which is exactly 0 until s a overflows. A is sized so that this
+        # happens only at the last RK4 stage of the first substep, the one
+        # stage no later stage reads: only the bad player's new iterate
+        # holds NaN, the other player stays exactly zero, and the NaN norm
+        # must stop the solve whichever player holds it.
+        s, q = 1e12, 1e12
+        h = 0.5 / MAX_SUBSTEPS  # the norm of A overflows, so h is the floor
+        big = np.finfo(float).max / (s + 0.75 * h * q)
+        good = (np.array([[1.0], [0.0]]), np.zeros((2, 2)), np.zeros((2, 2)))
+        bad = (np.zeros((2, 1)), q * np.eye(2), s * np.eye(2))
+        players = (bad, good) if bad_first else (good, bad)
+        game = GameDefinition(
+            A=np.array([[0.0, big], [-big, 0.0]]),
+            B=tuple(b for b, _, _ in players),
+            Q=tuple(qi for _, qi, _ in players),
+            R=(np.eye(1),) * 2,
+            S_f=tuple(sf for _, _, sf in players),
+            t0=0.0,
+            tf=1.0,
+        )
+        grid = TimeGrid(0.0, 1.0, 2)
+        with np.errstate(over="ignore"):
+            sol = solve_coupled(game, grid)
+            _, status, failure_time, _ = reference_solve_coupled(game, grid)
+        assert sol.status is status is SolveStatus.BLOW_UP
+        assert sol.failure_time == failure_time == 0.5
+        assert sol.failure_reason == "non-finite entries during backward integration"
+        assert sol.stats.substeps == 0
 
     def test_benchmark_solve_stats(self, benchmark_sol):
         stats = benchmark_sol.stats

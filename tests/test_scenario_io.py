@@ -151,6 +151,15 @@ class TestParseScenario:
         with pytest.raises(ScenarioError, match="run.alphas"):
             parse_scenario(json.dumps(doc))
 
+    @pytest.mark.parametrize("name, n", [("pursuit_coarse.json", 6), ("explicit_small.json", 2)])
+    def test_bound_q_size_checked_against_the_game(self, name, n):
+        doc = json.loads((SCENARIO_DIR / name).read_text())
+        doc["run"]["bound_q"] = [[1.0]]
+        with pytest.raises(ScenarioError, match=rf"^run\.bound_q: expected {n} x {n}, got 1 x 1$"):
+            parse_scenario(json.dumps(doc))
+        doc["run"]["bound_q"] = np.eye(n).tolist()
+        assert np.array_equal(parse_scenario(json.dumps(doc)).run.bound_q, np.eye(n))
+
     def test_bad_mode_rejected(self):
         doc = json.loads((SCENARIO_DIR / "explicit_small.json").read_text())
         doc["run"]["mode"] = "minimax"
@@ -314,6 +323,22 @@ class TestValueEquality:
         assert small != load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
         with pytest.raises(TypeError, match="unhashable type"):
             hash(small)
+
+    def test_sweep_cells_compare_by_value(self):
+        def cell(distances=(0.5, 0.25, 0.125), status="ok"):
+            return runner.SweepCell("nash", 2.0, np.array(distances), True, status)
+
+        assert cell() == cell() and not cell() != cell()
+        assert cell() != cell(distances=(0.5, 0.25, np.nextafter(0.125, 1.0)))
+        assert cell() != cell(status="diverged")
+        failed = runner.SweepCell("nash", 2.0, None, None, "blow_up")
+        assert failed == runner.SweepCell("nash", 2.0, None, None, "blow_up")
+        assert cell() != failed
+        table = runner.SweepResult(("nash",), (2.0,), [cell()])
+        assert table == runner.SweepResult(("nash",), (2.0,), [cell()])
+        assert table != runner.SweepResult(("nash",), (2.0,), [cell(status="diverged")])
+        with pytest.raises(TypeError, match="unhashable type"):
+            hash(cell())
 
     def test_results_compare_by_value(self):
         game = load_scenario(SCENARIO_DIR / "explicit_small.json").build_game()
@@ -693,6 +718,15 @@ class TestCli:
         path = _write_scenario(tmp_path, doc)
         code = cli_main(["check", "--scenario", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
+
+    def test_bound_q_of_wrong_size_exit_two(self, tmp_path, capsys):
+        doc = json.loads((SCENARIO_DIR / "pursuit_benchmark.json").read_text())
+        doc["run"]["bound_q"] = [[1.0]]
+        path = _write_scenario(tmp_path, doc)
+        code = cli_main(["check", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert code == runner.EXIT_VALIDATION
+        assert "run.bound_q: expected 6 x 6, got 1 x 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_blowup_exit_three(self, tmp_path):
         path = _write_scenario(tmp_path, ESCAPE_GAME)

@@ -44,15 +44,18 @@ COARSE = ROOT / "scenarios" / "pursuit_coarse.json"
 
 #: Simulates open-loop scalar games on long grids and the closed loop of
 #: the scenario named by argv[1] (n = 6, stacked transition maps and 6x6
-#: matrix-vector products), and prints the cost and state bits. At these
-#: lengths a BLAS dot product of the Simpson weights changed its last bits
-#: between one and two threads.
+#: matrix-vector products), and prints the cost and state bits, with hashes
+#: of the nash and team backward solves (the stage coupling and the RK4
+#: combination are BLAS products). At these lengths a BLAS dot product of
+#: the Simpson weights changed its last bits between one and two threads.
 _COSTS_CHILD = """
 import hashlib
 import json
 import sys
 import numpy as np
-from aaolq import FeedbackGain, TimeGrid, gains, load_scenario, simulate, solve_coupled
+from aaolq import (
+    FeedbackGain, TimeGrid, build_team_game, gains, load_scenario, simulate, solve_coupled,
+)
 from helpers import scalar_game
 
 bits = []
@@ -63,8 +66,11 @@ for steps, a in ((10_000, -0.2), (20_000, 0.1), (20_000, 0.3)):
     bits.append([float(c).hex() for c in simulate(game, zero, [1.0]).costs])
 scenario = load_scenario(sys.argv[1])
 game = scenario.build_game()
-sol = solve_coupled(game, TimeGrid.from_step(game.t0, game.tf, scenario.run.dt))
+grid = TimeGrid.from_step(game.t0, game.tf, scenario.run.dt)
+sol = solve_coupled(game, grid)
 bits.append(hashlib.sha256(sol.S.tobytes()).hexdigest())
+team_sol = solve_coupled(build_team_game(game).reduced, grid)
+bits.append(hashlib.sha256(team_sol.S.tobytes()).hexdigest())
 traj = simulate(game, gains(game, sol), scenario.x0)
 bits.append([float(c).hex() for c in traj.costs] + [hashlib.sha256(traj.x.tobytes()).hexdigest()])
 print(json.dumps(bits))
@@ -254,7 +260,7 @@ class TestSimulate:
             simulate(game, player_gains, scenario.x0)
 
     def test_costs_independent_of_blas_threads(self):
-        # Costs, states and the backward solve's S, at 1 and 2 OpenBLAS threads.
+        # Costs, states and the nash and team solves' S, at 1 and 2 OpenBLAS threads.
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))
         bits = []
         for threads in ("1", "2"):
