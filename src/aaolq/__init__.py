@@ -15,7 +15,6 @@ from .analysis import (
     existence_map,
     lyapunov_check,
     lyapunov_weight_series,
-    min_horizon,
     solve_envelope,
     verify_solution,
 )

@@ -14,6 +14,11 @@ three main tools:
   capture bound checked along a trajectory and the minimum-horizon
   formula.
 
+:func:`verify_solution` is the one place these quantities are computed:
+its :class:`ConditionsReport` carries the weight-sum minima, P's extrema
+over the grid and the guaranteed-capture horizon ``horizon_bound``, and
+:func:`lyapunov_check` reads the rate and the extrema off that report.
+
 Every matrix norm here is the squared trace norm tr(S S') of
 :mod:`aaolq.linalg`: the sum of squared entries, no square root taken.
 Every positive-definiteness verdict tests its smallest eigenvalue against
@@ -35,6 +40,10 @@ from .sim import Trajectory
 
 PSD_TOL = linalg.DEFINITENESS_TOL
 CHAIN_TOL = 1e-7
+#: Relative slack of the decay certificate's exponential and ratio bounds.
+REL_SLACK = 1e-6
+#: Absolute slack of the decay certificate's monotone clause and its V(t0) = 0 case.
+MONO_SLACK = 1e-9
 
 
 def _weight_sum_minima(game: GameDefinition) -> tuple[float, float]:
@@ -250,48 +259,6 @@ def lyapunov_weight_series(sol: RiccatiSolution) -> np.ndarray:
     return linalg.symmetrize(sol.S.sum(axis=0))
 
 
-def _lyapunov_weight_extrema(sol: RiccatiSolution) -> tuple[np.ndarray, float, float]:
-    """P(t) at every grid node, with its smallest and largest eigenvalue over the grid."""
-    p_series = lyapunov_weight_series(sol)
-    p_lo, p_hi = linalg.sym_extrema_stack(p_series)
-    return p_series, float(p_lo.min()), float(p_hi.max())
-
-
-def min_horizon(game: GameDefinition, sol: RiccatiSolution, x0_norm: float, r: float) -> float:
-    """Smallest horizon guaranteeing the closed-loop state enters radius r.
-
-    Evaluates (max eig P / min eig of the summed state weights) *
-    (2 ln(|x0| / r) + ln(max eig P / min eig P)), with the P extrema taken
-    over the solved grid. Raises :class:`NotApplicableError` when the
-    positivity hypotheses behind the exponential bound fail.
-    """
-    if not sol.complete:
-        raise IncompleteSolutionError("min_horizon needs a complete solve")
-    q_min, sf_min = _weight_sum_minima(game)
-    _, p_min, p_max = _lyapunov_weight_extrema(sol)
-    return _horizon_from_extrema(q_min, sf_min, p_min, p_max, x0_norm, r)
-
-
-def _horizon_from_extrema(
-    q_min: float, sf_min: float, p_min: float, p_max: float, x0_norm: float, r: float
-) -> float:
-    """:func:`min_horizon` from the weight-sum minima and P's extrema over the grid."""
-    if not r > 0:
-        raise ValidationError("r must be positive")
-    if not x0_norm > 0:
-        raise ValidationError("x0_norm must be positive")
-    if q_min <= PSD_TOL or sf_min <= PSD_TOL:
-        raise NotApplicableError(
-            "exponential capture bound not applicable: the summed state and "
-            "terminal weights must be positive definite"
-        )
-    if p_min <= PSD_TOL:
-        raise NotApplicableError(
-            "exponential capture bound not applicable: P(t) lost positive definiteness"
-        )
-    return (p_max / q_min) * (2.0 * math.log(x0_norm / r) + math.log(p_max / p_min))
-
-
 @dataclass(frozen=True)
 class LyapunovReport:
     """Checks of the exponential decay certificate along one trajectory."""
@@ -311,52 +278,49 @@ class LyapunovReport:
 
 
 def lyapunov_check(
-    game: GameDefinition,
-    traj: Trajectory,
-    sol: RiccatiSolution,
-    *,
-    rel_slack: float = 1e-6,
-    mono_slack: float = 1e-9,
+    traj: Trajectory, sol: RiccatiSolution, conditions: ConditionsReport
 ) -> LyapunovReport:
     """Verify V = x' P x decays as certified.
 
-    Needs the summed state and terminal weights positive definite, else
-    raises :class:`NotApplicableError` ("not applicable"). Checks that V is
-    strictly decreasing between grid points up to ``mono_slack``, that it
-    stays under V(t0) exp(-rate (t - t0)) with relative slack, and that the
-    squared state-norm ratio respects the matching spectral bound.
+    ``conditions`` is :func:`verify_solution`'s report on the game and
+    solve behind ``traj``; the rate q_min / p_max and the P extrema are
+    read off it. Needs the summed state and terminal weights positive
+    definite, else raises :class:`NotApplicableError` ("not applicable").
+    Checks that V is strictly decreasing between grid points up to
+    ``MONO_SLACK``, that it stays under V(t0) exp(-rate (t - t0)) with
+    relative slack ``REL_SLACK``, and that the squared state-norm ratio
+    respects the matching spectral bound.
     """
-    q_min, sf_min = _weight_sum_minima(game)
-    if q_min <= PSD_TOL or sf_min <= PSD_TOL:
+    if conditions.p_pd is None:
         raise NotApplicableError(
             "decay certificate not applicable: summed state and terminal weights "
             "must be positive definite"
         )
     if sol.grid != traj.grid:
         raise ValidationError("trajectory and solution live on different grids")
-    p_series, p_min, p_max = _lyapunov_weight_extrema(sol)
-    if p_min <= PSD_TOL:
+    if not conditions.p_pd:
         raise NotApplicableError("decay certificate not applicable: P(t) is not positive definite")
-    rate = q_min / p_max
-    v = np.einsum("kn,knm,km->k", traj.x, p_series, traj.x)
+    p_min, p_max = conditions.p_min_eig, conditions.p_max_eig
+    rate = conditions.sum_q_min_eig / p_max
+    v = np.einsum("kn,knm,km->k", traj.x, lyapunov_weight_series(sol), traj.x)
     times = traj.grid.times()
     decay = np.exp(-rate * (times - times[0]))
     v0 = float(v[0])
     diffs = np.diff(v)
     max_increase = float(diffs.max()) if diffs.size else 0.0
-    monotone_ok = bool(max_increase < mono_slack)
+    monotone_ok = bool(max_increase < MONO_SLACK)
     if v0 > 0.0:
         excess = float((v / (v0 * decay)).max() - 1.0)
-        exp_ok = bool((v <= v0 * decay * (1.0 + rel_slack)).all())
+        exp_ok = bool((v <= v0 * decay * (1.0 + REL_SLACK)).all())
     else:
         excess = float(np.abs(v).max())
-        exp_ok = bool(excess <= mono_slack)
+        exp_ok = bool(excess <= MONO_SLACK)
     x0_norm = float(np.linalg.norm(traj.x[0]))
     if x0_norm > 0.0:
         ratios = (np.linalg.norm(traj.x, axis=1) / x0_norm) ** 2
         bound = (p_max / p_min) * decay
         ratio_excess = float((ratios / bound).max() - 1.0)
-        ratio_ok = bool((ratios <= bound * (1.0 + rel_slack)).all())
+        ratio_ok = bool((ratios <= bound * (1.0 + REL_SLACK)).all())
     else:
         ratio_excess = 0.0
         ratio_ok = True
@@ -399,6 +363,7 @@ class ConditionsReport:
     chain_upper_min_eig: float
     p_pd: bool | None
     p_min_eig: float | None
+    p_max_eig: float | None
     horizon_bound: float | None
     notes: tuple[str, ...] = ()
 
@@ -419,6 +384,12 @@ def verify_solution(
     node by default, all nodes in one stacked pass; ``screen_stride`` > 1
     samples every ``screen_stride``-th node instead (terminal node always
     included). Failed checks are entries in the report, never exceptions.
+
+    Given both ``x0_norm`` and ``r``, the report's ``horizon_bound`` is the
+    smallest horizon guaranteeing the closed-loop state enters radius r,
+    with P's extrema taken over the solved grid; when r or ``x0_norm`` is
+    not positive, or the positivity hypotheses behind the exponential bound
+    fail, it is None and a note says why.
     """
     if not sol.complete:
         raise IncompleteSolutionError(
@@ -452,7 +423,8 @@ def verify_solution(
     screen_min = float(screen_lo.min())
     rq_screen_psd = bool(screen_min >= -PSD_TOL)
 
-    p_series, p_min, p_max = _lyapunov_weight_extrema(sol)
+    p_series = lyapunov_weight_series(sol)
+    p_lo, p_hi = linalg.sym_extrema_stack(p_series)
     per_norm = np.einsum("ikrc,ikrc->ik", sol.S, sol.S)
     max_norm = float(per_norm.max())
     if game.num_players >= 2:
@@ -489,20 +461,39 @@ def verify_solution(
         psd_chain_ok = None
         notes.append("existence screen not PSD at sampled points; envelope bound not certified")
 
+    p_min = float(p_lo.min())
+    p_max = float(p_hi.max())
     if sum_q_pd and sum_sf_pd:
         p_min_eig: float | None = p_min
-        p_pd: bool | None = bool(p_min_eig > PSD_TOL)
+        p_max_eig: float | None = p_max
+        p_pd: bool | None = bool(p_min > PSD_TOL)
     else:
-        p_min_eig = None
-        p_pd = None
+        p_min_eig = p_max_eig = p_pd = None
         notes.append("summed weights are not positive definite; P(t) > 0 not certified")
 
+    # Guaranteed-capture horizon:
+    # (p_max / q_min) * (2 ln(|x0| / r) + ln(p_max / p_min)).
     horizon_bound: float | None = None
     if x0_norm is not None and r is not None:
-        try:
-            horizon_bound = _horizon_from_extrema(q_min, sf_min, p_min, p_max, x0_norm, r)
-        except (NotApplicableError, ValidationError) as exc:
-            notes.append(f"minimum horizon unavailable: {exc}")
+        unavailable = None
+        if not r > 0:
+            unavailable = "r must be positive"
+        elif not x0_norm > 0:
+            unavailable = "x0_norm must be positive"
+        elif p_pd is None:
+            unavailable = (
+                "exponential capture bound not applicable: the summed state and "
+                "terminal weights must be positive definite"
+            )
+        elif not p_pd:
+            unavailable = (
+                "exponential capture bound not applicable: P(t) lost positive definiteness"
+            )
+        else:
+            ln_terms = 2.0 * math.log(x0_norm / r) + math.log(p_max / p_min)
+            horizon_bound = (p_max / q_min) * ln_terms
+        if unavailable is not None:
+            notes.append(f"minimum horizon unavailable: {unavailable}")
 
     return ConditionsReport(
         sum_q_pd=bool(sum_q_pd),
@@ -523,6 +514,7 @@ def verify_solution(
         chain_upper_min_eig=chain_upper,
         p_pd=p_pd,
         p_min_eig=p_min_eig,
+        p_max_eig=p_max_eig,
         horizon_bound=horizon_bound,
         notes=tuple(notes),
     )

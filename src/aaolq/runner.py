@@ -410,7 +410,7 @@ def run(scenario: Scenario, out_dir=None, *, level: str = "simulate") -> RunResu
         if scenario.pursuit is not None:
             write_positions_csv(out / "positions.csv", traj, scenario.pursuit)
         try:
-            result.lyapunov = lyapunov_check(active_game, traj, sol)
+            result.lyapunov = lyapunov_check(traj, sol, conditions)
         except NotApplicableError as exc:
             result.messages.append(str(exc))
     _write_text(out / "summary.txt", _summary_text(result, team_cost))
@@ -442,8 +442,10 @@ class SweepResult(ValueEquality):
 def _sweep_group(scenario: Scenario, mode: str, tfs: list[float]) -> dict:
     """Cells of one (mode, dt) group, all read off one solve of its longest horizon.
 
-    A separate function so the long solution is released on return: a
-    sweep holds one at a time.
+    Every cell plays the group's long game and team reduction: the gains
+    and the forward pass read only the grid, never the game's horizon. A
+    separate function so the long solution is released on return: a sweep
+    holds one at a time.
     """
     long_game = scenario.with_tf(max(tfs)).build_game()
     long_team = _team_game(scenario, long_game, mode)
@@ -451,8 +453,7 @@ def _sweep_group(scenario: Scenario, mode: str, tfs: list[float]) -> dict:
     long_sol = solve_coupled(long_game if long_team is None else long_team.reduced, long_grid)
     cells = {}
     for tf in tfs:
-        game = scenario.with_tf(tf).build_game()
-        grid = TimeGrid.from_step(game.t0, game.tf, scenario.run.dt)
+        grid = TimeGrid.from_step(long_game.t0, tf, scenario.run.dt)
         tail = long_sol.S[:, long_grid.steps - grid.steps :]
         # Nodes a failed solve never reached stay NaN; a fresh solve of this
         # horizon fails at the same node once its slice starts at one.
@@ -468,9 +469,9 @@ def _sweep_group(scenario: Scenario, mode: str, tfs: list[float]) -> dict:
             max_symmetry_residual=long_sol.max_symmetry_residual,
             stats=long_sol.stats,
         )
-        player_gains = _player_gains(game, _team_game(scenario, game, mode), sol)
+        player_gains = _player_gains(long_game, long_team, sol)
         try:
-            traj = simulate(game, player_gains, scenario.x0)
+            traj = simulate(long_game, player_gains, scenario.x0)
         except DivergenceError:
             cells[tf] = SweepCell(mode=mode, tf=tf, distances=None, captured=None, status="diverged")
             continue
@@ -508,12 +509,12 @@ def run_sweep(scenario: Scenario, tf_list, modes=None, out_dir=None) -> SweepRes
     if base_game.n % 2:
         raise ValueError("sweeps need an even state dimension for distance reporting")
     k = base_game.n // 2
-    out = Path(out_dir) if out_dir is not None else Path(scenario.run.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     groups: dict[float, list[float]] = {}
     for tf in tf_tuple:
         groups.setdefault(TimeGrid.from_step(base_game.t0, tf, scenario.run.dt).dt, []).append(tf)
+    out = Path(out_dir) if out_dir is not None else Path(scenario.run.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+
     cells: list[SweepCell] = []
     for mode in modes:
         by_tf = {}

@@ -52,6 +52,12 @@ class RunConfig(ValueEquality):
             raise ScenarioError("run.dt: dt must be positive")
         if not self.capture_radius > 0:
             raise ScenarioError("run.capture_radius: must be positive")
+        if self.bound_q is not None:
+            try:
+                bound_q = linalg.as_symmetric(self.bound_q, "run.bound_q")
+            except ValidationError as exc:
+                raise ScenarioError(str(exc)) from exc
+            object.__setattr__(self, "bound_q", bound_q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,6 +74,11 @@ class Scenario(ValueEquality):
             raise ScenarioError("exactly one of 'pursuit' or 'explicit' must be given")
         if self.explicit is not None and self.explicit_x0 is None:
             raise ScenarioError("explicit.x0: required for explicit games")
+        bound_q = self.run.bound_q
+        n = 2 * self.pursuit.num_pursuers if self.pursuit is not None else self.explicit.n
+        if bound_q is not None and bound_q.shape[0] != n:
+            k = bound_q.shape[0]
+            raise ScenarioError(f"run.bound_q: expected {n} x {n}, got {k} x {k}")
 
     def with_tf(self, tf: float) -> "Scenario":
         """The same scenario with its horizon ending at ``tf``."""
@@ -206,7 +217,7 @@ def _parse_explicit(obj, path: str) -> tuple[GameDefinition, np.ndarray]:
     return game, x0
 
 
-def _parse_run(obj, path: str, regulators: int, n: int) -> RunConfig:
+def _parse_run(obj, path: str, regulators: int) -> RunConfig:
     if obj is None:
         obj = {}
     if not isinstance(obj, dict):
@@ -226,14 +237,7 @@ def _parse_run(obj, path: str, regulators: int, n: int) -> RunConfig:
     dt = _number(obj.get("dt", 1e-3), f"{path}.dt")
     bound_q = None
     if obj.get("bound_q") is not None:
-        raw = _matrix(obj["bound_q"], f"{path}.bound_q")
-        try:
-            bound_q = linalg.as_symmetric(raw, f"{path}.bound_q")
-        except ValidationError as exc:
-            raise ScenarioError(f"{path}.bound_q: {exc}") from exc
-        if bound_q.shape[0] != n:
-            k = bound_q.shape[0]
-            raise ScenarioError(f"{path}.bound_q: expected {n} x {n}, got {k} x {k}")
+        bound_q = _matrix(obj["bound_q"], f"{path}.bound_q")
     radius = _number(obj.get("capture_radius", 0.1), f"{path}.capture_radius")
     out_dir = obj.get("out_dir", "out")
     if not isinstance(out_dir, str) or not out_dir:
@@ -274,12 +278,10 @@ def parse_scenario(text: str) -> Scenario:
     if has_pursuit:
         pursuit = _parse_pursuit(doc["pursuit"], "pursuit")
         regulators = pursuit.num_pursuers
-        n = len(pursuit.x0)
     else:
         explicit, x0 = _parse_explicit(doc["explicit"], "explicit")
         regulators = explicit.num_players - 1
-        n = explicit.n
-    run = _parse_run(doc.get("run"), "run", regulators, n)
+    run = _parse_run(doc.get("run"), "run", regulators)
     return Scenario(pursuit=pursuit, explicit=explicit, explicit_x0=x0, run=run)
 
 

@@ -21,6 +21,7 @@ from aaolq import (
     gains,
     simulate,
     solve_coupled,
+    verify_solution,
 )
 
 ACCEPTANCE_LINES: list[str] = []
@@ -54,6 +55,13 @@ def benchmark_sol(benchmark_game, benchmark_grid):
     sol = solve_coupled(benchmark_game, benchmark_grid)
     assert sol.complete
     return sol
+
+
+@pytest.fixture(scope="session")
+def benchmark_conditions(benchmark_game, benchmark_sol, benchmark_params):
+    """The benchmark's certificate report, with the horizon for capture radius 0.1."""
+    x0_norm = float(np.linalg.norm(benchmark_params.x0))
+    return verify_solution(benchmark_game, benchmark_sol, x0_norm=x0_norm, r=0.1)
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,7 @@ from aaolq import (
     check_diagonal_subclass,
     existence_map,
     load_scenario,
-    min_horizon,
+    lyapunov_check,
     solve_coupled,
     solve_envelope,
     verify_solution,
@@ -30,6 +30,7 @@ from aaolq.errors import (
 )
 from aaolq.game import control_coupling
 from aaolq.linalg import symmetrize
+from aaolq.sim import Trajectory
 from helpers import (
     random_diagonal_game,
     reference_existence_min,
@@ -291,48 +292,73 @@ class TestComputeP:
             assert np.array_equal(series[k], symmetrize(benchmark_sol.S[:, k].sum(axis=0)))
 
 
+def _horizon(game, sol, x0_norm, r):
+    """``verify_solution``'s guaranteed-capture horizon and its notes."""
+    report = verify_solution(game, sol, x0_norm=x0_norm, r=r)
+    return report.horizon_bound, report.notes
+
+
 class TestMinHorizon:
+    """The guaranteed-capture horizon ``horizon_bound`` of ``verify_solution``."""
+
     def test_formula_evaluation(self):
         game, sol = _crafted_solution([2.0, 1.5, 1.0])
-        value = min_horizon(game, sol, x0_norm=10.0, r=0.1)
+        value, _ = _horizon(game, sol, x0_norm=10.0, r=0.1)
         expected = 2.0 * (2.0 * math.log(100.0) + math.log(2.0))
         assert value == pytest.approx(expected, abs=1e-12)
         assert value == pytest.approx(19.8064, abs=1e-3)
 
     def test_equal_start_and_radius_leaves_ln_term(self):
         game, sol = _crafted_solution([2.0, 1.5, 1.0])
-        value = min_horizon(game, sol, x0_norm=0.1, r=0.1)
+        value, _ = _horizon(game, sol, x0_norm=0.1, r=0.1)
         assert value == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
 
     def test_flat_p_leaves_distance_term(self):
         game, sol = _crafted_solution([2.0, 2.0, 2.0])
-        value = min_horizon(game, sol, x0_norm=10.0, r=0.1)
+        value, _ = _horizon(game, sol, x0_norm=10.0, r=0.1)
         assert value == pytest.approx(4.0 * math.log(100.0), abs=1e-12)
 
     def test_monotone_in_radius_and_start(self):
         game, sol = _crafted_solution([2.0, 1.5, 1.0])
         radii = [0.05, 0.1, 0.2, 0.5]
-        values = [min_horizon(game, sol, 10.0, r) for r in radii]
+        values = [_horizon(game, sol, 10.0, r)[0] for r in radii]
         assert all(a > b for a, b in zip(values, values[1:]))
         starts = [1.0, 2.0, 5.0, 10.0]
-        values = [min_horizon(game, sol, s, 0.1) for s in starts]
+        values = [_horizon(game, sol, s, 0.1)[0] for s in starts]
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_not_applicable_when_sums_fail(self):
         game, sol = _crafted_solution([2.0, 1.5, 1.0], q1=-1.0, q2=0.5)
-        with pytest.raises(NotApplicableError):
-            min_horizon(game, sol, 10.0, 0.1)
+        value, notes = _horizon(game, sol, 10.0, 0.1)
+        assert value is None
+        assert (
+            "minimum horizon unavailable: exponential capture bound not applicable: "
+            "the summed state and terminal weights must be positive definite"
+        ) in notes
+
+    def test_not_applicable_when_p_loses_definiteness(self):
+        game, sol = _crafted_solution([2.0, 1.5, -1.0])
+        report = verify_solution(game, sol, x0_norm=10.0, r=0.1)
+        assert report.horizon_bound is None and report.p_pd is False
+        assert report.p_min_eig == -1.0 and report.p_max_eig == 2.0
+        assert (
+            "minimum horizon unavailable: exponential capture bound not applicable: "
+            "P(t) lost positive definiteness"
+        ) in report.notes
+        traj = Trajectory(grid=sol.grid, x=np.ones((3, 1)), u=(), costs=np.zeros(0))
+        with pytest.raises(NotApplicableError, match=r"P\(t\) is not positive definite"):
+            lyapunov_check(traj, sol, report)
 
     def test_invalid_inputs_rejected(self):
         game, sol = _crafted_solution([2.0, 1.5, 1.0])
-        with pytest.raises(ValidationError):
-            min_horizon(game, sol, 10.0, 0.0)
-        with pytest.raises(ValidationError):
-            min_horizon(game, sol, 0.0, 0.1)
+        value, notes = _horizon(game, sol, 10.0, 0.0)
+        assert value is None and "minimum horizon unavailable: r must be positive" in notes
+        value, notes = _horizon(game, sol, 0.0, 0.1)
+        assert value is None and "minimum horizon unavailable: x0_norm must be positive" in notes
 
-    def test_benchmark_value_finite_positive(self, benchmark_game, benchmark_sol):
-        value = min_horizon(benchmark_game, benchmark_sol, math.sqrt(599.0), 0.1)
-        assert math.isfinite(value) and value > 0.0
+    def test_benchmark_value_finite_positive(self, benchmark_conditions):
+        value = benchmark_conditions.horizon_bound
+        assert value is not None and math.isfinite(value) and value > 0.0
 
 
 class TestVerifySolution:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aaolq
 from aaolq import (
     GameDefinition,
     PursuitParams,
@@ -35,7 +36,7 @@ from aaolq import (
 )
 from aaolq import runner
 from aaolq.cli import main as cli_main
-from aaolq.errors import ScenarioError
+from aaolq.errors import ScenarioError, ValidationError
 from aaolq.sim import PursuitReport, Trajectory
 from helpers import (
     ESCAPE_GAME,
@@ -160,6 +161,19 @@ class TestParseScenario:
         doc["run"]["bound_q"] = np.eye(n).tolist()
         assert np.array_equal(parse_scenario(json.dumps(doc)).run.bound_q, np.eye(n))
 
+    def test_bound_q_checked_where_the_scenario_is_built(self):
+        # A Python-built scenario is rejected on construction, before any solve.
+        scenario = load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
+        with pytest.raises(ScenarioError, match=r"^run\.bound_q: expected 6 x 6, got 1 x 1$"):
+            dataclasses.replace(scenario, run=dataclasses.replace(scenario.run, bound_q=np.eye(1)))
+        with pytest.raises(ScenarioError, match=r"^run\.bound_q: asymmetry"):
+            RunConfig(bound_q=[[1.0, 1.0], [0.0, 1.0]])
+        with pytest.raises(ScenarioError, match=r"^run\.bound_q: expected a square matrix"):
+            RunConfig(bound_q=np.ones((2, 3)))
+        cfg = RunConfig(bound_q=[[1.0, 2.0], [2.0 + 1e-12, 1.0]])
+        assert cfg.bound_q[0, 1] == cfg.bound_q[1, 0] == (2.0 + (2.0 + 1e-12)) / 2.0
+        assert not cfg.bound_q.flags.writeable
+
     def test_bad_mode_rejected(self):
         doc = json.loads((SCENARIO_DIR / "explicit_small.json").read_text())
         doc["run"]["mode"] = "minimax"
@@ -184,6 +198,16 @@ class TestReadmeExamples:
         assert blocks, "README.md has no python block"
         for block in blocks:
             exec(compile(block, str(README), "exec"), {})
+
+    def test_readme_python_api_names_resolve(self):
+        # Every backticked identifier in the "Python API" section names
+        # something importable from aaolq; `sweep` is the CLI command and
+        # `python` the fence language.
+        section = README.read_text().split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+        prose = re.sub(r"```.*?```", "", section, flags=re.S)
+        names = set(re.findall(r"`([A-Za-z_]\w*)`", prose)) - {"sweep", "python"}
+        assert "verify_solution" in names
+        assert sorted(n for n in names if not hasattr(aaolq, n)) == []
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -661,6 +685,21 @@ class TestRunSweep:
         )
         assert run(scenario, out_dir=tmp_path / "long").exit_code == 3
 
+    def test_team_reduction_built_once_per_group(self, tmp_path, monkeypatch):
+        scenario = load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
+        scenario = dataclasses.replace(scenario, run=dataclasses.replace(scenario.run, dt=0.01))
+        calls = []
+        real_build = runner.build_team_game
+
+        def counting_build(game, weights=None):
+            calls.append(game.tf)
+            return real_build(game, weights)
+
+        monkeypatch.setattr(runner, "build_team_game", counting_build)
+        result = run_sweep(scenario, [1.0, 2.0], modes=("nash", "team"), out_dir=tmp_path)
+        assert calls == [2.0]
+        assert all(c.status == "ok" for c in result.cells)
+
     def test_empty_tf_list_rejected(self):
         scenario = load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
         with pytest.raises(ValueError):
@@ -683,13 +722,14 @@ class TestRunSweep:
             "run": {"mode": "nash", "dt": 0.01, "out_dir": "out/odd"},
         }
         calls = [
-            (scenario, [1.0], ("pursuit",)),
-            (scenario, [], None),
-            (parse_scenario(json.dumps(odd)), [1.0], None),
+            (scenario, [1.0], ("pursuit",), ValueError),
+            (scenario, [], None, ValueError),
+            (parse_scenario(json.dumps(odd)), [1.0], None, ValueError),
+            (scenario, [1.0, -1.0], None, ValidationError),  # need tf >= t0
         ]
-        for sc, tfs, modes in calls:
+        for sc, tfs, modes, error in calls:
             for out_dir in (None, "sweep_out"):
-                with pytest.raises(ValueError):
+                with pytest.raises(error):
                     run_sweep(sc, tfs, modes=modes, out_dir=out_dir)
         assert list(tmp_path.iterdir()) == []
 

@@ -26,7 +26,9 @@ from aaolq import (
     simulate,
     solve_coupled,
     stationarity_probe,
+    verify_solution,
 )
+from aaolq import linalg
 from aaolq.errors import DivergenceError, NotApplicableError, ValidationError
 from aaolq.sim import Trajectory
 from helpers import (
@@ -323,8 +325,8 @@ class TestPursuitReport:
 
 
 class TestLyapunovCheck:
-    def test_benchmark_certificate(self, benchmark_game, benchmark_traj, benchmark_sol):
-        report = lyapunov_check(benchmark_game, benchmark_traj, benchmark_sol)
+    def test_benchmark_certificate(self, benchmark_traj, benchmark_sol, benchmark_conditions):
+        report = lyapunov_check(benchmark_traj, benchmark_sol, benchmark_conditions)
         assert report.decay_rate > 0.0
         assert report.exp_bound_ok is True
         assert report.ratio_bound_ok is True
@@ -336,16 +338,31 @@ class TestLyapunovCheck:
         assert report.ok is True
 
     def test_zero_initial_state_trivially_passes(
-        self, benchmark_game, benchmark_gains, benchmark_sol
+        self, benchmark_game, benchmark_gains, benchmark_sol, benchmark_conditions
     ):
         traj = simulate(benchmark_game, benchmark_gains, np.zeros(6))
-        report = lyapunov_check(benchmark_game, traj, benchmark_sol)
+        report = lyapunov_check(traj, benchmark_sol, benchmark_conditions)
         assert report.v0 == 0.0
         assert report.ok is True
 
+    def test_rate_and_extrema_read_off_the_report(
+        self, benchmark_traj, benchmark_sol, benchmark_conditions, monkeypatch
+    ):
+        def no_eigen(*args, **kwargs):
+            raise AssertionError("lyapunov_check took an eigenvalue")
+
+        monkeypatch.setattr(linalg, "sym_extrema_stack", no_eigen)
+        monkeypatch.setattr(linalg, "sym_eigenvalues", no_eigen)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigen)
+        report = lyapunov_check(benchmark_traj, benchmark_sol, benchmark_conditions)
+        c = benchmark_conditions
+        assert report.decay_rate == c.sum_q_min_eig / c.p_max_eig
+
     def test_team_reduction_not_applicable(self, benchmark_team, team_traj, team_sol):
+        conditions = verify_solution(benchmark_team.reduced, team_sol)
+        assert conditions.p_pd is None and conditions.p_max_eig is None
         with pytest.raises(NotApplicableError, match="not applicable"):
-            lyapunov_check(benchmark_team.reduced, team_traj, team_sol)
+            lyapunov_check(team_traj, team_sol, conditions)
 
     def test_near_singular_weight_sum_not_applicable(self, tmp_path):
         # sum Q = 6e-10 is positive but under PSD_TOL: conditions.txt reads
@@ -372,16 +389,18 @@ class TestLyapunovCheck:
         assert "decay_certificate_ok" not in summary
         assert "decay certificate not applicable" in summary
         with pytest.raises(NotApplicableError, match="not applicable"):
-            lyapunov_check(result.game, result.traj, result.sol)
+            lyapunov_check(result.traj, result.sol, result.conditions)
 
-    def test_grid_mismatch_rejected(self, benchmark_game, benchmark_sol, benchmark_gains):
+    def test_grid_mismatch_rejected(
+        self, benchmark_game, benchmark_sol, benchmark_gains, benchmark_conditions
+    ):
         other = simulate(
             benchmark_game,
             regrid(benchmark_gains, TimeGrid.from_step(0.0, 10.0, 2e-3)),
             np.zeros(6),
         )
         with pytest.raises(ValidationError):
-            lyapunov_check(benchmark_game, other, benchmark_sol)
+            lyapunov_check(other, benchmark_sol, benchmark_conditions)
 
 
 class TestStationarityProbe:
