@@ -17,8 +17,8 @@ import argparse
 import dataclasses
 import sys
 
-from .errors import AaolqError, DivergenceError, ScenarioError, ValidationError
-from .runner import EXIT_BLOWUP, EXIT_DIVERGENCE, EXIT_OK, EXIT_VALIDATION, run, run_sweep
+from .errors import AaolqError, ScenarioError, ValidationError
+from .runner import EXIT_BLOWUP, EXIT_OK, EXIT_VALIDATION, run, run_sweep
 from .scenario import Scenario, load_scenario
 
 
@@ -64,7 +64,7 @@ def _parse_floats(text: str, what: str) -> tuple[float, ...]:
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    run_cfg = scenario.run
+    """``scenario`` with the command line's overrides; the scenario checks them."""
     updates = {}
     if args.mode is not None and args.command != "sweep":
         updates["mode"] = args.mode
@@ -74,12 +74,8 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
         updates["dt"] = args.dt
     if args.out is not None:
         updates["out_dir"] = args.out
-    if updates:
-        run_cfg = dataclasses.replace(run_cfg, **updates)
-    scenario = dataclasses.replace(scenario, run=run_cfg)
-    if args.tf is not None:
-        scenario = scenario.with_tf(args.tf)
-    return scenario
+    scenario = dataclasses.replace(scenario, run=dataclasses.replace(scenario.run, **updates))
+    return scenario if args.tf is None else scenario.with_tf(args.tf)
 
 
 def main(argv=None) -> int:
@@ -99,22 +95,13 @@ def main(argv=None) -> int:
             print(msg)
         print(f"{args.command}: exit {result.exit_code}, artifacts in {result.out_dir}")
         return result.exit_code
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
+    except (ScenarioError, OSError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except DivergenceError as exc:
-        print(f"divergence: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except AaolqError as exc:
+    except (AaolqError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

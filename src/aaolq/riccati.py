@@ -112,9 +112,8 @@ class TimeGrid:
         trajectories integrated on the same grid.
         """
         span = float(tf) - float(t0)
-        if span < 0:
-            raise ValidationError(f"need tf >= t0, got t0={t0}, tf={tf}")
-        if span == 0.0:
+        if not 0.0 < span < math.inf:
+            # The constructor accepts a single-point grid only for tf == t0.
             return cls(t0, tf, 0)
         if not dt > 0:
             raise ValidationError("dt must be positive")

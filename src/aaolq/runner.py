@@ -252,7 +252,7 @@ class RunResult:
     messages: list[str] = field(default_factory=list)
 
 
-def _summary_text(result: RunResult, team_cost: float | None) -> str:
+def _summary_text(result: RunResult) -> str:
     lines = ["run summary", "==========="]
     lines.append(f"mode: {result.mode}")
     if result.grid is not None:
@@ -267,7 +267,9 @@ def _summary_text(result: RunResult, team_cost: float | None) -> str:
         lines.append("costs:")
         for i, j in enumerate(result.traj.costs):
             lines.append(f"  J[{i + 1}] = {_fmt(j)}")
-        if team_cost is not None:
+        if result.team_game is not None:
+            alpha = result.team_game.weights.alpha
+            team_cost = sum(a * result.traj.costs[i + 1] for i, a in enumerate(alpha))
             lines.append(f"  J_team = {_fmt(team_cost)}")
     if result.pursuit is not None:
         p = result.pursuit
@@ -319,7 +321,8 @@ def run(scenario: Scenario, out_dir=None, *, level: str = "simulate") -> RunResu
     writes conditions.txt plus summary.txt; "solve" additionally writes
     solution.csv; "simulate" (the default) adds the forward run with
     trajectory.csv, distances.csv and, for pursuit scenarios,
-    positions.csv.
+    positions.csv. A failed stage sets the exit code and skips the stages
+    after it; conditions.txt and summary.txt are written once either way.
     """
     if level not in ("check", "solve", "simulate"):
         raise ValueError(f"unknown run level {level!r}")
@@ -328,92 +331,66 @@ def run(scenario: Scenario, out_dir=None, *, level: str = "simulate") -> RunResu
     mode = scenario.run.mode
     result = RunResult(exit_code=EXIT_OK, out_dir=out, mode=mode)
 
-    game = scenario.build_game()
-    result.game = game
-    validation = validate(game)
-    result.validation = validation
-    grid = TimeGrid.from_step(game.t0, game.tf, scenario.run.dt)
-    result.grid = grid
+    game = active_game = result.game = scenario.build_game()
+    validation = result.validation = validate(game)
+    grid = result.grid = TimeGrid.from_step(game.t0, game.tf, scenario.run.dt)
+    extra_notes: tuple[str, ...] = ()
     if not validation.aao_compliant:
         result.exit_code = EXIT_VALIDATION
         result.messages.append("game failed the all-against-one sign pattern; nothing solved")
-        _write_text(
-            out / "conditions.txt",
-            format_conditions(mode, game, grid, validation, None, None),
-        )
-        _write_text(out / "summary.txt", _summary_text(result, None))
-        return result
-
-    result.team_game = _team_game(scenario, game, mode)
-    active_game = game if result.team_game is None else result.team_game.reduced
-
-    sol = solve_coupled(active_game, grid)
-    result.sol = sol
-    extra_notes: tuple[str, ...] = ()
-    if mode == "team":
-        extra_notes = (
-            "team mode: certificates refer to the reduced two-player game",
-            "nash and team comparisons share the scenario dt",
-        )
-    if not sol.complete:
-        result.exit_code = EXIT_BLOWUP
-        result.messages.append(
-            f"backward solve ended with status {sol.status.value} at t={_fmt(sol.failure_time)}"
-        )
-        _write_text(
-            out / "conditions.txt",
-            format_conditions(mode, active_game, grid, validation, sol, None, extra_notes),
-        )
-        if level in ("solve", "simulate"):
-            write_solution_csv(out / "solution.csv", sol)
-        _write_text(out / "summary.txt", _summary_text(result, None))
-        return result
-
-    x0 = scenario.x0
-    radius = scenario.capture_radius
-    conditions = analysis.verify_solution(
-        active_game,
-        sol,
-        scenario.run.bound_q,
-        x0_norm=float(np.linalg.norm(x0)),
-        r=radius,
-    )
-    result.conditions = conditions
+    else:
+        result.team_game = _team_game(scenario, game, mode)
+        if result.team_game is not None:
+            active_game = result.team_game.reduced
+            extra_notes = (
+                "team mode: certificates refer to the reduced two-player game",
+                "nash and team comparisons share the scenario dt",
+            )
+        result.sol = solve_coupled(active_game, grid)
+        if not result.sol.complete:
+            result.exit_code = EXIT_BLOWUP
+            result.messages.append(
+                f"backward solve ended with status {result.sol.status.value} "
+                f"at t={_fmt(result.sol.failure_time)}"
+            )
+        else:
+            result.conditions = analysis.verify_solution(
+                active_game,
+                result.sol,
+                scenario.run.bound_q,
+                x0_norm=float(np.linalg.norm(scenario.x0)),
+                r=scenario.capture_radius,
+            )
     _write_text(
         out / "conditions.txt",
-        format_conditions(mode, active_game, grid, validation, sol, conditions, extra_notes),
+        format_conditions(
+            mode, active_game, grid, validation, result.sol, result.conditions, extra_notes
+        ),
     )
-    if level in ("solve", "simulate"):
-        write_solution_csv(out / "solution.csv", sol)
-
-    team_cost = None
-    if level == "simulate":
-        player_gains = _player_gains(game, result.team_game, sol)
+    if result.sol is not None and level in ("solve", "simulate"):
+        write_solution_csv(out / "solution.csv", result.sol)
+    if result.conditions is not None and level == "simulate":
+        player_gains = _player_gains(game, result.team_game, result.sol)
         try:
-            traj = simulate(game, player_gains, x0)
+            result.traj = simulate(game, player_gains, scenario.x0)
         except DivergenceError as exc:
             result.exit_code = EXIT_DIVERGENCE
             result.messages.append(str(exc))
-            _write_text(out / "summary.txt", _summary_text(result, None))
-            return result
-        result.traj = traj
-        if mode == "team":
-            alpha = result.team_game.weights.alpha
-            team_cost = float(sum(a * traj.costs[i + 1] for i, a in enumerate(alpha)))
+    traj = result.traj
+    if traj is not None:
         write_trajectory_csv(out / "trajectory.csv", traj)
         if game.n % 2 == 0:
-            preport = pursuit_report(traj, radius)
-            result.pursuit = preport
-            write_distances_csv(out / "distances.csv", traj, preport)
+            result.pursuit = pursuit_report(traj, scenario.capture_radius)
+            write_distances_csv(out / "distances.csv", traj, result.pursuit)
         else:
             result.messages.append("odd state dimension: no distance reporting")
         if scenario.pursuit is not None:
             write_positions_csv(out / "positions.csv", traj, scenario.pursuit)
         try:
-            result.lyapunov = lyapunov_check(traj, sol, conditions)
+            result.lyapunov = lyapunov_check(traj, result.sol, result.conditions)
         except NotApplicableError as exc:
             result.messages.append(str(exc))
-    _write_text(out / "summary.txt", _summary_text(result, team_cost))
+    _write_text(out / "summary.txt", _summary_text(result))
     return result
 
 

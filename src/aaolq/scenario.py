@@ -13,9 +13,14 @@ Schema version 1. Top level keys:
   existence screen and envelope bound, ``capture_radius`` for explicit
   games, and the output directory ``out_dir``.
 
-Parsing errors carry the path of the offending field. Emission uses
-``repr`` floats (17 significant digits), so parse(emit(s)) reproduces
-every matrix bitwise.
+Every check on a scenario lives in the :class:`RunConfig` and
+:class:`Scenario` constructors, so a parsed file, a CLI override and a
+scenario built in Python are checked alike: R_i > 0 and t0 <= tf of the
+game, the size of the initial state and of ``bound_q``, and team weights
+that are a convex combination over the M - 1 regulators. The parser only
+converts JSON types and rejects unknown fields at every level. Errors
+carry the path of the offending field. Emission uses ``repr`` floats
+(17 significant digits), so parse(emit(s)) reproduces every matrix bitwise.
 """
 from __future__ import annotations
 
@@ -48,10 +53,16 @@ class RunConfig(ValueEquality):
     def __post_init__(self):
         if self.mode not in MODES:
             raise ScenarioError(f"run.mode: expected one of {MODES}, got {self.mode!r}")
-        if not self.dt > 0:
-            raise ScenarioError("run.dt: dt must be positive")
+        if not 0.0 < self.dt < math.inf:
+            raise ScenarioError("run.dt: dt must be positive and finite")
         if not self.capture_radius > 0:
             raise ScenarioError("run.capture_radius: must be positive")
+        if self.alphas is not None:
+            try:
+                alphas = TeamWeights(self.alphas).alpha
+            except ValidationError as exc:
+                raise ScenarioError(f"run.alphas: {exc}") from exc
+            object.__setattr__(self, "alphas", alphas)
         if self.bound_q is not None:
             try:
                 bound_q = linalg.as_symmetric(self.bound_q, "run.bound_q")
@@ -62,7 +73,7 @@ class RunConfig(ValueEquality):
 
 @dataclass(frozen=True, eq=False)
 class Scenario(ValueEquality):
-    """Parsed scenario: a game source, an initial state and run settings."""
+    """A game source, an initial state and run settings, checked together on construction."""
 
     pursuit: PursuitParams | None
     explicit: GameDefinition | None
@@ -71,11 +82,21 @@ class Scenario(ValueEquality):
 
     def __post_init__(self):
         if (self.pursuit is None) == (self.explicit is None):
-            raise ScenarioError("exactly one of 'pursuit' or 'explicit' must be given")
+            raise ScenarioError("scenario: exactly one of 'pursuit' or 'explicit' must be given")
         if self.explicit is not None and self.explicit_x0 is None:
             raise ScenarioError("explicit.x0: required for explicit games")
+        source = "pursuit" if self.pursuit is not None else "explicit"
+        try:
+            game = self.build_game()
+        except ValidationError as exc:
+            raise ScenarioError(f"{source}: {exc}") from exc
+        n, regulators = game.n, game.num_players - 1
+        if self.x0.size != n:
+            raise ScenarioError(f"{source}.x0: expected {n} entries, got {self.x0.size}")
+        alphas = self.run.alphas
+        if alphas is not None and len(alphas) != regulators:
+            raise ScenarioError(f"run.alphas: expected {regulators} weights, got {len(alphas)}")
         bound_q = self.run.bound_q
-        n = 2 * self.pursuit.num_pursuers if self.pursuit is not None else self.explicit.n
         if bound_q is not None and bound_q.shape[0] != n:
             k = bound_q.shape[0]
             raise ScenarioError(f"run.bound_q: expected {n} x {n}, got {k} x {k}")
@@ -102,6 +123,19 @@ class Scenario(ValueEquality):
         if self.pursuit is not None:
             return self.pursuit.capture_radius
         return self.run.capture_radius
+
+
+def _known(obj, keys: tuple[str, ...], path: str) -> dict:
+    """``obj`` itself, once it is an object with no key outside ``keys``."""
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"{path}: expected an object")
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ScenarioError(f"{path}.{unknown[0]}: unknown field")
+    return obj
+
+
+_WEIGHTS = ("terminal_weight", "state_weight", "control_weight")
 
 
 def _require(obj: dict, key: str, path: str):
@@ -153,42 +187,34 @@ def _matrix_list(value, path: str) -> list[np.ndarray]:
 
 
 def _parse_pursuit(obj, path: str) -> PursuitParams:
-    if not isinstance(obj, dict):
-        raise ScenarioError(f"{path}: expected an object")
+    _known(
+        obj,
+        ("num_pursuers", "evader", "pursuers", "t0", "tf", "capture_radius", "x0", "evader_start"),
+        path,
+    )
     num = _integer(_require(obj, "num_pursuers", path), f"{path}.num_pursuers")
-    evader = _require(obj, "evader", path)
-    if not isinstance(evader, dict):
-        raise ScenarioError(f"{path}.evader: expected an object")
+
+    def weights(entry, epath) -> list[float]:
+        _known(entry, _WEIGHTS, epath)
+        return [_number(_require(entry, key, epath), f"{epath}.{key}") for key in _WEIGHTS]
+
+    evader = weights(_require(obj, "evader", path), f"{path}.evader")
     pursuers = _require(obj, "pursuers", path)
     if not isinstance(pursuers, list):
         raise ScenarioError(f"{path}.pursuers: expected an array of objects")
     if len(pursuers) != num:
         raise ScenarioError(f"{path}.pursuers: expected {num} entries, got {len(pursuers)}")
-
-    def weight(entry, epath, key):
-        if not isinstance(entry, dict):
-            raise ScenarioError(f"{epath}: expected an object")
-        return _number(_require(entry, key, epath), f"{epath}.{key}")
-
+    rows = [weights(p, f"{path}.pursuers[{i}]") for i, p in enumerate(pursuers)]
     kwargs = dict(
         num_pursuers=num,
-        evader_terminal_weight=weight(evader, f"{path}.evader", "terminal_weight"),
-        evader_state_weight=weight(evader, f"{path}.evader", "state_weight"),
-        evader_control_weight=weight(evader, f"{path}.evader", "control_weight"),
-        pursuer_terminal_weights=tuple(
-            weight(p, f"{path}.pursuers[{i}]", "terminal_weight") for i, p in enumerate(pursuers)
-        ),
-        pursuer_state_weights=tuple(
-            weight(p, f"{path}.pursuers[{i}]", "state_weight") for i, p in enumerate(pursuers)
-        ),
-        pursuer_control_weights=tuple(
-            weight(p, f"{path}.pursuers[{i}]", "control_weight") for i, p in enumerate(pursuers)
-        ),
         t0=_number(obj.get("t0", 0.0), f"{path}.t0"),
         tf=_number(_require(obj, "tf", path), f"{path}.tf"),
         capture_radius=_number(obj.get("capture_radius", 0.1), f"{path}.capture_radius"),
         x0=_vector(_require(obj, "x0", path), f"{path}.x0"),
     )
+    for k, key in enumerate(_WEIGHTS):
+        kwargs[f"evader_{key}"] = evader[k]
+        kwargs[f"pursuer_{key}s"] = tuple(row[k] for row in rows)
     if "evader_start" in obj:
         kwargs["evader_start"] = _vector(obj["evader_start"], f"{path}.evader_start")
     try:
@@ -198,8 +224,7 @@ def _parse_pursuit(obj, path: str) -> PursuitParams:
 
 
 def _parse_explicit(obj, path: str) -> tuple[GameDefinition, np.ndarray]:
-    if not isinstance(obj, dict):
-        raise ScenarioError(f"{path}: expected an object")
+    _known(obj, ("A", "B", "Q", "R", "S_f", "t0", "tf", "x0"), path)
     a = _matrix(_require(obj, "A", path), f"{path}.A")
     bs = _matrix_list(_require(obj, "B", path), f"{path}.B")
     qs = _matrix_list(_require(obj, "Q", path), f"{path}.Q")
@@ -212,28 +237,13 @@ def _parse_explicit(obj, path: str) -> tuple[GameDefinition, np.ndarray]:
         game = GameDefinition(A=a, B=tuple(bs), Q=tuple(qs), R=tuple(rs), S_f=tuple(sfs), t0=t0, tf=tf)
     except ValidationError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
-    if x0.size != game.n:
-        raise ScenarioError(f"{path}.x0: expected {game.n} entries, got {x0.size}")
     return game, x0
 
 
-def _parse_run(obj, path: str, regulators: int) -> RunConfig:
-    if obj is None:
-        obj = {}
-    if not isinstance(obj, dict):
-        raise ScenarioError(f"{path}: expected an object")
+def _parse_run(obj, path: str) -> RunConfig:
+    keys = ("mode", "alphas", "dt", "bound_q", "capture_radius", "out_dir")
+    obj = _known({} if obj is None else obj, keys, path)
     alphas = obj.get("alphas")
-    parsed_alphas = None
-    if alphas is not None:
-        parsed_alphas = _vector(alphas, f"{path}.alphas")
-        try:
-            TeamWeights(parsed_alphas)
-        except ValidationError as exc:
-            raise ScenarioError(f"{path}.alphas: {exc}") from exc
-        if len(parsed_alphas) != regulators:
-            raise ScenarioError(
-                f"{path}.alphas: expected {regulators} weights, got {len(parsed_alphas)}"
-            )
     dt = _number(obj.get("dt", 1e-3), f"{path}.dt")
     bound_q = None
     if obj.get("bound_q") is not None:
@@ -244,7 +254,7 @@ def _parse_run(obj, path: str, regulators: int) -> RunConfig:
         raise ScenarioError(f"{path}.out_dir: expected a non-empty string")
     return RunConfig(
         mode=obj.get("mode", "nash"),
-        alphas=parsed_alphas,
+        alphas=None if alphas is None else _vector(alphas, f"{path}.alphas"),
         dt=dt,
         bound_q=bound_q,
         capture_radius=radius,
@@ -258,30 +268,18 @@ def parse_scenario(text: str) -> Scenario:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ScenarioError("scenario: expected a JSON object at top level")
+    _known(doc, ("schema_version", "pursuit", "explicit", "run"), "scenario")
     version = _require(doc, "schema_version", "scenario")
     if version != SCHEMA_VERSION:
         raise ScenarioError(
             f"scenario.schema_version: expected {SCHEMA_VERSION}, got {version!r}"
         )
-    has_pursuit = "pursuit" in doc and doc["pursuit"] is not None
-    has_explicit = "explicit" in doc and doc["explicit"] is not None
-    if has_pursuit == has_explicit:
-        raise ScenarioError("scenario: exactly one of 'pursuit' or 'explicit' must be given")
-    unknown = set(doc) - {"schema_version", "pursuit", "explicit", "run"}
-    if unknown:
-        raise ScenarioError(f"scenario.{sorted(unknown)[0]}: unknown field")
-    pursuit = None
-    explicit = None
-    x0 = None
-    if has_pursuit:
+    pursuit = explicit = x0 = None
+    if doc.get("pursuit") is not None:
         pursuit = _parse_pursuit(doc["pursuit"], "pursuit")
-        regulators = pursuit.num_pursuers
-    else:
+    if doc.get("explicit") is not None:
         explicit, x0 = _parse_explicit(doc["explicit"], "explicit")
-        regulators = explicit.num_players - 1
-    run = _parse_run(doc.get("run"), "run", regulators)
+    run = _parse_run(doc.get("run"), "run")
     return Scenario(pursuit=pursuit, explicit=explicit, explicit_x0=x0, run=run)
 
 

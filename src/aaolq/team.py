@@ -30,9 +30,9 @@ class TeamWeights:
         alpha = tuple(float(a) for a in self.alpha)
         if not alpha:
             raise ValidationError("at least one team weight is required")
-        if any(a <= 0.0 for a in alpha):
+        if not all(a > 0.0 for a in alpha):
             raise ValidationError("team weights must be strictly positive")
-        if abs(sum(alpha) - 1.0) > 1e-12:
+        if not abs(sum(alpha) - 1.0) <= 1e-12:
             raise ValidationError(f"team weights must sum to 1, got {sum(alpha)!r}")
         object.__setattr__(self, "alpha", alpha)
 

@@ -134,6 +134,21 @@ class TestTimeGrid:
         with pytest.raises(ValidationError):
             TimeGrid.from_step(0.0, 1.0, -0.1)
 
+    @pytest.mark.parametrize(
+        "t0, tf, message",
+        [
+            (0.0, math.inf, "grid endpoints must be finite"),
+            (0.0, math.nan, "grid endpoints must be finite"),
+            (-math.inf, 1.0, "grid endpoints must be finite"),
+            (0.0, -1.0, r"need tf >= t0, got t0=0.0, tf=-1.0"),
+        ],
+    )
+    def test_from_step_endpoints_checked_by_the_grid(self, t0, tf, message):
+        # Non-finite endpoints raise the grid's own error, not an
+        # OverflowError or ValueError from rounding the step count.
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            TimeGrid.from_step(t0, tf, 1e-3)
+
 
 class TestRhs:
     def test_single_player_scalar(self):

@@ -185,6 +185,172 @@ class TestParseScenario:
             parse_scenario("mode: nash")
 
 
+def _replace_run(scenario: Scenario, **changes) -> Scenario:
+    return dataclasses.replace(scenario, run=dataclasses.replace(scenario.run, **changes))
+
+
+def _replace_pursuit(scenario: Scenario, **changes) -> Scenario:
+    return dataclasses.replace(scenario, pursuit=dataclasses.replace(scenario.pursuit, **changes))
+
+
+def _set(path: tuple, value):
+    """Doc mutation that sets the entry at ``path`` (keys and indices)."""
+
+    def mutate(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+
+    return mutate
+
+
+def _add_pursuit(doc):
+    doc["pursuit"] = json.loads((SCENARIO_DIR / "pursuit_coarse.json").read_text())["pursuit"]
+
+
+#: (base file, doc mutation, Python construction from the parsed base,
+#: message): the file and the Python construction must fail alike.
+MALFORMED = {
+    "alphas_not_convex": (
+        "pursuit_coarse.json",
+        _set(("run", "alphas"), [0.2, 0.2, 0.2]),
+        lambda sc: _replace_run(sc, alphas=(0.2, 0.2, 0.2)),
+        f"run.alphas: team weights must sum to 1, got {0.2 + 0.2 + 0.2!r}",
+    ),
+    "alphas_not_positive": (
+        "pursuit_coarse.json",
+        _set(("run", "alphas"), [1.5, -0.5, 0.0]),
+        lambda sc: _replace_run(sc, alphas=(1.5, -0.5, 0.0)),
+        "run.alphas: team weights must be strictly positive",
+    ),
+    "alphas_count_pursuit": (
+        "pursuit_coarse.json",
+        _set(("run", "alphas"), [0.5, 0.5]),
+        lambda sc: _replace_run(sc, alphas=(0.5, 0.5)),
+        "run.alphas: expected 3 weights, got 2",
+    ),
+    "alphas_count_explicit": (
+        "explicit_small.json",
+        _set(("run", "alphas"), [0.5, 0.5]),
+        lambda sc: _replace_run(sc, alphas=(0.5, 0.5)),
+        "run.alphas: expected 1 weights, got 2",
+    ),
+    "pursuit_tf_before_t0": (
+        "pursuit_coarse.json",
+        _set(("pursuit", "tf"), -1.0),
+        lambda sc: sc.with_tf(-1.0),
+        "pursuit: need finite t0 <= tf, got t0=0.0, tf=-1.0",
+    ),
+    "pursuer_control_weight_zero": (
+        "pursuit_coarse.json",
+        _set(("pursuit", "pursuers", 1, "control_weight"), 0.0),
+        lambda sc: _replace_pursuit(sc, pursuer_control_weights=(150.0, 0.0, 150.0)),
+        "pursuit: R[3] must be positive definite",
+    ),
+    "evader_control_weight_negative": (
+        "pursuit_benchmark.json",
+        _set(("pursuit", "evader", "control_weight"), -1.0),
+        lambda sc: _replace_pursuit(sc, evader_control_weight=-1.0),
+        "pursuit: R[1] must be positive definite",
+    ),
+    "explicit_x0_size": (
+        "explicit_small.json",
+        _set(("explicit", "x0"), [1.0, 1.0, 1.0]),
+        lambda sc: dataclasses.replace(sc, explicit_x0=np.ones(3)),
+        "explicit.x0: expected 2 entries, got 3",
+    ),
+    "bound_q_size": (
+        "explicit_small.json",
+        _set(("run", "bound_q"), [[1.0]]),
+        lambda sc: _replace_run(sc, bound_q=np.eye(1)),
+        "run.bound_q: expected 2 x 2, got 1 x 1",
+    ),
+    "dt_zero": (
+        "explicit_small.json",
+        _set(("run", "dt"), 0.0),
+        lambda sc: _replace_run(sc, dt=0.0),
+        "run.dt: dt must be positive and finite",
+    ),
+    "mode_unknown": (
+        "pursuit_benchmark.json",
+        _set(("run", "mode"), "minimax"),
+        lambda sc: _replace_run(sc, mode="minimax"),
+        "run.mode: expected one of ('nash', 'team'), got 'minimax'",
+    ),
+    "run_capture_radius_zero": (
+        "explicit_small.json",
+        _set(("run", "capture_radius"), 0.0),
+        lambda sc: _replace_run(sc, capture_radius=0.0),
+        "run.capture_radius: must be positive",
+    ),
+    "two_game_sources": (
+        "explicit_small.json",
+        _add_pursuit,
+        lambda sc: dataclasses.replace(sc, pursuit=PursuitParams()),
+        "scenario: exactly one of 'pursuit' or 'explicit' must be given",
+    ),
+}
+
+
+class TestScenarioChecks:
+    """Every check runs wherever a scenario is built: file, override or Python."""
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_file_and_python_fail_alike(self, name):
+        base, mutate, build, message = MALFORMED[name]
+        doc = json.loads((SCENARIO_DIR / base).read_text())
+        mutate(doc)
+        with pytest.raises(ScenarioError) as from_file:
+            parse_scenario(json.dumps(doc))
+        with pytest.raises(ScenarioError) as from_python:
+            build(load_scenario(SCENARIO_DIR / base))
+        assert str(from_file.value) == str(from_python.value) == message
+
+    def test_run_config_checks_team_weights(self):
+        with pytest.raises(ScenarioError, match=r"^run\.alphas: team weights must sum to 1"):
+            RunConfig(alphas=(0.2, 0.2))
+        with pytest.raises(ScenarioError, match=r"^run\.alphas: team weights must be strictly"):
+            RunConfig(alphas=(float("nan"), 0.5, 0.5))
+        assert RunConfig(alphas=[0.25, 0.75]).alphas == (0.25, 0.75)
+
+    def test_run_config_rejects_infinite_dt(self):
+        with pytest.raises(ScenarioError, match=r"^run\.dt: dt must be positive and finite$"):
+            RunConfig(dt=float("inf"))
+
+    @pytest.mark.parametrize(
+        "base, path, where",
+        [
+            ("pursuit_coarse.json", ("run", "dT"), "run.dT"),
+            ("pursuit_coarse.json", ("pursuit", "captur_radius"), "pursuit.captur_radius"),
+            (
+                "pursuit_coarse.json",
+                ("pursuit", "evader", "stateweight"),
+                "pursuit.evader.stateweight",
+            ),
+            (
+                "pursuit_coarse.json",
+                ("pursuit", "pursuers", 2, "weight"),
+                "pursuit.pursuers[2].weight",
+            ),
+            ("explicit_small.json", ("explicit", "S"), "explicit.S"),
+            ("explicit_small.json", ("scenario_version",), "scenario.scenario_version"),
+        ],
+    )
+    def test_unknown_field_rejected_at_every_level(self, base, path, where):
+        doc = json.loads((SCENARIO_DIR / base).read_text())
+        _set(path, 0.01)(doc)
+        with pytest.raises(ScenarioError, match=rf"^{re.escape(where)}: unknown field$"):
+            parse_scenario(json.dumps(doc))
+
+    def test_null_sections_read_as_absent(self):
+        doc = json.loads((SCENARIO_DIR / "explicit_small.json").read_text())
+        doc["pursuit"] = None
+        doc["run"] = None
+        scenario = parse_scenario(json.dumps(doc))
+        assert scenario.pursuit is None and scenario.run == RunConfig()
+
+
 class TestReadmeExamples:
     def test_readme_scenario_blocks_parse(self):
         text = README.read_text()
@@ -827,6 +993,58 @@ class TestCli:
         )
         assert code == runner.EXIT_VALIDATION
         assert "run.dt: dt must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "scenario, extra, message",
+        [
+            (
+                "pursuit_coarse.json",
+                ["--mode", "nash", "--alphas", "0.2,0.2"],
+                "scenario error: run.alphas: team weights must sum to 1, got 0.4",
+            ),
+            (
+                "pursuit_coarse.json",
+                ["--mode", "team", "--alphas", "0.5,0.5"],
+                "scenario error: run.alphas: expected 3 weights, got 2",
+            ),
+            (
+                "pursuit_coarse.json",
+                ["--tf", "-1"],
+                "scenario error: pursuit: need finite t0 <= tf, got t0=0.0, tf=-1.0",
+            ),
+            (
+                "explicit_small.json",
+                ["--tf", "-1"],
+                "validation error: need finite t0 <= tf, got t0=0.0, tf=-1.0",
+            ),
+        ],
+    )
+    def test_bad_override_exit_two_before_any_directory(
+        self, tmp_path, capsys, scenario, extra, message
+    ):
+        code = cli_main(
+            ["simulate", "--scenario", str(SCENARIO_DIR / scenario), "--out", str(tmp_path / "o")]
+            + extra
+        )
+        assert code == runner.EXIT_VALIDATION
+        assert capsys.readouterr().err == message + "\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_non_finite_sweep_horizon_exit_two(self, tmp_path, capsys):
+        code = cli_main(
+            [
+                "sweep",
+                "--scenario",
+                str(SCENARIO_DIR / "pursuit_coarse.json"),
+                "--tf-list",
+                "1,inf",
+                "--out",
+                str(tmp_path / "o"),
+            ]
+        )
+        assert code == runner.EXIT_VALIDATION
+        assert capsys.readouterr().err == "validation error: grid endpoints must be finite\n"
         assert not (tmp_path / "o").exists()
 
     def test_mode_override(self, tmp_path):

@@ -1,6 +1,8 @@
 """Team reduction contract: folding regulators into one player and back."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,15 @@ class TestTeamWeights:
             TeamWeights(alpha=(0.5, 0.5, 0.0))
         with pytest.raises(ValidationError):
             TeamWeights(alpha=(0.4, 0.4))
+
+    @pytest.mark.parametrize(
+        "alpha", [(math.nan, 0.5, 0.5), (math.nan,), (math.inf, 0.5), (1.0, math.inf, -math.inf)]
+    )
+    def test_non_finite_weights_rejected(self, alpha):
+        # Comparisons with NaN are false, so the checks must be written to
+        # fail on it; a command line override can carry nan and inf.
+        with pytest.raises(ValidationError):
+            TeamWeights(alpha=alpha)
 
 
 class TestBuildTeamGame:
