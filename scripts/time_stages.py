@@ -7,8 +7,9 @@ gain synthesis plus ``simulate``, ``lyapunov_check``, the other CSV writers
 and the rest of ``run()`` (validation, conditions.txt, summary.txt, the
 pursuit report). Then it runs ``run_sweep`` over the paper's horizons
 tf = 2, 4, ..., 14 in nash and in team mode, as many times, and times
-every backward solve and the simulations of each sweep. Solve lines give
-microseconds per RK4 substep from the solve's ``SolveStats``.
+every backward solve, and the gain synthesis plus the one forward pass
+that every horizon of a solve shares. Solve lines give microseconds per
+RK4 substep from the solve's ``SolveStats``.
 
 Stages are timed by replacing, for the duration of the script, the module
 attributes that ``run()`` and ``run_sweep()`` look up at call time with
@@ -117,10 +118,17 @@ def time_run(scenario, repeats: int, work: Path) -> list[str]:
 
 def time_sweep(scenario, repeats: int, work: Path) -> list[str]:
     lines = []
-    stages = {"solve": STAGES["solve"], "simulate": ((runner, "simulate"),)}
+    stages = {
+        "solve": STAGES["solve"],
+        "forward": (
+            (runner, "gains"),
+            (runner, "team_gains_to_players"),
+            (runner, "_propagate"),
+        ),
+    }
     for mode in ("nash", "team"):
         solve_s = defaultdict(list)
-        sim_s = []
+        forward_s = []
         sols = {}
         for i in range(repeats):
             log = []
@@ -129,11 +137,11 @@ def time_sweep(scenario, repeats: int, work: Path) -> list[str]:
             for j, (_, seconds, sol) in enumerate(e for e in log if e[0] == "solve"):
                 solve_s[j].append(seconds)
                 sols[j] = sol
-            sim_s.append(sum(s for name, s, _ in log if name == "simulate"))
+            forward_s.append(sum(s for name, s, _ in log if name == "forward"))
         lines.append(f"run_sweep, mode {mode}, tf {','.join(f'{t:g}' for t in TF_LIST)}")
         for j, sol in sols.items():
             lines.append(_line(f"solve tf={sol.grid.tf:g}", solve_s[j], sol))
-        lines.append(_line(f"{len(TF_LIST)} simulations", sim_s))
+        lines.append(_line("gains + forward", forward_s))
     return lines
 
 

@@ -117,7 +117,12 @@ class TimeGrid:
             return cls(t0, tf, 0)
         if not dt > 0:
             raise ValidationError("dt must be positive")
-        steps = max(2, round(span / float(dt)))
+        count = span / float(dt)
+        if not math.isfinite(count):
+            raise ValidationError(
+                f"dt={float(dt)!r} is too small for the span {span!r}: span / dt is not finite"
+            )
+        steps = max(2, round(count))
         if steps % 2:
             steps += 1
         return cls(t0, tf, steps)

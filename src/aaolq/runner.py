@@ -23,7 +23,7 @@ from .errors import DivergenceError, NotApplicableError
 from .game import GameDefinition, ValidationReport, ValueEquality, absolute_starts, validate
 from .riccati import FeedbackGain, RiccatiSolution, SolveStatus, TimeGrid, gains, solve_coupled
 from .scenario import Scenario
-from .sim import PursuitReport, Trajectory, pursuit_report, simulate
+from .sim import PursuitReport, Trajectory, _propagate, _pursuit_report, pursuit_report, simulate
 from .team import TeamGame, TeamWeights, build_team_game, team_gains_to_players
 
 EXIT_OK = 0
@@ -420,39 +420,48 @@ def _sweep_group(scenario: Scenario, mode: str, tfs: list[float]) -> dict:
     """Cells of one (mode, dt) group, all read off one solve of its longest horizon.
 
     Every cell plays the group's long game and team reduction: the gains
-    and the forward pass read only the grid, never the game's horizon. A
-    separate function so the long solution is released on return: a sweep
-    holds one at a time.
+    and the forward pass read only the grid, never the game's horizon. The
+    gains are synthesized once and one forward pass advances every cell from
+    its own start node. A separate function so the long solution is
+    released on return: a sweep holds one at a time.
     """
     long_game = scenario.with_tf(max(tfs)).build_game()
     long_team = _team_game(scenario, long_game, mode)
     long_grid = TimeGrid.from_step(long_game.t0, long_game.tf, scenario.run.dt)
     long_sol = solve_coupled(long_game if long_team is None else long_team.reduced, long_grid)
+    grids = {tf: TimeGrid.from_step(long_game.t0, tf, scenario.run.dt) for tf in tfs}
     cells = {}
-    for tf in tfs:
-        grid = TimeGrid.from_step(long_game.t0, tf, scenario.run.dt)
-        tail = long_sol.S[:, long_grid.steps - grid.steps :]
+    starts = {}
+    for tf, grid in grids.items():
+        start = long_grid.steps - grid.steps
         # Nodes a failed solve never reached stay NaN; a fresh solve of this
         # horizon fails at the same node once its slice starts at one.
-        if not np.isfinite(tail[:, 0]).all():
+        if np.isfinite(long_sol.S[:, start]).all():
+            starts[tf] = start
+        else:
             cells[tf] = SweepCell(mode=mode, tf=tf, distances=None, captured=None, status="blow_up")
-            continue
-        sol = RiccatiSolution(
-            grid=grid,
-            S=tail,
-            status=SolveStatus.COMPLETE,
-            failure_time=None,
-            failure_reason=None,
-            max_symmetry_residual=long_sol.max_symmetry_residual,
-            stats=long_sol.stats,
-        )
-        player_gains = _player_gains(long_game, long_team, sol)
-        try:
-            traj = simulate(long_game, player_gains, scenario.x0)
-        except DivergenceError:
+    if not starts:
+        return cells
+    # The longest finite cell: its slice is finite throughout and holds
+    # every other finite cell's slice as its tail.
+    first_tf = min(starts, key=starts.get)
+    first = starts[first_tf]
+    sol = RiccatiSolution(
+        grid=grids[first_tf],
+        S=long_sol.S[:, first:],
+        status=SolveStatus.COMPLETE,
+        failure_time=None,
+        failure_reason=None,
+        max_symmetry_residual=long_sol.max_symmetry_residual,
+        stats=long_sol.stats,
+    )
+    player_gains = _player_gains(long_game, long_team, sol)
+    states = _propagate(long_game, player_gains, scenario.x0, [s - first for s in starts.values()])
+    for tf, x in zip(starts, states):
+        if isinstance(x, DivergenceError):
             cells[tf] = SweepCell(mode=mode, tf=tf, distances=None, captured=None, status="diverged")
             continue
-        report = pursuit_report(traj, scenario.capture_radius)
+        report = _pursuit_report(x, grids[tf], scenario.capture_radius)
         cells[tf] = SweepCell(
             mode=mode,
             tf=tf,
@@ -470,10 +479,13 @@ def run_sweep(scenario: Scenario, tf_list, modes=None, out_dir=None) -> SweepRes
     time-to-go only and one long solve holds every shorter horizon. Cells
     are grouped by mode and by the step of their grid
     ``TimeGrid.from_step(t0, tf, dt)``, compared exactly; each group solves
-    its longest horizon once and every cell simulates on the tail slice of
-    that solve, which equals a fresh solve of the cell's horizon bitwise.
-    Every cell is attempted; blow-ups and divergences are recorded in the
-    cell status and the sweep continues.
+    its longest horizon once, and every cell reads the tail slice of that
+    solve, which equals a fresh solve of the cell's horizon bitwise. The
+    group synthesizes its gains once and runs one forward pass, which
+    advances every cell from its start node through the same closed-loop
+    maps; each cell's final distances and capture flag equal its own
+    ``run()`` bitwise. Every cell is attempted; blow-ups and divergences
+    are recorded in the cell status and the sweep continues.
     """
     modes = tuple(modes) if modes else (scenario.run.mode,)
     for m in modes:

@@ -16,8 +16,9 @@ Schema version 1. Top level keys:
 Every check on a scenario lives in the :class:`RunConfig` and
 :class:`Scenario` constructors, so a parsed file, a CLI override and a
 scenario built in Python are checked alike: R_i > 0 and t0 <= tf of the
-game, the size of the initial state and of ``bound_q``, and team weights
-that are a convex combination over the M - 1 regulators. The parser only
+game, a step ``dt`` that gives the horizon a finite grid, the size of the
+initial state and of ``bound_q``, and team weights that are a convex
+combination over the M - 1 regulators. The parser only
 converts JSON types and rejects unknown fields at every level. Errors
 carry the path of the offending field. Emission uses ``repr`` floats
 (17 significant digits), so parse(emit(s)) reproduces every matrix bitwise.
@@ -35,6 +36,7 @@ import numpy as np
 from . import linalg
 from .errors import ScenarioError, ValidationError
 from .game import GameDefinition, PursuitParams, ValueEquality, build_pursuit_example
+from .riccati import TimeGrid
 from .team import TeamWeights
 
 SCHEMA_VERSION = 1
@@ -90,6 +92,10 @@ class Scenario(ValueEquality):
             game = self.build_game()
         except ValidationError as exc:
             raise ScenarioError(f"{source}: {exc}") from exc
+        try:
+            TimeGrid.from_step(game.t0, game.tf, self.run.dt)
+        except ValidationError as exc:
+            raise ScenarioError(f"run.dt: {exc}") from exc
         n, regulators = game.n, game.num_players - 1
         if self.x0.size != n:
             raise ScenarioError(f"{source}.x0: expected {n} entries, got {self.x0.size}")
@@ -105,7 +111,11 @@ class Scenario(ValueEquality):
         """The same scenario with its horizon ending at ``tf``."""
         if self.pursuit is not None:
             return dataclasses.replace(self, pursuit=dataclasses.replace(self.pursuit, tf=tf))
-        return dataclasses.replace(self, explicit=dataclasses.replace(self.explicit, tf=tf))
+        try:
+            explicit = dataclasses.replace(self.explicit, tf=tf)
+        except ValidationError as exc:
+            raise ScenarioError(f"explicit: {exc}") from exc
+        return dataclasses.replace(self, explicit=explicit)
 
     def build_game(self) -> GameDefinition:
         if self.pursuit is not None:

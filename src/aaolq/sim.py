@@ -10,7 +10,10 @@ backward solver uses; smooth games take exactly one substep per interval.
 On a linear ODE one RK4 substep is a matrix polynomial in its three stage
 matrices, so the n x n transition maps of a chunk of substeps are built in
 one stacked pass and then applied to the state in order, one
-matrix-vector product each. Costs accumulate by composite Simpson
+matrix-vector product each. The same maps carry any number of start
+nodes at once: a sweep starts each horizon at its own node of the
+longest horizon's grid, and each start's states equal a run from that
+node alone bitwise. Costs accumulate by composite Simpson
 quadrature over the simulation grid plus the terminal term, which is why
 grids built through :meth:`TimeGrid.from_step` always carry an even step
 count. The decay certificate along a trajectory lives in
@@ -18,6 +21,7 @@ count. The decay certificate along a trajectory lives in
 """
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,46 +59,19 @@ def _simpson_weights(steps: int, dt: float) -> np.ndarray:
     return w * (dt / 3.0)
 
 
-def simulate(game: GameDefinition, gains: list[FeedbackGain], x0) -> Trajectory:
-    """Integrate the closed loop forward and accumulate per-player costs.
+def _transition_maps(game: GameDefinition, gains: list[FeedbackGain], first: int):
+    """RK4 transition maps of every substep from node ``first`` to the grid's end.
 
-    The simulation runs on the grid every gain shares, the backward solve's
-    own, and reads each ``K`` at its nodes; gains on different grids, or a
-    ``K`` without one matrix per node, raise :class:`ValidationError`. Each
-    interval takes the number of equal RK4 substeps its stability guard
-    asks for; the substeps' transition maps are formed ``_CHUNK`` at a time
-    and applied in order. A Euclidean state norm above ``DIVERGENCE_NORM``
-    after any substep aborts with :class:`DivergenceError` at the end time
-    of that substep's interval; running past capture is normal and
-    expected, play continues to tf. A gain that is not finite at some node
-    raises :class:`ValidationError` naming the player and the first such
-    grid time.
+    Yields ``(k, phi, last)`` once per chunk of ``_CHUNK`` substeps, in
+    order: ``phi[i]`` maps the state over one substep of the interval that
+    starts at node ``k[i]`` of the gains' grid, and ``last[i]`` marks the
+    substep that closes it.
     """
-    if len(gains) != game.num_players:
-        raise ValidationError(f"expected {game.num_players} gains, got {len(gains)}")
     grid = gains[0].grid
-    steps = grid.steps
-    times = grid.times()
-    for i, g in enumerate(gains):
-        if g.grid != grid:
-            raise ValidationError(f"player {i + 1}: gain grid {g.grid} differs from {grid}")
-        if len(g.K) != steps + 1:
-            raise ValidationError(
-                f"player {i + 1}: gain holds {len(g.K)} nodes, its grid has {steps + 1}"
-            )
-        if not np.isfinite(g.K).all():
-            first = np.flatnonzero(~np.isfinite(g.K).reshape(len(g.K), -1).all(axis=1))[0]
-            t_bad = float(times[first])
-            raise ValidationError(f"player {i + 1}: gain is not finite at t={t_bad!r}")
-    if steps % 2:
-        raise ValidationError("simulation needs an even step count for Simpson quadrature")
-    x0v = linalg.as_vector(x0, "x0")
-    if x0v.size != game.n:
-        raise ValidationError(f"x0: expected {game.n} entries, got {x0v.size}")
     a = np.array(game.A)
-    acl_nodes = np.broadcast_to(a, (steps + 1,) + a.shape).copy()
+    acl_nodes = np.broadcast_to(a, (grid.steps + 1 - first,) + a.shape).copy()
     for b, g in zip(game.B, gains):
-        acl_nodes -= np.matmul(b, g.K)
+        acl_nodes -= np.matmul(b, g.K[first:])
     acl_norms = np.sqrt(np.einsum("kij,kij->k", acl_nodes, acl_nodes))
     dt = grid.dt
     # The closed-loop matrix is linear on each interval, so the larger
@@ -104,9 +81,7 @@ def simulate(game: GameDefinition, gains: list[FeedbackGain], x0) -> Trajectory:
     n_sub = np.clip(np.ceil(dt * local / STABILITY_TARGET), 1, MAX_SUBSTEPS).astype(np.int64)
     ends = np.cumsum(n_sub)
     eye = np.eye(game.n)
-    x = np.empty((steps + 1, game.n))
-    x[0] = xk = x0v
-    total = int(ends[-1]) if steps else 0
+    total = int(ends[-1]) if len(ends) else 0
     for s0 in range(0, total, _CHUNK):
         sub = np.arange(s0, min(s0 + _CHUNK, total))
         k = np.searchsorted(ends, sub, side="right")  # interval of each substep
@@ -123,17 +98,109 @@ def simulate(game: GameDefinition, gains: list[FeedbackGain], x0) -> Trajectory:
         k3 = a_mid @ (eye + (0.5 * h) * k2)
         k4 = a_hi @ (eye + h * k3)
         phi = eye + (h / 6.0) * (a_lo + 2.0 * k2 + 2.0 * k3 + k4)
-        xs = np.empty((sub.size, game.n))
-        for i, p in enumerate(phi):
-            xk = xs[i] = p @ xk
-        norms = np.linalg.norm(xs, axis=1)
-        bad = np.flatnonzero(~(norms <= DIVERGENCE_NORM))
-        if bad.size:
-            raise DivergenceError(float(times[k[bad[0]] + 1]), float(norms[bad[0]]))
-        last = sub == ends[k] - 1  # substeps that close an interval
-        x[k[last] + 1] = xs[last]
+        yield k + first, phi, sub == ends[k] - 1
+
+
+def _propagate(
+    game: GameDefinition, gains: list[FeedbackGain], x0, starts
+) -> list[np.ndarray | DivergenceError]:
+    """Closed-loop states from ``x0`` at each start node to the grid's end.
+
+    Entry i holds the states on nodes ``starts[i]`` .. steps of the gains'
+    grid, or the :class:`DivergenceError` of the first substep whose state
+    norm passed ``DIVERGENCE_NORM``, at the end time (on the gains' grid) of
+    that substep's interval; a diverged start stops counting (its state is
+    zeroed), the others go on. One set of transition maps, built from the
+    earliest start onward, serves every start. Each substep advances every
+    running start in one stacked product of matrix-vector products, one
+    per start, so each start's states equal a run from its node alone
+    bitwise. The inputs are checked as :func:`simulate` documents.
+    """
+    if len(gains) != game.num_players:
+        raise ValidationError(f"expected {game.num_players} gains, got {len(gains)}")
+    grid = gains[0].grid
+    times = grid.times()
+    for i, g in enumerate(gains):
+        if g.grid != grid:
+            raise ValidationError(f"player {i + 1}: gain grid {g.grid} differs from {grid}")
+        if len(g.K) != grid.steps + 1:
+            raise ValidationError(
+                f"player {i + 1}: gain holds {len(g.K)} nodes, its grid has {grid.steps + 1}"
+            )
+        if not np.isfinite(g.K).all():
+            first = np.flatnonzero(~np.isfinite(g.K).reshape(len(g.K), -1).all(axis=1))[0]
+            t_bad = float(times[first])
+            raise ValidationError(f"player {i + 1}: gain is not finite at t={t_bad!r}")
+    if grid.steps % 2:
+        raise ValidationError("simulation needs an even step count for Simpson quadrature")
+    x0v = linalg.as_vector(x0, "x0")
+    if x0v.size != game.n:
+        raise ValidationError(f"x0: expected {game.n} entries, got {x0v.size}")
+    out: list[np.ndarray | DivergenceError] = []
+    for s in starts:
+        path = np.empty((grid.steps - s + 1, game.n))
+        path[0] = x0v
+        out.append(path)
+    # Starts enter in node order, so the running ones are a prefix of ``state``.
+    order = sorted(range(len(starts)), key=starts.__getitem__)
+    nodes = [starts[i] for i in order]
+    state = np.empty((len(nodes), game.n, 1))
+    state[:] = x0v[:, None]
+    for k, phi, last in _transition_maps(game, gains, nodes[0]):
+        lo = np.searchsorted(k, nodes).tolist()  # each start's first substep here
+        cuts = sorted({0} | {c for c in lo if c < len(k)})
+        xs = np.empty((len(k),) + state.shape)
+        prev, running = state, 0
+        for b, e in zip(cuts, cuts[1:] + [len(k)]):
+            entering = bisect.bisect_right(lo, b)
+            if b:
+                xs[b - 1, running:entering] = x0v[:, None]
+            running = entering
+            xk = prev[:running]
+            # A stacked matrix-vector product per start rounds exactly as
+            # ``p @ x`` alone; one matrix-matrix product would not.
+            for p, dst in zip(phi[b:e], xs[b:e, :running]):
+                xk = np.matmul(p, xk, out=dst)
+            prev = xs[e - 1]
+        state[:running] = prev[:running]
+        for i in range(running):
+            if isinstance(out[order[i]], DivergenceError):
+                continue
+            x = xs[lo[i] :, i, :, 0]
+            norms = np.linalg.norm(x, axis=1)
+            bad = np.flatnonzero(~(norms <= DIVERGENCE_NORM))
+            if bad.size:
+                t_bad = float(times[k[lo[i] + bad[0]] + 1])
+                out[order[i]] = DivergenceError(t_bad, float(norms[bad[0]]))
+                state[i] = 0.0
+                continue
+            closes = last[lo[i] :]
+            out[order[i]][k[lo[i] :][closes] + 1 - nodes[i]] = x[closes]
+    return out
+
+
+def simulate(game: GameDefinition, gains: list[FeedbackGain], x0) -> Trajectory:
+    """Integrate the closed loop forward and accumulate per-player costs.
+
+    The simulation runs on the grid every gain shares, the backward solve's
+    own, and reads each ``K`` at its nodes; gains on different grids, or a
+    ``K`` without one matrix per node, raise :class:`ValidationError`. Each
+    interval takes the number of equal RK4 substeps its stability guard
+    asks for; the substeps' transition maps are formed ``_CHUNK`` at a time
+    and applied in order. A Euclidean state norm above ``DIVERGENCE_NORM``
+    after any substep aborts with :class:`DivergenceError` at the end time
+    of that substep's interval; running past capture is normal and
+    expected, play continues to tf. A gain that is not finite at some node
+    raises :class:`ValidationError` naming the player and the first such
+    grid time.
+    """
+    (x,) = _propagate(game, gains, x0, (0,))
+    if isinstance(x, DivergenceError):
+        raise x
+    grid = gains[0].grid
+    steps = grid.steps
     u = tuple(-np.einsum("kmn,kn->km", g.K, x) for g in gains)
-    weights = _simpson_weights(steps, dt)
+    weights = _simpson_weights(steps, grid.dt)
     costs = np.empty(game.num_players)
     for i in range(game.num_players):
         state_term = np.einsum("kn,nm,km->k", x, game.Q[i], x)
@@ -177,20 +244,24 @@ class PursuitReport(ValueEquality):
 
 def pursuit_report(traj: Trajectory, capture_radius: float) -> PursuitReport:
     """Distances and capture outcome under the planar block convention."""
+    return _pursuit_report(traj.x, traj.grid, capture_radius)
+
+
+def _pursuit_report(x: np.ndarray, grid: TimeGrid, capture_radius: float) -> PursuitReport:
+    """:func:`pursuit_report` of the states ``x`` on the nodes of ``grid``."""
     if not capture_radius > 0:
         raise ValidationError("capture_radius must be positive")
-    n = traj.x.shape[1]
+    n = x.shape[1]
     if n % 2:
         raise ValidationError("pursuit reporting needs an even state dimension")
     k = n // 2
-    blocks = traj.x.reshape(traj.x.shape[0], k, 2)
+    blocks = x.reshape(x.shape[0], k, 2)
     distances = np.sqrt(np.einsum("tkc,tkc->tk", blocks, blocks))
     mins = distances.min(axis=1)
     hits = np.nonzero(mins <= capture_radius)[0]
-    times = traj.grid.times()
     if hits.size:
         first = int(hits[0])
-        capture_time = float(times[first])
+        capture_time = float(grid.times()[first])
         captured_by = int(np.argmin(distances[first]))
     else:
         capture_time = None

@@ -149,6 +149,12 @@ class TestTimeGrid:
         with pytest.raises(ValidationError, match=f"^{message}$"):
             TimeGrid.from_step(t0, tf, 1e-3)
 
+    def test_from_step_rejects_a_step_too_small_for_the_span(self):
+        # span / dt overflows: a ValidationError, not an OverflowError from
+        # rounding an infinite step count.
+        with pytest.raises(ValidationError, match="span / dt is not finite$"):
+            TimeGrid.from_step(0.0, 1.5, 1e-320)
+
 
 class TestRhs:
     def test_single_player_scalar(self):

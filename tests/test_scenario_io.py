@@ -65,6 +65,23 @@ DIVERGENT_GAME = {
     "run": {"mode": "nash", "dt": 0.001, "out_dir": "out/divergent"},
 }
 
+DIVERGENT_PLANAR_GAME = {
+    # DIVERGENT_GAME with a second, undriven state: one distance block, so
+    # it sweeps. The tf = 0.2 closed loop stays under the divergence
+    # threshold; the tf = 2 one crosses it.
+    "schema_version": 1,
+    "explicit": {
+        "A": [[5.0, 0.0], [0.0, 5.0]],
+        "B": [[[1.0], [0.0]], [[1.0], [0.0]]],
+        "Q": [[[-1.0, 0.0], [0.0, -1.0]], [[1.0, 0.0], [0.0, 1.0]]],
+        "R": [[[1e12]], [[1e12]]],
+        "S_f": [[[-1.0, 0.0], [0.0, -1.0]], [[2.0, 0.0], [0.0, 2.0]]],
+        "tf": 2.0,
+        "x0": [1e11, 0.0],
+    },
+    "run": {"mode": "nash", "dt": 0.001, "out_dir": "out/divergent_planar"},
+}
+
 
 def _with_mode_and_tf(scenario: Scenario, mode: str, tf: float) -> Scenario:
     scenario = dataclasses.replace(scenario, run=dataclasses.replace(scenario.run, mode=mode))
@@ -242,6 +259,12 @@ MALFORMED = {
         lambda sc: sc.with_tf(-1.0),
         "pursuit: need finite t0 <= tf, got t0=0.0, tf=-1.0",
     ),
+    "explicit_tf_before_t0": (
+        "explicit_small.json",
+        _set(("explicit", "tf"), -1.0),
+        lambda sc: sc.with_tf(-1.0),
+        "explicit: need finite t0 <= tf, got t0=0.0, tf=-1.0",
+    ),
     "pursuer_control_weight_zero": (
         "pursuit_coarse.json",
         _set(("pursuit", "pursuers", 1, "control_weight"), 0.0),
@@ -271,6 +294,12 @@ MALFORMED = {
         _set(("run", "dt"), 0.0),
         lambda sc: _replace_run(sc, dt=0.0),
         "run.dt: dt must be positive and finite",
+    ),
+    "dt_too_small_for_the_horizon": (
+        "explicit_small.json",
+        _set(("run", "dt"), 1e-320),
+        lambda sc: _replace_run(sc, dt=1e-320),
+        "run.dt: dt=1e-320 is too small for the span 1.5: span / dt is not finite",
     ),
     "mode_unknown": (
         "pursuit_benchmark.json",
@@ -851,6 +880,53 @@ class TestRunSweep:
         )
         assert run(scenario, out_dir=tmp_path / "long").exit_code == 3
 
+    def test_diverged_cell_beside_a_finished_one(self, tmp_path):
+        # One forward pass carries both cells; the tf = 2 start crosses the
+        # divergence threshold and drops out, the tf = 0.2 start runs on.
+        scenario = parse_scenario(json.dumps(DIVERGENT_PLANAR_GAME))
+        result = run_sweep(scenario, [0.2, 2.0], out_dir=tmp_path / "sweep")
+        short, long = result.cell("nash", 0.2), result.cell("nash", 2.0)
+        assert short.status == "ok"
+        assert short.distances.tolist() == [271828182844.32077]
+        assert long.status == "diverged" and long.distances is None
+        lines = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+        assert lines[1:] == ["nash,0.2,271828182844.32077,false", "nash,2.0,nan,diverged"]
+        fresh = run(_with_mode_and_tf(scenario, "nash", 0.2), out_dir=tmp_path / "short")
+        assert fresh.exit_code == 0
+        assert short.distances.tobytes() == fresh.pursuit.final_distances.tobytes()
+        assert short.captured == fresh.pursuit.captured
+        assert run(scenario, out_dir=tmp_path / "long").exit_code == runner.EXIT_DIVERGENCE
+
+    def test_cells_entering_across_map_chunks(self, tmp_path):
+        # 2,000 intervals in one group: the shared pass builds its maps over
+        # several 512-substep chunks, and the shorter cells enter part-way
+        # through one. Each cell must still equal a fresh run bitwise.
+        scenario = load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
+        scenario = dataclasses.replace(scenario, run=dataclasses.replace(scenario.run, dt=2e-3))
+        tf_list = [1.0, 3.0, 4.0]
+        result = run_sweep(scenario, tf_list, modes=("nash",), out_dir=tmp_path / "sweep")
+        for tf in tf_list:
+            cell = result.cell("nash", tf)
+            fresh = run(_with_mode_and_tf(scenario, "nash", tf), tmp_path / f"{tf}", level="simulate")
+            assert cell.status == "ok" and fresh.exit_code == 0
+            assert cell.distances.tobytes() == fresh.pursuit.final_distances.tobytes()
+            assert cell.captured == fresh.pursuit.captured
+
+    def test_gains_synthesized_once_per_group(self, tmp_path, monkeypatch):
+        # tf = 1.01 rounds to 102 steps: its own dt, its own group.
+        scenario = load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
+        calls = []
+        real_gains = runner.gains
+
+        def counting_gains(game, sol):
+            calls.append(sol.grid.steps)
+            return real_gains(game, sol)
+
+        monkeypatch.setattr(runner, "gains", counting_gains)
+        result = run_sweep(scenario, [1.0, 2.0, 3.0, 1.01], modes=("nash", "team"), out_dir=tmp_path)
+        assert calls == [300, 102, 300, 102]
+        assert all(c.status == "ok" for c in result.cells)
+
     def test_team_reduction_built_once_per_group(self, tmp_path, monkeypatch):
         scenario = load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
         scenario = dataclasses.replace(scenario, run=dataclasses.replace(scenario.run, dt=0.01))
@@ -995,6 +1071,27 @@ class TestCli:
         assert "run.dt: dt must be positive" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_step_too_small_for_the_horizon_exit_two(self, tmp_path, capsys):
+        # span / dt overflows to inf: no grid can be built, so the scenario
+        # itself is rejected before any directory exists.
+        code = cli_main(
+            [
+                "check",
+                "--scenario",
+                str(SCENARIO_DIR / "explicit_small.json"),
+                "--dt",
+                "1e-320",
+                "--out",
+                str(tmp_path / "o"),
+            ]
+        )
+        assert code == runner.EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "scenario error: run.dt: dt=1e-320 is too small for the span 1.5: "
+            "span / dt is not finite\n"
+        )
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "scenario, extra, message",
         [
@@ -1016,7 +1113,7 @@ class TestCli:
             (
                 "explicit_small.json",
                 ["--tf", "-1"],
-                "validation error: need finite t0 <= tf, got t0=0.0, tf=-1.0",
+                "scenario error: explicit: need finite t0 <= tf, got t0=0.0, tf=-1.0",
             ),
         ],
     )

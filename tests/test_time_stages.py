@@ -38,4 +38,7 @@ def test_one_repeat_prints_every_stage_and_writes_nothing(tmp_path):
     assert len(per_substep) == 3
     assert all(int(n.replace(",", "")) > 0 and float(us) > 0.0 for n, us in per_substep)
     assert len(re.findall(r"^  solve tf=14 ", out, re.M)) == 2
+    # Each sweep's gains and its one forward pass shared by every horizon.
+    forward = re.findall(r"^  gains \+ forward +(\d+\.\d{4}) s  \[", out, re.M)
+    assert len(forward) == 2 and all(float(s) > 0.0 for s in forward)
     assert list(tmp_path.iterdir()) == []
