@@ -6,14 +6,19 @@ times each stage: the backward solve, ``verify_solution``, solution.csv,
 gain synthesis plus ``simulate``, ``lyapunov_check``, the other CSV writers
 and the rest of ``run()`` (validation, conditions.txt, summary.txt, the
 pursuit report). Then it runs ``run_sweep`` over the paper's horizons
-tf = 2, 4, ..., 14 in nash and in team mode, as many times, and times
-every backward solve, and the gain synthesis plus the one forward pass
-that every horizon of a solve shares. Solve lines give microseconds per
-RK4 substep from the solve's ``SolveStats``.
+tf = 2, 4, ..., 14 in nash and team mode together, as the benchmark's
+``sweep_table`` workload does, as many times. It times the one lockstep
+backward solve of each step group, and the gain synthesis plus the
+forward passes of both modes. The run's solve line gives microseconds per
+RK4 substep from the solve's ``SolveStats``; a lockstep solve line gives
+every game's substeps, the lockstep iterations of the loop (one RK4
+substep of every game still marching) and microseconds per iteration.
 
 Stages are timed by replacing, for the duration of the script, the module
 attributes that ``run()`` and ``run_sweep()`` look up at call time with
-timing wrappers, so the pipeline itself runs unchanged. Artifacts go to a
+timing wrappers, so the pipeline itself runs unchanged; lockstep
+iterations are counted by a wrapper around ``riccati._Stages.step``,
+which adds one Python call per iteration. Artifacts go to a
 temporary directory that is removed on exit; no timing reaches an
 artifact. Pin the BLAS thread count for comparable numbers:
 
@@ -28,12 +33,14 @@ import statistics
 import tempfile
 import time
 from collections import defaultdict
+from dataclasses import dataclass
 from pathlib import Path
 
-from aaolq import analysis, load_scenario, run, run_sweep, runner
+from aaolq import analysis, load_scenario, riccati, run, run_sweep, runner
 
 ROOT = Path(__file__).resolve().parent.parent
 TF_LIST = [2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0]
+MODES = ("nash", "team")
 
 #: Stage name -> the (module, attribute) pairs ``run()`` calls for it.
 STAGES = {
@@ -116,32 +123,74 @@ def time_run(scenario, repeats: int, work: Path) -> list[str]:
     return lines
 
 
+@dataclass
+class LockstepSolve:
+    """What one ``runner.solve_lockstep`` call did: its horizon, each game's
+    RK4 substeps and the lockstep iterations, counted as ``_Stages.step``
+    calls."""
+
+    tf: float = 0.0
+    substeps: tuple[int, ...] = ()
+    iterations: int = 0
+
+
+@contextlib.contextmanager
+def recorded_solves():
+    """Record every lockstep solve in the body as one ``LockstepSolve``.
+
+    The record is taken before the sweep releases the solutions.
+    """
+    records = []
+    step, solve = riccati._Stages.step, runner.solve_lockstep
+
+    def counting_step(self, *args):
+        records[-1].iterations += 1
+        return step(self, *args)
+
+    def recording_solve(games, grid):
+        records.append(LockstepSolve(tf=grid.tf))
+        sols = solve(games, grid)
+        records[-1].substeps = tuple(sol.stats.substeps for sol in sols)
+        return sols
+
+    riccati._Stages.step, runner.solve_lockstep = counting_step, recording_solve
+    try:
+        yield records
+    finally:
+        riccati._Stages.step, runner.solve_lockstep = step, solve
+
+
 def time_sweep(scenario, repeats: int, work: Path) -> list[str]:
-    lines = []
     stages = {
-        "solve": STAGES["solve"],
+        "solve": ((runner, "solve_lockstep"),),
         "forward": (
             (runner, "gains"),
             (runner, "team_gains_to_players"),
             (runner, "_propagate"),
         ),
     }
-    for mode in ("nash", "team"):
-        solve_s = defaultdict(list)
-        forward_s = []
-        sols = {}
-        for i in range(repeats):
-            log = []
-            with timed(stages, log):
-                run_sweep(scenario, TF_LIST, modes=(mode,), out_dir=work / f"sweep_{mode}{i}")
-            for j, (_, seconds, sol) in enumerate(e for e in log if e[0] == "solve"):
-                solve_s[j].append(seconds)
-                sols[j] = sol
-            forward_s.append(sum(s for name, s, _ in log if name == "forward"))
-        lines.append(f"run_sweep, mode {mode}, tf {','.join(f'{t:g}' for t in TF_LIST)}")
-        for j, sol in sols.items():
-            lines.append(_line(f"solve tf={sol.grid.tf:g}", solve_s[j], sol))
-        lines.append(_line("gains + forward", forward_s))
+    solve_s = defaultdict(list)
+    forward_s = []
+    total_s = []
+    for i in range(repeats):
+        log = []
+        with recorded_solves() as solves, timed(stages, log):
+            start = time.perf_counter()
+            run_sweep(scenario, TF_LIST, modes=MODES, out_dir=work / f"sweep{i}")
+            total_s.append(time.perf_counter() - start)
+        for j, (_, seconds, _) in enumerate(e for e in log if e[0] == "solve"):
+            solve_s[j].append(seconds)
+        forward_s.append(sum(s for name, s, _ in log if name == "forward"))
+    lines = [f"run_sweep, modes {','.join(MODES)}, tf {','.join(f'{t:g}' for t in TF_LIST)}"]
+    for j, solve in enumerate(solves):
+        games = " + ".join(f"{mode} {n:,}" for mode, n in zip(MODES, solve.substeps))
+        per = 1e6 * statistics.median(solve_s[j]) / max(solve.iterations, 1)
+        lines.append(
+            f"{_line(f'lockstep tf={solve.tf:g}', solve_s[j])}  {games} substeps"
+            f" in {solve.iterations:,} iterations  {per:6.1f} us/iteration"
+        )
+    lines.append(_line("gains + forward", forward_s))
+    lines.append(_line("total", total_s))
     return lines
 
 

@@ -5,8 +5,8 @@ Subcommands:
 * ``check``    validate a scenario, solve backward, write conditions.txt
 * ``solve``    check plus solution.csv
 * ``simulate`` full pipeline: trajectory, distances, summary
-* ``sweep``    simulate every horizon in --tf-list off one backward solve
-               per mode and step, write sweep.csv
+* ``sweep``    simulate every horizon in --tf-list off one lockstep
+               backward solve of every mode per step, write sweep.csv
 
 Exit codes: 0 success, 2 validation or scenario failure, 3 backward solve
 blow-up, 4 closed-loop divergence.

@@ -38,6 +38,16 @@ below a fixed target, with the rate read off the current iterate. No
 error estimator or step rejection is involved, so runs remain bit-for-bit
 reproducible and the stored history still lives on the requested uniform
 grid, lined up with the forward simulation at no cost.
+
+``solve_lockstep`` solves several games that share the grid and the state
+dimension in one loop: every stack carries a game axis, games with fewer
+players are padded with zero players that stay exactly zero, and each
+output interval runs lockstep substeps until every game has covered it,
+each game with its own substep. A game that has covered the interval
+keeps its iterate. Every game's result is bitwise equal to its own solve,
+and ``solve_coupled`` is the batch of one. A sweep solves its nash and team
+games this way, paying numpy's per-call overhead once per substep for
+both.
 """
 from __future__ import annotations
 
@@ -183,68 +193,78 @@ class RiccatiSolution(game_mod.ValueEquality):
 _RK4_WEIGHTS = np.array([1.0, 2.0, 2.0, 1.0])
 
 
-def _squared_norms(s: np.ndarray) -> list[float]:
-    """Squared-trace norm of every matrix in the stack ``s``."""
-    flat = s.reshape(len(s), -1)
-    return np.vecdot(flat, flat).tolist()
-
-
 class _Stages:
-    """The right-hand side of one game, on buffers allocated once.
+    """The right-hand side of a batch of games, on buffers allocated once.
 
-    ``couple(s)`` forms H_i S_i and, in one product with a constant weight
-    matrix, T_i = G - A - H_i S_i / 2 for every player and G itself;
-    ``rate(s)`` couples s and reads the step-size rate off those products.
-    ``stage(s, out)`` then writes -(Y_i + Y_i' + Q_i) = N_i + N_i' - Q_i
-    with N_i = S_i T_i. The coupling buffer holds rows of n*n entries in
-    the order T_1..T_M, G, H_1 S_1..H_M S_M, A, so the weights read the
+    Every stack is player-major: entry i * G + g of a (M G, n, n) stack
+    is player i of game g, where G counts the games and M is the largest
+    player count. A game with fewer players is padded with zero players
+    (H = 0, Q = 0, S_f = 0), whose S stays exactly zero; their weights are
+    -0.0, so they add -0.0 to every sum of the coupling product and change
+    no bit, not even the sign of a zero. ``couple(s)`` forms H_i S_i and, in
+    one product with each game's constant weight matrix, T_i = G - A -
+    H_i S_i / 2 for every player and G itself; ``coupling_norms(s)``
+    couples s and reads the norms of G and of every H_i S_i that size each
+    game's substep off those products. ``stage(s, out)``
+    then writes -(Y_i + Y_i' + Q_i) = N_i + N_i' - Q_i with N_i = S_i T_i.
+    The coupling buffer holds rows of n*n entries in the order T_1..T_M,
+    G, H_1 S_1..H_M S_M, A, each row once per game, so the weights read the
     last M + 1 rows, write the first M + 1, and the rate's norms read G and
-    every H_i S_i as one contiguous block.
+    every H_i S_i as one block.
     """
 
-    def __init__(self, game: game_mod.GameDefinition):
-        m, n = game.num_players, game.n
-        a = np.array(game.A)
-        self.a_norm = float(np.sqrt((a * a).sum()))
-        self.h_stack = game_mod.coupling_stack(game)
-        self.q_stack = np.stack(game.Q)
-        z = np.empty((2 * m + 2, n * n))
-        z[-1] = a.reshape(-1)
-        # Row i < M: 1 for the other players, 1/2 for player i, -1 for A.
-        # Row M: 1 for every player, 0 for A.
-        self.weights = np.ones((m + 1, m + 1))
-        self.weights[np.arange(m), np.arange(m)] = 0.5
-        self.weights[:m, m] = -1.0
-        self.weights[m, m] = 0.0
-        self.hs_and_a = z[m + 1 :]
-        self.t_and_g = z[: m + 1]
-        self.norm_rows = z[m : 2 * m + 1]
-        self.hs = z[m + 1 : 2 * m + 1].reshape(m, n, n)
-        self.t = z[:m].reshape(m, n, n)
-        self.n_buf = np.empty((m, n, n))
+    def __init__(self, games: list[game_mod.GameDefinition]):
+        count = len(games)
+        m = max(game.num_players for game in games)
+        n = games[0].n
+        self.shape = (m * count, n, n)
+        h_stack = np.zeros((m, count, n, n))
+        q_stack = np.zeros((m, count, n, n))
+        self.weights = np.full((count, m + 1, m + 1), -0.0)
+        z = np.empty((2 * m + 2, count, n * n))
+        for g, game in enumerate(games):
+            mg = game.num_players
+            z[-1, g] = np.reshape(game.A, -1)
+            h_stack[:mg, g] = game_mod.coupling_stack(game)
+            q_stack[:mg, g] = game.Q
+            # Row i < M: 1 for the other players, 1/2 for player i, -1 for A.
+            # Row M: 1 for every player, 0 for A.
+            w = self.weights[g]
+            w[:mg, :mg] = 1.0
+            w[np.arange(mg), np.arange(mg)] = 0.5
+            w[:mg, m] = -1.0
+            w[m, :mg] = 1.0
+            w[m, m] = 0.0
+        self.h_stack = h_stack.reshape(self.shape)
+        self.q_stack = q_stack.reshape(self.shape)
+        self.hs_and_a = z[m + 1 :].swapaxes(0, 1)
+        self.t_and_g = z[: m + 1].swapaxes(0, 1)
+        self.norm_rows = z[m : 2 * m + 1].swapaxes(0, 1)
+        self.hs = z[m + 1 : 2 * m + 1].reshape(self.shape)
+        self.t = z[:m].reshape(self.shape)
+        self.n_buf = np.empty(self.shape)
         self.n_transposed = self.n_buf.swapaxes(-1, -2)
         # Substep buffers: the four stage slopes, a stage iterate and an
         # increment.
-        self.k = np.empty((4, m, n, n))
-        self.k_flat = self.k.reshape(4, -1)
-        self.s_stage = np.empty((m, n, n))
-        self.inc = np.empty((m, n, n))
+        k = np.empty((4,) + self.shape)
+        self.k_flat = k.reshape(4, -1)
+        self.k_stages = tuple(k)
+        self.s_stage = np.empty(self.shape)
+        self.inc = np.empty(self.shape)
         self.inc_flat = self.inc.reshape(-1)
 
     def couple(self, s: np.ndarray) -> None:
         np.matmul(self.h_stack, s, out=self.hs)
         np.matmul(self.weights, self.hs_and_a, out=self.t_and_g)
 
-    def rate(self, s: np.ndarray) -> float:
-        # Local linearization magnitude of the right-hand side at ``s``:
-        # the Jacobian action on a perturbation D_i is dominated by terms
-        # of the form D A, S H D and D (sum_j H_j S_j), so twice the norms
-        # of the aggregate coupling and the largest own-coupling, plus the
-        # drift part, bound the fastest local eigenvalue well enough for
-        # step-size control. The products stay for the first stage at s.
+    def coupling_norms(self, s: np.ndarray) -> list[list[float]]:
+        """Couple ``s`` and return each game's squared norms of G and H_i S_i.
+
+        Padded players come last with norm 0.0. The products stay for the
+        first stage at ``s``.
+        """
         self.couple(s)
-        g2, *own2 = np.vecdot(self.norm_rows, self.norm_rows).tolist()
-        return 2.0 * (math.sqrt(g2) + math.sqrt(max(own2)) + self.a_norm)
+        return np.vecdot(self.norm_rows, self.norm_rows).tolist()
 
     def stage(self, s: np.ndarray, out: np.ndarray) -> None:
         # N_i = S_i T_i = -Y_i of the module docstring.
@@ -252,21 +272,32 @@ class _Stages:
         np.add(self.n_buf, self.n_transposed, out=out)
         np.subtract(out, self.q_stack, out=out)
 
-    def step(self, cur: np.ndarray, hb: float, out: np.ndarray) -> None:
-        """One RK4 substep of signed length ``hb`` from ``cur`` into ``out``.
+    def step(self, cur: np.ndarray, hb, out: np.ndarray) -> None:
+        """One RK4 substep from ``cur`` into ``out``.
 
-        ``rate(cur)`` must have run; the first stage reuses its products.
+        ``hb`` is the signed substep length: one float for every game, or
+        an array of shape (M G, 1, 1) that holds each game's for each of
+        its players. ``coupling_norms(cur)`` must have run; the first stage
+        reuses its products.
         """
-        k = self.k
-        self.stage(cur, k[0])
-        for j, c in enumerate((0.5 * hb, 0.5 * hb, hb)):
-            np.multiply(k[j], c, out=self.inc)
-            np.add(cur, self.inc, out=self.s_stage)
-            self.couple(self.s_stage)
-            self.stage(self.s_stage, k[j + 1])
+        k1, k2, k3, k4 = self.k_stages
+        inc, s_stage = self.inc, self.s_stage
+        self.stage(cur, k1)
+        np.multiply(k1, 0.5 * hb, out=inc)
+        np.add(cur, inc, out=s_stage)
+        self.couple(s_stage)
+        self.stage(s_stage, k2)
+        np.multiply(k2, 0.5 * hb, out=inc)
+        np.add(cur, inc, out=s_stage)
+        self.couple(s_stage)
+        self.stage(s_stage, k3)
+        np.multiply(k3, hb, out=inc)
+        np.add(cur, inc, out=s_stage)
+        self.couple(s_stage)
+        self.stage(s_stage, k4)
         np.matmul(_RK4_WEIGHTS, self.k_flat, out=self.inc_flat)
-        np.multiply(self.inc, hb / 6.0, out=self.inc)
-        np.add(cur, self.inc, out=out)
+        np.multiply(inc, hb / 6.0, out=inc)
+        np.add(cur, inc, out=out)
 
 
 def riccati_rhs(game: game_mod.GameDefinition, S) -> list[np.ndarray]:
@@ -280,11 +311,17 @@ def riccati_rhs(game: game_mod.GameDefinition, S) -> list[np.ndarray]:
     stack = np.stack([linalg.as_symmetric(si, f"S[{i + 1}]") for i, si in enumerate(S)])
     if stack.shape[1] != game.n:
         raise ValidationError(f"solution matrices must be {game.n} x {game.n}")
-    stages = _Stages(game)
+    stages = _Stages([game])
     out = np.empty_like(stack)
     stages.couple(stack)
     stages.stage(stack, out)
     return list(out)
+
+
+def _asymmetry(s: np.ndarray) -> float:
+    """max |s - s'| over a stack of matrices, with one temporary the size of s."""
+    diff = s - s.swapaxes(-1, -2)
+    return float(np.abs(diff, out=diff).max())
 
 
 def solve_coupled(game: game_mod.GameDefinition, grid: TimeGrid) -> RiccatiSolution:
@@ -298,87 +335,172 @@ def solve_coupled(game: game_mod.GameDefinition, grid: TimeGrid) -> RiccatiSolut
     output time that cannot be reached flips the status to BLOW_UP and
     integration stops. Escape is an answer here, not an accident: it is
     exactly what a violated existence condition looks like numerically.
+    This is :func:`solve_lockstep` on a batch of one.
     """
-    if not math.isclose(grid.t0, game.t0) or not math.isclose(grid.tf, game.tf):
-        raise ValidationError(
-            f"grid [{grid.t0}, {grid.tf}] does not match game horizon [{game.t0}, {game.tf}]"
-        )
-    m = game.num_players
-    n = game.n
+    return solve_lockstep([game], grid)[0]
+
+
+def solve_lockstep(games: list[game_mod.GameDefinition], grid: TimeGrid) -> list[RiccatiSolution]:
+    """:func:`solve_coupled` of every game on one shared ``grid``, in one loop.
+
+    The games must share the state dimension; their player counts may
+    differ. Every output interval runs lockstep RK4 substeps until each
+    game has covered it: each game sizes its substep from its own rate,
+    and a game that has covered the interval keeps its iterate while the
+    others go on. A game that escapes is never read again. Each returned
+    solution is bitwise equal to ``solve_coupled`` of its game alone,
+    status, failure fields and stats included.
+    """
+    if not games:
+        raise ValidationError("a lockstep solve needs at least one game")
+    for game in games:
+        if not math.isclose(grid.t0, game.t0) or not math.isclose(grid.tf, game.tf):
+            raise ValidationError(
+                f"grid [{grid.t0}, {grid.tf}] does not match game horizon [{game.t0}, {game.tf}]"
+            )
+        if game.n != games[0].n:
+            raise ValidationError(
+                f"a lockstep solve needs one state dimension, got {games[0].n} and {game.n}"
+            )
+    count = len(games)
+    players = [game.num_players for game in games]
+    m = max(players)
+    n = games[0].n
     steps = grid.steps
-    stages = _Stages(game)
-    terminal = np.stack(game.S_f)
-    s_hist = np.full((m, steps + 1, n, n), np.nan)
-    s_hist[:, steps] = terminal
-    times = grid.times()
-    cur = terminal.copy()
-    new = np.empty_like(cur)
+    stages = _Stages(games)
+    # Two iterate buffers. Each has a games-by-players view of flat
+    # matrices for the norms and per-game views of the real players.
+    buffers = []
+    for buf in (np.zeros(stages.shape), np.empty(stages.shape)):
+        by_game = buf.reshape(m, count, n, n)
+        views = [by_game[:mg, g] for g, mg in enumerate(players)]
+        buffers.append((buf, by_game.reshape(m, count, n * n).swapaxes(0, 1), views))
+    (cur, cur_f, cur_v), (new, new_f, new_v) = buffers
+    hists = []
+    for g, game in enumerate(games):
+        cur_v[g][...] = game.S_f
+        hist = np.full((players[g], steps + 1, n, n), np.nan)
+        hist[:, steps] = cur_v[g]
+        hists.append(hist)
+    # Node-major views of the histories: by_node[g][k] is game g at node k.
+    by_node = [hist.swapaxes(0, 1) for hist in hists]
+    times = grid.times().tolist()
+    a_norms = [float(np.sqrt((game.A * game.A).sum())) for game in games]
+    hb_players = np.empty((m, count, 1, 1))
+    hb_array = hb_players.reshape(m * count, 1, 1)
     dt = grid.dt
     h_min = dt / float(MAX_SUBSTEPS) if steps else 0.0
-    substeps = 0
-    subdivided = 0
-    smallest = dt
-    peak = max(_squared_norms(terminal))
-    peak_time = grid.tf
-    status = SolveStatus.COMPLETE
-    failure_time = None
-    failure_reason = None
+    substeps = [0] * count
+    subdivided = [0] * count
+    smallest = [dt] * count
+    # Squared-trace norms of every player, game by game; padded players
+    # come last with norm 0.0, which leaves both max() and sum() as they are.
+    peak = [max(norms) for norms in np.vecdot(cur_f, cur_f).tolist()]
+    peak_time = [grid.tf] * count
+    failed: dict[int, tuple[int, str]] = {}  # game -> (interval, reason)
+    live = list(range(count))
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps - 1, -1, -1):
-            remaining = dt
-            taken = 0
-            while remaining > 0.0:
-                local = stages.rate(cur)
-                h = min(remaining, max(STABILITY_TARGET / max(local, 1e-300), h_min))
-                if remaining - h < h_min:
-                    h = remaining  # avoid a vanishing tail substep
-                stages.step(cur, -h, new)
-                # A NaN or inf entry makes its player's norm NaN or inf.
-                # max() can pass over a NaN but the sum cannot, so this
-                # test also catches non-finite arithmetic.
-                norms = _squared_norms(new)
-                top = max(norms)
-                if not top <= BLOWUP_NORM or math.isnan(sum(norms)):
-                    status = SolveStatus.BLOW_UP
-                    failure_time = float(times[k])
-                    failure_reason = (
-                        "solution norm escaped the existence threshold"
-                        if np.isfinite(new).all()
-                        else "non-finite entries during backward integration"
-                    )
+            remaining = [dt] * count
+            taken = [0] * count
+            running = live
+            while running:
+                coupling = stages.coupling_norms(cur)
+                hs = []
+                for g in running:
+                    # Local linearization magnitude of the right-hand side:
+                    # the Jacobian action on a perturbation D_i is dominated
+                    # by terms of the form D A, S H D and D (sum_j H_j S_j),
+                    # so twice the norms of the aggregate coupling and the
+                    # largest own-coupling, plus the drift part, bound the
+                    # fastest local eigenvalue well enough for step-size
+                    # control. A padded player's 0.0 leaves max() as it is.
+                    g2, *own2 = coupling[g]
+                    rate = 2.0 * (math.sqrt(g2) + math.sqrt(max(own2)) + a_norms[g])
+                    rem = remaining[g]
+                    h = min(rem, max(STABILITY_TARGET / max(rate, 1e-300), h_min))
+                    # A vanishing tail substep joins this one.
+                    hs.append(rem if rem - h < h_min else h)
+                # Where no game subdivides, every game takes h = dt. An
+                # escaped game is never read again, so it rides along.
+                stepped = len(running) == len(live)
+                if stepped and hs.count(hs[0]) == len(hs):
+                    hb = -hs[0]
+                else:
+                    hb_players.fill(0.0)
+                    for g, h in zip(running, hs):
+                        hb_players[:, g] = -h
+                    hb = hb_array
+                stages.step(cur, hb, new)
+                norms = np.vecdot(new_f, new_f).tolist()
+                going = []
+                for g, h in zip(running, hs):
+                    # A NaN or inf entry makes its player's norm NaN or
+                    # inf. max() can pass over a NaN but the sum cannot, so
+                    # this test also catches non-finite arithmetic.
+                    gn = norms[g]
+                    top = max(gn)
+                    if not top <= BLOWUP_NORM or math.isnan(sum(gn)):
+                        failed[g] = (
+                            k,
+                            "solution norm escaped the existence threshold"
+                            if np.isfinite(new_v[g]).all()
+                            else "non-finite entries during backward integration",
+                        )
+                        continue
+                    rem = remaining[g] = remaining[g] - h
+                    taken[g] += 1
+                    if h < smallest[g]:
+                        smallest[g] = h
+                    if top > peak[g]:
+                        peak[g] = top
+                        peak_time[g] = times[k] + rem
+                    if rem > 0.0:
+                        going.append(g)
+                if not stepped:
+                    # A game that has covered the interval keeps its
+                    # iterate: copy it back rather than trust a step by 0.
+                    for g in live:
+                        if g not in running:
+                            new_f[g] = cur_f[g]
+                (cur, cur_f, cur_v), (new, new_f, new_v) = (new, new_f, new_v), (cur, cur_f, cur_v)
+                running = going
+            for g in live:
+                substeps[g] += taken[g]
+                subdivided[g] += taken[g] > 1
+                if g not in failed:
+                    by_node[g][k] = cur_v[g]
+            if failed:
+                live = [g for g in live if g not in failed]
+                if not live:
                     break
-                cur, new = new, cur
-                remaining -= h
-                taken += 1
-                smallest = min(smallest, h)
-                if top > peak:
-                    peak = top
-                    peak_time = float(times[k]) + remaining
-            substeps += taken
-            subdivided += taken > 1
-            if failure_time is not None:
-                break
-            s_hist[:, k] = cur
-    # Integrity probe over the stored nodes: every stage is bitwise
-    # symmetric, so this reads 0.0 unless the arithmetic stops preserving it.
-    stored = s_hist[:, 0 if failure_time is None else k + 1 :]
-    max_residual = max(float(np.abs(si - si.swapaxes(-1, -2)).max()) for si in stored)
-    s_hist.flags.writeable = False
-    return RiccatiSolution(
-        grid=grid,
-        S=s_hist,
-        status=status,
-        failure_time=failure_time,
-        failure_reason=failure_reason,
-        max_symmetry_residual=max_residual,
-        stats=SolveStats(
-            substeps=substeps,
-            subdivided_intervals=subdivided,
-            min_substep=smallest,
-            peak_norm=peak,
-            peak_time=peak_time,
-        ),
-    )
+    out = []
+    for g, hist in enumerate(hists):
+        fail = failed.get(g)
+        # Integrity probe over the stored nodes: every stage is bitwise
+        # symmetric, so this reads 0.0 unless the arithmetic stops
+        # preserving it.
+        stored = hist[:, 0 if fail is None else fail[0] + 1 :]
+        max_residual = max(_asymmetry(si) for si in stored)
+        hist.flags.writeable = False
+        out.append(
+            RiccatiSolution(
+                grid=grid,
+                S=hist,
+                status=SolveStatus.COMPLETE if fail is None else SolveStatus.BLOW_UP,
+                failure_time=None if fail is None else times[fail[0]],
+                failure_reason=None if fail is None else fail[1],
+                max_symmetry_residual=max_residual,
+                stats=SolveStats(
+                    substeps=substeps[g],
+                    subdivided_intervals=subdivided[g],
+                    min_substep=smallest[g],
+                    peak_norm=peak[g],
+                    peak_time=peak_time[g],
+                ),
+            )
+        )
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,9 +19,17 @@ import numpy as np
 
 from . import analysis
 from .analysis import LyapunovReport, lyapunov_check
-from .errors import DivergenceError, NotApplicableError
+from .errors import DivergenceError, NotApplicableError, ValidationError
 from .game import GameDefinition, ValidationReport, ValueEquality, absolute_starts, validate
-from .riccati import FeedbackGain, RiccatiSolution, SolveStatus, TimeGrid, gains, solve_coupled
+from .riccati import (
+    FeedbackGain,
+    RiccatiSolution,
+    SolveStatus,
+    TimeGrid,
+    gains,
+    solve_coupled,
+    solve_lockstep,
+)
 from .scenario import Scenario
 from .sim import PursuitReport, Trajectory, _propagate, _pursuit_report, pursuit_report, simulate
 from .team import TeamGame, TeamWeights, build_team_game, team_gains_to_players
@@ -416,87 +424,109 @@ class SweepResult(ValueEquality):
         raise KeyError((mode, tf))
 
 
-def _sweep_group(scenario: Scenario, mode: str, tfs: list[float]) -> dict:
-    """Cells of one (mode, dt) group, all read off one solve of its longest horizon.
+def _sweep_group(scenario: Scenario, modes: tuple[str, ...], tfs: list[float]) -> dict:
+    """Cells of one dt group, every mode's read off one lockstep solve.
 
-    Every cell plays the group's long game and team reduction: the gains
-    and the forward pass read only the grid, never the game's horizon. The
-    gains are synthesized once and one forward pass advances every cell from
-    its own start node. A separate function so the long solution is
-    released on return: a sweep holds one at a time.
+    Each mode plays the group's long game, or its team reduction, and all
+    of them are solved in one lockstep loop over their longest horizon.
+    Every cell reads the tail of its mode's solve: the gains and the
+    forward pass read only the grid, never the game's horizon. Each mode's
+    gains are synthesized once, after which its solution is released, and
+    one forward pass per mode advances every cell from its own start node.
+    Returns the cells keyed by (mode, tf).
     """
     long_game = scenario.with_tf(max(tfs)).build_game()
-    long_team = _team_game(scenario, long_game, mode)
     long_grid = TimeGrid.from_step(long_game.t0, long_game.tf, scenario.run.dt)
-    long_sol = solve_coupled(long_game if long_team is None else long_team.reduced, long_grid)
+    teams = [_team_game(scenario, long_game, mode) for mode in modes]
+    sols = solve_lockstep(
+        [long_game if team is None else team.reduced for team in teams], long_grid
+    )
     grids = {tf: TimeGrid.from_step(long_game.t0, tf, scenario.run.dt) for tf in tfs}
     cells = {}
-    starts = {}
-    for tf, grid in grids.items():
-        start = long_grid.steps - grid.steps
-        # Nodes a failed solve never reached stay NaN; a fresh solve of this
-        # horizon fails at the same node once its slice starts at one.
-        if np.isfinite(long_sol.S[:, start]).all():
-            starts[tf] = start
-        else:
-            cells[tf] = SweepCell(mode=mode, tf=tf, distances=None, captured=None, status="blow_up")
-    if not starts:
-        return cells
-    # The longest finite cell: its slice is finite throughout and holds
-    # every other finite cell's slice as its tail.
-    first_tf = min(starts, key=starts.get)
-    first = starts[first_tf]
-    sol = RiccatiSolution(
-        grid=grids[first_tf],
-        S=long_sol.S[:, first:],
-        status=SolveStatus.COMPLETE,
-        failure_time=None,
-        failure_reason=None,
-        max_symmetry_residual=long_sol.max_symmetry_residual,
-        stats=long_sol.stats,
-    )
-    player_gains = _player_gains(long_game, long_team, sol)
-    states = _propagate(long_game, player_gains, scenario.x0, [s - first for s in starts.values()])
-    for tf, x in zip(starts, states):
-        if isinstance(x, DivergenceError):
-            cells[tf] = SweepCell(mode=mode, tf=tf, distances=None, captured=None, status="diverged")
-            continue
-        report = _pursuit_report(x, grids[tf], scenario.capture_radius)
-        cells[tf] = SweepCell(
-            mode=mode,
-            tf=tf,
-            distances=report.final_distances,
-            captured=report.captured,
-            status="ok",
+    passes = []
+    for i, (mode, team) in enumerate(zip(modes, teams)):
+        long_sol, sols[i] = sols[i], None
+        starts = {}
+        for tf, grid in grids.items():
+            start = long_grid.steps - grid.steps
+            # Nodes a failed solve never reached stay NaN; a fresh solve of
+            # this horizon fails at the same node once its slice starts at one.
+            if np.isfinite(long_sol.S[:, start]).all():
+                starts[tf] = start
+            else:
+                cells[mode, tf] = SweepCell(
+                    mode=mode, tf=tf, distances=None, captured=None, status="blow_up"
+                )
+        if starts:
+            # The longest finite cell: its slice is finite throughout and
+            # holds every other finite cell's slice as its tail.
+            first_tf = min(starts, key=starts.get)
+            first = starts[first_tf]
+            sol = RiccatiSolution(
+                grid=grids[first_tf],
+                S=long_sol.S[:, first:],
+                status=SolveStatus.COMPLETE,
+                failure_time=None,
+                failure_reason=None,
+                max_symmetry_residual=long_sol.max_symmetry_residual,
+                stats=long_sol.stats,
+            )
+            passes.append((mode, starts, first, _player_gains(long_game, team, sol)))
+            sol = None
+        long_sol = None  # the gains hold all the forward pass needs
+    for mode, starts, first, player_gains in passes:
+        states = _propagate(
+            long_game, player_gains, scenario.x0, [s - first for s in starts.values()]
         )
+        for tf, x in zip(starts, states):
+            if isinstance(x, DivergenceError):
+                cells[mode, tf] = SweepCell(
+                    mode=mode, tf=tf, distances=None, captured=None, status="diverged"
+                )
+                continue
+            report = _pursuit_report(x, grids[tf], scenario.capture_radius)
+            cells[mode, tf] = SweepCell(
+                mode=mode,
+                tf=tf,
+                distances=report.final_distances,
+                captured=report.captured,
+                status="ok",
+            )
     return cells
 
 
 def run_sweep(scenario: Scenario, tf_list, modes=None, out_dir=None) -> SweepResult:
     """Solve and simulate every (mode, tf) cell; rectangular results table.
 
-    Every game here is time-invariant, so the Riccati solution depends on
-    time-to-go only and one long solve holds every shorter horizon. Cells
-    are grouped by mode and by the step of their grid
+    The game must pass the all-against-one sign pattern, as in ``run()``;
+    otherwise :class:`ValidationError` is raised before anything is solved
+    or written. Every game here is time-invariant, so the Riccati solution
+    depends on time-to-go only and one long solve holds every shorter
+    horizon. Cells are grouped by the step of their grid
     ``TimeGrid.from_step(t0, tf, dt)``, compared exactly; each group solves
-    its longest horizon once, and every cell reads the tail slice of that
-    solve, which equals a fresh solve of the cell's horizon bitwise. The
-    group synthesizes its gains once and runs one forward pass, which
-    advances every cell from its start node through the same closed-loop
-    maps; each cell's final distances and capture flag equal its own
-    ``run()`` bitwise. Every cell is attempted; blow-ups and divergences
-    are recorded in the cell status and the sweep continues.
+    the longest horizon of every mode once, all modes in one lockstep loop,
+    and every cell reads the tail slice of its mode's solve, which equals a
+    fresh solve of the cell's horizon bitwise. Each mode of a group
+    synthesizes its gains once and runs one forward pass, which advances
+    every cell from its start node through the same closed-loop maps; each
+    cell's final distances and capture flag equal its own ``run()``
+    bitwise. Every cell is attempted; blow-ups and divergences are recorded
+    in the cell status and the sweep continues.
     """
     modes = tuple(modes) if modes else (scenario.run.mode,)
     for m in modes:
         if m not in ("nash", "team"):
             raise ValueError(f"unknown sweep mode {m!r}")
+    if len(set(modes)) < len(modes):
+        raise ValueError(f"sweep modes must be distinct, got {','.join(modes)}")
     tf_tuple = tuple(float(t) for t in tf_list)
     if not tf_tuple:
         raise ValueError("tf_list must not be empty")
     base_game = scenario.build_game()
     if base_game.n % 2:
         raise ValueError("sweeps need an even state dimension for distance reporting")
+    if not validate(base_game).aao_compliant:
+        raise ValidationError("game failed the all-against-one sign pattern; nothing solved")
     k = base_game.n // 2
     groups: dict[float, list[float]] = {}
     for tf in tf_tuple:
@@ -504,12 +534,10 @@ def run_sweep(scenario: Scenario, tf_list, modes=None, out_dir=None) -> SweepRes
     out = Path(out_dir) if out_dir is not None else Path(scenario.run.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    cells: list[SweepCell] = []
-    for mode in modes:
-        by_tf = {}
-        for tfs in groups.values():
-            by_tf.update(_sweep_group(scenario, mode, tfs))
-        cells.extend(by_tf[tf] for tf in tf_tuple)
+    by_cell = {}
+    for tfs in groups.values():
+        by_cell.update(_sweep_group(scenario, modes, tfs))
+    cells = [by_cell[mode, tf] for mode in modes for tf in tf_tuple]
 
     header = ["mode", "tf"] + [f"d{j + 1}" for j in range(k)] + ["captured"]
 

@@ -1,6 +1,7 @@
 """Backward solver contract: RHS algebra, integration, gains, interpolation."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -24,7 +25,7 @@ from aaolq import (
 )
 from aaolq.errors import IncompleteSolutionError, ValidationError
 from aaolq.linalg import sym_extrema_stack
-from aaolq.riccati import MAX_SUBSTEPS
+from aaolq.riccati import MAX_SUBSTEPS, solve_lockstep
 from helpers import (
     ESCAPE_GAME,
     gain_series,
@@ -37,6 +38,7 @@ from helpers import (
 )
 
 COARSE = Path(__file__).resolve().parent.parent / "scenarios" / "pursuit_coarse.json"
+BENCHMARK = COARSE.with_name("pursuit_benchmark.json")
 
 
 def _random_game(rng, m, n, tf=1.0):
@@ -99,6 +101,35 @@ def _oracle_game(name):
     else:  # escape_scalar, the game of test_finite_escape_reported_not_raised
         game = scalar_game(0.0, [1.0, 1.0], [-100.0, 0.0], [1.0, 1e6], [-1.0, 0.0])
     return game, TimeGrid.from_step(game.t0, game.tf, 1e-3)
+
+
+def _nan_game(bad_first):
+    """(game, grid) whose first substep leaves NaN in one player only.
+
+    The "bad" player has no control (H = 0), so it leaves G = 0, and its
+    S = s I meets the antisymmetric A in N + N' = -s (A + A'), which is
+    exactly 0 until s a overflows. A is sized so that this happens only at
+    the last RK4 stage of the first substep, the one stage no later stage
+    reads: only the bad player's new iterate holds NaN, the other player
+    stays exactly zero, and the NaN norm must stop the solve whichever
+    player holds it.
+    """
+    s, q = 1e12, 1e12
+    h = 0.5 / MAX_SUBSTEPS  # the norm of A overflows, so h is the floor
+    big = np.finfo(float).max / (s + 0.75 * h * q)
+    good = (np.array([[1.0], [0.0]]), np.zeros((2, 2)), np.zeros((2, 2)))
+    bad = (np.zeros((2, 1)), q * np.eye(2), s * np.eye(2))
+    players = (bad, good) if bad_first else (good, bad)
+    game = GameDefinition(
+        A=np.array([[0.0, big], [-big, 0.0]]),
+        B=tuple(b for b, _, _ in players),
+        Q=tuple(qi for _, qi, _ in players),
+        R=(np.eye(1),) * 2,
+        S_f=tuple(sf for _, _, sf in players),
+        t0=0.0,
+        tf=1.0,
+    )
+    return game, TimeGrid(0.0, 1.0, 2)
 
 
 def _node_deviation(S, ref) -> float:
@@ -259,29 +290,7 @@ class TestSolveCoupled:
 
     @pytest.mark.parametrize("bad_first", [True, False])
     def test_nan_in_one_player_stops_the_solve(self, bad_first):
-        # The "bad" player has no control (H = 0), so it leaves G = 0, and
-        # its S = s I meets the antisymmetric A in N + N' = -s (A + A'),
-        # which is exactly 0 until s a overflows. A is sized so that this
-        # happens only at the last RK4 stage of the first substep, the one
-        # stage no later stage reads: only the bad player's new iterate
-        # holds NaN, the other player stays exactly zero, and the NaN norm
-        # must stop the solve whichever player holds it.
-        s, q = 1e12, 1e12
-        h = 0.5 / MAX_SUBSTEPS  # the norm of A overflows, so h is the floor
-        big = np.finfo(float).max / (s + 0.75 * h * q)
-        good = (np.array([[1.0], [0.0]]), np.zeros((2, 2)), np.zeros((2, 2)))
-        bad = (np.zeros((2, 1)), q * np.eye(2), s * np.eye(2))
-        players = (bad, good) if bad_first else (good, bad)
-        game = GameDefinition(
-            A=np.array([[0.0, big], [-big, 0.0]]),
-            B=tuple(b for b, _, _ in players),
-            Q=tuple(qi for _, qi, _ in players),
-            R=(np.eye(1),) * 2,
-            S_f=tuple(sf for _, _, sf in players),
-            t0=0.0,
-            tf=1.0,
-        )
-        grid = TimeGrid(0.0, 1.0, 2)
+        game, grid = _nan_game(bad_first)
         with np.errstate(over="ignore"):
             sol = solve_coupled(game, grid)
             _, status, failure_time, _ = reference_solve_coupled(game, grid)
@@ -404,6 +413,65 @@ class TestSolveCoupled:
         scale = 1.0 + float(np.max(np.abs(sol_short.S)))
         diff = np.max(np.abs(sol_short.S - sol_double.S[:, offset:]))
         assert diff / scale <= 1e-8
+
+
+class TestSolveLockstep:
+    """Each game of a lockstep batch gets its own ``solve_coupled`` bitwise."""
+
+    @staticmethod
+    def _solve_both_ways(games, grid):
+        sols = solve_lockstep(games, grid)
+        assert len(sols) == len(games)
+        for game, sol in zip(games, sols):
+            alone = solve_coupled(game, grid)
+            assert sol == alone
+            assert sol.S.tobytes() == alone.S.tobytes()
+        return sols
+
+    @pytest.mark.parametrize("nash_first", [True, False])
+    def test_nash_beside_padded_team_game(self, nash_first):
+        # Team plays the two-player reduction, padded to nash's four players.
+        # Both cross the boundary layer, each with its own substeps.
+        scenario = load_scenario(BENCHMARK).with_tf(2.0)
+        nash = scenario.build_game()
+        team = build_team_game(nash).reduced
+        grid = TimeGrid.from_step(nash.t0, nash.tf, scenario.run.dt)
+        names = ("nash", "team") if nash_first else ("team", "nash")
+        games = {"nash": nash, "team": team}
+        sols = dict(zip(names, self._solve_both_ways([games[n] for n in names], grid)))
+        assert (sols["nash"].num_players, sols["team"].num_players) == (4, 2)
+        assert (sols["nash"].stats.substeps, sols["team"].stats.substeps) == (2_584, 2_094)
+
+    @pytest.mark.parametrize("escape_first", [True, False])
+    def test_escape_beside_bounded_game(self, escape_first):
+        # The bounded game is one player, padded to two, and runs on alone
+        # after the other escapes at t = 0.852.
+        escape, grid = _oracle_game("escape_explicit")
+        bounded = single_player_matrix_game()
+        games = [escape, bounded] if escape_first else [bounded, escape]
+        sols = self._solve_both_ways(games, grid)
+        escaped, finished = sols if escape_first else sols[::-1]
+        assert escaped.status is SolveStatus.BLOW_UP and escaped.failure_time == 0.852
+        assert finished.complete and np.isfinite(finished.S).all()
+
+    @pytest.mark.parametrize("bad_first", [True, False])
+    def test_nan_stays_in_its_own_game(self, bad_first):
+        game, grid = _nan_game(bad_first)
+        with np.errstate(over="ignore"):
+            nan_sol, bounded_sol = self._solve_both_ways([game, single_player_matrix_game()], grid)
+        assert nan_sol.failure_reason == "non-finite entries during backward integration"
+        assert nan_sol.failure_time == 0.5
+        assert bounded_sol.complete and np.isfinite(bounded_sol.S).all()
+
+    def test_games_must_share_the_grid_and_state_dimension(self):
+        game = single_player_matrix_game()
+        grid = TimeGrid.from_step(0.0, 1.0, 1e-2)
+        with pytest.raises(ValidationError, match="at least one game"):
+            solve_lockstep([], grid)
+        with pytest.raises(ValidationError, match="does not match game horizon"):
+            solve_lockstep([game, dataclasses.replace(game, tf=2.0)], grid)
+        with pytest.raises(ValidationError, match="one state dimension"):
+            solve_lockstep([game, scalar_lqr()], grid)
 
 
 class TestGains:

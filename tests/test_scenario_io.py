@@ -832,21 +832,21 @@ class TestRunSweep:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.csv"]
 
     def test_sliced_cells_equal_fresh_solves(self, tmp_path, monkeypatch):
-        # One backward solve per (mode, dt) group; every cell must match a
-        # fresh run of its own horizon bitwise. tf = 1.01 rounds to 102
-        # steps, so its dt differs from 0.01 and it forms its own group.
+        # One lockstep solve of both modes per dt group; every cell must
+        # match a fresh run of its own horizon bitwise. tf = 1.01 rounds to
+        # 102 steps, so its dt differs from 0.01 and it forms its own group.
         scenario = load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
         tf_list = [1.0, 2.0, 3.0, 1.01]
         calls = []
-        real_solve = runner.solve_coupled
+        real_solve = runner.solve_lockstep
 
-        def counting_solve(game, grid, **kwargs):
-            calls.append(grid.steps)
-            return real_solve(game, grid, **kwargs)
+        def counting_solve(games, grid):
+            calls.append((grid.steps, [g.num_players for g in games]))
+            return real_solve(games, grid)
 
-        monkeypatch.setattr(runner, "solve_coupled", counting_solve)
+        monkeypatch.setattr(runner, "solve_lockstep", counting_solve)
         result = run_sweep(scenario, tf_list, modes=("nash", "team"), out_dir=tmp_path / "sweep")
-        assert calls == [300, 102, 300, 102]
+        assert calls == [(300, [4, 2]), (102, [4, 2])]
         monkeypatch.undo()
         for mode in ("nash", "team"):
             for tf in tf_list:
@@ -924,7 +924,7 @@ class TestRunSweep:
 
         monkeypatch.setattr(runner, "gains", counting_gains)
         result = run_sweep(scenario, [1.0, 2.0, 3.0, 1.01], modes=("nash", "team"), out_dir=tmp_path)
-        assert calls == [300, 102, 300, 102]
+        assert calls == [300, 300, 102, 102]
         assert all(c.status == "ok" for c in result.cells)
 
     def test_team_reduction_built_once_per_group(self, tmp_path, monkeypatch):
@@ -941,6 +941,31 @@ class TestRunSweep:
         result = run_sweep(scenario, [1.0, 2.0], modes=("nash", "team"), out_dir=tmp_path)
         assert calls == [2.0]
         assert all(c.status == "ok" for c in result.cells)
+
+    def test_sign_pattern_violation_rejected_before_any_directory(self, tmp_path):
+        # run() on this game solves nothing and exits 2; the sweep must not
+        # solve it either.
+        doc = json.loads((SCENARIO_DIR / "explicit_small.json").read_text())
+        doc["explicit"]["Q"][0] = [[1.0, 0.0], [0.0, 1.0]]
+        scenario = parse_scenario(json.dumps(doc))
+        assert run(scenario, out_dir=tmp_path / "run").exit_code == runner.EXIT_VALIDATION
+        with pytest.raises(ValidationError, match="all-against-one sign pattern"):
+            run_sweep(scenario, [0.5, 1.0], out_dir=tmp_path / "sweep")
+        assert not (tmp_path / "sweep").exists()
+
+    def test_duplicate_modes_rejected_before_any_directory(self, tmp_path):
+        scenario = load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
+        with pytest.raises(ValueError, match="sweep modes must be distinct"):
+            run_sweep(scenario, [1.0], modes=("nash", "team", "nash"), out_dir=tmp_path / "sweep")
+        assert not (tmp_path / "sweep").exists()
+
+    def test_duplicate_horizons_repeat_their_rows(self, tmp_path):
+        scenario = load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
+        scenario = dataclasses.replace(scenario, run=dataclasses.replace(scenario.run, dt=0.01))
+        result = run_sweep(scenario, [1.0, 1.0], modes=("nash",), out_dir=tmp_path)
+        assert [c.tf for c in result.cells] == [1.0, 1.0]
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert len(lines) == 3 and lines[1] == lines[2]
 
     def test_empty_tf_list_rejected(self):
         scenario = load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
@@ -1142,6 +1167,40 @@ class TestCli:
         )
         assert code == runner.EXIT_VALIDATION
         assert capsys.readouterr().err == "validation error: grid endpoints must be finite\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_sweep_of_a_game_check_rejects_exit_two(self, tmp_path, capsys):
+        doc = json.loads((SCENARIO_DIR / "explicit_small.json").read_text())
+        doc["explicit"]["Q"][0] = [[1.0, 0.0], [0.0, 1.0]]
+        path = _write_scenario(tmp_path, doc)
+        check = cli_main(["check", "--scenario", str(path), "--out", str(tmp_path / "c")])
+        assert check == runner.EXIT_VALIDATION
+        assert "nothing solved" in capsys.readouterr().out
+        code = cli_main(
+            ["sweep", "--scenario", str(path), "--tf-list", "0.5,1", "--out", str(tmp_path / "o")]
+        )
+        assert code == runner.EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "validation error: game failed the all-against-one sign pattern; nothing solved\n"
+        )
+        assert not (tmp_path / "o").exists()
+
+    def test_sweep_with_a_repeated_mode_exit_two(self, tmp_path, capsys):
+        code = cli_main(
+            [
+                "sweep",
+                "--scenario",
+                str(SCENARIO_DIR / "pursuit_coarse.json"),
+                "--mode",
+                "nash,nash",
+                "--tf-list",
+                "1",
+                "--out",
+                str(tmp_path / "o"),
+            ]
+        )
+        assert code == runner.EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: sweep modes must be distinct, got nash,nash\n"
         assert not (tmp_path / "o").exists()
 
     def test_mode_override(self, tmp_path):

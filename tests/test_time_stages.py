@@ -31,14 +31,25 @@ def test_one_repeat_prints_every_stage_and_writes_nothing(tmp_path):
     )
     for stage in stages:
         assert re.search(rf"^  {re.escape(stage)} +\d+\.\d{{4}} s  \[", out, re.M), stage
-    for mode in ("nash", "team"):
-        assert f"run_sweep, mode {mode}, tf 2,4,6,8,10,12,14" in out
-    # The run's solve and each sweep's one solve of its longest horizon.
+    assert "run_sweep, modes nash,team, tf 2,4,6,8,10,12,14" in out
+    # The run's solve, in microseconds per RK4 substep.
     per_substep = re.findall(r"([\d,]+) substeps +(\d+\.\d) us/substep$", out, re.M)
-    assert len(per_substep) == 3
+    assert len(per_substep) == 1
     assert all(int(n.replace(",", "")) > 0 and float(us) > 0.0 for n, us in per_substep)
-    assert len(re.findall(r"^  solve tf=14 ", out, re.M)) == 2
-    # Each sweep's gains and its one forward pass shared by every horizon.
+    # The sweep's one lockstep solve of both modes' longest horizon: each
+    # game's substeps, and the loop's iterations, at least the larger.
+    lockstep = re.findall(
+        r"^  lockstep tf=14 +\d+\.\d{4} s  \[.*\]  nash ([\d,]+) \+ team ([\d,]+) substeps"
+        r" in ([\d,]+) iterations +(\d+\.\d) us/iteration$",
+        out,
+        re.M,
+    )
+    assert len(lockstep) == 1
+    nash, team, iterations = (int(v.replace(",", "")) for v in lockstep[0][:3])
+    assert 0 < min(nash, team) and max(nash, team) <= iterations <= nash + team
+    assert float(lockstep[0][3]) > 0.0
+    # Both modes' gains and forward passes, and the whole sweep.
     forward = re.findall(r"^  gains \+ forward +(\d+\.\d{4}) s  \[", out, re.M)
-    assert len(forward) == 2 and all(float(s) > 0.0 for s in forward)
+    assert len(forward) == 1 and float(forward[0]) > 0.0
+    assert len(re.findall(r"^  total +\d+\.\d{4} s  \[", out, re.M)) == 2
     assert list(tmp_path.iterdir()) == []
