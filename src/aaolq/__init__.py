@@ -9,10 +9,8 @@ from .analysis import (
     ConditionsReport,
     DiagonalSubclassVerdict,
     EnvelopeBound,
-    ExistenceMapResult,
     LyapunovReport,
     check_diagonal_subclass,
-    existence_map,
     lyapunov_check,
     lyapunov_weight_series,
     solve_envelope,
@@ -34,7 +32,6 @@ from .game import (
     ValidationReport,
     absolute_starts,
     build_pursuit_example,
-    closed_loop_A,
     control_coupling,
     validate,
 )
@@ -46,12 +43,11 @@ from .riccati import (
     SolveStatus,
     TimeGrid,
     gains,
-    riccati_rhs,
     solve_coupled,
 )
 from .runner import RunResult, SweepResult, run, run_sweep
 from .scenario import RunConfig, Scenario, emit_scenario, load_scenario, parse_scenario
-from .sim import ProbeSample, PursuitReport, Trajectory, pursuit_report, simulate, stationarity_probe
+from .sim import PursuitReport, Trajectory, pursuit_report, simulate
 from .team import TeamGame, TeamWeights, build_team_game, team_gains_to_players
 
 __version__ = "0.1.0"

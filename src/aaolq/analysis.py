@@ -4,8 +4,9 @@ Everything here evaluates checkable conditions on a game or on a solved
 backward pass and reports eigenvalue witnesses next to every verdict. The
 three main tools:
 
-* an existence map whose positive semidefiniteness at candidate solution
-  values screens the fixed-point argument behind solvability,
+* the existence screen: the existence map, whose positive
+  semidefiniteness screens the fixed-point argument behind solvability,
+  evaluated at the solved values of every screened grid node,
 * a linear envelope ODE whose solution dominates the regulator-minus-
   opponent combination of the solution matrices and yields an a-priori
   norm ball for them,
@@ -46,15 +47,6 @@ REL_SLACK = 1e-6
 MONO_SLACK = 1e-9
 
 
-def _weight_sum_minima(game: GameDefinition) -> tuple[float, float]:
-    """Smallest eigenvalues (q_min, sf_min) of the summed state and terminal weights."""
-    q_sum = linalg.symmetrize(sum(np.array(q) for q in game.Q))
-    sf_sum = linalg.symmetrize(sum(np.array(s) for s in game.S_f))
-    q_min = float(linalg.sym_eigenvalues(q_sum)[0])
-    sf_min = float(linalg.sym_eigenvalues(sf_sum)[0])
-    return q_min, sf_min
-
-
 def _q_matrix(game: GameDefinition, q_bound) -> np.ndarray:
     """``q_bound`` as a validated n x n array; None means the zero matrix."""
     n = game.n
@@ -64,47 +56,17 @@ def _q_matrix(game: GameDefinition, q_bound) -> np.ndarray:
     return q
 
 
-@dataclass(frozen=True, eq=False)
-class ExistenceMapResult(ValueEquality):
-    value: np.ndarray
-    min_eigenvalue: float
-    psd: bool
-
-
-def existence_map(game: GameDefinition, q_bound, W) -> ExistenceMapResult:
-    """Evaluate the existence screening map at candidate values W_1..W_M.
+def _existence_stack(h: np.ndarray, q: np.ndarray, w: np.ndarray):
+    """The existence map at K stacked nodes: (values (K, n, n), min eigenvalues (K,)).
 
     With D = -W_1 + sum_{i>=2} W_i and G = sum_j H_j W_j the map is
 
         Q + W_1 H_1 W_1 - sum_{i>=2} W_i H_i W_i + D G + G' D,
 
-    evaluated literally and symmetrized. The game is solvable on the whole
-    horizon when this map sends the expected sign pattern into the PSD
-    cone; at solved values its PSD-ness is the hypothesis under which the
-    envelope bound applies. :func:`verify_solution` evaluates the same map
-    at every grid node in one stacked pass.
-    """
-    m = game.num_players
-    if len(W) != m:
-        raise ValidationError(f"expected {m} candidate matrices, got {len(W)}")
-    n = game.n
-    q = _q_matrix(game, q_bound)
-    ws = [linalg.as_symmetric(w, f"W[{i + 1}]") for i, w in enumerate(W)]
-    for w in ws:
-        if w.shape[0] != n:
-            raise ValidationError(f"candidate matrices must be {n} x {n}")
-    value, min_eig = _existence_stack(game_mod.coupling_stack(game), q, np.stack(ws)[:, None])
-    value = value[0]
-    min_eig = float(min_eig[0])
-    value.flags.writeable = False
-    return ExistenceMapResult(value=value, min_eigenvalue=min_eig, psd=bool(min_eig >= -PSD_TOL))
-
-
-def _existence_stack(h: np.ndarray, q: np.ndarray, w: np.ndarray):
-    """The existence map at K stacked nodes: (values (K, n, n), min eigenvalues (K,)).
-
-    ``h`` is the (M, n, n) coupling stack and ``w`` holds the candidates as
-    (M, K, n, n); each term of the map is one stacked product per player.
+    symmetrized. The game is solvable on the whole horizon when it sends
+    the expected sign pattern into the PSD cone. ``h`` is the (M, n, n)
+    coupling stack and ``w`` holds the candidates as (M, K, n, n); each
+    term of the map is one stacked product per player.
     """
     d = -w[OPPONENT]
     g = h[OPPONENT] @ w[OPPONENT]
@@ -208,11 +170,11 @@ def _max_offdiag(m: np.ndarray) -> float:
 
 
 def check_diagonal_subclass(game: GameDefinition) -> DiagonalSubclassVerdict:
-    return _subclass_verdict(game, *_weight_sum_minima(game))
-
-
-def _subclass_verdict(game: GameDefinition, q_min: float, sf_min: float) -> DiagonalSubclassVerdict:
-    """:func:`check_diagonal_subclass` given the weight-sum minima."""
+    """The diagonal-subclass verdict, with the smallest eigenvalues of the weight sums."""
+    q_sum = linalg.symmetrize(sum(np.array(q) for q in game.Q))
+    sf_sum = linalg.symmetrize(sum(np.array(s) for s in game.S_f))
+    q_min = float(linalg.sym_eigenvalues(q_sum)[0])
+    sf_min = float(linalg.sym_eigenvalues(sf_sum)[0])
     sums_ok = q_min > PSD_TOL and sf_min > PSD_TOL
 
     worst = 0.0
@@ -401,10 +363,10 @@ def verify_solution(
         raise ValidationError("screen_stride must be at least 1")
     q = _q_matrix(game, q_bound)
     notes: list[str] = []
-    q_min, sf_min = _weight_sum_minima(game)
+    subclass = check_diagonal_subclass(game)
+    q_min, sf_min = subclass.sum_q_min_eig, subclass.sum_sf_min_eig
     sum_q_pd = q_min > PSD_TOL
     sum_sf_pd = sf_min > PSD_TOL
-    subclass = _subclass_verdict(game, q_min, sf_min)
 
     lo, hi = linalg.sym_extrema_stack(sol.S)  # (M, steps+1) each
     opponent_max = float(hi[OPPONENT].max())

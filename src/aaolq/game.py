@@ -122,10 +122,6 @@ class GameDefinition(ValueEquality):
     def num_players(self) -> int:
         return len(self.B)
 
-    @property
-    def control_dims(self) -> tuple[int, ...]:
-        return tuple(b.shape[1] for b in self.B)
-
 
 @dataclass(frozen=True)
 class MatrixVerdict:
@@ -202,19 +198,6 @@ def coupling_stack(game: GameDefinition) -> np.ndarray:
     return np.stack([control_coupling(game, i) for i in range(game.num_players)])
 
 
-def closed_loop_A(game: GameDefinition, S) -> np.ndarray:
-    """Closed-loop drift A - sum_j H_j S_j for one snapshot of solution values."""
-    if len(S) != game.num_players:
-        raise ValidationError(f"expected {game.num_players} solution matrices, got {len(S)}")
-    acl = np.array(game.A)
-    for j in range(game.num_players):
-        sj = linalg.as_symmetric(S[j], f"S[{j + 1}]")
-        if sj.shape[0] != game.n:
-            raise ValidationError(f"S[{j + 1}]: expected shape ({game.n}, {game.n})")
-        acl -= control_coupling(game, j) @ sj
-    return acl
-
-
 @dataclass(frozen=True)
 class PursuitParams:
     """Configuration of the planar k-pursuer / one-evader example family.
@@ -258,7 +241,7 @@ class PursuitParams:
             if len(seq) != k:
                 raise ValidationError(f"{name}: expected {k} values, got {len(seq)}")
             object.__setattr__(self, name, seq)
-        if float(self.capture_radius) <= 0.0:
+        if not float(self.capture_radius) > 0.0:
             raise ValidationError("capture_radius must be positive")
         x0 = tuple(float(v) for v in self.x0)
         if len(x0) != 2 * k:

@@ -300,24 +300,6 @@ class _Stages:
         np.add(cur, inc, out=out)
 
 
-def riccati_rhs(game: game_mod.GameDefinition, S) -> list[np.ndarray]:
-    """One right-hand-side evaluation, mostly useful for testing and audits.
-
-    ``S`` is a per-player sequence of symmetric matrices; the returned list
-    holds dS_i/dt in the same order, each bitwise symmetric.
-    """
-    if len(S) != game.num_players:
-        raise ValidationError(f"expected {game.num_players} matrices, got {len(S)}")
-    stack = np.stack([linalg.as_symmetric(si, f"S[{i + 1}]") for i, si in enumerate(S)])
-    if stack.shape[1] != game.n:
-        raise ValidationError(f"solution matrices must be {game.n} x {game.n}")
-    stages = _Stages([game])
-    out = np.empty_like(stack)
-    stages.couple(stack)
-    stages.stage(stack, out)
-    return list(out)
-
-
 def _asymmetry(s: np.ndarray) -> float:
     """max |s - s'| over a stack of matrices, with one temporary the size of s."""
     diff = s - s.swapaxes(-1, -2)

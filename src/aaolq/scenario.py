@@ -16,12 +16,13 @@ Schema version 1. Top level keys:
 Every check on a scenario lives in the :class:`RunConfig` and
 :class:`Scenario` constructors, so a parsed file, a CLI override and a
 scenario built in Python are checked alike: R_i > 0 and t0 <= tf of the
-game, a step ``dt`` that gives the horizon a finite grid, the size of the
-initial state and of ``bound_q``, and team weights that are a convex
-combination over the M - 1 regulators. The parser only
-converts JSON types and rejects unknown fields at every level. Errors
-carry the path of the offending field. Emission uses ``repr`` floats
-(17 significant digits), so parse(emit(s)) reproduces every matrix bitwise.
+game, a step ``dt`` that gives the horizon a finite grid, the size and
+finiteness of the initial state, the size of ``bound_q``, a non-empty
+``out_dir``, and team weights that are a convex combination over the
+M - 1 regulators. The parser only converts JSON types and rejects
+unknown fields at every level. Errors carry the path of the offending
+field. Emission uses ``repr`` floats (17 significant digits), so
+parse(emit(s)) reproduces every matrix bitwise.
 """
 from __future__ import annotations
 
@@ -59,6 +60,8 @@ class RunConfig(ValueEquality):
             raise ScenarioError("run.dt: dt must be positive and finite")
         if not self.capture_radius > 0:
             raise ScenarioError("run.capture_radius: must be positive")
+        if not isinstance(self.out_dir, str) or not self.out_dir:
+            raise ScenarioError("run.out_dir: expected a non-empty string")
         if self.alphas is not None:
             try:
                 alphas = TeamWeights(self.alphas).alpha
@@ -99,6 +102,8 @@ class Scenario(ValueEquality):
         n, regulators = game.n, game.num_players - 1
         if self.x0.size != n:
             raise ScenarioError(f"{source}.x0: expected {n} entries, got {self.x0.size}")
+        if not np.isfinite(self.x0).all():
+            raise ScenarioError(f"{source}.x0: entries must be finite")
         alphas = self.run.alphas
         if alphas is not None and len(alphas) != regulators:
             raise ScenarioError(f"run.alphas: expected {regulators} weights, got {len(alphas)}")
@@ -259,16 +264,13 @@ def _parse_run(obj, path: str) -> RunConfig:
     if obj.get("bound_q") is not None:
         bound_q = _matrix(obj["bound_q"], f"{path}.bound_q")
     radius = _number(obj.get("capture_radius", 0.1), f"{path}.capture_radius")
-    out_dir = obj.get("out_dir", "out")
-    if not isinstance(out_dir, str) or not out_dir:
-        raise ScenarioError(f"{path}.out_dir: expected a non-empty string")
     return RunConfig(
         mode=obj.get("mode", "nash"),
         alphas=None if alphas is None else _vector(alphas, f"{path}.alphas"),
         dt=dt,
         bound_q=bound_q,
         capture_radius=radius,
-        out_dir=out_dir,
+        out_dir=obj.get("out_dir", "out"),
     )
 
 

@@ -1,4 +1,4 @@
-"""Closed-loop simulation, pursuit reporting and equilibrium probing.
+"""Closed-loop simulation and pursuit reporting.
 
 The forward pass integrates dx/dt = (A - sum_j B_j K_j(t)) x with RK4 on
 the uniform grid its gains share, the backward solver's own, reading each
@@ -273,51 +273,3 @@ def _pursuit_report(x: np.ndarray, grid: TimeGrid, capture_radius: float) -> Pur
         capture_time=capture_time,
         captured_by=captured_by,
     )
-
-
-@dataclass(frozen=True)
-class ProbeSample:
-    epsilon: float
-    cost: float | None
-    diverged: bool
-
-
-def stationarity_probe(
-    game: GameDefinition,
-    gains: list[FeedbackGain],
-    x0,
-    player: int,
-    direction,
-    epsilons,
-) -> list[ProbeSample]:
-    """Perturb one player's gain by eps * direction and record that player's cost.
-
-    At an equilibrium the cost is first-order stationary in eps, so a
-    central difference through the returned samples should vanish to
-    discretization accuracy. Divergence under a perturbation is recorded
-    per sample, not raised.
-    """
-    if not 0 <= player < game.num_players:
-        raise ValidationError(f"player index {player} out of range")
-    eps_list = [float(e) for e in epsilons]
-    if 0.0 not in eps_list:
-        raise ValidationError("epsilons must include 0 for a baseline sample")
-    d = np.asarray(direction, dtype=float)
-    base = gains[player]
-    if d.shape != base.K.shape[1:]:
-        raise ValidationError(
-            f"direction shape {d.shape} does not match the gain shape {base.K.shape[1:]}"
-        )
-    out = []
-    for eps in eps_list:
-        perturbed = list(gains)
-        perturbed[player] = FeedbackGain(
-            player=base.player, grid=base.grid, K=base.K + eps * d[None]
-        )
-        try:
-            traj = simulate(game, perturbed, x0)
-        except DivergenceError:
-            out.append(ProbeSample(epsilon=eps, cost=None, diverged=True))
-        else:
-            out.append(ProbeSample(epsilon=eps, cost=float(traj.costs[player]), diverged=False))
-    return out

@@ -10,10 +10,12 @@ import math
 
 import numpy as np
 
-from aaolq import FeedbackGain, GameDefinition, SolveStatus, absolute_starts
+from aaolq import FeedbackGain, GameDefinition, SolveStatus, absolute_starts, simulate
 from aaolq import game as game_mod, linalg
+from aaolq.analysis import PSD_TOL, _existence_stack, _q_matrix
 from aaolq.errors import DivergenceError, ValidationError
-from aaolq.riccati import BLOWUP_NORM, MAX_SUBSTEPS, STABILITY_TARGET
+from aaolq.game import ValueEquality
+from aaolq.riccati import BLOWUP_NORM, MAX_SUBSTEPS, STABILITY_TARGET, _Stages
 from aaolq.sim import DIVERGENCE_NORM, _simpson_weights
 
 
@@ -298,6 +300,70 @@ def reference_existence_min(game, S) -> float:
     return worst
 
 
+# Audit helpers: the pipeline's quantities at one snapshot of solution
+# values, through the same kernels the solver and ``verify_solution`` use.
+
+
+def riccati_rhs(game: GameDefinition, S) -> list[np.ndarray]:
+    """One evaluation of the coupled Riccati right-hand side.
+
+    ``S`` is a per-player sequence of symmetric matrices; the returned list
+    holds dS_i/dt in the same order, each bitwise symmetric.
+    """
+    if len(S) != game.num_players:
+        raise ValidationError(f"expected {game.num_players} matrices, got {len(S)}")
+    stack = np.stack([linalg.as_symmetric(si, f"S[{i + 1}]") for i, si in enumerate(S)])
+    if stack.shape[1] != game.n:
+        raise ValidationError(f"solution matrices must be {game.n} x {game.n}")
+    stages = _Stages([game])
+    out = np.empty_like(stack)
+    stages.couple(stack)
+    stages.stage(stack, out)
+    return list(out)
+
+
+def closed_loop_A(game: GameDefinition, S) -> np.ndarray:
+    """Closed-loop drift A - sum_j H_j S_j for one snapshot of solution values."""
+    if len(S) != game.num_players:
+        raise ValidationError(f"expected {game.num_players} solution matrices, got {len(S)}")
+    acl = np.array(game.A)
+    for j in range(game.num_players):
+        sj = linalg.as_symmetric(S[j], f"S[{j + 1}]")
+        if sj.shape[0] != game.n:
+            raise ValidationError(f"S[{j + 1}]: expected shape ({game.n}, {game.n})")
+        acl -= game_mod.control_coupling(game, j) @ sj
+    return acl
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class ExistenceMapResult(ValueEquality):
+    value: np.ndarray
+    min_eigenvalue: float
+    psd: bool
+
+
+def existence_map(game: GameDefinition, q_bound, W) -> ExistenceMapResult:
+    """The existence map of ``verify_solution``'s screen at candidate values W_1..W_M.
+
+    ``q_bound`` None means the zero matrix. The value is symmetrized and
+    read-only; ``psd`` tests its smallest eigenvalue against ``PSD_TOL``.
+    """
+    m = game.num_players
+    if len(W) != m:
+        raise ValidationError(f"expected {m} candidate matrices, got {len(W)}")
+    n = game.n
+    q = _q_matrix(game, q_bound)
+    ws = [linalg.as_symmetric(w, f"W[{i + 1}]") for i, w in enumerate(W)]
+    for w in ws:
+        if w.shape[0] != n:
+            raise ValidationError(f"candidate matrices must be {n} x {n}")
+    value, min_eig = _existence_stack(game_mod.coupling_stack(game), q, np.stack(ws)[:, None])
+    value = value[0]
+    min_eig = float(min_eig[0])
+    value.flags.writeable = False
+    return ExistenceMapResult(value=value, min_eigenvalue=min_eig, psd=bool(min_eig >= -PSD_TOL))
+
+
 # Reference forward pass: the closed-loop RK4 spelled out one substep at a
 # time, with the stage matrices interpolated and applied to the state
 # vector. ``aaolq.simulate`` composes the same steps as per-substep
@@ -385,6 +451,54 @@ def reference_simulate(game, gains, x0):
         running = 0.5 * float((weights * (state_term + control_term)).sum())
         costs[i] = running + 0.5 * float(x[-1] @ game.S_f[i] @ x[-1])
     return x, costs
+
+
+@dataclasses.dataclass(frozen=True)
+class ProbeSample:
+    epsilon: float
+    cost: float | None
+    diverged: bool
+
+
+def stationarity_probe(
+    game: GameDefinition,
+    gains: list[FeedbackGain],
+    x0,
+    player: int,
+    direction,
+    epsilons,
+) -> list[ProbeSample]:
+    """Perturb one player's gain by eps * direction and record that player's cost.
+
+    At an equilibrium the cost is first-order stationary in eps, so a
+    central difference through the returned samples should vanish to
+    discretization accuracy. Divergence under a perturbation is recorded
+    per sample, not raised.
+    """
+    if not 0 <= player < game.num_players:
+        raise ValidationError(f"player index {player} out of range")
+    eps_list = [float(e) for e in epsilons]
+    if 0.0 not in eps_list:
+        raise ValidationError("epsilons must include 0 for a baseline sample")
+    d = np.asarray(direction, dtype=float)
+    base = gains[player]
+    if d.shape != base.K.shape[1:]:
+        raise ValidationError(
+            f"direction shape {d.shape} does not match the gain shape {base.K.shape[1:]}"
+        )
+    out = []
+    for eps in eps_list:
+        perturbed = list(gains)
+        perturbed[player] = FeedbackGain(
+            player=base.player, grid=base.grid, K=base.K + eps * d[None]
+        )
+        try:
+            traj = simulate(game, perturbed, x0)
+        except DivergenceError:
+            out.append(ProbeSample(epsilon=eps, cost=None, diverged=True))
+        else:
+            out.append(ProbeSample(epsilon=eps, cost=float(traj.costs[player]), diverged=False))
+    return out
 
 
 # Reference CSV writers: the artifact formats spelled out one value and one

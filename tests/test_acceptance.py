@@ -25,11 +25,10 @@ from aaolq import (
     simulate,
     solve_coupled,
     solve_envelope,
-    stationarity_probe,
     team_gains_to_players,
 )
 from aaolq.analysis import lyapunov_weight_series
-from helpers import random_diagonal_game, scalar_lqr
+from helpers import random_diagonal_game, scalar_lqr, stationarity_probe
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 TF_LIST = (2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0)

@@ -15,7 +15,6 @@ from aaolq import (
     TimeGrid,
     build_team_game,
     check_diagonal_subclass,
-    existence_map,
     load_scenario,
     lyapunov_check,
     solve_coupled,
@@ -32,6 +31,7 @@ from aaolq.game import control_coupling
 from aaolq.linalg import symmetrize
 from aaolq.sim import Trajectory
 from helpers import (
+    existence_map,
     random_diagonal_game,
     reference_existence_min,
     rotated_game,

@@ -12,13 +12,12 @@ from aaolq import (
     GameDefinition,
     PursuitParams,
     build_pursuit_example,
-    closed_loop_A,
     control_coupling,
     validate,
 )
 from aaolq.errors import SingularMatrixError, ValidationError
 from aaolq.game import absolute_starts
-from helpers import scalar_game
+from helpers import closed_loop_A, scalar_game
 
 
 class TestValidate:
@@ -208,8 +207,9 @@ class TestBuildPursuitExample:
         assert validate(benchmark_game).aao_compliant is True
 
     def test_bad_params_rejected(self):
-        with pytest.raises(ValidationError):
-            PursuitParams(capture_radius=0.0)
+        for radius in (0.0, float("nan")):
+            with pytest.raises(ValidationError, match="^capture_radius must be positive$"):
+                PursuitParams(capture_radius=radius)
         with pytest.raises(ValidationError):
             PursuitParams(x0=(1.0, 2.0))
         with pytest.raises(ValidationError):
@@ -253,4 +253,4 @@ class TestGameDefinition:
     def test_properties(self, benchmark_game):
         assert benchmark_game.n == 6
         assert benchmark_game.num_players == 4
-        assert benchmark_game.control_dims == (2, 2, 2, 2)
+        assert tuple(b.shape[1] for b in benchmark_game.B) == (2, 2, 2, 2)

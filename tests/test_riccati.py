@@ -20,7 +20,6 @@ from aaolq import (
     gains,
     load_scenario,
     parse_scenario,
-    riccati_rhs,
     solve_coupled,
 )
 from aaolq.errors import IncompleteSolutionError, ValidationError
@@ -31,6 +30,7 @@ from helpers import (
     gain_series,
     random_diagonal_game,
     reference_solve_coupled,
+    riccati_rhs,
     rotated_game,
     scalar_game,
     scalar_lqr,

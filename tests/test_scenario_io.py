@@ -23,7 +23,6 @@ from aaolq import (
     TimeGrid,
     build_pursuit_example,
     emit_scenario,
-    existence_map,
     gains,
     load_scenario,
     parse_scenario,
@@ -40,6 +39,7 @@ from aaolq.errors import ScenarioError, ValidationError
 from aaolq.sim import PursuitReport, Trajectory
 from helpers import (
     ESCAPE_GAME,
+    existence_map,
     reference_distances_csv,
     reference_positions_csv,
     reference_solution_csv,
@@ -307,6 +307,12 @@ MALFORMED = {
         lambda sc: _replace_run(sc, mode="minimax"),
         "run.mode: expected one of ('nash', 'team'), got 'minimax'",
     ),
+    "out_dir_empty": (
+        "explicit_small.json",
+        _set(("run", "out_dir"), ""),
+        lambda sc: _replace_run(sc, out_dir=""),
+        "run.out_dir: expected a non-empty string",
+    ),
     "run_capture_radius_zero": (
         "explicit_small.json",
         _set(("run", "capture_radius"), 0.0),
@@ -348,6 +354,28 @@ class TestScenarioChecks:
             RunConfig(dt=float("inf"))
 
     @pytest.mark.parametrize(
+        "base, build, message",
+        [
+            (
+                "pursuit_coarse.json",
+                lambda sc: _replace_pursuit(sc, x0=(float("nan"),) + sc.pursuit.x0[1:]),
+                "pursuit.x0: entries must be finite",
+            ),
+            (
+                "explicit_small.json",
+                lambda sc: dataclasses.replace(sc, explicit_x0=np.array([float("inf"), 1.0])),
+                "explicit.x0: entries must be finite",
+            ),
+        ],
+        ids=["pursuit", "explicit"],
+    )
+    def test_non_finite_x0_rejected(self, base, build, message):
+        # A file cannot carry one (the parser rejects non-finite numbers);
+        # a scenario built in Python is stopped before anything is solved.
+        with pytest.raises(ScenarioError, match=rf"^{re.escape(message)}$"):
+            build(load_scenario(SCENARIO_DIR / base))
+
+    @pytest.mark.parametrize(
         "base, path, where",
         [
             ("pursuit_coarse.json", ("run", "dT"), "run.dT"),
@@ -387,6 +415,12 @@ class TestReadmeExamples:
         assert blocks, "README.md has no json/jsonc block"
         for block in blocks:
             parse_scenario(re.sub(r"(^|\s)//.*$", "", block, flags=re.M))
+        # A block the README says "is" a bundled file parses equal to it.
+        named = re.findall(r"```jsonc?\n([^`]*)```\n\nThis is `(scenarios/[\w.]+)`", text)
+        assert named, "README.md names no bundled scenario file"
+        for block, name in named:
+            parsed = parse_scenario(re.sub(r"(^|\s)//.*$", "", block, flags=re.M))
+            assert parsed == load_scenario(README.parent / name), name
 
     def test_readme_python_blocks_run(self):
         blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
@@ -1140,18 +1174,24 @@ class TestCli:
                 ["--tf", "-1"],
                 "scenario error: explicit: need finite t0 <= tf, got t0=0.0, tf=-1.0",
             ),
+            (
+                "explicit_small.json",
+                ["--out", ""],
+                "scenario error: run.out_dir: expected a non-empty string",
+            ),
         ],
     )
     def test_bad_override_exit_two_before_any_directory(
-        self, tmp_path, capsys, scenario, extra, message
+        self, tmp_path, monkeypatch, capsys, scenario, extra, message
     ):
+        monkeypatch.chdir(tmp_path)  # an empty --out would write here
         code = cli_main(
             ["simulate", "--scenario", str(SCENARIO_DIR / scenario), "--out", str(tmp_path / "o")]
             + extra
         )
         assert code == runner.EXIT_VALIDATION
         assert capsys.readouterr().err == message + "\n"
-        assert not (tmp_path / "o").exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_non_finite_sweep_horizon_exit_two(self, tmp_path, capsys):
         code = cli_main(

@@ -25,7 +25,6 @@ from aaolq import (
     run,
     simulate,
     solve_coupled,
-    stationarity_probe,
     verify_solution,
 )
 from aaolq import linalg
@@ -39,6 +38,7 @@ from helpers import (
     rotated_game,
     scalar_game,
     scalar_lqr,
+    stationarity_probe,
 )
 
 ROOT = Path(__file__).resolve().parent.parent

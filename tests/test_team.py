@@ -12,16 +12,14 @@ from aaolq import (
     TimeGrid,
     build_pursuit_example,
     build_team_game,
-    closed_loop_A,
     gains,
-    riccati_rhs,
     simulate,
     solve_coupled,
     team_gains_to_players,
 )
 from aaolq.errors import ValidationError
 from aaolq.game import control_coupling
-from helpers import scalar_game, scalar_lqr
+from helpers import closed_loop_A, riccati_rhs, scalar_game, scalar_lqr
 
 
 class TestTeamWeights:
