@@ -32,7 +32,6 @@ from .game import (
     ValidationReport,
     absolute_starts,
     build_pursuit_example,
-    control_coupling,
     validate,
 )
 from .linalg import block_diag, is_definite, sym_eigenvalues

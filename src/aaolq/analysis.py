@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import game as game_mod
 from . import linalg
 from .errors import IncompleteSolutionError, NotApplicableError, ValidationError
 from .game import OPPONENT, GameDefinition, ValueEquality
@@ -198,9 +197,8 @@ def check_diagonal_subclass(game: GameDefinition) -> DiagonalSubclassVerdict:
 
     h_margin = math.inf
     if game.num_players >= 2:
-        h_opp = game_mod.control_coupling(game, OPPONENT)
         for i in range(1, game.num_players):
-            diff = game_mod.control_coupling(game, i) - h_opp
+            diff = game.H[i] - game.H[OPPONENT]
             h_margin = min(h_margin, float(linalg.sym_eigenvalues(diff)[0]))
     h_order_ok = game.num_players >= 2 and h_margin >= -PSD_TOL
 
@@ -381,7 +379,7 @@ def verify_solution(
     nodes = sol.S[:, ::screen_stride]
     if steps % screen_stride:
         nodes = np.concatenate((nodes, sol.S[:, steps:]), axis=1)  # the terminal node
-    _, screen_lo = _existence_stack(game_mod.coupling_stack(game), q, nodes)
+    _, screen_lo = _existence_stack(game.H, q, nodes)
     screen_min = float(screen_lo.min())
     rq_screen_psd = bool(screen_min >= -PSD_TOL)
 

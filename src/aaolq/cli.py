@@ -86,11 +86,11 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             modes = tuple(m.strip() for m in args.mode.split(",")) if args.mode else None
             tf_list = _parse_floats(args.tf_list, "--tf-list")
-            result = run_sweep(scenario, tf_list, modes=modes, out_dir=args.out)
+            result = run_sweep(scenario, tf_list, modes=modes)
             bad = [c for c in result.cells if c.status != "ok"]
             print(f"sweep: {len(result.cells)} cells, {len(bad)} failed")
             return EXIT_OK if not bad else EXIT_BLOWUP
-        result = run(scenario, out_dir=args.out, level=args.command)
+        result = run(scenario, level=args.command)
         for msg in result.messages:
             print(msg)
         print(f"{args.command}: exit {result.exit_code}, artifacts in {result.out_dir}")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import linalg
-from .errors import ValidationError
+from .errors import SingularMatrixError, ValidationError
 
 #: Index of the de-regulating opponent. Fixed by convention.
 OPPONENT = 0
@@ -61,6 +61,11 @@ class GameDefinition(ValueEquality):
     shapes, finiteness and the unconditional R_i > 0 requirement; the AAO
     sign pattern is reported by :func:`validate` rather than enforced here,
     so that deliberately broken games can still be built and inspected.
+
+    Construction is the one place each R_i is inverted (eigenvalue ratio at
+    most 1e12): read-only ``R_inv[i]`` is R_i^{-1} and ``H`` the (M, n, n)
+    stack of control couplings H_i = B_i R_i^{-1} B_i' that the solve, the
+    gains and the certificates read. An overflowing H_i is kept as it is.
     """
 
     A: np.ndarray
@@ -70,6 +75,8 @@ class GameDefinition(ValueEquality):
     S_f: tuple[np.ndarray, ...]
     t0: float = 0.0
     tf: float = 1.0
+    R_inv: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    H: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         a = linalg.as_matrix(self.A, "A")
@@ -94,6 +101,7 @@ class GameDefinition(ValueEquality):
                 raise ValidationError(f"Q[{i + 1}]: expected shape ({n}, {n}), got {q.shape}")
             if s.shape[0] != n:
                 raise ValidationError(f"S_f[{i + 1}]: expected shape ({n}, {n}), got {s.shape}")
+        r_invs = []
         for i, (b, r) in enumerate(zip(bs, rs)):
             if r.shape[0] != b.shape[1]:
                 raise ValidationError(
@@ -102,17 +110,20 @@ class GameDefinition(ValueEquality):
             # R_i > 0 is required unconditionally, not just for AAO compliance.
             if not linalg.is_definite(r, "pd"):
                 raise ValidationError(f"R[{i + 1}] must be positive definite")
+            try:
+                r_invs.append(linalg.spd_inverse(r, name=f"R[{i + 1}]"))
+            except SingularMatrixError as exc:
+                raise ValidationError(str(exc)) from exc
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = np.stack([linalg.symmetrize(b @ r_inv @ b.T) for b, r_inv in zip(bs, r_invs)])
+        h.flags.writeable = False
         t0 = float(self.t0)
         tf = float(self.tf)
         if not (np.isfinite(t0) and np.isfinite(tf)) or tf < t0:
             raise ValidationError(f"need finite t0 <= tf, got t0={t0}, tf={tf}")
-        object.__setattr__(self, "A", a)
-        object.__setattr__(self, "B", bs)
-        object.__setattr__(self, "Q", qs)
-        object.__setattr__(self, "R", rs)
-        object.__setattr__(self, "S_f", sfs)
-        object.__setattr__(self, "t0", t0)
-        object.__setattr__(self, "tf", tf)
+        checked = dict(A=a, B=bs, Q=qs, R=rs, S_f=sfs, t0=t0, tf=tf, R_inv=tuple(r_invs), H=h)
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -175,27 +186,6 @@ def validate(game: GameDefinition) -> ValidationReport:
         compliant = False
         notes.append("single-player game: the all-against-one pattern needs at least two players")
     return ValidationReport(aao_compliant=compliant, verdicts=tuple(verdicts), notes=tuple(notes))
-
-
-def control_coupling(game: GameDefinition, i: int) -> np.ndarray:
-    """Control coupling matrix H_i = B_i R_i^{-1} B_i' (n x n, PSD).
-
-    R_i is inverted through its eigendecomposition; a condition estimate
-    above 1e12 raises :class:`SingularMatrixError`.
-    """
-    if not 0 <= i < game.num_players:
-        raise ValidationError(f"player index {i} out of range for {game.num_players} players")
-    b = game.B[i]
-    r_inv = linalg.spd_inverse(game.R[i], name=f"R[{i + 1}]")
-    h = b @ r_inv @ b.T
-    out = linalg.symmetrize(h)
-    out.flags.writeable = False
-    return out
-
-
-def coupling_stack(game: GameDefinition) -> np.ndarray:
-    """All H_i stacked into one (M, n, n) array."""
-    return np.stack([control_coupling(game, i) for i in range(game.num_players)])
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,6 @@ from enum import Enum
 import numpy as np
 
 from . import game as game_mod
-from . import linalg
 from .errors import IncompleteSolutionError, ValidationError
 
 #: Squared-trace norm above which a solution is declared escaped. Bounded
@@ -225,7 +224,7 @@ class _Stages:
         for g, game in enumerate(games):
             mg = game.num_players
             z[-1, g] = np.reshape(game.A, -1)
-            h_stack[:mg, g] = game_mod.coupling_stack(game)
+            h_stack[:mg, g] = game.H
             q_stack[:mg, g] = game.Q
             # Row i < M: 1 for the other players, 1/2 for player i, -1 for A.
             # Row M: 1 for every player, 0 for A.
@@ -499,7 +498,7 @@ class FeedbackGain(game_mod.ValueEquality):
 
 
 def gains(game: game_mod.GameDefinition, sol: RiccatiSolution) -> list[FeedbackGain]:
-    """Feedback gains K_i(t_k) = R_i^{-1} B_i' S_i(t_k) for every player."""
+    """Feedback gains K_i(t_k) = R_i^{-1} B_i' S_i(t_k) for every player, from ``game.R_inv``."""
     if not sol.complete:
         raise IncompleteSolutionError(
             f"gain synthesis needs a complete solve, status is {sol.status.value}"
@@ -508,8 +507,7 @@ def gains(game: game_mod.GameDefinition, sol: RiccatiSolution) -> list[FeedbackG
         raise ValidationError("solution and game disagree on the player count")
     out = []
     for i in range(game.num_players):
-        r_inv_bt = linalg.spd_inverse(game.R[i], name=f"R[{i + 1}]") @ game.B[i].T
-        k_series = np.matmul(r_inv_bt, sol.S[i])
+        k_series = np.matmul(game.R_inv[i] @ game.B[i].T, sol.S[i])
         k_series.flags.writeable = False
         out.append(FeedbackGain(player=i, grid=sol.grid, K=k_series))
     return out

@@ -12,7 +12,7 @@ Exit codes: 0 success, 2 validation failure, 3 backward solve blow-up,
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -322,6 +322,12 @@ def _player_gains(
     return [opponent] + team_gains_to_players(team_game, team)
 
 
+def _out_path(scenario: Scenario, out_dir) -> Path:
+    """``out_dir`` (the scenario's if None), checked as ``RunConfig`` checks it."""
+    run_cfg = scenario.run if out_dir is None else replace(scenario.run, out_dir=os.fspath(out_dir))
+    return Path(run_cfg.out_dir)
+
+
 def run(scenario: Scenario, out_dir=None, *, level: str = "simulate") -> RunResult:
     """Execute one scenario: validate, solve, verify, simulate, write artifacts.
 
@@ -331,10 +337,12 @@ def run(scenario: Scenario, out_dir=None, *, level: str = "simulate") -> RunResu
     trajectory.csv, distances.csv and, for pursuit scenarios,
     positions.csv. A failed stage sets the exit code and skips the stages
     after it; conditions.txt and summary.txt are written once either way.
+    ``out_dir`` overrides ``scenario.run.out_dir`` and is checked as it is,
+    before anything is written.
     """
     if level not in ("check", "solve", "simulate"):
         raise ValueError(f"unknown run level {level!r}")
-    out = Path(out_dir) if out_dir is not None else Path(scenario.run.out_dir)
+    out = _out_path(scenario, out_dir)
     out.mkdir(parents=True, exist_ok=True)
     mode = scenario.run.mode
     result = RunResult(exit_code=EXIT_OK, out_dir=out, mode=mode)
@@ -531,7 +539,7 @@ def run_sweep(scenario: Scenario, tf_list, modes=None, out_dir=None) -> SweepRes
     groups: dict[float, list[float]] = {}
     for tf in tf_tuple:
         groups.setdefault(TimeGrid.from_step(base_game.t0, tf, scenario.run.dt).dt, []).append(tf)
-    out = Path(out_dir) if out_dir is not None else Path(scenario.run.out_dir)
+    out = _out_path(scenario, out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     by_cell = {}

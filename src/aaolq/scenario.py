@@ -15,13 +15,15 @@ Schema version 1. Top level keys:
 
 Every check on a scenario lives in the :class:`RunConfig` and
 :class:`Scenario` constructors, so a parsed file, a CLI override and a
-scenario built in Python are checked alike: R_i > 0 and t0 <= tf of the
-game, a step ``dt`` that gives the horizon a finite grid, the size and
-finiteness of the initial state, the size of ``bound_q``, a non-empty
-``out_dir``, and team weights that are a convex combination over the
-M - 1 regulators. The parser only converts JSON types and rejects
-unknown fields at every level. Errors carry the path of the offending
-field. Emission uses ``repr`` floats (17 significant digits), so
+scenario built in Python are checked alike: R_i > 0 with an eigenvalue
+ratio of at most 1e12 and t0 <= tf of the game, a step ``dt`` that gives
+the horizon a finite grid, the size and finiteness of the initial state,
+the size of ``bound_q``, a non-empty ``out_dir``, and team weights that
+are a convex combination over the M - 1 regulators. The parser only
+converts JSON types and rejects unknown fields at every level. Errors
+carry the path of the offending field. A scenario keeps the game its
+constructor built and checked, and :meth:`Scenario.build_game` returns
+that object. Emission uses ``repr`` floats (17 significant digits), so
 parse(emit(s)) reproduces every matrix bitwise.
 """
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +86,7 @@ class Scenario(ValueEquality):
     explicit: GameDefinition | None
     explicit_x0: np.ndarray | None
     run: RunConfig
+    _game: GameDefinition = field(init=False, repr=False)
 
     def __post_init__(self):
         if (self.pursuit is None) == (self.explicit is None):
@@ -92,9 +95,10 @@ class Scenario(ValueEquality):
             raise ScenarioError("explicit.x0: required for explicit games")
         source = "pursuit" if self.pursuit is not None else "explicit"
         try:
-            game = self.build_game()
+            game = self.explicit if self.pursuit is None else build_pursuit_example(self.pursuit)
         except ValidationError as exc:
             raise ScenarioError(f"{source}: {exc}") from exc
+        object.__setattr__(self, "_game", game)
         try:
             TimeGrid.from_step(game.t0, game.tf, self.run.dt)
         except ValidationError as exc:
@@ -123,9 +127,8 @@ class Scenario(ValueEquality):
         return dataclasses.replace(self, explicit=explicit)
 
     def build_game(self) -> GameDefinition:
-        if self.pursuit is not None:
-            return build_pursuit_example(self.pursuit)
-        return self.explicit
+        """The game this scenario's constructor built and checked, the same object every call."""
+        return self._game
 
     @property
     def x0(self) -> np.ndarray:

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from aaolq import FeedbackGain, GameDefinition, SolveStatus, absolute_starts, simulate
-from aaolq import game as game_mod, linalg
+from aaolq import linalg
 from aaolq.analysis import PSD_TOL, _existence_stack, _q_matrix
 from aaolq.errors import DivergenceError, ValidationError
 from aaolq.game import ValueEquality
@@ -129,7 +129,7 @@ ESCAPE_GAME = {
 
 
 def _reference_rhs_factory(game):
-    h_stack = game_mod.coupling_stack(game)
+    h_stack = game.H
     q_stack = np.stack(game.Q)
     a = np.array(game.A)
     at = a.T.copy()
@@ -331,7 +331,7 @@ def closed_loop_A(game: GameDefinition, S) -> np.ndarray:
         sj = linalg.as_symmetric(S[j], f"S[{j + 1}]")
         if sj.shape[0] != game.n:
             raise ValidationError(f"S[{j + 1}]: expected shape ({game.n}, {game.n})")
-        acl -= game_mod.control_coupling(game, j) @ sj
+        acl -= game.H[j] @ sj
     return acl
 
 
@@ -357,7 +357,7 @@ def existence_map(game: GameDefinition, q_bound, W) -> ExistenceMapResult:
     for w in ws:
         if w.shape[0] != n:
             raise ValidationError(f"candidate matrices must be {n} x {n}")
-    value, min_eig = _existence_stack(game_mod.coupling_stack(game), q, np.stack(ws)[:, None])
+    value, min_eig = _existence_stack(game.H, q, np.stack(ws)[:, None])
     value = value[0]
     min_eig = float(min_eig[0])
     value.flags.writeable = False

@@ -27,7 +27,6 @@ from aaolq.errors import (
     NotApplicableError,
     ValidationError,
 )
-from aaolq.game import control_coupling
 from aaolq.linalg import symmetrize
 from aaolq.sim import Trajectory
 from helpers import (
@@ -98,7 +97,7 @@ class TestExistenceMap:
             args[i] = w
             q = np.diag(rng.uniform(-0.5, 0.5, game.n))
             res = existence_map(game, q, args)
-            h = control_coupling(game, i)
+            h = game.H[i]
             # all but one product term cancel, leaving Q + W H W
             expected = q + w @ h @ w
             assert np.max(np.abs(res.value - expected)) <= 1e-12

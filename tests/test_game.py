@@ -12,10 +12,9 @@ from aaolq import (
     GameDefinition,
     PursuitParams,
     build_pursuit_example,
-    control_coupling,
     validate,
 )
-from aaolq.errors import SingularMatrixError, ValidationError
+from aaolq.errors import ValidationError
 from aaolq.game import absolute_starts
 from helpers import closed_loop_A, scalar_game
 
@@ -74,34 +73,29 @@ class TestControlCoupling:
             R=(np.eye(2),),
             S_f=(np.eye(2),),
         )
-        assert np.allclose(control_coupling(game, 0), np.eye(2), atol=1e-15)
+        assert np.allclose(game.H[0], np.eye(2), atol=1e-15)
 
     def test_benchmark_evader_all_ones_blocks(self, benchmark_game):
-        h1 = control_coupling(benchmark_game, 0)
+        h1 = benchmark_game.H[0]
         expected = np.kron(np.ones((3, 3)), np.eye(2))
         assert np.max(np.abs(h1 - expected)) < 1e-12
 
     def test_benchmark_pursuer_single_block(self, benchmark_game):
-        h2 = control_coupling(benchmark_game, 1)
+        h2 = benchmark_game.H[1]
         e1 = np.zeros((3, 3))
         e1[0, 0] = 1.0
         expected = np.kron(e1, np.eye(2)) / 150.0
         assert np.max(np.abs(h2 - expected)) < 1e-15
 
     def test_singular_weight_raises(self):
-        game = GameDefinition(
-            A=np.zeros((2, 2)),
-            B=(np.eye(2),),
-            Q=(np.eye(2),),
-            R=(np.diag([2e4, 1e-8]),),
-            S_f=(np.eye(2),),
-        )
-        with pytest.raises(SingularMatrixError):
-            control_coupling(game, 0)
-
-    def test_player_index_range_checked(self, benchmark_game):
-        with pytest.raises(ValidationError):
-            control_coupling(benchmark_game, 4)
+        with pytest.raises(ValidationError, match="R\\[1\\]: not safely invertible"):
+            GameDefinition(
+                A=np.zeros((2, 2)),
+                B=(np.eye(2),),
+                Q=(np.eye(2),),
+                R=(np.diag([2e4, 1e-8]),),
+                S_f=(np.eye(2),),
+            )
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=40, deadline=None)
@@ -119,8 +113,7 @@ class TestControlCoupling:
             R=(r,),
             S_f=(np.eye(n),),
         )
-        h = control_coupling(game, 0)
-        assert float(np.linalg.eigvalsh(h)[0]) >= -1e-9
+        assert float(np.linalg.eigvalsh(game.H[0])[0]) >= -1e-9
 
 
 class TestClosedLoopA:
@@ -155,7 +148,7 @@ class TestClosedLoopA:
             bumped = list(base)
             bumped[j] = base[j] + d
             delta = closed_loop_A(game, bumped) - closed_loop_A(game, base)
-            expected = -control_coupling(game, j) @ d
+            expected = -game.H[j] @ d
             assert np.array_equal(delta, expected)
 
     def test_wrong_count_rejected(self, benchmark_game):

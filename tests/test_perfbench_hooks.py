@@ -3,7 +3,9 @@
 ``perfbench/spans.py`` wraps module attributes by name and reads
 ``verify_solution``'s ``screen_stride`` default when it is imported, so an
 API edit that drops one of them fails every benchmark op at import. The
-check runs in a child process: ``perfbench`` has modules named like the
+benchmark's own tests also call ``parse_scenario``, ``Scenario.build_game``
+and ``check_diagonal_subclass`` on a generated workload, so the child makes
+those calls too. The check runs in a child process: ``perfbench`` has modules named like the
 ones in ``tests`` and cannot be imported into this session.
 """
 from __future__ import annotations
@@ -19,8 +21,12 @@ import sys
 sys.path.insert(0, sys.argv[1])
 import env
 import spans
+import workloads
+from aaolq import check_diagonal_subclass, parse_scenario
 
 env.check_source()
+game = parse_scenario(workloads.generate_explicit(7)[0]).build_game()
+assert check_diagonal_subclass(game).applicable
 for name, (mod, attr) in spans.ENTRY_POINTS.items():
     assert callable(getattr(mod, attr)), name
 tracer = spans.Tracer()

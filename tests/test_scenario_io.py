@@ -33,7 +33,7 @@ from aaolq import (
     solve_coupled,
     solve_envelope,
 )
-from aaolq import runner
+from aaolq import linalg, runner
 from aaolq.cli import main as cli_main
 from aaolq.errors import ScenarioError, ValidationError
 from aaolq.sim import PursuitReport, Trajectory
@@ -210,6 +210,15 @@ def _replace_pursuit(scenario: Scenario, **changes) -> Scenario:
     return dataclasses.replace(scenario, pursuit=dataclasses.replace(scenario.pursuit, **changes))
 
 
+def _replace_explicit(scenario: Scenario, **changes) -> Scenario:
+    """As ``Scenario.with_tf`` replaces a field of an explicit game."""
+    try:
+        explicit = dataclasses.replace(scenario.explicit, **changes)
+    except ValidationError as exc:
+        raise ScenarioError(f"explicit: {exc}") from exc
+    return dataclasses.replace(scenario, explicit=explicit)
+
+
 def _set(path: tuple, value):
     """Doc mutation that sets the entry at ``path`` (keys and indices)."""
 
@@ -276,6 +285,12 @@ MALFORMED = {
         _set(("pursuit", "evader", "control_weight"), -1.0),
         lambda sc: _replace_pursuit(sc, evader_control_weight=-1.0),
         "pursuit: R[1] must be positive definite",
+    ),
+    "explicit_control_weight_ill_conditioned": (
+        "explicit_small.json",
+        _set(("explicit", "R", 0), [[1e-8, 0.0], [0.0, 1e5]]),
+        lambda sc: _replace_explicit(sc, R=(np.diag([1e-8, 1e5]),) + sc.explicit.R[1:]),
+        "explicit: R[1]: not safely invertible (eigenvalue range [1.000e-08, 1.000e+05])",
     ),
     "explicit_x0_size": (
         "explicit_small.json",
@@ -437,6 +452,12 @@ class TestReadmeExamples:
         names = set(re.findall(r"`([A-Za-z_]\w*)`", prose)) - {"sweep", "python"}
         assert "verify_solution" in names
         assert sorted(n for n in names if not hasattr(aaolq, n)) == []
+        # `Owner.attr` names a method, property or dataclass field of Owner.
+        dotted = re.findall(r"`([A-Za-z_]\w*)\.([A-Za-z_]\w*)`", prose)
+        assert ("GameDefinition", "H") in dotted
+        for owner, attr in dotted:
+            cls = getattr(aaolq, owner)
+            assert hasattr(cls, attr) or attr in {f.name for f in dataclasses.fields(cls)}, attr
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -629,6 +650,42 @@ class TestValueEquality:
 
 
 class TestRunPipeline:
+    def test_empty_out_dir_argument_rejected_before_anything_is_written(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # an empty out_dir would write here
+        scenario = load_scenario(SCENARIO_DIR / "explicit_small.json")
+        message = r"^run\.out_dir: expected a non-empty string$"
+        with pytest.raises(ScenarioError, match=message):
+            run(scenario, out_dir="", level="check")
+        with pytest.raises(ScenarioError, match=message):
+            run_sweep(scenario, [1.0], out_dir="")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_control_weights_inverted_once_per_game(self, tmp_path, monkeypatch):
+        # The scenario's game holds every R_i^{-1}: a nash run inverts
+        # nothing more, a team run only its reduced game's two weights, and
+        # a sweep only the long game's four and its team reduction's two.
+        benchmark = load_scenario(SCENARIO_DIR / "pursuit_benchmark.json")
+        nash = _replace_run(benchmark, dt=1e-2)
+        team = _replace_run(nash, mode="team")
+        calls = []
+        real_inverse = linalg.spd_inverse
+
+        def counting_inverse(r, name="matrix"):
+            calls.append(name)
+            return real_inverse(r, name)
+
+        monkeypatch.setattr(linalg, "spd_inverse", counting_inverse)
+        counts = []
+        for scenario in (nash, team):
+            calls.clear()
+            assert run(scenario, out_dir=tmp_path / scenario.run.mode).exit_code == 0
+            counts.append(len(calls))
+        calls.clear()
+        result = run_sweep(nash, range(2, 16, 2), modes=("nash", "team"), out_dir=tmp_path / "sweep")
+        assert all(c.status == "ok" for c in result.cells)
+        counts.append(len(calls))
+        assert counts == [0, 2, 6]
+
     def test_check_level_artifacts_and_witness(self, tmp_path):
         scenario = load_scenario(SCENARIO_DIR / "explicit_small.json")
         result = run(scenario, out_dir=tmp_path, level="check")
@@ -1192,6 +1249,24 @@ class TestCli:
         assert code == runner.EXIT_VALIDATION
         assert capsys.readouterr().err == message + "\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", [["check"], ["sweep", "--tf-list", "0.5,1"]])
+    def test_ill_conditioned_control_weight_exit_two_before_any_directory(
+        self, tmp_path, capsys, command
+    ):
+        # Positive definite, so only the inversion's condition limit sees it.
+        doc = json.loads((SCENARIO_DIR / "explicit_small.json").read_text())
+        doc["explicit"]["R"][0] = [[1e-8, 0.0], [0.0, 1e5]]
+        path = _write_scenario(tmp_path, doc)
+        code = cli_main(
+            command[:1] + ["--scenario", str(path), "--out", str(tmp_path / "o")] + command[1:]
+        )
+        assert code == runner.EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "scenario error: explicit: R[1]: not safely invertible "
+            "(eigenvalue range [1.000e-08, 1.000e+05])\n"
+        )
+        assert not (tmp_path / "o").exists()
 
     def test_non_finite_sweep_horizon_exit_two(self, tmp_path, capsys):
         code = cli_main(

@@ -18,7 +18,6 @@ from aaolq import (
     team_gains_to_players,
 )
 from aaolq.errors import ValidationError
-from aaolq.game import control_coupling
 from helpers import closed_loop_A, riccati_rhs, scalar_game, scalar_lqr
 
 
@@ -100,9 +99,9 @@ class TestBuildTeamGame:
             build_team_game(benchmark_game, TeamWeights(alpha=(0.5, 0.5)))
 
     def test_coupling_identity(self, benchmark_game, benchmark_team):
-        h_team = control_coupling(benchmark_team.reduced, 1)
+        h_team = benchmark_team.reduced.H[1]
         expected = sum(
-            (1.0 / benchmark_team.weights.alpha[i - 1]) * control_coupling(benchmark_game, i)
+            (1.0 / benchmark_team.weights.alpha[i - 1]) * benchmark_game.H[i]
             for i in range(1, 4)
         )
         assert np.max(np.abs(h_team - expected)) <= 1e-10
