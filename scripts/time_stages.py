@@ -5,11 +5,13 @@ Runs ``run(level="simulate")`` on one scenario ``--repeats`` times and
 times each stage: the backward solve, ``verify_solution``, solution.csv,
 gain synthesis plus ``simulate``, ``lyapunov_check``, the other CSV writers
 and the rest of ``run()`` (validation, conditions.txt, summary.txt, the
-pursuit report). Then it runs ``run_sweep`` over the paper's horizons
-tf = 2, 4, ..., 14 in nash and team mode together, as the benchmark's
-``sweep_table`` workload does, as many times. It times the one lockstep
-backward solve of each step group, and the gain synthesis plus the
-forward passes of both modes. The run's solve line gives microseconds per
+pursuit report). Beside each stage of the first repeat it prints the
+process's max RSS (``ru_maxrss``, the high-water mark) when that stage
+returned, and the header line gives it after import. Then it runs
+``run_sweep`` over the paper's horizons tf = 2, 4, ..., 14 in nash and
+team mode together, as the benchmark's ``sweep_table`` workload does, as
+many times. It times the one lockstep backward solve of each step group,
+and the gain synthesis plus the forward passes of both modes. The run's solve line gives microseconds per
 RK4 substep from the solve's ``SolveStats``; a lockstep solve line gives
 every game's substeps, the lockstep iterations of the loop (one RK4
 substep of every game still marching) and microseconds per iteration.
@@ -20,7 +22,8 @@ timing wrappers, so the pipeline itself runs unchanged; lockstep
 iterations are counted by a wrapper around ``riccati._Stages.step``,
 which adds one Python call per iteration. Artifacts go to a
 temporary directory that is removed on exit; no timing reaches an
-artifact. Pin the BLAS thread count for comparable numbers:
+artifact. The RSS column reads a high-water mark, so it compares only
+between fresh processes. Pin the BLAS thread count for comparable numbers:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/time_stages.py \\
         --scenario scenarios/pursuit_benchmark.json --repeats 5
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import resource
 import statistics
 import tempfile
 import time
@@ -61,9 +65,15 @@ STAGES = {
 }
 
 
+def _max_rss_mb() -> float:
+    """The process's max resident set size so far, in MB (Linux reports KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 @contextlib.contextmanager
 def timed(stages: dict, log: list):
-    """Wrap every stage attribute; each call appends (stage, seconds, result).
+    """Wrap every stage attribute; each call appends (stage, seconds, result,
+    max RSS in MB when it returned).
 
     A call that raises (``lyapunov_check`` on a game it does not apply to)
     is logged with the result None.
@@ -78,7 +88,7 @@ def timed(stages: dict, log: list):
                 result = fn(*args, **kwargs)
                 return result
             finally:
-                log.append((stage, time.perf_counter() - start, result))
+                log.append((stage, time.perf_counter() - start, result, _max_rss_mb()))
 
         return timed_call
 
@@ -94,11 +104,13 @@ def timed(stages: dict, log: list):
             setattr(module, attr, fn)
 
 
-def _line(label: str, seconds: list[float], sol=None) -> str:
-    """Median and range of ``seconds``; with a solve, its substeps and the
-    median microseconds per substep."""
+def _line(label: str, seconds: list[float], sol=None, rss_mb=None) -> str:
+    """Median and range of ``seconds``; with ``rss_mb``, the max RSS column;
+    with a solve, its substeps and the median microseconds per substep."""
     median = statistics.median(seconds)
     text = f"  {label:<18}{median:9.4f} s  [{min(seconds):.4f}, {max(seconds):.4f}]"
+    if rss_mb is not None:
+        text += f"  {rss_mb:7.1f} MB"
     if sol is not None:
         per = 1e6 * median / max(sol.stats.substeps, 1)
         text += f"  {sol.stats.substeps:>7,} substeps  {per:6.1f} us/substep"
@@ -107,6 +119,7 @@ def _line(label: str, seconds: list[float], sol=None) -> str:
 
 def time_run(scenario, repeats: int, work: Path) -> list[str]:
     per_stage = defaultdict(list)
+    rss_after = {}
     for i in range(repeats):
         log = []
         with timed(STAGES, log):
@@ -114,12 +127,19 @@ def time_run(scenario, repeats: int, work: Path) -> list[str]:
             result = run(scenario, work / f"run{i}", level="simulate")
             total = time.perf_counter() - start
         for stage in STAGES:
-            per_stage[stage].append(sum(s for name, s, _ in log if name == stage))
-        per_stage["rest"].append(total - sum(s for _, s, _ in log))
+            per_stage[stage].append(sum(s for name, s, _, _ in log if name == stage))
+        per_stage["rest"].append(total - sum(s for _, s, _, _ in log))
         per_stage["total"].append(total)
-    lines = [f"run(level='simulate'), mode {scenario.run.mode}, exit code {result.exit_code}"]
+        if i == 0:
+            rss_after = {name: rss for name, _, _, rss in log}  # the stage's last call
+            rss_after["total"] = _max_rss_mb()
+    lines = [
+        f"run(level='simulate'), mode {scenario.run.mode}, exit code {result.exit_code}",
+        f"  {'stage':<18}{'median':>9}    [min, max]          max RSS after stage (first repeat)",
+    ]
     for stage, seconds in per_stage.items():
-        lines.append(_line(stage, seconds, result.sol if stage == "solve" else None))
+        sol = result.sol if stage == "solve" else None
+        lines.append(_line(stage, seconds, sol, rss_after.get(stage)))
     return lines
 
 
@@ -178,9 +198,9 @@ def time_sweep(scenario, repeats: int, work: Path) -> list[str]:
             start = time.perf_counter()
             run_sweep(scenario, TF_LIST, modes=MODES, out_dir=work / f"sweep{i}")
             total_s.append(time.perf_counter() - start)
-        for j, (_, seconds, _) in enumerate(e for e in log if e[0] == "solve"):
+        for j, (_, seconds, _, _) in enumerate(e for e in log if e[0] == "solve"):
             solve_s[j].append(seconds)
-        forward_s.append(sum(s for name, s, _ in log if name == "forward"))
+        forward_s.append(sum(s for name, s, _, _ in log if name == "forward"))
     lines = [f"run_sweep, modes {','.join(MODES)}, tf {','.join(f'{t:g}' for t in TF_LIST)}"]
     for j, solve in enumerate(solves):
         games = " + ".join(f"{mode} {n:,}" for mode, n in zip(MODES, solve.substeps))
@@ -205,8 +225,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
+    import_rss = _max_rss_mb()
     scenario = load_scenario(args.scenario)
-    print(f"{args.scenario}: {args.repeats} repeats, medians [min, max] of wall-clock seconds")
+    print(
+        f"{args.scenario}: {args.repeats} repeats, medians [min, max] of wall-clock seconds;"
+        f" max RSS after import {import_rss:.1f} MB"
+    )
     with tempfile.TemporaryDirectory() as tmp:
         for line in time_run(scenario, args.repeats, Path(tmp)):
             print(line)

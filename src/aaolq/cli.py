@@ -64,7 +64,8 @@ def _parse_floats(text: str, what: str) -> tuple[float, ...]:
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    """``scenario`` with the command line's overrides; the scenario checks them."""
+    """``scenario`` with the command line's overrides, rebuilt at most once;
+    the scenario checks them."""
     updates = {}
     if args.mode is not None and args.command != "sweep":
         updates["mode"] = args.mode
@@ -74,8 +75,10 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
         updates["dt"] = args.dt
     if args.out is not None:
         updates["out_dir"] = args.out
-    scenario = dataclasses.replace(scenario, run=dataclasses.replace(scenario.run, **updates))
-    return scenario if args.tf is None else scenario.with_tf(args.tf)
+    changes = {"run": dataclasses.replace(scenario.run, **updates)} if updates else {}
+    if args.tf is not None:
+        return scenario.with_tf(args.tf, **changes)
+    return dataclasses.replace(scenario, **changes) if changes else scenario
 
 
 def main(argv=None) -> int:

@@ -3,9 +3,11 @@
 Every artifact is written deterministically: floats are serialized with
 ``repr`` (shortest round-trip form), row order is fixed, and files land
 via a temp-file rename so readers never observe partial writes. The CSV
-writers format whole arrays at once: each distinct value, told apart by
-its bit pattern, is formatted once, and the rows stream into the temp
-file in chunks before the rename, so no whole file is held in memory.
+writers format one bounded chunk at a time (a block of table rows, or of
+solution time nodes): within a chunk each distinct value, told apart by
+its bit pattern, is formatted once, and the chunk's rows go to the temp
+file before the next chunk is formatted, so neither the file nor one
+string per value of it is ever held in memory.
 Exit codes: 0 success, 2 validation failure, 3 backward solve blow-up,
 4 closed-loop divergence.
 """
@@ -65,8 +67,10 @@ def _write_rows(path: Path, header: list[str], rows) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
-#: Rows per chunk :func:`_write_table` hands to the file.
+#: Rows per chunk :func:`_write_table` formats and hands to the file.
 _CHUNK_ROWS = 4096
+#: Time nodes per chunk :func:`write_solution_csv` formats and hands to the file.
+_CHUNK_NODES = 250
 
 
 def _reprs(values: np.ndarray) -> list[str]:
@@ -83,16 +87,13 @@ def _reprs(values: np.ndarray) -> list[str]:
 
 def _write_table(path: Path, header: list[str], table: np.ndarray) -> None:
     """One CSV row per row of the float array ``table``."""
-    width = table.shape[1]
-    cells = _reprs(table)
-    row = ",".join(["%s"] * width) + "\n"
-    step = _CHUNK_ROWS * width
+    row = ",".join(["%s"] * table.shape[1]) + "\n"
 
     def chunks():
         yield ",".join(header) + "\n"
-        for lo in range(0, len(cells), step):
-            block = cells[lo : lo + step]
-            yield (row * (len(block) // width)) % tuple(block)
+        for lo in range(0, len(table), _CHUNK_ROWS):
+            block = table[lo : lo + _CHUNK_ROWS]
+            yield (row * len(block)) % tuple(_reprs(block))
 
     _write_chunks(path, chunks())
 
@@ -105,12 +106,14 @@ def write_solution_csv(path: Path, sol: RiccatiSolution):
     node = "".join(
         f"\0,{i + 1},{r + 1},{c + 1},%s\n" for i in range(m) for r in range(n) for c in range(n)
     )
-    values = _reprs(np.moveaxis(sol.S, 1, 0))
+    times = sol.grid.times().tolist()
 
     def chunks():
         yield "t,player,row,col,value\n"
-        for k, t in enumerate(sol.grid.times().tolist()):
-            yield node.replace("\0", repr(t)) % tuple(values[k * width : (k + 1) * width])
+        for lo in range(0, len(times), _CHUNK_NODES):
+            values = _reprs(np.moveaxis(sol.S[:, lo : lo + _CHUNK_NODES], 1, 0))
+            for k, t in enumerate(times[lo : lo + _CHUNK_NODES]):
+                yield node.replace("\0", repr(t)) % tuple(values[k * width : (k + 1) * width])
 
     _write_chunks(path, chunks())
 

@@ -116,15 +116,17 @@ class Scenario(ValueEquality):
             k = bound_q.shape[0]
             raise ScenarioError(f"run.bound_q: expected {n} x {n}, got {k} x {k}")
 
-    def with_tf(self, tf: float) -> "Scenario":
-        """The same scenario with its horizon ending at ``tf``."""
+    def with_tf(self, tf: float, **changes) -> "Scenario":
+        """The same scenario with its horizon ending at ``tf`` and the other
+        field ``changes`` applied, built and checked once."""
         if self.pursuit is not None:
-            return dataclasses.replace(self, pursuit=dataclasses.replace(self.pursuit, tf=tf))
+            pursuit = dataclasses.replace(self.pursuit, tf=tf)
+            return dataclasses.replace(self, pursuit=pursuit, **changes)
         try:
             explicit = dataclasses.replace(self.explicit, tf=tf)
         except ValidationError as exc:
             raise ScenarioError(f"explicit: {exc}") from exc
-        return dataclasses.replace(self, explicit=explicit)
+        return dataclasses.replace(self, explicit=explicit, **changes)
 
     def build_game(self) -> GameDefinition:
         """The game this scenario's constructor built and checked, the same object every call."""

@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,7 @@ from aaolq import (
     solve_envelope,
 )
 from aaolq import linalg, runner
+from aaolq.cli import _apply_overrides, build_parser
 from aaolq.cli import main as cli_main
 from aaolq.errors import ScenarioError, ValidationError
 from aaolq.sim import PursuitReport, Trajectory
@@ -94,6 +96,20 @@ def _write_scenario(tmp_path: Path, doc: dict, name: str = "scenario.json") -> P
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return path
+
+
+@pytest.fixture
+def inversions(monkeypatch) -> list[str]:
+    """The name of every ``linalg.spd_inverse`` call made after set-up."""
+    calls = []
+    real_inverse = linalg.spd_inverse
+
+    def counting_inverse(r, name="matrix"):
+        calls.append(name)
+        return real_inverse(r, name)
+
+    monkeypatch.setattr(linalg, "spd_inverse", counting_inverse)
+    return calls
 
 
 class TestParseScenario:
@@ -660,30 +676,22 @@ class TestRunPipeline:
             run_sweep(scenario, [1.0], out_dir="")
         assert list(tmp_path.iterdir()) == []
 
-    def test_control_weights_inverted_once_per_game(self, tmp_path, monkeypatch):
+    def test_control_weights_inverted_once_per_game(self, tmp_path, inversions):
         # The scenario's game holds every R_i^{-1}: a nash run inverts
         # nothing more, a team run only its reduced game's two weights, and
         # a sweep only the long game's four and its team reduction's two.
         benchmark = load_scenario(SCENARIO_DIR / "pursuit_benchmark.json")
         nash = _replace_run(benchmark, dt=1e-2)
         team = _replace_run(nash, mode="team")
-        calls = []
-        real_inverse = linalg.spd_inverse
-
-        def counting_inverse(r, name="matrix"):
-            calls.append(name)
-            return real_inverse(r, name)
-
-        monkeypatch.setattr(linalg, "spd_inverse", counting_inverse)
         counts = []
         for scenario in (nash, team):
-            calls.clear()
+            inversions.clear()
             assert run(scenario, out_dir=tmp_path / scenario.run.mode).exit_code == 0
-            counts.append(len(calls))
-        calls.clear()
+            counts.append(len(inversions))
+        inversions.clear()
         result = run_sweep(nash, range(2, 16, 2), modes=("nash", "team"), out_dir=tmp_path / "sweep")
         assert all(c.status == "ok" for c in result.cells)
-        counts.append(len(calls))
+        counts.append(len(inversions))
         assert counts == [0, 2, 6]
 
     def test_check_level_artifacts_and_witness(self, tmp_path):
@@ -843,8 +851,11 @@ class TestWriterBytes:
         result = run(parse_scenario(json.dumps(ESCAPE_GAME)), out_dir=tmp_path, level="solve")
         assert result.exit_code == 3
         expected = reference_solution_csv(result.sol)
-        # Nodes the backward solve never reached, from t0 on, stay NaN.
+        # Nodes the backward solve never reached, from t0 on, stay NaN; a
+        # chunk of 7 nodes holds both NaN and finite nodes.
         assert expected.startswith("t,player,row,col,value\n0.0,1,1,1,nan\n")
+        reached = np.isfinite(result.sol.S).all(axis=(0, 2, 3))
+        assert reached.argmax() % 7 != 0 and reached.argmax() > 7
         _same_bytes(tmp_path / "solution.csv", expected)
 
     def test_single_player_odd_dimension(self, tmp_path):
@@ -904,6 +915,42 @@ class TestWriterBytes:
         _same_bytes(tmp_path / "trajectory.csv", reference_trajectory_csv(traj))
         _same_bytes(tmp_path / "distances.csv", reference_distances_csv(traj, report))
         _same_bytes(tmp_path / "positions.csv", reference_positions_csv(traj, params))
+
+
+class TestWriterBytesInSmallChunks(TestWriterBytes):
+    """Every writer case again, formatted 1 and 7 nodes or rows at a time:
+    partial last chunks, and chunks that straddle a failed solve's NaN tail."""
+
+    @pytest.fixture(autouse=True, params=[1, 7])
+    def small_chunks(self, request, monkeypatch):
+        monkeypatch.setattr(runner, "_CHUNK_NODES", request.param)
+        monkeypatch.setattr(runner, "_CHUNK_ROWS", request.param)
+
+
+def test_solution_writer_memory_does_not_grow_with_the_grid(tmp_path):
+    # Traced peak of write_solution_csv at n = 6, M = 4: formatting one
+    # chunk of nodes at a time keeps it flat in the node count, where
+    # formatting every value at once grows about fourfold.
+    rng = np.random.default_rng(3)
+    peaks = []
+    for nodes in (2000, 8000):
+        grid = TimeGrid(0.0, 1.0, nodes - 1)
+        sol = RiccatiSolution(
+            grid=grid,
+            S=rng.normal(size=(4, nodes, 6, 6)),
+            status=SolveStatus.COMPLETE,
+            failure_time=None,
+            failure_reason=None,
+            max_symmetry_residual=0.0,
+            stats=SolveStats(0, 0, grid.dt, 0.0, grid.tf),
+        )
+        tracemalloc.start()
+        try:
+            runner.write_solution_csv(tmp_path / "solution.csv", sol)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 class TestRunSweep:
@@ -1317,6 +1364,19 @@ class TestCli:
         assert code == runner.EXIT_VALIDATION
         assert capsys.readouterr().err == "error: sweep modes must be distinct, got nash,nash\n"
         assert not (tmp_path / "o").exists()
+
+    def test_overrides_rebuild_the_scenario_at_most_once(self, inversions):
+        # Every build of the pursuit game inverts its four R_i again.
+        parser = build_parser()
+        benchmark = load_scenario(SCENARIO_DIR / "pursuit_benchmark.json")
+        inversions.clear()
+        args = parser.parse_args(["simulate", "--scenario", "unused.json"])
+        assert _apply_overrides(benchmark, args) is benchmark
+        assert len(inversions) == 0
+        args = parser.parse_args(["simulate", "--scenario", "unused.json", "--tf", "5", "--dt", "0.01"])
+        scenario = _apply_overrides(benchmark, args)
+        assert len(inversions) == 4
+        assert (scenario.build_game().tf, scenario.run.dt) == (5.0, 0.01)
 
     def test_mode_override(self, tmp_path):
         code = cli_main(

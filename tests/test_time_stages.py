@@ -31,6 +31,18 @@ def test_one_repeat_prints_every_stage_and_writes_nothing(tmp_path):
     )
     for stage in stages:
         assert re.search(rf"^  {re.escape(stage)} +\d+\.\d{{4}} s  \[", out, re.M), stage
+    # Max RSS after each stage of the first repeat; "rest" is no one point.
+    assert re.search(r"max RSS after import \d+\.\d MB$", out, re.M)
+    assert "max RSS after stage" in out
+    rss = {}
+    for stage in stages:
+        match = re.search(
+            rf"^  {re.escape(stage)} +\d+\.\d{{4}} s  \[[^]]*\] +(\d+\.\d) MB", out, re.M
+        )
+        assert (match is None) == (stage == "rest"), stage
+        if match:
+            rss[stage] = float(match.group(1))
+    assert 0.0 < rss["solve"] <= rss["solution.csv"] <= rss["other writers"] <= rss["total"]
     assert "run_sweep, modes nash,team, tf 2,4,6,8,10,12,14" in out
     # The run's solve, in microseconds per RK4 substep.
     per_substep = re.findall(r"([\d,]+) substeps +(\d+\.\d) us/substep$", out, re.M)
