@@ -34,7 +34,7 @@ from .game import (
     build_pursuit_example,
     validate,
 )
-from .linalg import block_diag, is_definite, sym_eigenvalues
+from .linalg import block_diag, sym_eigenvalues
 from .riccati import (
     FeedbackGain,
     RiccatiSolution,

@@ -22,6 +22,8 @@ over the grid and the guaranteed-capture horizon ``horizon_bound``, and
 
 Every matrix norm here is the squared trace norm tr(S S') of
 :mod:`aaolq.linalg`: the sum of squared entries, no square root taken.
+Every eigenvalue comes from :func:`aaolq.linalg.sym_eigenvalues`, a whole
+grid in one call, with the extrema read off its first and last columns.
 Every positive-definiteness verdict tests its smallest eigenvalue against
 ``PSD_TOL``, the tolerance :mod:`aaolq.linalg` uses.
 """
@@ -76,8 +78,7 @@ def _existence_stack(h: np.ndarray, q: np.ndarray, w: np.ndarray):
         g += hw
         value -= w[i] @ hw
     value = linalg.symmetrize(value + d @ g + np.swapaxes(g, -1, -2) @ d)
-    lo, _ = linalg.sym_extrema_stack(value)
-    return value, lo
+    return value, linalg.sym_eigenvalues(value)[..., 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,10 +367,10 @@ def verify_solution(
     sum_q_pd = q_min > PSD_TOL
     sum_sf_pd = sf_min > PSD_TOL
 
-    lo, hi = linalg.sym_extrema_stack(sol.S)  # (M, steps+1) each
-    opponent_max = float(hi[OPPONENT].max())
+    s_eigs = linalg.sym_eigenvalues(sol.S)  # (M, steps+1, n)
+    opponent_max = float(s_eigs[OPPONENT, :, -1].max())
     if game.num_players >= 2:
-        regulator_min = float(lo[1:].min())
+        regulator_min = float(s_eigs[1:, :, 0].min())
     else:
         regulator_min = math.inf
         notes.append("single-player game: no regulator definiteness to check")
@@ -384,7 +385,7 @@ def verify_solution(
     rq_screen_psd = bool(screen_min >= -PSD_TOL)
 
     p_series = lyapunov_weight_series(sol)
-    p_lo, p_hi = linalg.sym_extrema_stack(p_series)
+    p_eigs = linalg.sym_eigenvalues(p_series)
     per_norm = np.einsum("ikrc,ikrc->ik", sol.S, sol.S)
     max_norm = float(per_norm.max())
     if game.num_players >= 2:
@@ -392,10 +393,8 @@ def verify_solution(
         envelope_bound = envelope.bound
         inside = bool(max_norm <= envelope.bound)
         combo = p_series - 2.0 * sol.S[OPPONENT]  # -S_1 + sum_{i>=2} S_i
-        combo_lo, _ = linalg.sym_extrema_stack(combo)
-        upper_lo, _ = linalg.sym_extrema_stack(envelope.L - combo)
-        chain_lower = float(combo_lo.min())
-        chain_upper = float(upper_lo.min())
+        chain_lower = float(linalg.sym_eigenvalues(combo)[..., 0].min())
+        chain_upper = float(linalg.sym_eigenvalues(envelope.L - combo)[..., 0].min())
         chain_ok = bool(chain_lower >= -CHAIN_TOL and chain_upper >= -CHAIN_TOL)
     else:
         envelope_bound = math.nan
@@ -421,8 +420,8 @@ def verify_solution(
         psd_chain_ok = None
         notes.append("existence screen not PSD at sampled points; envelope bound not certified")
 
-    p_min = float(p_lo.min())
-    p_max = float(p_hi.max())
+    p_min = float(p_eigs[:, 0].min())
+    p_max = float(p_eigs[:, -1].max())
     if sum_q_pd and sum_sf_pd:
         p_min_eig: float | None = p_min
         p_max_eig: float | None = p_max

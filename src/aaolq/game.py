@@ -62,10 +62,11 @@ class GameDefinition(ValueEquality):
     sign pattern is reported by :func:`validate` rather than enforced here,
     so that deliberately broken games can still be built and inspected.
 
-    Construction is the one place each R_i is inverted (eigenvalue ratio at
-    most 1e12): read-only ``R_inv[i]`` is R_i^{-1} and ``H`` the (M, n, n)
-    stack of control couplings H_i = B_i R_i^{-1} B_i' that the solve, the
-    gains and the certificates read. An overflowing H_i is kept as it is.
+    Construction is the one place each R_i is decomposed and inverted
+    (``linalg.spd_inverse``): read-only ``R_inv[i]`` is R_i^{-1} and ``H``
+    the (M, n, n) stack of control couplings H_i = B_i R_i^{-1} B_i' that the
+    solve, the gains and the certificates read. An overflowing H_i is kept
+    as it is.
     """
 
     A: np.ndarray
@@ -108,8 +109,6 @@ class GameDefinition(ValueEquality):
                     f"R[{i + 1}]: expected shape ({b.shape[1]}, {b.shape[1]}), got {r.shape}"
                 )
             # R_i > 0 is required unconditionally, not just for AAO compliance.
-            if not linalg.is_definite(r, "pd"):
-                raise ValidationError(f"R[{i + 1}] must be positive definite")
             try:
                 r_invs.append(linalg.spd_inverse(r, name=f"R[{i + 1}]"))
             except SingularMatrixError as exc:
@@ -152,6 +151,16 @@ class ValidationReport:
     notes: tuple[str, ...] = field(default=())
 
 
+def _definite(values: np.ndarray, requirement: str) -> bool:
+    """On ascending eigenvalues: pd is lowest > tol, psd lowest >= -tol, nd highest < -tol."""
+    tol = linalg.DEFINITENESS_TOL
+    if requirement == "pd":
+        return bool(values[0] > tol)
+    if requirement == "psd":
+        return bool(values[0] >= -tol)
+    return bool(values[-1] < -tol)
+
+
 def _verdict(name: str, matrix: np.ndarray, requirement: str) -> MatrixVerdict:
     values = linalg.sym_eigenvalues(matrix)
     return MatrixVerdict(
@@ -159,7 +168,7 @@ def _verdict(name: str, matrix: np.ndarray, requirement: str) -> MatrixVerdict:
         requirement=requirement,
         eig_min=float(values[0]),
         eig_max=float(values[-1]),
-        ok=linalg._definite(values, requirement),
+        ok=_definite(values, requirement),
     )
 
 

@@ -10,10 +10,13 @@ All matrix data is plain float64 numpy arrays. Two conventions are global:
   tolerance ``DEFINITENESS_TOL`` (``1e-9``), sized for the integration
   error that feeds them rather than for machine precision.
 
-Every eigenvalue comes from LAPACK (``numpy.linalg.eigvalsh`` and
-``eigh``) on the exact symmetric part of the input, one matrix or a whole
-stack at a time. The test suite keeps a cyclic Jacobi iteration as an
-independent oracle for both.
+Every eigenvalue comes from LAPACK in one of two kernels:
+:func:`sym_eigenvalues` (``eigvalsh``, one matrix or a whole stack) and
+:func:`spd_inverse` (``eigh``, each control weight R_i). A matrix is
+validated and replaced by its exact symmetric part; a stack is read as
+given and must be symmetric already, as every stack the solver and the
+certificates form is by construction. The test suite keeps a cyclic
+Jacobi iteration as an independent oracle for both.
 """
 from __future__ import annotations
 
@@ -25,8 +28,6 @@ SYMMETRY_RTOL = 1e-10
 DEFINITENESS_TOL = 1e-9
 #: Largest eigenvalue ratio :func:`spd_inverse` accepts.
 SPD_COND_LIMIT = 1e12
-
-DEFINITENESS_KINDS = ("pd", "psd", "nd", "nsd")
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -106,8 +107,17 @@ def block_diag(blocks) -> np.ndarray:
 
 
 def sym_eigenvalues(s) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, ascending and read-only (LAPACK ``eigvalsh``)."""
-    values = np.linalg.eigvalsh(as_symmetric(s, "sym_eigenvalues input"))
+    """Ascending eigenvalues of a symmetric matrix or (..., n, n) stack, read-only.
+
+    A matrix may come from a user and is checked by :func:`as_symmetric`
+    first. A stack goes to LAPACK ``eigvalsh`` as given, with no
+    symmetrizing copy, so it must be symmetric already (LAPACK reads its
+    lower triangle). The result has shape (..., n).
+    """
+    arr = np.asarray(s, dtype=float)
+    if arr.ndim < 3:
+        arr = as_symmetric(arr, "sym_eigenvalues input")
+    values = np.linalg.eigvalsh(arr)
     values.flags.writeable = False
     return values
 
@@ -115,13 +125,16 @@ def sym_eigenvalues(s) -> np.ndarray:
 def spd_inverse(r, name: str = "matrix") -> np.ndarray:
     """Inverse of a symmetric positive definite matrix via eigendecomposition.
 
-    The condition estimate ``lambda_max / lambda_min`` must stay under
-    ``SPD_COND_LIMIT`` and the smallest eigenvalue must be positive.
+    The smallest eigenvalue must exceed ``DEFINITENESS_TOL``, the package's
+    one positive-definiteness rule, and the condition estimate
+    ``lambda_max / lambda_min`` must stay under ``SPD_COND_LIMIT``.
     """
     values, vectors = np.linalg.eigh(as_symmetric(r, name))
     lo = float(values[0])
     hi = float(values[-1])
-    if lo <= 0.0 or hi / lo > SPD_COND_LIMIT:
+    if not lo > DEFINITENESS_TOL:
+        raise SingularMatrixError(f"{name} must be positive definite")
+    if hi / lo > SPD_COND_LIMIT:
         raise SingularMatrixError(
             f"{name}: not safely invertible (eigenvalue range [{lo:.3e}, {hi:.3e}])"
         )
@@ -129,37 +142,3 @@ def spd_inverse(r, name: str = "matrix") -> np.ndarray:
     out = symmetrize(inv)
     out.flags.writeable = False
     return out
-
-
-def is_definite(s, kind: str) -> bool:
-    """Eigenvalue definiteness test with tolerance ``DEFINITENESS_TOL``.
-
-    ``pd`` means smallest eigenvalue > tol, ``psd`` means >= -tol; ``nd``
-    and ``nsd`` mirror those on the largest eigenvalue.
-    """
-    if kind not in DEFINITENESS_KINDS:
-        raise ValueError(f"unknown definiteness kind {kind!r}")
-    return _definite(sym_eigenvalues(s), kind)
-
-
-def _definite(values: np.ndarray, kind: str) -> bool:
-    """The threshold test of :func:`is_definite` on ascending eigenvalues."""
-    tol = DEFINITENESS_TOL
-    if kind == "pd":
-        return bool(values[0] > tol)
-    if kind == "psd":
-        return bool(values[0] >= -tol)
-    if kind == "nd":
-        return bool(values[-1] < -tol)
-    return bool(values[-1] <= tol)
-
-
-def sym_extrema_stack(stack: np.ndarray):
-    """Smallest and largest eigenvalue of each matrix in a (..., n, n) stack.
-
-    The stack is symmetrized and handed to LAPACK in one call, so a whole
-    grid costs one call rather than one per node.
-    """
-    arr = np.asarray(stack, dtype=float)
-    w = np.linalg.eigvalsh(symmetrize(arr))
-    return w[..., 0], w[..., -1]

