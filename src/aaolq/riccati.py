@@ -77,6 +77,10 @@ STABILITY_TARGET = 0.5
 #: genuinely escaping solutions where the rate grows without limit.
 MAX_SUBSTEPS = 100_000
 
+#: Ceiling on the output intervals of a grid. Every history holds one
+#: matrix per player and node, so a finer grid could not be stored.
+MAX_STEPS = 1_000_000
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -118,7 +122,8 @@ class TimeGrid:
         """Grid whose step is as close as possible to ``dt``, even step count.
 
         An even count keeps composite Simpson quadrature applicable to
-        trajectories integrated on the same grid.
+        trajectories integrated on the same grid. A ``dt`` that asks for
+        more than ``MAX_STEPS`` steps raises :class:`ValidationError`.
         """
         span = float(tf) - float(t0)
         if not 0.0 < span < math.inf:
@@ -130,6 +135,11 @@ class TimeGrid:
         if not math.isfinite(count):
             raise ValidationError(
                 f"dt={float(dt)!r} is too small for the span {span!r}: span / dt is not finite"
+            )
+        if count > MAX_STEPS:
+            raise ValidationError(
+                f"dt={float(dt)!r} asks for {count:.3g} steps over the span {span!r}; "
+                f"at most {MAX_STEPS:,} are allowed"
             )
         steps = max(2, round(count))
         if steps % 2:
@@ -349,22 +359,17 @@ def solve_lockstep(games: list[game_mod.GameDefinition], grid: TimeGrid) -> list
     n = games[0].n
     steps = grid.steps
     stages = _Stages(games)
-    # Two iterate buffers. Each has a games-by-players view of flat
-    # matrices for the norms and per-game views of the real players.
-    buffers = []
-    for buf in (np.zeros(stages.shape), np.empty(stages.shape)):
-        by_game = buf.reshape(m, count, n, n)
-        views = [by_game[:mg, g] for g, mg in enumerate(players)]
-        buffers.append((buf, by_game.reshape(m, count, n * n).swapaxes(0, 1), views))
-    (cur, cur_f, cur_v), (new, new_f, new_v) = buffers
+    # Two iterate buffers, each with a games-by-players view of flat
+    # matrices, and a node-major view of each game's flat history:
+    # hists[g][k] is game g at node k.
+    cur, new = np.zeros(stages.shape), np.empty(stages.shape)
+    cur_f = cur.reshape(m, count, n * n).swapaxes(0, 1)
+    new_f = new.reshape(m, count, n * n).swapaxes(0, 1)
     hists = []
     for g, game in enumerate(games):
-        cur_v[g][...] = game.S_f
-        hist = np.full((players[g], steps + 1, n, n), np.nan)
-        hist[:, steps] = cur_v[g]
-        hists.append(hist)
-    # Node-major views of the histories: by_node[g][k] is game g at node k.
-    by_node = [hist.swapaxes(0, 1) for hist in hists]
+        cur_f[g, : players[g]] = np.reshape(game.S_f, (players[g], n * n))
+        hists.append(np.full((players[g], steps + 1, n * n), np.nan).swapaxes(0, 1))
+        hists[g][steps] = cur_f[g, : players[g]]
     times = grid.times().tolist()
     a_norms = [float(np.sqrt((game.A * game.A).sum())) for game in games]
     hb_players = np.empty((m, count, 1, 1))
@@ -425,7 +430,7 @@ def solve_lockstep(games: list[game_mod.GameDefinition], grid: TimeGrid) -> list
                         failed[g] = (
                             k,
                             "solution norm escaped the existence threshold"
-                            if np.isfinite(new_v[g]).all()
+                            if np.isfinite(new_f[g, : players[g]]).all()
                             else "non-finite entries during backward integration",
                         )
                         continue
@@ -444,19 +449,20 @@ def solve_lockstep(games: list[game_mod.GameDefinition], grid: TimeGrid) -> list
                     for g in live:
                         if g not in running:
                             new_f[g] = cur_f[g]
-                (cur, cur_f, cur_v), (new, new_f, new_v) = (new, new_f, new_v), (cur, cur_f, cur_v)
+                cur, cur_f, new, new_f = new, new_f, cur, cur_f
                 running = going
             for g in live:
                 substeps[g] += taken[g]
                 subdivided[g] += taken[g] > 1
                 if g not in failed:
-                    by_node[g][k] = cur_v[g]
+                    hists[g][k] = cur_f[g, : players[g]]
             if failed:
                 live = [g for g in live if g not in failed]
                 if not live:
                     break
     out = []
-    for g, hist in enumerate(hists):
+    for g, node_major in enumerate(hists):
+        hist = node_major.swapaxes(0, 1).reshape(players[g], steps + 1, n, n)
         fail = failed.get(g)
         # Integrity probe over the stored nodes: every stage is bitwise
         # symmetric, so this reads 0.0 unless the arithmetic stops

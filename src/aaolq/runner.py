@@ -57,16 +57,6 @@ def _write_chunks(path: Path, chunks) -> None:
     os.replace(tmp, path)
 
 
-def _write_text(path: Path, text: str):
-    _write_chunks(path, (text,))
-
-
-def _write_rows(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(r) for r in rows)
-    _write_text(path, "\n".join(lines) + "\n")
-
-
 #: Rows per chunk :func:`_write_table` formats and hands to the file.
 _CHUNK_ROWS = 4096
 #: Time nodes per chunk :func:`write_solution_csv` formats and hands to the file.
@@ -380,12 +370,10 @@ def run(scenario: Scenario, out_dir=None, *, level: str = "simulate") -> RunResu
                 x0_norm=float(np.linalg.norm(scenario.x0)),
                 r=scenario.capture_radius,
             )
-    _write_text(
-        out / "conditions.txt",
-        format_conditions(
-            mode, active_game, grid, validation, result.sol, result.conditions, extra_notes
-        ),
+    conditions_txt = format_conditions(
+        mode, active_game, grid, validation, result.sol, result.conditions, extra_notes
     )
+    _write_chunks(out / "conditions.txt", (conditions_txt,))
     if result.sol is not None and level in ("solve", "simulate"):
         write_solution_csv(out / "solution.csv", result.sol)
     if result.conditions is not None and level == "simulate":
@@ -409,7 +397,7 @@ def run(scenario: Scenario, out_dir=None, *, level: str = "simulate") -> RunResu
             result.lyapunov = lyapunov_check(traj, result.sol, result.conditions)
         except NotApplicableError as exc:
             result.messages.append(str(exc))
-    _write_text(out / "summary.txt", _summary_text(result))
+    _write_chunks(out / "summary.txt", (_summary_text(result),))
     return result
 
 
@@ -441,9 +429,9 @@ def _sweep_group(scenario: Scenario, modes: tuple[str, ...], tfs: list[float]) -
     Each mode plays the group's long game, or its team reduction, and all
     of them are solved in one lockstep loop over their longest horizon.
     Every cell reads the tail of its mode's solve: the gains and the
-    forward pass read only the grid, never the game's horizon. Each mode's
-    gains are synthesized once, after which its solution is released, and
-    one forward pass per mode advances every cell from its own start node.
+    forward pass read only the grid, never the game's horizon. Each mode in
+    turn synthesizes its gains once, releases its solution, and runs one
+    forward pass that advances every cell from its own start node.
     Returns the cells keyed by (mode, tf).
     """
     long_game = scenario.with_tf(max(tfs)).build_game()
@@ -454,7 +442,6 @@ def _sweep_group(scenario: Scenario, modes: tuple[str, ...], tfs: list[float]) -
     )
     grids = {tf: TimeGrid.from_step(long_game.t0, tf, scenario.run.dt) for tf in tfs}
     cells = {}
-    passes = []
     for i, (mode, team) in enumerate(zip(modes, teams)):
         long_sol, sols[i] = sols[i], None
         starts = {}
@@ -468,24 +455,22 @@ def _sweep_group(scenario: Scenario, modes: tuple[str, ...], tfs: list[float]) -
                 cells[mode, tf] = SweepCell(
                     mode=mode, tf=tf, distances=None, captured=None, status="blow_up"
                 )
-        if starts:
-            # The longest finite cell: its slice is finite throughout and
-            # holds every other finite cell's slice as its tail.
-            first_tf = min(starts, key=starts.get)
-            first = starts[first_tf]
-            sol = RiccatiSolution(
-                grid=grids[first_tf],
-                S=long_sol.S[:, first:],
-                status=SolveStatus.COMPLETE,
-                failure_time=None,
-                failure_reason=None,
-                max_symmetry_residual=long_sol.max_symmetry_residual,
-                stats=long_sol.stats,
-            )
-            passes.append((mode, starts, first, _player_gains(long_game, team, sol)))
-            sol = None
-        long_sol = None  # the gains hold all the forward pass needs
-    for mode, starts, first, player_gains in passes:
+        if not starts:
+            continue
+        # The longest finite cell: its slice is finite throughout and holds
+        # every other finite cell's slice as its tail.
+        first_tf = min(starts, key=starts.get)
+        first = starts[first_tf]
+        sol = replace(
+            long_sol,
+            grid=grids[first_tf],
+            S=long_sol.S[:, first:],
+            status=SolveStatus.COMPLETE,
+            failure_time=None,
+            failure_reason=None,
+        )
+        player_gains = _player_gains(long_game, team, sol)
+        sol = long_sol = None  # the gains hold all the forward pass needs
         states = _propagate(
             long_game, player_gains, scenario.x0, [s - first for s in starts.values()]
         )
@@ -550,9 +535,8 @@ def run_sweep(scenario: Scenario, tf_list, modes=None, out_dir=None) -> SweepRes
         by_cell.update(_sweep_group(scenario, modes, tfs))
     cells = [by_cell[mode, tf] for mode in modes for tf in tf_tuple]
 
-    header = ["mode", "tf"] + [f"d{j + 1}" for j in range(k)] + ["captured"]
-
-    def rows():
+    def lines():
+        yield ",".join(["mode", "tf"] + [f"d{j + 1}" for j in range(k)] + ["captured"]) + "\n"
         for c in cells:
             if c.status == "ok":
                 ds = [_fmt(v) for v in c.distances]
@@ -560,7 +544,7 @@ def run_sweep(scenario: Scenario, tf_list, modes=None, out_dir=None) -> SweepRes
             else:
                 ds = ["nan"] * k
                 cap = c.status
-            yield [c.mode, _fmt(c.tf)] + ds + [cap]
+            yield ",".join([c.mode, _fmt(c.tf)] + ds + [cap]) + "\n"
 
-    _write_rows(out / "sweep.csv", header, rows())
+    _write_chunks(out / "sweep.csv", lines())
     return SweepResult(modes=modes, tf_list=tf_tuple, cells=cells)

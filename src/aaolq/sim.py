@@ -8,16 +8,16 @@ on near-escape games, each interval is subdivided into a deterministic
 number of equal substeps sized by the same kind of stability guard the
 backward solver uses; smooth games take exactly one substep per interval.
 On a linear ODE one RK4 substep is a matrix polynomial in its three stage
-matrices, so the n x n transition maps of a chunk of substeps are built in
-one stacked pass and then applied to the state in order, one
-matrix-vector product each. The same maps carry any number of start
-nodes at once: a sweep starts each horizon at its own node of the
-longest horizon's grid, and each start's states equal a run from that
-node alone bitwise. Costs accumulate by composite Simpson
-quadrature over the simulation grid plus the terminal term, which is why
-grids built through :meth:`TimeGrid.from_step` always carry an even step
-count. The decay certificate along a trajectory lives in
-:func:`aaolq.analysis.lyapunov_check`.
+matrices, so the n x n transition maps of at most 512 substeps are built
+in one stacked pass and then applied to the state in order, one
+matrix-vector product each. The same maps carry any number of start nodes
+at once: a sweep starts each horizon at its own node of the longest
+horizon's grid, a chunk of maps also ends where a horizon starts, and each
+start's states equal a run from that node alone bitwise. Costs accumulate
+by composite Simpson quadrature over the simulation grid plus the terminal
+term, which is why grids built through :meth:`TimeGrid.from_step` always
+carry an even step count. The decay certificate along a trajectory lives
+in :func:`aaolq.analysis.lyapunov_check`.
 """
 from __future__ import annotations
 
@@ -59,15 +59,17 @@ def _simpson_weights(steps: int, dt: float) -> np.ndarray:
     return w * (dt / 3.0)
 
 
-def _transition_maps(game: GameDefinition, gains: list[FeedbackGain], first: int):
-    """RK4 transition maps of every substep from node ``first`` to the grid's end.
+def _transition_maps(game: GameDefinition, gains: list[FeedbackGain], nodes: list[int]):
+    """RK4 transition maps of every substep from node ``nodes[0]`` to the grid's end.
 
-    Yields ``(k, phi, last)`` once per chunk of ``_CHUNK`` substeps, in
-    order: ``phi[i]`` maps the state over one substep of the interval that
-    starts at node ``k[i]`` of the gains' grid, and ``last[i]`` marks the
-    substep that closes it.
+    ``nodes`` are the sorted start nodes. Yields ``(k, phi, last)`` once per
+    chunk, in order; a chunk ends every ``_CHUNK`` substeps and before the
+    first substep of every start node. ``phi[i]`` maps the state over one
+    substep of the interval that starts at node ``k[i]`` of the gains'
+    grid, and ``last[i]`` marks the substep that closes it.
     """
     grid = gains[0].grid
+    first = nodes[0]
     a = np.array(game.A)
     acl_nodes = np.broadcast_to(a, (grid.steps + 1 - first,) + a.shape).copy()
     for b, g in zip(game.B, gains):
@@ -79,14 +81,15 @@ def _transition_maps(game: GameDefinition, gains: list[FeedbackGain], first: int
     # determinism and exact interval coverage.
     local = 2.0 * np.maximum(acl_norms[:-1], acl_norms[1:])
     n_sub = np.clip(np.ceil(dt * local / STABILITY_TARGET), 1, MAX_SUBSTEPS).astype(np.int64)
-    ends = np.cumsum(n_sub)
+    bounds = np.concatenate(([0], np.cumsum(n_sub)))  # each interval's first substep
+    total = int(bounds[-1])
+    cuts = sorted({*range(0, total, _CHUNK), *bounds[np.subtract(nodes, first)].tolist(), total})
     eye = np.eye(game.n)
-    total = int(ends[-1]) if len(ends) else 0
-    for s0 in range(0, total, _CHUNK):
-        sub = np.arange(s0, min(s0 + _CHUNK, total))
-        k = np.searchsorted(ends, sub, side="right")  # interval of each substep
+    for s0, s1 in zip(cuts, cuts[1:]):
+        sub = np.arange(s0, s1)
+        k = np.searchsorted(bounds, sub, side="right") - 1  # interval of each substep
         n = n_sub[k][:, None, None]
-        j = (sub - ends[k] + n_sub[k])[:, None, None]
+        j = (sub - bounds[k])[:, None, None]
         a0 = acl_nodes[k]
         da = acl_nodes[k + 1] - a0
         a_lo = a0 + (j / n) * da
@@ -98,7 +101,7 @@ def _transition_maps(game: GameDefinition, gains: list[FeedbackGain], first: int
         k3 = a_mid @ (eye + (0.5 * h) * k2)
         k4 = a_hi @ (eye + h * k3)
         phi = eye + (h / 6.0) * (a_lo + 2.0 * k2 + 2.0 * k3 + k4)
-        yield k + first, phi, sub == ends[k] - 1
+        yield k + first, phi, sub == bounds[k + 1] - 1
 
 
 def _propagate(
@@ -144,38 +147,29 @@ def _propagate(
     # Starts enter in node order, so the running ones are a prefix of ``state``.
     order = sorted(range(len(starts)), key=starts.__getitem__)
     nodes = [starts[i] for i in order]
-    state = np.empty((len(nodes), game.n, 1))
-    state[:] = x0v[:, None]
-    for k, phi, last in _transition_maps(game, gains, nodes[0]):
-        lo = np.searchsorted(k, nodes).tolist()  # each start's first substep here
-        cuts = sorted({0} | {c for c in lo if c < len(k)})
-        xs = np.empty((len(k),) + state.shape)
-        prev, running = state, 0
-        for b, e in zip(cuts, cuts[1:] + [len(k)]):
-            entering = bisect.bisect_right(lo, b)
-            if b:
-                xs[b - 1, running:entering] = x0v[:, None]
-            running = entering
-            xk = prev[:running]
-            # A stacked matrix-vector product per start rounds exactly as
-            # ``p @ x`` alone; one matrix-matrix product would not.
-            for p, dst in zip(phi[b:e], xs[b:e, :running]):
-                xk = np.matmul(p, xk, out=dst)
-            prev = xs[e - 1]
-        state[:running] = prev[:running]
+    state = np.tile(x0v[:, None], (len(nodes), 1, 1))
+    for k, phi, last in _transition_maps(game, gains, nodes):
+        # No chunk straddles a start: the starts at or before its first
+        # interval run through all of it, and the others still hold x0.
+        running = bisect.bisect_right(nodes, k[0])
+        xs = np.empty((len(k), running, game.n, 1))
+        xk = state[:running]
+        # A stacked matrix-vector product per start rounds exactly as
+        # ``p @ x`` alone; one matrix-matrix product would not.
+        for p, dst in zip(phi, xs):
+            xk = np.matmul(p, xk, out=dst)
+        state[:running] = xk
+        norms = np.linalg.norm(xs[..., 0], axis=-1)
         for i in range(running):
             if isinstance(out[order[i]], DivergenceError):
                 continue
-            x = xs[lo[i] :, i, :, 0]
-            norms = np.linalg.norm(x, axis=1)
-            bad = np.flatnonzero(~(norms <= DIVERGENCE_NORM))
+            bad = np.flatnonzero(~(norms[:, i] <= DIVERGENCE_NORM))
             if bad.size:
-                t_bad = float(times[k[lo[i] + bad[0]] + 1])
-                out[order[i]] = DivergenceError(t_bad, float(norms[bad[0]]))
+                t_bad = float(times[k[bad[0]] + 1])
+                out[order[i]] = DivergenceError(t_bad, float(norms[bad[0], i]))
                 state[i] = 0.0
                 continue
-            closes = last[lo[i] :]
-            out[order[i]][k[lo[i] :][closes] + 1 - nodes[i]] = x[closes]
+            out[order[i]][k[last] + 1 - nodes[i]] = xs[last, i, :, 0]
     return out
 
 

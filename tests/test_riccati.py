@@ -24,7 +24,7 @@ from aaolq import (
 )
 from aaolq.errors import IncompleteSolutionError, ValidationError
 from aaolq.linalg import sym_eigenvalues
-from aaolq.riccati import MAX_SUBSTEPS, solve_lockstep
+from aaolq.riccati import MAX_STEPS, MAX_SUBSTEPS, solve_lockstep
 from helpers import (
     ESCAPE_GAME,
     gain_series,
@@ -148,6 +148,14 @@ class TestTimeGrid:
     def test_from_step_rounds_to_even(self):
         assert TimeGrid.from_step(0.0, 1.0, 0.3).steps == 4
         assert TimeGrid.from_step(0.0, 1.0, 0.9).steps == 2
+
+    def test_from_step_refuses_grids_past_the_step_cap(self):
+        assert TimeGrid.from_step(0.0, 1000.0, 1e-3).steps == MAX_STEPS
+        with pytest.raises(ValidationError) as err:
+            TimeGrid.from_step(0.0, 10.0, 1e-9)
+        assert str(err.value) == (
+            "dt=1e-09 asks for 1e+10 steps over the span 10.0; at most 1,000,000 are allowed"
+        )
 
     def test_zero_horizon_single_point(self):
         grid = TimeGrid.from_step(2.0, 2.0, 1e-3)

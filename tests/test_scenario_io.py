@@ -34,10 +34,11 @@ from aaolq import (
     solve_coupled,
     solve_envelope,
 )
-from aaolq import linalg, runner
+from aaolq import linalg, runner, sim
 from aaolq.cli import _apply_overrides, build_parser
 from aaolq.cli import main as cli_main
-from aaolq.errors import ScenarioError, ValidationError
+from aaolq.errors import DivergenceError, ScenarioError, ValidationError
+from aaolq.riccati import MAX_STEPS
 from aaolq.sim import PursuitReport, Trajectory
 from helpers import (
     ESCAPE_GAME,
@@ -508,10 +509,12 @@ def explicit_scenarios(draw):
         tf=t0 + draw(st.floats(min_value=0.0, max_value=1e3)),
     )
     team = players >= 2 and draw(st.booleans())
+    # At most half of MAX_STEPS steps, so that rounding cannot cross the cap.
+    min_dt = max(1e-9, 2.0 * (game.tf - game.t0) / MAX_STEPS)
     run_cfg = RunConfig(
         mode="team" if team else "nash",
         alphas=tuple([1.0 / (players - 1)] * (players - 1)) if team else None,
-        dt=draw(st.floats(min_value=1e-9, max_value=1e3)),
+        dt=draw(st.floats(min_value=min_dt, max_value=1e3)),
         bound_q=_symmetric_matrix(draw, n) if draw(st.booleans()) else None,
         capture_radius=draw(st.floats(min_value=1e-9, max_value=1e3)),
         out_dir="out/prop",
@@ -1050,6 +1053,43 @@ class TestRunSweep:
             assert cell.distances.tobytes() == fresh.pursuit.final_distances.tobytes()
             assert cell.captured == fresh.pursuit.captured
 
+    def test_forward_pass_starts_equal_their_solo_runs(self, monkeypatch):
+        # Unsorted and repeated starts, node 0 and the last node, under chunk
+        # sizes that cut the maps anywhere: every entry equals the run of its
+        # start alone bitwise.
+        scenario = load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
+        game = scenario.build_game()
+        grid = TimeGrid.from_step(game.t0, game.tf, scenario.run.dt)
+        player_gains = gains(game, solve_coupled(game, grid))
+        starts = [40, 0, 17, 40, 3, 400]
+        assert grid.steps == 400
+        solo = {s: sim._propagate(game, player_gains, scenario.x0, [s])[0] for s in starts}
+        for chunk in (1, 3, 7, 512):
+            monkeypatch.setattr(sim, "_CHUNK", chunk)
+            states = sim._propagate(game, player_gains, scenario.x0, starts)
+            for s, x in zip(starts, states):
+                assert x.tobytes() == solo[s].tobytes(), (chunk, s)
+        # One substep per interval: the node-0 start diverges at node 461,
+        # inside the chunk that the node-400 start enters. The node-1,800
+        # start stays finite.
+        monkeypatch.setattr(sim, "_CHUNK", 512)
+        scenario = parse_scenario(json.dumps(DIVERGENT_PLANAR_GAME))
+        game = scenario.build_game()
+        grid = TimeGrid.from_step(game.t0, game.tf, scenario.run.dt)
+        player_gains = gains(game, solve_coupled(game, grid))
+        starts = [400, 1800, 0]
+        solo = {s: sim._propagate(game, player_gains, scenario.x0, [s])[0] for s in starts}
+        assert solo[0].time == 0.461 and solo[400].time == 0.861
+        assert solo[1800].shape == (201, 2)
+        for chunk in (1, 3, 7, 512):
+            monkeypatch.setattr(sim, "_CHUNK", chunk)
+            states = sim._propagate(game, player_gains, scenario.x0, starts)
+            for s in (0, 400):
+                x = states[starts.index(s)]
+                assert isinstance(x, DivergenceError), (chunk, s)
+                assert (x.time, x.norm) == (solo[s].time, solo[s].norm), (chunk, s)
+            assert states[1].tobytes() == solo[1800].tobytes(), chunk
+
     def test_gains_synthesized_once_per_group(self, tmp_path, monkeypatch):
         # tf = 1.01 rounds to 102 steps: its own dt, its own group.
         scenario = load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
@@ -1283,6 +1323,12 @@ class TestCli:
                 ["--out", ""],
                 "scenario error: run.out_dir: expected a non-empty string",
             ),
+            (
+                "pursuit_benchmark.json",
+                ["--dt", "1e-9"],
+                "scenario error: run.dt: dt=1e-09 asks for 1e+10 steps over the span 10.0; "
+                "at most 1,000,000 are allowed",
+            ),
         ],
     )
     def test_bad_override_exit_two_before_any_directory(
@@ -1329,6 +1375,26 @@ class TestCli:
         )
         assert code == runner.EXIT_VALIDATION
         assert capsys.readouterr().err == "validation error: grid endpoints must be finite\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_sweep_past_the_step_cap_exit_two(self, tmp_path, capsys):
+        # 2e6 steps at dt = 1e-3: refused before any history is allocated.
+        code = cli_main(
+            [
+                "sweep",
+                "--scenario",
+                str(SCENARIO_DIR / "pursuit_benchmark.json"),
+                "--tf-list",
+                "2000",
+                "--out",
+                str(tmp_path / "o"),
+            ]
+        )
+        assert code == runner.EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "validation error: dt=0.001 asks for 2e+06 steps over the span 2000.0; "
+            "at most 1,000,000 are allowed\n"
+        )
         assert not (tmp_path / "o").exists()
 
     def test_sweep_of_a_game_check_rejects_exit_two(self, tmp_path, capsys):
