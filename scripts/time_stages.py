@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Wall-clock medians of the stages of ``run()`` and of a sweep's solves.
+"""Wall-clock medians of the stages of ``run()`` and of a sweep's solves,
+or an in-process comparison of two source trees on CPU time.
 
 Runs ``run(level="simulate")`` on one scenario ``--repeats`` times and
 times each stage: the backward solve, ``verify_solution``, solution.csv,
@@ -15,36 +16,64 @@ and the gain synthesis plus the forward passes of both modes. The run's solve li
 RK4 substep from the solve's ``SolveStats``; a lockstep solve line gives
 every game's substeps, the lockstep iterations of the loop (one RK4
 substep of every game still marching) and microseconds per iteration.
+These are medians of wall-clock seconds.
 
-Stages are timed by replacing, for the duration of the script, the module
-attributes that ``run()`` and ``run_sweep()`` look up at call time with
-timing wrappers, so the pipeline itself runs unchanged; lockstep
+With ``--against PATH`` it instead compares this tree's ``aaolq`` (the one
+on the import path) with the ``aaolq`` of the source tree at PATH, loaded
+in the same process under the package name ``aaolq_against``, on CPU time
+(``time.process_time``). The stages are the run's solve,
+``verify_solution``, gains plus ``simulate``, the CSV writers and the
+sweep's lockstep solve, each called as the pipeline calls it. A pair
+calls each stage ``ROUNDS`` times on each tree, the trees taking turns
+call by call, and its ratio is the median of the rounds' ratios (this
+tree / PATH). Per stage it prints the median and quartiles of the pairs'
+ratios, the pairs where this tree was faster and where it was slower,
+each tree's median seconds per call and the pairs' ratios; the solve line
+adds each tree's microseconds per substep. Calls this close together in
+one process see the same load on the machine, so a change of a few
+percent shows where wall-clock medians of separate processes cannot.
+
+The wall-clock mode times stages by replacing, for the duration of the
+script, the module attributes that ``run()`` and ``run_sweep()`` look up
+at call time with timing wrappers, so the pipeline itself runs unchanged; lockstep
 iterations are counted by a wrapper around ``riccati._Stages.step``,
 which adds one Python call per iteration. Artifacts go to a
 temporary directory that is removed on exit; no timing reaches an
 artifact. The RSS column reads a high-water mark, so it compares only
-between fresh processes. Pin the BLAS thread count for comparable numbers:
+between fresh processes. Pin the BLAS thread count, and for ``--against``
+the CPU, for comparable numbers:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/time_stages.py \\
         --scenario scenarios/pursuit_benchmark.json --repeats 5
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src taskset -c 1 python scripts/time_stages.py \\
+        --against ../parent --repeats 20
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib.util
 import resource
 import statistics
+import sys
 import tempfile
 import time
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
+import aaolq
 from aaolq import analysis, load_scenario, riccati, run, run_sweep, runner
 
 ROOT = Path(__file__).resolve().parent.parent
 TF_LIST = [2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0]
 MODES = ("nash", "team")
+#: Package name of the tree loaded by ``--against``.
+AGAINST = "aaolq_against"
+#: Calls of each stage per tree in one ``--against`` pair.
+ROUNDS = 5
 
 #: Stage name -> the (module, attribute) pairs ``run()`` calls for it.
 STAGES = {
@@ -214,6 +243,141 @@ def time_sweep(scenario, repeats: int, work: Path) -> list[str]:
     return lines
 
 
+def load_tree(path: Path):
+    """The ``aaolq`` package of the source tree at ``path``, imported as ``AGAINST``.
+
+    ``aaolq`` imports its own modules only relatively, so the copy runs
+    entirely from ``path``, beside the ``aaolq`` on the import path.
+    """
+    init = path / "src" / "aaolq" / "__init__.py"
+    if not init.is_file():
+        raise FileNotFoundError(f"{path} holds no src/aaolq/__init__.py")
+    spec = importlib.util.spec_from_file_location(
+        AGAINST, init, submodule_search_locations=[str(init.parent)]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[AGAINST] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def _stage_calls(tree, scenario, out: Path):
+    """Each stage of ``run()`` and the lockstep solve of the paper-table
+    sweep as a call on ``tree`` that does the stage's work once, as the
+    pipeline calls it, and the substeps of the run's solve.
+
+    The solve, the gains and the trajectory that later stages read are
+    made once, here; the scenario's solve must complete.
+    """
+    runner = tree.runner
+    game = scenario.build_game()
+    team = runner._team_game(scenario, game, scenario.run.mode)
+    active = game if team is None else team.reduced
+    grid = tree.TimeGrid.from_step(game.t0, game.tf, scenario.run.dt)
+    sol = tree.solve_coupled(active, grid)
+    if not sol.complete:
+        raise SystemExit(f"the scenario's solve ended with status {sol.status.value}")
+    traj = tree.simulate(game, runner._player_gains(game, team, sol), scenario.x0)
+    long_game = scenario.with_tf(max(TF_LIST)).build_game()
+    long_grid = tree.TimeGrid.from_step(long_game.t0, long_game.tf, scenario.run.dt)
+    sweep_teams = [runner._team_game(scenario, long_game, mode) for mode in MODES]
+    sweep_games = [long_game if t is None else t.reduced for t in sweep_teams]
+
+    def writers():
+        runner.write_solution_csv(out / "solution.csv", sol)
+        runner.write_trajectory_csv(out / "trajectory.csv", traj)
+        if game.n % 2 == 0:
+            report = tree.pursuit_report(traj, scenario.capture_radius)
+            runner.write_distances_csv(out / "distances.csv", traj, report)
+        if scenario.pursuit is not None:
+            runner.write_positions_csv(out / "positions.csv", traj, scenario.pursuit)
+
+    calls = {
+        "solve": lambda: tree.solve_coupled(active, grid),
+        "verify_solution": lambda: tree.verify_solution(
+            active,
+            sol,
+            scenario.run.bound_q,
+            x0_norm=float(np.linalg.norm(scenario.x0)),
+            r=scenario.capture_radius,
+        ),
+        "gains + simulate": lambda: tree.simulate(
+            game, runner._player_gains(game, team, sol), scenario.x0
+        ),
+        "writers": writers,
+        "sweep solve": lambda: runner.solve_lockstep(sweep_games, long_grid),
+    }
+    return calls, sol.stats.substeps
+
+
+def _ratio_lines(label: str, ratios: list[float], mine: list[float], theirs: list[float],
+                 substeps=None) -> list[str]:
+    """The median [quartiles] of the per-pair ratios, the pairs where this
+    tree was faster and slower, each tree's median seconds per call and,
+    given each tree's substeps, microseconds per substep; then the ratios."""
+    if len(ratios) > 1:
+        quartiles = statistics.quantiles(ratios, n=4, method="inclusive")
+    else:
+        quartiles = ratios * 3
+    faster = sum(r < 1.0 for r in ratios)
+    slower = sum(r > 1.0 for r in ratios)
+    a, b = statistics.median(mine), statistics.median(theirs)
+    text = (
+        f"  {label:<18}{quartiles[1]:7.3f}  [{quartiles[0]:.3f}, {quartiles[2]:.3f}]"
+        f"  {faster:>3}/{len(ratios)} faster {slower:>3} slower  {a:8.4f} s {b:8.4f} s"
+    )
+    if substeps is not None:
+        per = [1e6 * t / max(n, 1) for t, n in zip((a, b), substeps)]
+        text += f"  {per[0]:6.1f} {per[1]:6.1f} us/substep"
+    return [text, "    pairs: " + " ".join(f"{r:.3f}" for r in ratios)]
+
+
+def time_against(other, scenario_path: str, pairs: int, work: Path) -> list[str]:
+    """Alternate every stage of this tree and of ``other`` on CPU time.
+
+    A pair runs each stage ``ROUNDS`` times on each tree, the two trees
+    taking turns call by call and the first alternating (ABBA...); its
+    ratio is the median of the rounds' ratios this / other. Calls this
+    close together see the same load on the machine, and the median drops
+    a round that a burst of it hit.
+    """
+    trees = {"this": aaolq, "against": other}
+    calls, substeps = {}, {}
+    for side, tree in trees.items():
+        (work / side).mkdir()
+        scenario = tree.load_scenario(scenario_path)
+        calls[side], substeps[side] = _stage_calls(tree, scenario, work / side)
+        for call in calls[side].values():
+            call()  # untimed, so that lazy set-up is done
+    seconds = {side: defaultdict(list) for side in trees}
+    ratios = defaultdict(list)
+    for i in range(pairs):
+        for stage in calls["this"]:
+            rounds = {side: [] for side in trees}
+            for r in range(ROUNDS):
+                for side in ("this", "against") if (i + r) % 2 == 0 else ("against", "this"):
+                    call = calls[side][stage]
+                    start = time.process_time()
+                    call()
+                    rounds[side].append(time.process_time() - start)
+            ratios[stage].append(
+                statistics.median(a / b for a, b in zip(rounds["this"], rounds["against"]))
+            )
+            for side in trees:
+                seconds[side][stage] += rounds[side]
+    lines = [
+        f"A/B on CPU time: {pairs} pairs of {ROUNDS} rounds, {scenario_path},"
+        f" this tree {Path(aaolq.__file__).parent} against {Path(other.__file__).parent}",
+        f"  {'stage':<18}{'ratio':>7}  [q1, q3]          pairs                this s  against s",
+    ]
+    for stage, stage_ratios in ratios.items():
+        counts = (substeps["this"], substeps["against"]) if stage == "solve" else None
+        lines += _ratio_lines(
+            stage, stage_ratios, seconds["this"][stage], seconds["against"][stage], counts
+        )
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
@@ -221,10 +385,26 @@ def main(argv=None) -> int:
         default=str(ROOT / "scenarios" / "pursuit_benchmark.json"),
         help="scenario to run (default: bundled benchmark)",
     )
-    parser.add_argument("--repeats", type=int, default=5, help="timed repeats of each part")
+    parser.add_argument(
+        "--repeats", type=int, default=5, help="timed repeats of each part, or pairs with --against"
+    )
+    parser.add_argument(
+        "--against",
+        metavar="PATH",
+        help="compare with the source tree at PATH, in this process on CPU time",
+    )
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
+    if args.against is not None:
+        try:
+            other = load_tree(Path(args.against))
+        except FileNotFoundError as exc:
+            parser.error(f"--against: {exc}")
+        with tempfile.TemporaryDirectory() as tmp:
+            for line in time_against(other, args.scenario, args.repeats, Path(tmp)):
+                print(line)
+        return 0
     import_rss = _max_rss_mb()
     scenario = load_scenario(args.scenario)
     print(

@@ -39,6 +39,19 @@ error estimator or step rejection is involved, so runs remain bit-for-bit
 reproducible and the stored history still lives on the requested uniform
 grid, lined up with the forward simulation at no cost.
 
+A substep's time is numpy's per-call overhead, not its arithmetic: it
+makes about 31 calls on stacks of small matrices. So the substep loop
+calls its kernels through names bound once at module level (``_matmul``,
+``_add``, ``_subtract``, ``_multiply``, ``_vecdot``, ``_dot``), passes
+every output positionally, never as ``out=``, holds its buffers and bound
+methods in local names, and reads the rate's squared norms inline from
+one ``vecdot`` list. The RK4 combination is ``_dot`` of the weights with
+the stacked stages, the BLAS matrix-vector product that ``np.matmul``
+calls for the same operands. None of this changes an operand or the
+order of an operation: the test suite keeps the body written with
+``out=`` keywords as ``helpers.reference_step`` and checks that both
+write the same bytes.
+
 ``solve_lockstep`` solves several games that share the grid and the state
 dimension in one loop: every stack carries a game axis, games with fewer
 players are padded with zero players that stay exactly zero, and each
@@ -76,6 +89,15 @@ STABILITY_TARGET = 0.5
 #: Hard ceiling on substeps inside one output interval; bounds runtime on
 #: genuinely escaping solutions where the rate grows without limit.
 MAX_SUBSTEPS = 100_000
+
+#: Ceiling on the RK4 substeps of one game's whole solve, checked once per
+#: output interval. ``MAX_SUBSTEPS`` bounds a single interval only, so a
+#: stiff but bounded game on a fine grid could otherwise run for hours; at
+#: about 40 us per substep this stops it within seven minutes. It is ten
+#: times ``MAX_STEPS``, so a grid at the node cap still has ten substeps
+#: per interval. A game past it stops as an escape does, with status
+#: ``SUBSTEP_BUDGET``.
+SUBSTEP_BUDGET = 10_000_000
 
 #: Ceiling on the output intervals of a grid. Every history holds one
 #: matrix per player and node, so a finer grid could not be stored.
@@ -169,6 +191,7 @@ class SolveStats:
 class SolveStatus(Enum):
     COMPLETE = "complete"
     BLOW_UP = "blow_up"
+    SUBSTEP_BUDGET = "substep_budget"
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,6 +224,10 @@ class RiccatiSolution(game_mod.ValueEquality):
 #: over the stacked stages rounds only in its sums.
 _RK4_WEIGHTS = np.array([1.0, 2.0, 2.0, 1.0])
 
+# The substep's kernels, bound once (see the module docstring).
+_matmul, _add, _subtract, _multiply = np.matmul, np.add, np.subtract, np.multiply
+_vecdot, _dot, _sqrt = np.vecdot, np.dot, math.sqrt
+
 
 class _Stages:
     """The right-hand side of a batch of games, on buffers allocated once.
@@ -212,14 +239,13 @@ class _Stages:
     -0.0, so they add -0.0 to every sum of the coupling product and change
     no bit, not even the sign of a zero. ``couple(s)`` forms H_i S_i and, in
     one product with each game's constant weight matrix, T_i = G - A -
-    H_i S_i / 2 for every player and G itself; ``coupling_norms(s)``
-    couples s and reads the norms of G and of every H_i S_i that size each
-    game's substep off those products. ``stage(s, out)``
-    then writes -(Y_i + Y_i' + Q_i) = N_i + N_i' - Q_i with N_i = S_i T_i.
+    H_i S_i / 2 for every player and G itself. ``stage(s, out)`` then
+    writes -(Y_i + Y_i' + Q_i) = N_i + N_i' - Q_i with N_i = S_i T_i.
     The coupling buffer holds rows of n*n entries in the order T_1..T_M,
     G, H_1 S_1..H_M S_M, A, each row once per game, so the weights read the
-    last M + 1 rows, write the first M + 1, and the rate's norms read G and
-    every H_i S_i as one block.
+    last M + 1 rows, write the first M + 1, and ``norm_rows`` reads G and
+    every H_i S_i as one block: the squared norms that size each game's
+    substep.
     """
 
     def __init__(self, games: list[game_mod.GameDefinition]):
@@ -263,50 +289,44 @@ class _Stages:
         self.inc_flat = self.inc.reshape(-1)
 
     def couple(self, s: np.ndarray) -> None:
-        np.matmul(self.h_stack, s, out=self.hs)
-        np.matmul(self.weights, self.hs_and_a, out=self.t_and_g)
-
-    def coupling_norms(self, s: np.ndarray) -> list[list[float]]:
-        """Couple ``s`` and return each game's squared norms of G and H_i S_i.
-
-        Padded players come last with norm 0.0. The products stay for the
-        first stage at ``s``.
-        """
-        self.couple(s)
-        return np.vecdot(self.norm_rows, self.norm_rows).tolist()
+        _matmul(self.h_stack, s, self.hs)
+        _matmul(self.weights, self.hs_and_a, self.t_and_g)
 
     def stage(self, s: np.ndarray, out: np.ndarray) -> None:
         # N_i = S_i T_i = -Y_i of the module docstring.
-        np.matmul(s, self.t, out=self.n_buf)
-        np.add(self.n_buf, self.n_transposed, out=out)
-        np.subtract(out, self.q_stack, out=out)
+        n_buf = self.n_buf
+        _matmul(s, self.t, n_buf)
+        _add(n_buf, self.n_transposed, out)
+        _subtract(out, self.q_stack, out)
 
     def step(self, cur: np.ndarray, hb, out: np.ndarray) -> None:
         """One RK4 substep from ``cur`` into ``out``.
 
         ``hb`` is the signed substep length: one float for every game, or
         an array of shape (M G, 1, 1) that holds each game's for each of
-        its players. ``coupling_norms(cur)`` must have run; the first stage
-        reuses its products.
+        its players. ``couple(cur)`` must have run; the first stage reuses
+        its products.
         """
+        couple, stage = self.couple, self.stage
         k1, k2, k3, k4 = self.k_stages
         inc, s_stage = self.inc, self.s_stage
-        self.stage(cur, k1)
-        np.multiply(k1, 0.5 * hb, out=inc)
-        np.add(cur, inc, out=s_stage)
-        self.couple(s_stage)
-        self.stage(s_stage, k2)
-        np.multiply(k2, 0.5 * hb, out=inc)
-        np.add(cur, inc, out=s_stage)
-        self.couple(s_stage)
-        self.stage(s_stage, k3)
-        np.multiply(k3, hb, out=inc)
-        np.add(cur, inc, out=s_stage)
-        self.couple(s_stage)
-        self.stage(s_stage, k4)
-        np.matmul(_RK4_WEIGHTS, self.k_flat, out=self.inc_flat)
-        np.multiply(inc, hb / 6.0, out=inc)
-        np.add(cur, inc, out=out)
+        half = 0.5 * hb
+        stage(cur, k1)
+        _multiply(k1, half, inc)
+        _add(cur, inc, s_stage)
+        couple(s_stage)
+        stage(s_stage, k2)
+        _multiply(k2, half, inc)
+        _add(cur, inc, s_stage)
+        couple(s_stage)
+        stage(s_stage, k3)
+        _multiply(k3, hb, inc)
+        _add(cur, inc, s_stage)
+        couple(s_stage)
+        stage(s_stage, k4)
+        _dot(_RK4_WEIGHTS, self.k_flat, self.inc_flat)
+        _multiply(inc, hb / 6.0, inc)
+        _add(cur, inc, out)
 
 
 def _asymmetry(s: np.ndarray) -> float:
@@ -326,7 +346,9 @@ def solve_coupled(game: game_mod.GameDefinition, grid: TimeGrid) -> RiccatiSolut
     output time that cannot be reached flips the status to BLOW_UP and
     integration stops. Escape is an answer here, not an accident: it is
     exactly what a violated existence condition looks like numerically.
-    This is :func:`solve_lockstep` on a batch of one.
+    A solve whose substeps pass ``SUBSTEP_BUDGET`` stops the same way, at
+    the output interval where they did, with status SUBSTEP_BUDGET. This
+    is :func:`solve_lockstep` on a batch of one.
     """
     return solve_lockstep([game], grid)[0]
 
@@ -383,15 +405,20 @@ def solve_lockstep(games: list[game_mod.GameDefinition], grid: TimeGrid) -> list
     # come last with norm 0.0, which leaves both max() and sum() as they are.
     peak = [max(norms) for norms in np.vecdot(cur_f, cur_f).tolist()]
     peak_time = [grid.tf] * count
-    failed: dict[int, tuple[int, str]] = {}  # game -> (interval, reason)
+    # game -> (interval, status, reason)
+    failed: dict[int, tuple[int, SolveStatus, str]] = {}
     live = list(range(count))
+    couple, step, norm_rows = stages.couple, stages.step, stages.norm_rows
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps - 1, -1, -1):
             remaining = [dt] * count
             taken = [0] * count
             running = live
             while running:
-                coupling = stages.coupling_norms(cur)
+                # Each game's squared norms of G and of every H_i S_i; the
+                # products stay for the first stage at cur.
+                couple(cur)
+                coupling = _vecdot(norm_rows, norm_rows).tolist()
                 hs = []
                 for g in running:
                     # Local linearization magnitude of the right-hand side:
@@ -401,8 +428,8 @@ def solve_lockstep(games: list[game_mod.GameDefinition], grid: TimeGrid) -> list
                     # largest own-coupling, plus the drift part, bound the
                     # fastest local eigenvalue well enough for step-size
                     # control. A padded player's 0.0 leaves max() as it is.
-                    g2, *own2 = coupling[g]
-                    rate = 2.0 * (math.sqrt(g2) + math.sqrt(max(own2)) + a_norms[g])
+                    sq = coupling[g]
+                    rate = 2.0 * (_sqrt(sq[0]) + _sqrt(max(sq[1:])) + a_norms[g])
                     rem = remaining[g]
                     h = min(rem, max(STABILITY_TARGET / max(rate, 1e-300), h_min))
                     # A vanishing tail substep joins this one.
@@ -417,8 +444,8 @@ def solve_lockstep(games: list[game_mod.GameDefinition], grid: TimeGrid) -> list
                     for g, h in zip(running, hs):
                         hb_players[:, g] = -h
                     hb = hb_array
-                stages.step(cur, hb, new)
-                norms = np.vecdot(new_f, new_f).tolist()
+                step(cur, hb, new)
+                norms = _vecdot(new_f, new_f).tolist()
                 going = []
                 for g, h in zip(running, hs):
                     # A NaN or inf entry makes its player's norm NaN or
@@ -429,6 +456,7 @@ def solve_lockstep(games: list[game_mod.GameDefinition], grid: TimeGrid) -> list
                     if not top <= BLOWUP_NORM or math.isnan(sum(gn)):
                         failed[g] = (
                             k,
+                            SolveStatus.BLOW_UP,
                             "solution norm escaped the existence threshold"
                             if np.isfinite(new_f[g, : players[g]]).all()
                             else "non-finite entries during backward integration",
@@ -452,9 +480,17 @@ def solve_lockstep(games: list[game_mod.GameDefinition], grid: TimeGrid) -> list
                 cur, cur_f, new, new_f = new, new_f, cur, cur_f
                 running = going
             for g in live:
-                substeps[g] += taken[g]
+                total = substeps[g] = substeps[g] + taken[g]
                 subdivided[g] += taken[g] > 1
-                if g not in failed:
+                if g in failed:
+                    continue
+                if total > SUBSTEP_BUDGET:
+                    failed[g] = (
+                        k,
+                        SolveStatus.SUBSTEP_BUDGET,
+                        f"substeps passed the budget of {SUBSTEP_BUDGET:,} for one solve",
+                    )
+                else:
                     hists[g][k] = cur_f[g, : players[g]]
             if failed:
                 live = [g for g in live if g not in failed]
@@ -474,9 +510,9 @@ def solve_lockstep(games: list[game_mod.GameDefinition], grid: TimeGrid) -> list
             RiccatiSolution(
                 grid=grid,
                 S=hist,
-                status=SolveStatus.COMPLETE if fail is None else SolveStatus.BLOW_UP,
+                status=SolveStatus.COMPLETE if fail is None else fail[1],
                 failure_time=None if fail is None else times[fail[0]],
-                failure_reason=None if fail is None else fail[1],
+                failure_reason=None if fail is None else fail[2],
                 max_symmetry_residual=max_residual,
                 stats=SolveStats(
                     substeps=substeps[g],

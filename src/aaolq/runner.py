@@ -453,7 +453,11 @@ def _sweep_group(scenario: Scenario, modes: tuple[str, ...], tfs: list[float]) -
                 starts[tf] = start
             else:
                 cells[mode, tf] = SweepCell(
-                    mode=mode, tf=tf, distances=None, captured=None, status="blow_up"
+                    mode=mode,
+                    tf=tf,
+                    distances=None,
+                    captured=None,
+                    status=long_sol.status.value,
                 )
         if not starts:
             continue

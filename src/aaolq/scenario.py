@@ -11,15 +11,17 @@ Schema version 1. Top level keys:
 * ``run``: mode ("nash" or "team"), optional team weights ``alphas``,
   step size ``dt``, optional symmetric n x n ``bound_q`` fed to the
   existence screen and envelope bound, ``capture_radius`` for explicit
-  games, and the output directory ``out_dir``.
+  games only (default 0.1; a pursuit game reads ``pursuit.capture_radius``
+  and rejects this field), and the output directory ``out_dir``.
 
 Every check on a scenario lives in the :class:`RunConfig` and
 :class:`Scenario` constructors, so a parsed file, a CLI override and a
 scenario built in Python are checked alike: R_i > 0 with an eigenvalue
 ratio of at most 1e12 and t0 <= tf of the game, a step ``dt`` that gives
 the horizon a finite grid, the size and finiteness of the initial state,
-the size of ``bound_q``, a non-empty ``out_dir``, and team weights that
-are a convex combination over the M - 1 regulators. The parser only
+the size of ``bound_q``, a non-empty ``out_dir``, team weights that
+are a convex combination over the M - 1 regulators, and one capture
+radius per scenario. The parser only
 converts JSON types and rejects unknown fields at every level. Errors
 carry the path of the offending field. A scenario keeps the game its
 constructor built and checked, and :meth:`Scenario.build_game` returns
@@ -52,7 +54,7 @@ class RunConfig(ValueEquality):
     alphas: tuple[float, ...] | None = None
     dt: float = 1e-3
     bound_q: np.ndarray | None = None
-    capture_radius: float = 0.1
+    capture_radius: float | None = None
     out_dir: str = "out"
 
     def __post_init__(self):
@@ -60,7 +62,7 @@ class RunConfig(ValueEquality):
             raise ScenarioError(f"run.mode: expected one of {MODES}, got {self.mode!r}")
         if not 0.0 < self.dt < math.inf:
             raise ScenarioError("run.dt: dt must be positive and finite")
-        if not self.capture_radius > 0:
+        if self.capture_radius is not None and not self.capture_radius > 0:
             raise ScenarioError("run.capture_radius: must be positive")
         if not isinstance(self.out_dir, str) or not self.out_dir:
             raise ScenarioError("run.out_dir: expected a non-empty string")
@@ -93,6 +95,10 @@ class Scenario(ValueEquality):
             raise ScenarioError("scenario: exactly one of 'pursuit' or 'explicit' must be given")
         if self.explicit is not None and self.explicit_x0 is None:
             raise ScenarioError("explicit.x0: required for explicit games")
+        if self.pursuit is not None and self.run.capture_radius is not None:
+            raise ScenarioError(
+                "run.capture_radius: a pursuit game takes its radius from pursuit.capture_radius"
+            )
         source = "pursuit" if self.pursuit is not None else "explicit"
         try:
             game = self.explicit if self.pursuit is None else build_pursuit_example(self.pursuit)
@@ -142,7 +148,7 @@ class Scenario(ValueEquality):
     def capture_radius(self) -> float:
         if self.pursuit is not None:
             return self.pursuit.capture_radius
-        return self.run.capture_radius
+        return 0.1 if self.run.capture_radius is None else self.run.capture_radius
 
 
 def _known(obj, keys: tuple[str, ...], path: str) -> dict:
@@ -268,7 +274,9 @@ def _parse_run(obj, path: str) -> RunConfig:
     bound_q = None
     if obj.get("bound_q") is not None:
         bound_q = _matrix(obj["bound_q"], f"{path}.bound_q")
-    radius = _number(obj.get("capture_radius", 0.1), f"{path}.capture_radius")
+    radius = obj.get("capture_radius")
+    if radius is not None:
+        radius = _number(radius, f"{path}.capture_radius")
     return RunConfig(
         mode=obj.get("mode", "nash"),
         alphas=None if alphas is None else _vector(alphas, f"{path}.alphas"),

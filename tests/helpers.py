@@ -15,7 +15,7 @@ from aaolq import linalg
 from aaolq.analysis import PSD_TOL, _existence_stack, _q_matrix
 from aaolq.errors import DivergenceError, ValidationError
 from aaolq.game import ValueEquality
-from aaolq.riccati import BLOWUP_NORM, MAX_SUBSTEPS, STABILITY_TARGET, _Stages
+from aaolq.riccati import BLOWUP_NORM, MAX_SUBSTEPS, STABILITY_TARGET, _RK4_WEIGHTS, _Stages
 from aaolq.sim import DIVERGENCE_NORM, _simpson_weights
 
 
@@ -205,6 +205,44 @@ def reference_solve_coupled(game, grid):
                 break
             s_hist[:, k] = cur
     return s_hist, status, failure_time, max_drift
+
+
+def reference_step(stages: _Stages, cur, hb, out) -> None:
+    """The substep of ``_Stages.step`` on ``stages``'s buffers, with every
+    kernel looked up on ``np`` and every output passed as a keyword: the
+    same kernels, operands and order.
+
+    The solver's step must write the same bytes; the test suite checks
+    that, and drives ``solve_lockstep`` with this body in its place.
+    """
+
+    def couple(s):
+        np.matmul(stages.h_stack, s, out=stages.hs)
+        np.matmul(stages.weights, stages.hs_and_a, out=stages.t_and_g)
+
+    def stage(s, k):
+        np.matmul(s, stages.t, out=stages.n_buf)
+        np.add(stages.n_buf, stages.n_transposed, out=k)
+        np.subtract(k, stages.q_stack, out=k)
+
+    k1, k2, k3, k4 = stages.k_stages
+    inc, s_stage = stages.inc, stages.s_stage
+    stage(cur, k1)
+    np.multiply(k1, 0.5 * hb, out=inc)
+    np.add(cur, inc, out=s_stage)
+    couple(s_stage)
+    stage(s_stage, k2)
+    np.multiply(k2, 0.5 * hb, out=inc)
+    np.add(cur, inc, out=s_stage)
+    couple(s_stage)
+    stage(s_stage, k3)
+    np.multiply(k3, hb, out=inc)
+    np.add(cur, inc, out=s_stage)
+    couple(s_stage)
+    stage(s_stage, k4)
+    np.matmul(_RK4_WEIGHTS, stages.k_flat, out=stages.inc_flat)
+    np.multiply(inc, hb / 6.0, out=inc)
+    np.add(cur, inc, out=out)
 
 
 # Reference eigensolver: cyclic Jacobi rotations in plain Python, an

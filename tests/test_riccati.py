@@ -22,14 +22,16 @@ from aaolq import (
     parse_scenario,
     solve_coupled,
 )
+from aaolq import riccati
 from aaolq.errors import IncompleteSolutionError, ValidationError
 from aaolq.linalg import sym_eigenvalues
-from aaolq.riccati import MAX_STEPS, MAX_SUBSTEPS, solve_lockstep
+from aaolq.riccati import MAX_STEPS, MAX_SUBSTEPS, _Stages, solve_lockstep
 from helpers import (
     ESCAPE_GAME,
     gain_series,
     random_diagonal_game,
     reference_solve_coupled,
+    reference_step,
     riccati_rhs,
     rotated_game,
     scalar_game,
@@ -480,6 +482,90 @@ class TestSolveLockstep:
             solve_lockstep([game, dataclasses.replace(game, tf=2.0)], grid)
         with pytest.raises(ValidationError, match="one state dimension"):
             solve_lockstep([game, scalar_lqr()], grid)
+
+
+class TestSubstepBitGuard:
+    """``_Stages.step`` writes the bytes of ``helpers.reference_step``, the
+    same body with every output passed as a keyword."""
+
+    @staticmethod
+    def _coarse_games():
+        """The coarse pursuit game in nash mode and its team reduction."""
+        nash = load_scenario(COARSE).build_game()
+        return nash, build_team_game(nash).reduced, TimeGrid.from_step(nash.t0, nash.tf, 0.01)
+
+    @staticmethod
+    def _stacked(sols, k, m):
+        """Every game's S at node k in the player-major stack of ``_Stages``."""
+        count, n = len(sols), sols[0].S.shape[-1]
+        cur = np.zeros((m * count, n, n))
+        for g, sol in enumerate(sols):
+            for i in range(sol.num_players):
+                cur[i * count + g] = sol.S[i, k]
+        return cur
+
+    @pytest.mark.parametrize("per_player", [False, True], ids=["scalar_hb", "per_player_hb"])
+    @pytest.mark.parametrize("with_team", [False, True], ids=["nash", "nash_beside_team"])
+    def test_step_writes_the_reference_bytes(self, per_player, with_team):
+        nash, team, grid = self._coarse_games()
+        games = [nash, team] if with_team else [nash]
+        sols = solve_lockstep(games, grid)
+        stages = _Stages(games)
+        m, count = nash.num_players, len(games)
+        if per_player:
+            # As the solver fills it: each game's substep for all its rows.
+            hb = np.empty((m, count, 1, 1))
+            hb[:] = np.array([-1e-2, -3.7e-4][:count]).reshape(1, count, 1, 1)
+            hb = hb.reshape(m * count, 1, 1)
+        else:
+            hb = -2.5e-3
+        # Time-to-go 0.01 and 0.03, in the boundary layer, and t0.
+        for k in (grid.steps - 1, grid.steps - 3, 0):
+            cur = self._stacked(sols, k, m)
+            got, want = np.empty_like(cur), np.empty_like(cur)
+            stages.couple(cur)
+            stages.step(cur, hb, got)
+            slopes = stages.k_flat.copy()
+            stages.couple(cur)
+            reference_step(stages, cur, hb, want)
+            assert np.isfinite(got).all()
+            assert got.tobytes() == want.tobytes()
+            assert slopes.tobytes() == stages.k_flat.tobytes()
+
+    def test_lockstep_solve_driven_by_the_reference_step(self, monkeypatch):
+        nash, team, grid = self._coarse_games()
+        sols = solve_lockstep([nash, team], grid)
+        # Both step paths run: the games subdivide differently.
+        assert sols[0].stats.substeps != sols[1].stats.substeps
+        monkeypatch.setattr(_Stages, "step", reference_step)
+        for sol, ref in zip(sols, solve_lockstep([nash, team], grid)):
+            assert sol.S.tobytes() == ref.S.tobytes()
+            assert sol.stats == ref.stats
+            assert sol.complete and ref.complete
+
+
+class TestSubstepBudget:
+    """``riccati.SUBSTEP_BUDGET`` stops a game as an escape does."""
+
+    def test_game_past_the_budget_stops_the_other_runs_on(self, monkeypatch):
+        # Alone, nash takes 2,584 substeps and team 2,094.
+        nash = load_scenario(BENCHMARK).with_tf(2.0).build_game()
+        team = build_team_game(nash).reduced
+        grid = TimeGrid.from_step(nash.t0, nash.tf, 1e-3)
+        full = solve_lockstep([nash, team], grid)
+        monkeypatch.setattr(riccati, "SUBSTEP_BUDGET", 2_300)
+        stopped, finished = solve_lockstep([nash, team], grid)
+        assert finished == full[1]
+        assert finished.S.tobytes() == full[1].S.tobytes()
+        assert stopped.status is SolveStatus.SUBSTEP_BUDGET
+        assert stopped.failure_reason == "substeps passed the budget of 2,300 for one solve"
+        k = round((stopped.failure_time - grid.t0) / grid.dt)
+        assert stopped.failure_time == grid.times()[k]
+        assert np.isnan(stopped.S[:, : k + 1]).all()
+        assert stopped.S[:, k + 1 :].tobytes() == full[0].S[:, k + 1 :].tobytes()
+        assert 2_300 < stopped.stats.substeps < full[0].stats.substeps
+        # It stops where its own solve stops.
+        assert stopped == solve_coupled(nash, grid)
 
 
 class TestGains:

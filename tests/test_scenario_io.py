@@ -34,7 +34,7 @@ from aaolq import (
     solve_coupled,
     solve_envelope,
 )
-from aaolq import linalg, runner, sim
+from aaolq import linalg, riccati, runner, sim
 from aaolq.cli import _apply_overrides, build_parser
 from aaolq.cli import main as cli_main
 from aaolq.errors import DivergenceError, ScenarioError, ValidationError
@@ -114,11 +114,22 @@ def inversions(monkeypatch) -> list[str]:
 
 
 class TestParseScenario:
+    def test_explicit_capture_radius_defaults_to_a_tenth(self):
+        doc = json.loads((SCENARIO_DIR / "explicit_small.json").read_text())
+        doc["run"]["capture_radius"] = 0.25
+        assert parse_scenario(json.dumps(doc)).capture_radius == 0.25
+        del doc["run"]["capture_radius"]
+        scenario = parse_scenario(json.dumps(doc))
+        assert scenario.run.capture_radius is None
+        assert scenario.capture_radius == 0.1
+        assert parse_scenario(emit_scenario(scenario)) == scenario
+
     def test_shipped_benchmark_matches_builder_defaults(self):
         scenario = load_scenario(SCENARIO_DIR / "pursuit_benchmark.json")
         assert scenario.pursuit is not None
         assert scenario.pursuit.tf == 10.0
-        assert scenario.capture_radius == 0.1
+        assert scenario.capture_radius == scenario.pursuit.capture_radius == 0.1
+        assert scenario.run.capture_radius is None
         game = scenario.build_game()
         reference = build_pursuit_example(PursuitParams())
         assert np.array_equal(game.A, reference.A)
@@ -351,6 +362,12 @@ MALFORMED = {
         lambda sc: _replace_run(sc, capture_radius=0.0),
         "run.capture_radius: must be positive",
     ),
+    "run_capture_radius_on_pursuit": (
+        "pursuit_benchmark.json",
+        _set(("run", "capture_radius"), 0.1),
+        lambda sc: _replace_run(sc, capture_radius=0.1),
+        "run.capture_radius: a pursuit game takes its radius from pursuit.capture_radius",
+    ),
     "two_game_sources": (
         "explicit_small.json",
         _add_pursuit,
@@ -516,7 +533,7 @@ def explicit_scenarios(draw):
         alphas=tuple([1.0 / (players - 1)] * (players - 1)) if team else None,
         dt=draw(st.floats(min_value=min_dt, max_value=1e3)),
         bound_q=_symmetric_matrix(draw, n) if draw(st.booleans()) else None,
-        capture_radius=draw(st.floats(min_value=1e-9, max_value=1e3)),
+        capture_radius=draw(st.none() | st.floats(min_value=1e-9, max_value=1e3)),
         out_dir="out/prop",
     )
     x0 = _float_matrix(draw, 1, n)[0]
@@ -569,7 +586,6 @@ class TestRoundTrip:
             alphas=alphas if abs(sum(alphas) - 1.0) <= 1e-12 else None,
             dt=float(rng.uniform(1e-4, 1e-1)),
             bound_q=None,
-            capture_radius=float(rng.uniform(0.01, 1.0)),
             out_dir="out/prop",
         )
         scenario = Scenario(pursuit=params, explicit=None, explicit_x0=None, run=run_cfg)
@@ -805,6 +821,22 @@ class TestRunPipeline:
         text = (tmp_path / "conditions.txt").read_text()
         assert "status: blow_up" in text
         assert "failure_time:" in text
+
+    def test_substep_budget_exit_three(self, tmp_path, monkeypatch):
+        # The coarse team solve takes 531 substeps.
+        monkeypatch.setattr(riccati, "SUBSTEP_BUDGET", 300)
+        result = run(load_scenario(SCENARIO_DIR / "pursuit_coarse.json"), out_dir=tmp_path)
+        assert result.exit_code == 3
+        assert result.sol.status is SolveStatus.SUBSTEP_BUDGET
+        assert result.messages == [
+            f"backward solve ended with status substep_budget at t={result.sol.failure_time!r}"
+        ]
+        text = (tmp_path / "conditions.txt").read_text()
+        assert "  status: substep_budget\n" in text
+        assert "  failure_reason: substeps passed the budget of 300 for one solve\n" in text
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "conditions.txt", "solution.csv", "summary.txt"
+        ]
 
     def test_divergence_exit_code(self, tmp_path):
         result = run(parse_scenario(json.dumps(DIVERGENT_GAME)), out_dir=tmp_path)
@@ -1178,6 +1210,16 @@ class TestRunSweep:
                     run_sweep(sc, tfs, modes=modes, out_dir=out_dir)
         assert list(tmp_path.iterdir()) == []
 
+    def test_cells_past_the_substep_budget(self, tmp_path, monkeypatch):
+        # The coarse team solve takes 231 substeps to tf = 1 and 531 to tf = 4.
+        monkeypatch.setattr(riccati, "SUBSTEP_BUDGET", 300)
+        scenario = load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
+        result = run_sweep(scenario, [1.0, 4.0], out_dir=tmp_path)
+        assert [c.status for c in result.cells] == ["ok", "substep_budget"]
+        assert (tmp_path / "sweep.csv").read_text().splitlines()[-1] == (
+            "team,4.0,nan,nan,nan,substep_budget"
+        )
+
 
 class TestCli:
     def test_check_exit_zero(self, tmp_path):
@@ -1358,6 +1400,23 @@ class TestCli:
         assert capsys.readouterr().err == (
             "scenario error: explicit: R[1]: not safely invertible "
             "(eigenvalue range [1.000e-08, 1.000e+05])\n"
+        )
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", [["simulate"], ["sweep", "--tf-list", "2,4"]])
+    def test_run_capture_radius_on_pursuit_exit_two_before_any_directory(
+        self, tmp_path, capsys, command
+    ):
+        doc = json.loads((SCENARIO_DIR / "pursuit_coarse.json").read_text())
+        doc["run"]["capture_radius"] = 5.0
+        path = _write_scenario(tmp_path, doc)
+        code = cli_main(
+            command[:1] + ["--scenario", str(path), "--out", str(tmp_path / "o")] + command[1:]
+        )
+        assert code == runner.EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "scenario error: run.capture_radius: a pursuit game takes its radius from "
+            "pursuit.capture_radius\n"
         )
         assert not (tmp_path / "o").exists()
 

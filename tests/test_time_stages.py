@@ -65,3 +65,52 @@ def test_one_repeat_prints_every_stage_and_writes_nothing(tmp_path):
     assert len(forward) == 1 and float(forward[0]) > 0.0
     assert len(re.findall(r"^  total +\d+\.\d{4} s  \[", out, re.M)) == 2
     assert list(tmp_path.iterdir()) == []
+
+
+def test_one_pair_against_this_tree_prints_every_stage(tmp_path):
+    # An A/A run: this tree loaded a second time, under another name.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    child = subprocess.run(
+        [
+            sys.executable, str(SCRIPT), "--scenario", str(COARSE), "--repeats", "1",
+            "--against", str(ROOT),
+        ],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    out = child.stdout
+    assert out.startswith(f"A/B on CPU time: 1 pairs of 5 rounds, {COARSE}, this tree ")
+    stages = ("solve", "verify_solution", "gains + simulate", "writers", "sweep solve")
+    for stage in stages:
+        match = re.search(
+            rf"^  {re.escape(stage)} +(\d+\.\d{{3}})  \[(\d+\.\d{{3}}), (\d+\.\d{{3}})\]"
+            rf" +([01])/1 faster +([01]) slower +(\d+\.\d{{4}}) s +(\d+\.\d{{4}}) s",
+            out,
+            re.M,
+        )
+        assert match, stage
+        ratio, low, high = (float(v) for v in match.groups()[:3])
+        assert low == ratio == high > 0.0
+        assert int(match.group(4)) + int(match.group(5)) <= 1
+        assert float(match.group(6)) > 0.0 and float(match.group(7)) > 0.0
+    assert len(re.findall(r"^    pairs: \d+\.\d{3}$", out, re.M)) == len(stages)
+    # Both trees take the same substeps, so both per-substep costs show.
+    assert re.search(r"^  solve .* +\d+\.\d +\d+\.\d us/substep$", out, re.M)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_against_a_path_without_a_source_tree_is_an_error(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    child = subprocess.run(
+        [sys.executable, str(SCRIPT), "--against", str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert child.returncode == 2
+    assert f"--against: {tmp_path} holds no src/aaolq/__init__.py" in child.stderr
