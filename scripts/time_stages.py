@@ -11,19 +11,23 @@ process's max RSS (``ru_maxrss``, the high-water mark) when that stage
 returned, and the header line gives it after import. Then it runs
 ``run_sweep`` over the paper's horizons tf = 2, 4, ..., 14 in nash and
 team mode together, as the benchmark's ``sweep_table`` workload does, as
-many times. It times the one lockstep backward solve of each step group,
-and the gain synthesis plus the forward passes of both modes. The run's solve line gives microseconds per
-RK4 substep from the solve's ``SolveStats``; a lockstep solve line gives
-every game's substeps, the lockstep iterations of the loop (one RK4
-substep of every game still marching) and microseconds per iteration.
-These are medians of wall-clock seconds.
+many times. It times the one lockstep march of each step group, without
+the folds of nodes into closed-loop matrices that run inside it, and
+then every fold (gains and closed-loop matrices) plus the forward passes
+of both modes. The run's solve line gives microseconds per RK4 substep
+from the solve's ``SolveStats``; a lockstep line gives every game's
+substeps, the lockstep iterations of the loop (one RK4 substep of every
+game still marching) and microseconds per iteration. These are medians
+of wall-clock seconds. One more, untimed, sweep gives the sweep's
+``tracemalloc`` peak.
 
 With ``--against PATH`` it instead compares this tree's ``aaolq`` (the one
 on the import path) with the ``aaolq`` of the source tree at PATH, loaded
 in the same process under the package name ``aaolq_against``, on CPU time
 (``time.process_time``). The stages are the run's solve,
 ``verify_solution``, gains plus ``simulate``, the CSV writers and the
-sweep's lockstep solve, each called as the pipeline calls it. A pair
+sweep's lockstep march with its folds, each called as the pipeline calls
+it (a tree from before the folds solves whole histories there). A pair
 calls each stage ``ROUNDS`` times on each tree, the trees taking turns
 call by call, and its ratio is the median of the rounds' ratios (this
 tree / PATH). Per stage it prints the median and quartiles of the pairs'
@@ -37,7 +41,8 @@ The wall-clock mode times stages by replacing, for the duration of the
 script, the module attributes that ``run()`` and ``run_sweep()`` look up
 at call time with timing wrappers, so the pipeline itself runs unchanged; lockstep
 iterations are counted by a wrapper around ``riccati._Stages.step``,
-which adds one Python call per iteration. Artifacts go to a
+which adds one Python call per iteration, and folds are timed by one
+around ``runner._ClosedLoopFold._fold``. Artifacts go to a
 temporary directory that is removed on exit; no timing reaches an
 artifact. The RSS column reads a high-water mark, so it compares only
 between fresh processes. Pin the BLAS thread count, and for ``--against``
@@ -58,6 +63,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
@@ -174,50 +180,63 @@ def time_run(scenario, repeats: int, work: Path) -> list[str]:
 
 @dataclass
 class LockstepSolve:
-    """What one ``runner.solve_lockstep`` call did: its horizon, each game's
-    RK4 substeps and the lockstep iterations, counted as ``_Stages.step``
-    calls."""
+    """What one ``runner.march_lockstep`` call did: its horizon, each game's
+    RK4 substeps, the lockstep iterations, counted as ``_Stages.step``
+    calls, and its seconds. ``fold_s`` is the seconds of every fold of its
+    group, ``nested_s`` of those that ran inside the march."""
 
     tf: float = 0.0
     substeps: tuple[int, ...] = ()
     iterations: int = 0
+    seconds: float = 0.0
+    fold_s: float = 0.0
+    nested_s: float = 0.0
 
 
 @contextlib.contextmanager
 def recorded_solves():
-    """Record every lockstep solve in the body as one ``LockstepSolve``.
-
-    The record is taken before the sweep releases the solutions.
-    """
+    """Record every lockstep march in the body as one ``LockstepSolve``."""
     records = []
-    step, solve = riccati._Stages.step, runner.solve_lockstep
+    marching = [False]
+    step, march = riccati._Stages.step, runner.march_lockstep
+    fold = runner._ClosedLoopFold._fold
 
     def counting_step(self, *args):
         records[-1].iterations += 1
         return step(self, *args)
 
-    def recording_solve(games, grid):
-        records.append(LockstepSolve(tf=grid.tf))
-        sols = solve(games, grid)
-        records[-1].substeps = tuple(sol.stats.substeps for sol in sols)
-        return sols
+    def recording_march(games, grid, stores):
+        record = LockstepSolve(tf=grid.tf)
+        records.append(record)
+        marching[0] = True
+        start = time.perf_counter()
+        try:
+            failed, stats = march(games, grid, stores)
+        finally:
+            record.seconds = time.perf_counter() - start
+            marching[0] = False
+        record.substeps = tuple(stat.substeps for stat in stats)
+        return failed, stats
 
-    riccati._Stages.step, runner.solve_lockstep = counting_step, recording_solve
+    def timed_fold(self):
+        start = time.perf_counter()
+        fold(self)
+        seconds = time.perf_counter() - start
+        records[-1].fold_s += seconds
+        if marching[0]:
+            records[-1].nested_s += seconds
+
+    riccati._Stages.step, runner.march_lockstep = counting_step, recording_march
+    runner._ClosedLoopFold._fold = timed_fold
     try:
         yield records
     finally:
-        riccati._Stages.step, runner.solve_lockstep = step, solve
+        riccati._Stages.step, runner.march_lockstep = step, march
+        runner._ClosedLoopFold._fold = fold
 
 
 def time_sweep(scenario, repeats: int, work: Path) -> list[str]:
-    stages = {
-        "solve": ((runner, "solve_lockstep"),),
-        "forward": (
-            (runner, "gains"),
-            (runner, "team_gains_to_players"),
-            (runner, "_propagate"),
-        ),
-    }
+    stages = {"forward": ((runner, "_propagate"),)}
     solve_s = defaultdict(list)
     forward_s = []
     total_s = []
@@ -227,9 +246,17 @@ def time_sweep(scenario, repeats: int, work: Path) -> list[str]:
             start = time.perf_counter()
             run_sweep(scenario, TF_LIST, modes=MODES, out_dir=work / f"sweep{i}")
             total_s.append(time.perf_counter() - start)
-        for j, (_, seconds, _, _) in enumerate(e for e in log if e[0] == "solve"):
-            solve_s[j].append(seconds)
-        forward_s.append(sum(s for name, s, _, _ in log if name == "forward"))
+        for j, solve in enumerate(solves):
+            solve_s[j].append(solve.seconds - solve.nested_s)
+        forward_s.append(
+            sum(solve.fold_s for solve in solves) + sum(s for _, s, _, _ in log)
+        )
+    tracemalloc.start()
+    try:
+        run_sweep(scenario, TF_LIST, modes=MODES, out_dir=work / "sweep_traced")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     lines = [f"run_sweep, modes {','.join(MODES)}, tf {','.join(f'{t:g}' for t in TF_LIST)}"]
     for j, solve in enumerate(solves):
         games = " + ".join(f"{mode} {n:,}" for mode, n in zip(MODES, solve.substeps))
@@ -240,6 +267,7 @@ def time_sweep(scenario, repeats: int, work: Path) -> list[str]:
         )
     lines.append(_line("gains + forward", forward_s))
     lines.append(_line("total", total_s))
+    lines.append(f"  {'tracemalloc peak':<18}{peak / 2**20:9.2f} MiB  (one untimed sweep)")
     return lines
 
 
@@ -262,7 +290,7 @@ def load_tree(path: Path):
 
 
 def _stage_calls(tree, scenario, out: Path):
-    """Each stage of ``run()`` and the lockstep solve of the paper-table
+    """Each stage of ``run()`` and the lockstep march of the paper-table
     sweep as a call on ``tree`` that does the stage's work once, as the
     pipeline calls it, and the substeps of the run's solve.
 
@@ -282,6 +310,13 @@ def _stage_calls(tree, scenario, out: Path):
     long_grid = tree.TimeGrid.from_step(long_game.t0, long_game.tf, scenario.run.dt)
     sweep_teams = [runner._team_game(scenario, long_game, mode) for mode in MODES]
     sweep_games = [long_game if t is None else t.reduced for t in sweep_teams]
+
+    def sweep_solve():
+        if not hasattr(runner, "march_lockstep"):  # a tree from before the folds
+            return runner.solve_lockstep(sweep_games, long_grid)
+        folds = [runner._ClosedLoopFold(long_game, t, long_grid) for t in sweep_teams]
+        runner.march_lockstep(sweep_games, long_grid, folds)
+        return [fold.finish() for fold in folds]
 
     def writers():
         runner.write_solution_csv(out / "solution.csv", sol)
@@ -305,7 +340,7 @@ def _stage_calls(tree, scenario, out: Path):
             game, runner._player_gains(game, team, sol), scenario.x0
         ),
         "writers": writers,
-        "sweep solve": lambda: runner.solve_lockstep(sweep_games, long_grid),
+        "sweep solve": sweep_solve,
     }
     return calls, sol.stats.substeps
 

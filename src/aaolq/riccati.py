@@ -52,15 +52,16 @@ order of an operation: the test suite keeps the body written with
 ``out=`` keywords as ``helpers.reference_step`` and checks that both
 write the same bytes.
 
-``solve_lockstep`` solves several games that share the grid and the state
+``march_lockstep`` solves several games that share the grid and the state
 dimension in one loop: every stack carries a game axis, games with fewer
 players are padded with zero players that stay exactly zero, and each
 output interval runs lockstep substeps until every game has covered it,
 each game with its own substep. A game that has covered the interval
-keeps its iterate. Every game's result is bitwise equal to its own solve,
-and ``solve_coupled`` is the batch of one. A sweep solves its nash and team
-games this way, paying numpy's per-call overhead once per substep for
-both.
+keeps its iterate. Each node reached goes to its game's receiver:
+``solve_lockstep`` stores full histories, each bitwise equal to its game's
+own solve (``solve_coupled`` is the batch of one), and a sweep, which
+pays numpy's per-call overhead once per substep for its nash and team
+games, folds each node into the closed-loop matrix its forward pass reads.
 """
 from __future__ import annotations
 
@@ -356,13 +357,51 @@ def solve_coupled(game: game_mod.GameDefinition, grid: TimeGrid) -> RiccatiSolut
 def solve_lockstep(games: list[game_mod.GameDefinition], grid: TimeGrid) -> list[RiccatiSolution]:
     """:func:`solve_coupled` of every game on one shared ``grid``, in one loop.
 
+    :func:`march_lockstep` into a full history per game. Each returned
+    solution is bitwise equal to ``solve_coupled`` of its game alone,
+    status, failure fields and stats included.
+    """
+    hists = [np.full((game.num_players, grid.steps + 1, game.n, game.n), np.nan) for game in games]
+    failed, stats = march_lockstep(
+        games, grid, [h.reshape(h.shape[:2] + (-1,)).swapaxes(0, 1) for h in hists]
+    )
+    times = grid.times()
+    out = []
+    for g, (hist, stat) in enumerate(zip(hists, stats)):
+        fail = failed.get(g)
+        # Integrity probe over the stored nodes: every stage is bitwise
+        # symmetric, so this reads 0.0 unless the arithmetic stops
+        # preserving it.
+        stored = hist[:, 0 if fail is None else fail[0] + 1 :]
+        max_residual = max(_asymmetry(si) for si in stored)
+        hist.flags.writeable = False
+        out.append(
+            RiccatiSolution(
+                grid=grid,
+                S=hist,
+                status=SolveStatus.COMPLETE if fail is None else fail[1],
+                failure_time=None if fail is None else float(times[fail[0]]),
+                failure_reason=None if fail is None else fail[2],
+                max_symmetry_residual=max_residual,
+                stats=stat,
+            )
+        )
+    return out
+
+
+def march_lockstep(games: list[game_mod.GameDefinition], grid: TimeGrid, stores: list):
+    """The backward solve of every game on one shared ``grid``, in one loop.
+
     The games must share the state dimension; their player counts may
     differ. Every output interval runs lockstep RK4 substeps until each
     game has covered it: each game sizes its substep from its own rate,
     and a game that has covered the interval keeps its iterate while the
-    others go on. A game that escapes is never read again. Each returned
-    solution is bitwise equal to ``solve_coupled`` of its game alone,
-    status, failure fields and stats included.
+    others go on. A game that escapes is never read again. Every node game
+    g reaches is stored as ``stores[g][k] = s``, from the grid's last node
+    down: ``s`` holds its players' matrices flattened, (players, n * n),
+    and is a view the loop overwrites. Returns each failed game's first
+    node not reached, status and reason, keyed by game, and every game's
+    stats.
     """
     if not games:
         raise ValidationError("a lockstep solve needs at least one game")
@@ -381,17 +420,13 @@ def solve_lockstep(games: list[game_mod.GameDefinition], grid: TimeGrid) -> list
     n = games[0].n
     steps = grid.steps
     stages = _Stages(games)
-    # Two iterate buffers, each with a games-by-players view of flat
-    # matrices, and a node-major view of each game's flat history:
-    # hists[g][k] is game g at node k.
+    # Two iterate buffers, each with a games-by-players view of flat matrices.
     cur, new = np.zeros(stages.shape), np.empty(stages.shape)
     cur_f = cur.reshape(m, count, n * n).swapaxes(0, 1)
     new_f = new.reshape(m, count, n * n).swapaxes(0, 1)
-    hists = []
     for g, game in enumerate(games):
         cur_f[g, : players[g]] = np.reshape(game.S_f, (players[g], n * n))
-        hists.append(np.full((players[g], steps + 1, n * n), np.nan).swapaxes(0, 1))
-        hists[g][steps] = cur_f[g, : players[g]]
+        stores[g][steps] = cur_f[g, : players[g]]
     times = grid.times().tolist()
     a_norms = [float(np.sqrt((game.A * game.A).sum())) for game in games]
     hb_players = np.empty((m, count, 1, 1))
@@ -491,39 +526,12 @@ def solve_lockstep(games: list[game_mod.GameDefinition], grid: TimeGrid) -> list
                         f"substeps passed the budget of {SUBSTEP_BUDGET:,} for one solve",
                     )
                 else:
-                    hists[g][k] = cur_f[g, : players[g]]
+                    stores[g][k] = cur_f[g, : players[g]]
             if failed:
                 live = [g for g in live if g not in failed]
                 if not live:
                     break
-    out = []
-    for g, node_major in enumerate(hists):
-        hist = node_major.swapaxes(0, 1).reshape(players[g], steps + 1, n, n)
-        fail = failed.get(g)
-        # Integrity probe over the stored nodes: every stage is bitwise
-        # symmetric, so this reads 0.0 unless the arithmetic stops
-        # preserving it.
-        stored = hist[:, 0 if fail is None else fail[0] + 1 :]
-        max_residual = max(_asymmetry(si) for si in stored)
-        hist.flags.writeable = False
-        out.append(
-            RiccatiSolution(
-                grid=grid,
-                S=hist,
-                status=SolveStatus.COMPLETE if fail is None else fail[1],
-                failure_time=None if fail is None else times[fail[0]],
-                failure_reason=None if fail is None else fail[2],
-                max_symmetry_residual=max_residual,
-                stats=SolveStats(
-                    substeps=substeps[g],
-                    subdivided_intervals=subdivided[g],
-                    min_substep=smallest[g],
-                    peak_norm=peak[g],
-                    peak_time=peak_time[g],
-                ),
-            )
-        )
-    return out
+    return failed, list(map(SolveStats, substeps, subdivided, smallest, peak, peak_time))
 
 
 @dataclass(frozen=True, eq=False)

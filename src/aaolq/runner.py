@@ -26,14 +26,17 @@ from .game import GameDefinition, ValidationReport, ValueEquality, absolute_star
 from .riccati import (
     FeedbackGain,
     RiccatiSolution,
+    SolveStats,
     SolveStatus,
     TimeGrid,
     gains,
+    march_lockstep,
     solve_coupled,
-    solve_lockstep,
 )
 from .scenario import Scenario
-from .sim import PursuitReport, Trajectory, _propagate, _pursuit_report, pursuit_report, simulate
+from .sim import (
+    PursuitReport, Trajectory, _propagate, _pursuit_report, closed_loop, pursuit_report, simulate
+)
 from .team import TeamGame, TeamWeights, build_team_game, team_gains_to_players
 
 EXIT_OK = 0
@@ -423,60 +426,96 @@ class SweepResult(ValueEquality):
         raise KeyError((mode, tf))
 
 
+_FOLD_NODES = 512  # nodes a fold holds before folding them; bounds memory, not results
+
+
+class _ClosedLoopFold:
+    """One game's receiver of :func:`march_lockstep` nodes; keeps A_cl only.
+
+    ``team`` is ``game``'s team reduction, which the march solves, or None.
+    Every ``_FOLD_NODES`` nodes, and in :meth:`finish`, the held nodes'
+    gains (``_player_gains``) are folded into ``closed_loop``: the calls
+    ``run()`` makes, on the same per-node operands. Nodes never received
+    stay NaN.
+    """
+
+    def __init__(self, game: GameDefinition, team: TeamGame | None, grid: TimeGrid):
+        self.game, self.team, self.grid = game, team, grid
+        players = game.num_players if team is None else team.reduced.num_players
+        self.acl = np.full((grid.steps + 1, game.n, game.n), np.nan)
+        # Nodes lo .. hi - 1 are held, node k at held[:, k - hi + _FOLD_NODES].
+        self.held = np.empty((players, _FOLD_NODES, game.n * game.n))
+        self.lo = self.hi = grid.steps + 1
+
+    def __setitem__(self, k: int, s: np.ndarray) -> None:
+        # The march stores nodes in descending order.
+        self.held[:, k - self.hi + _FOLD_NODES] = s
+        self.lo = k
+        if self.hi - k == _FOLD_NODES:
+            self._fold()
+
+    def _fold(self) -> None:
+        lo, hi, n = self.lo, self.hi, self.game.n
+        if lo == hi:
+            return
+        # gains() reads only S of a complete solution; the grid is the march's.
+        sol = RiccatiSolution(
+            self.grid,
+            self.held[:, lo - hi + _FOLD_NODES :].reshape(-1, hi - lo, n, n),
+            SolveStatus.COMPLETE, None, None, 0.0, SolveStats(0, 0, 0.0, 0.0, 0.0),
+        )
+        self.acl[lo:hi] = closed_loop(self.game, _player_gains(self.game, self.team, sol))
+        self.hi = lo
+
+    def finish(self) -> np.ndarray:
+        """Fold the held nodes; the closed-loop matrix at every node, (steps+1, n, n)."""
+        self._fold()
+        return self.acl
+
+
 def _sweep_group(scenario: Scenario, modes: tuple[str, ...], tfs: list[float]) -> dict:
-    """Cells of one dt group, every mode's read off one lockstep solve.
+    """Cells of one dt group, every mode's read off one lockstep march.
 
     Each mode plays the group's long game, or its team reduction, and all
-    of them are solved in one lockstep loop over their longest horizon.
-    Every cell reads the tail of its mode's solve: the gains and the
-    forward pass read only the grid, never the game's horizon. Each mode in
-    turn synthesizes its gains once, releases its solution, and runs one
+    of them are marched in one loop over their longest horizon. Each
+    mode's :class:`_ClosedLoopFold` turns the nodes into closed-loop
+    matrices as the march reaches them, so no history of S is held. Every
+    cell reads the tail of its mode's matrices: the forward pass reads
+    only the grid, never the game's horizon. Each mode then runs one
     forward pass that advances every cell from its own start node.
     Returns the cells keyed by (mode, tf).
     """
     long_game = scenario.with_tf(max(tfs)).build_game()
     long_grid = TimeGrid.from_step(long_game.t0, long_game.tf, scenario.run.dt)
     teams = [_team_game(scenario, long_game, mode) for mode in modes]
-    sols = solve_lockstep(
-        [long_game if team is None else team.reduced for team in teams], long_grid
+    folds = [_ClosedLoopFold(long_game, team, long_grid) for team in teams]
+    failed, _ = march_lockstep(
+        [long_game if team is None else team.reduced for team in teams], long_grid, folds
     )
     grids = {tf: TimeGrid.from_step(long_game.t0, tf, scenario.run.dt) for tf in tfs}
     cells = {}
-    for i, (mode, team) in enumerate(zip(modes, teams)):
-        long_sol, sols[i] = sols[i], None
+    for i, mode in enumerate(modes):
+        acl, folds[i] = folds[i].finish(), None
+        fail = failed.get(i)
         starts = {}
         for tf, grid in grids.items():
             start = long_grid.steps - grid.steps
-            # Nodes a failed solve never reached stay NaN; a fresh solve of
-            # this horizon fails at the same node once its slice starts at one.
-            if np.isfinite(long_sol.S[:, start]).all():
+            # A failed solve never reached its failure node or any before
+            # it; a fresh solve of this horizon fails at the same node once
+            # its slice starts at one.
+            if fail is None or start > fail[0]:
                 starts[tf] = start
             else:
                 cells[mode, tf] = SweepCell(
-                    mode=mode,
-                    tf=tf,
-                    distances=None,
-                    captured=None,
-                    status=long_sol.status.value,
+                    mode=mode, tf=tf, distances=None, captured=None, status=fail[1].value
                 )
         if not starts:
             continue
-        # The longest finite cell: its slice is finite throughout and holds
-        # every other finite cell's slice as its tail.
+        # The longest reached cell: its slice holds every other one's as its tail.
         first_tf = min(starts, key=starts.get)
         first = starts[first_tf]
-        sol = replace(
-            long_sol,
-            grid=grids[first_tf],
-            S=long_sol.S[:, first:],
-            status=SolveStatus.COMPLETE,
-            failure_time=None,
-            failure_reason=None,
-        )
-        player_gains = _player_gains(long_game, team, sol)
-        sol = long_sol = None  # the gains hold all the forward pass needs
         states = _propagate(
-            long_game, player_gains, scenario.x0, [s - first for s in starts.values()]
+            grids[first_tf], acl[first:], scenario.x0, [s - first for s in starts.values()]
         )
         for tf, x in zip(starts, states):
             if isinstance(x, DivergenceError):
@@ -506,8 +545,9 @@ def run_sweep(scenario: Scenario, tf_list, modes=None, out_dir=None) -> SweepRes
     ``TimeGrid.from_step(t0, tf, dt)``, compared exactly; each group solves
     the longest horizon of every mode once, all modes in one lockstep loop,
     and every cell reads the tail slice of its mode's solve, which equals a
-    fresh solve of the cell's horizon bitwise. Each mode of a group
-    synthesizes its gains once and runs one forward pass, which advances
+    fresh solve of the cell's horizon bitwise. Each mode's nodes are
+    folded into closed-loop matrices while the loop runs, each node's
+    gains formed once, and each mode runs one forward pass, which advances
     every cell from its start node through the same closed-loop maps; each
     cell's final distances and capture flag equal its own ``run()``
     bitwise. Every cell is attempted; blow-ups and divergences are recorded

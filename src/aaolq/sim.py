@@ -1,9 +1,11 @@
 """Closed-loop simulation and pursuit reporting.
 
-The forward pass integrates dx/dt = (A - sum_j B_j K_j(t)) x with RK4 on
-the uniform grid its gains share, the backward solver's own, reading each
-gain at its nodes and interpolating it linearly between them. Because
-interpolated gains can swing over orders of magnitude within one interval
+The forward pass integrates dx/dt = A_cl(t) x with RK4 on the uniform grid
+of the backward solve. It reads only the closed-loop nodes
+A_cl(t_k) = A - sum_j B_j K_j(t_k), as :func:`closed_loop` forms them for
+:func:`simulate` and as a sweep folds them during its solve, and
+interpolates them linearly between nodes. Because the closed loop can
+swing over orders of magnitude within one interval
 on near-escape games, each interval is subdivided into a deterministic
 number of equal substeps sized by the same kind of stability guard the
 backward solver uses; smooth games take exactly one substep per interval.
@@ -59,23 +61,27 @@ def _simpson_weights(steps: int, dt: float) -> np.ndarray:
     return w * (dt / 3.0)
 
 
-def _transition_maps(game: GameDefinition, gains: list[FeedbackGain], nodes: list[int]):
+def closed_loop(game: GameDefinition, gains: list[FeedbackGain]) -> np.ndarray:
+    """A - sum_j B_j K_j at every node of ``gains``: shape (nodes, n, n)."""
+    acl = np.broadcast_to(game.A, (len(gains[0].K),) + game.A.shape).copy()
+    for b, g in zip(game.B, gains):
+        acl -= np.matmul(b, g.K)
+    return acl
+
+
+def _transition_maps(acl: np.ndarray, dt: float, nodes: list[int]):
     """RK4 transition maps of every substep from node ``nodes[0]`` to the grid's end.
 
-    ``nodes`` are the sorted start nodes. Yields ``(k, phi, last)`` once per
-    chunk, in order; a chunk ends every ``_CHUNK`` substeps and before the
-    first substep of every start node. ``phi[i]`` maps the state over one
-    substep of the interval that starts at node ``k[i]`` of the gains'
-    grid, and ``last[i]`` marks the substep that closes it.
+    ``acl`` holds the closed-loop matrix at every node of a grid of step
+    ``dt`` and ``nodes`` are the sorted start nodes. Yields ``(k, phi,
+    last)`` once per chunk, in order; a chunk ends every ``_CHUNK``
+    substeps and before the first substep of every start node. ``phi[i]``
+    maps the state over one substep of the interval that starts at node
+    ``k[i]``, and ``last[i]`` marks the substep that closes it.
     """
-    grid = gains[0].grid
     first = nodes[0]
-    a = np.array(game.A)
-    acl_nodes = np.broadcast_to(a, (grid.steps + 1 - first,) + a.shape).copy()
-    for b, g in zip(game.B, gains):
-        acl_nodes -= np.matmul(b, g.K[first:])
+    acl_nodes = acl[first:]
     acl_norms = np.sqrt(np.einsum("kij,kij->k", acl_nodes, acl_nodes))
-    dt = grid.dt
     # The closed-loop matrix is linear on each interval, so the larger
     # endpoint norm bounds it throughout; substeps are equal-sized for
     # determinism and exact interval coverage.
@@ -84,7 +90,7 @@ def _transition_maps(game: GameDefinition, gains: list[FeedbackGain], nodes: lis
     bounds = np.concatenate(([0], np.cumsum(n_sub)))  # each interval's first substep
     total = int(bounds[-1])
     cuts = sorted({*range(0, total, _CHUNK), *bounds[np.subtract(nodes, first)].tolist(), total})
-    eye = np.eye(game.n)
+    eye = np.eye(acl.shape[-1])
     for s0, s1 in zip(cuts, cuts[1:]):
         sub = np.arange(s0, s1)
         k = np.searchsorted(bounds, sub, side="right") - 1  # interval of each substep
@@ -104,55 +110,41 @@ def _transition_maps(game: GameDefinition, gains: list[FeedbackGain], nodes: lis
         yield k + first, phi, sub == bounds[k + 1] - 1
 
 
-def _propagate(
-    game: GameDefinition, gains: list[FeedbackGain], x0, starts
-) -> list[np.ndarray | DivergenceError]:
+def _propagate(grid: TimeGrid, acl: np.ndarray, x0, starts) -> list[np.ndarray | DivergenceError]:
     """Closed-loop states from ``x0`` at each start node to the grid's end.
 
-    Entry i holds the states on nodes ``starts[i]`` .. steps of the gains'
-    grid, or the :class:`DivergenceError` of the first substep whose state
-    norm passed ``DIVERGENCE_NORM``, at the end time (on the gains' grid) of
-    that substep's interval; a diverged start stops counting (its state is
-    zeroed), the others go on. One set of transition maps, built from the
-    earliest start onward, serves every start. Each substep advances every
-    running start in one stacked product of matrix-vector products, one
-    per start, so each start's states equal a run from its node alone
-    bitwise. The inputs are checked as :func:`simulate` documents.
+    ``acl`` holds the closed-loop matrix at every node of ``grid``. Entry i
+    holds the states on nodes ``starts[i]`` .. steps of ``grid``, or the
+    :class:`DivergenceError` of the first substep whose state norm passed
+    ``DIVERGENCE_NORM``, at the end time of that substep's interval; a
+    diverged start stops counting (its state is zeroed), the others go on.
+    One set of transition maps, built from the earliest start onward,
+    serves every start. Each substep advances every running start in one
+    stacked product of matrix-vector products, one per start, so each
+    start's states equal a run from its node alone bitwise. An odd step
+    count or an ``x0`` of the wrong size raises :class:`ValidationError`.
     """
-    if len(gains) != game.num_players:
-        raise ValidationError(f"expected {game.num_players} gains, got {len(gains)}")
-    grid = gains[0].grid
-    times = grid.times()
-    for i, g in enumerate(gains):
-        if g.grid != grid:
-            raise ValidationError(f"player {i + 1}: gain grid {g.grid} differs from {grid}")
-        if len(g.K) != grid.steps + 1:
-            raise ValidationError(
-                f"player {i + 1}: gain holds {len(g.K)} nodes, its grid has {grid.steps + 1}"
-            )
-        if not np.isfinite(g.K).all():
-            first = np.flatnonzero(~np.isfinite(g.K).reshape(len(g.K), -1).all(axis=1))[0]
-            t_bad = float(times[first])
-            raise ValidationError(f"player {i + 1}: gain is not finite at t={t_bad!r}")
     if grid.steps % 2:
         raise ValidationError("simulation needs an even step count for Simpson quadrature")
+    n = acl.shape[-1]
     x0v = linalg.as_vector(x0, "x0")
-    if x0v.size != game.n:
-        raise ValidationError(f"x0: expected {game.n} entries, got {x0v.size}")
+    if x0v.size != n:
+        raise ValidationError(f"x0: expected {n} entries, got {x0v.size}")
+    times = grid.times()
     out: list[np.ndarray | DivergenceError] = []
     for s in starts:
-        path = np.empty((grid.steps - s + 1, game.n))
+        path = np.empty((grid.steps - s + 1, n))
         path[0] = x0v
         out.append(path)
     # Starts enter in node order, so the running ones are a prefix of ``state``.
     order = sorted(range(len(starts)), key=starts.__getitem__)
     nodes = [starts[i] for i in order]
     state = np.tile(x0v[:, None], (len(nodes), 1, 1))
-    for k, phi, last in _transition_maps(game, gains, nodes):
+    for k, phi, last in _transition_maps(acl, grid.dt, nodes):
         # No chunk straddles a start: the starts at or before its first
         # interval run through all of it, and the others still hold x0.
         running = bisect.bisect_right(nodes, k[0])
-        xs = np.empty((len(k), running, game.n, 1))
+        xs = np.empty((len(k), running, n, 1))
         xk = state[:running]
         # A stacked matrix-vector product per start rounds exactly as
         # ``p @ x`` alone; one matrix-matrix product would not.
@@ -188,10 +180,26 @@ def simulate(game: GameDefinition, gains: list[FeedbackGain], x0) -> Trajectory:
     raises :class:`ValidationError` naming the player and the first such
     grid time.
     """
-    (x,) = _propagate(game, gains, x0, (0,))
+    if len(gains) != game.num_players:
+        raise ValidationError(f"expected {game.num_players} gains, got {len(gains)}")
+    grid = gains[0].grid
+    for i, g in enumerate(gains):
+        if g.grid != grid:
+            raise ValidationError(f"player {i + 1}: gain grid {g.grid} differs from {grid}")
+        if len(g.K) != grid.steps + 1:
+            raise ValidationError(
+                f"player {i + 1}: gain holds {len(g.K)} nodes, its grid has {grid.steps + 1}"
+            )
+        if not np.isfinite(g.K).all():
+            first = np.flatnonzero(~np.isfinite(g.K).reshape(len(g.K), -1).all(axis=1))[0]
+            t_bad = float(grid.times()[first])
+            raise ValidationError(f"player {i + 1}: gain is not finite at t={t_bad!r}")
+    (x,) = _propagate(grid, closed_loop(game, gains), x0, (0,))
     if isinstance(x, DivergenceError):
         raise x
-    grid = gains[0].grid
+    # x was allocated above the closed-loop matrices in the heap; a copy
+    # made now that they are freed takes their place, so the heap can shrink.
+    x = x.copy()
     steps = grid.steps
     u = tuple(-np.einsum("kmn,kn->km", g.K, x) for g in gains)
     weights = _simpson_weights(steps, grid.dt)

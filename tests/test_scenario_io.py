@@ -1011,13 +1011,13 @@ class TestRunSweep:
         scenario = load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
         tf_list = [1.0, 2.0, 3.0, 1.01]
         calls = []
-        real_solve = runner.solve_lockstep
+        real_march = runner.march_lockstep
 
-        def counting_solve(games, grid):
+        def counting_march(games, grid, stores):
             calls.append((grid.steps, [g.num_players for g in games]))
-            return real_solve(games, grid)
+            return real_march(games, grid, stores)
 
-        monkeypatch.setattr(runner, "solve_lockstep", counting_solve)
+        monkeypatch.setattr(runner, "march_lockstep", counting_march)
         result = run_sweep(scenario, tf_list, modes=("nash", "team"), out_dir=tmp_path / "sweep")
         assert calls == [(300, [4, 2]), (102, [4, 2])]
         monkeypatch.undo()
@@ -1092,13 +1092,13 @@ class TestRunSweep:
         scenario = load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
         game = scenario.build_game()
         grid = TimeGrid.from_step(game.t0, game.tf, scenario.run.dt)
-        player_gains = gains(game, solve_coupled(game, grid))
+        acl = sim.closed_loop(game, gains(game, solve_coupled(game, grid)))
         starts = [40, 0, 17, 40, 3, 400]
         assert grid.steps == 400
-        solo = {s: sim._propagate(game, player_gains, scenario.x0, [s])[0] for s in starts}
+        solo = {s: sim._propagate(grid, acl, scenario.x0, [s])[0] for s in starts}
         for chunk in (1, 3, 7, 512):
             monkeypatch.setattr(sim, "_CHUNK", chunk)
-            states = sim._propagate(game, player_gains, scenario.x0, starts)
+            states = sim._propagate(grid, acl, scenario.x0, starts)
             for s, x in zip(starts, states):
                 assert x.tobytes() == solo[s].tobytes(), (chunk, s)
         # One substep per interval: the node-0 start diverges at node 461,
@@ -1108,14 +1108,14 @@ class TestRunSweep:
         scenario = parse_scenario(json.dumps(DIVERGENT_PLANAR_GAME))
         game = scenario.build_game()
         grid = TimeGrid.from_step(game.t0, game.tf, scenario.run.dt)
-        player_gains = gains(game, solve_coupled(game, grid))
+        acl = sim.closed_loop(game, gains(game, solve_coupled(game, grid)))
         starts = [400, 1800, 0]
-        solo = {s: sim._propagate(game, player_gains, scenario.x0, [s])[0] for s in starts}
+        solo = {s: sim._propagate(grid, acl, scenario.x0, [s])[0] for s in starts}
         assert solo[0].time == 0.461 and solo[400].time == 0.861
         assert solo[1800].shape == (201, 2)
         for chunk in (1, 3, 7, 512):
             monkeypatch.setattr(sim, "_CHUNK", chunk)
-            states = sim._propagate(game, player_gains, scenario.x0, starts)
+            states = sim._propagate(grid, acl, scenario.x0, starts)
             for s in (0, 400):
                 x = states[starts.index(s)]
                 assert isinstance(x, DivergenceError), (chunk, s)
@@ -1123,19 +1123,29 @@ class TestRunSweep:
             assert states[1].tobytes() == solo[1800].tobytes(), chunk
 
     def test_gains_synthesized_once_per_group(self, tmp_path, monkeypatch):
-        # tf = 1.01 rounds to 102 steps: its own dt, its own group.
+        # tf = 1.01 rounds to 102 steps: its own dt, its own group. The
+        # gains calls of a mode take its nodes in folds of _FOLD_NODES, the
+        # last one the rest: every node's gains are formed exactly once.
         scenario = load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
-        calls = []
         real_gains = runner.gains
 
         def counting_gains(game, sol):
-            calls.append(sol.grid.steps)
+            calls.append((sol.grid.steps + 1, game.num_players, sol.S.shape[1]))
             return real_gains(game, sol)
 
         monkeypatch.setattr(runner, "gains", counting_gains)
-        result = run_sweep(scenario, [1.0, 2.0, 3.0, 1.01], modes=("nash", "team"), out_dir=tmp_path)
-        assert calls == [300, 300, 102, 102]
-        assert all(c.status == "ok" for c in result.cells)
+        for fold_nodes in (7, runner._FOLD_NODES):
+            monkeypatch.setattr(runner, "_FOLD_NODES", fold_nodes)
+            calls = []
+            result = run_sweep(
+                scenario, [1.0, 2.0, 3.0, 1.01], modes=("nash", "team"), out_dir=tmp_path
+            )
+            for nodes in (301, 103):
+                for players in (4, 2):  # nash, and the team reduction
+                    folds = [c for g, m, c in calls if (g, m) == (nodes, players)]
+                    whole, rest = divmod(nodes, fold_nodes)
+                    assert folds == [fold_nodes] * whole + [rest] * (rest > 0), (nodes, players)
+            assert all(c.status == "ok" for c in result.cells)
 
     def test_team_reduction_built_once_per_group(self, tmp_path, monkeypatch):
         scenario = load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
@@ -1220,6 +1230,98 @@ class TestRunSweep:
             "team,4.0,nan,nan,nan,substep_budget"
         )
 
+
+def _fold_and_reference(scenario, modes, tf):
+    """Each mode's folded A_cl nodes beside A - sum_j B_j K_j of a full history.
+
+    Returns the march's failures and, per mode, the folded nodes and the
+    reference, built from ``solve_lockstep`` and ``_player_gains``.
+    """
+    long_game = scenario.with_tf(tf).build_game()
+    grid = TimeGrid.from_step(long_game.t0, long_game.tf, scenario.run.dt)
+    teams = [runner._team_game(scenario, long_game, mode) for mode in modes]
+    games = [long_game if team is None else team.reduced for team in teams]
+    folds = [runner._ClosedLoopFold(long_game, team, grid) for team in teams]
+    failed, _ = riccati.march_lockstep(games, grid, folds)
+    pairs = []
+    for fold, team, sol in zip(folds, teams, riccati.solve_lockstep(games, grid)):
+        # Gains of the nodes never reached are NaN, as their S is.
+        whole = dataclasses.replace(sol, status=SolveStatus.COMPLETE)
+        n = long_game.n
+        reference = np.broadcast_to(long_game.A, (grid.steps + 1, n, n)).copy()
+        for b, g in zip(long_game.B, runner._player_gains(long_game, team, whole)):
+            reference -= np.matmul(b, g.K)
+        pairs.append((fold.finish(), reference))
+    return failed, pairs
+
+
+class TestClosedLoopFold:
+    """The sweep's fold gives the closed loop of a full solve, bit for bit."""
+
+    @pytest.mark.parametrize("fold_nodes", [1, 3, 7, runner._FOLD_NODES])
+    def test_nodes_equal_a_full_history(self, monkeypatch, fold_nodes):
+        monkeypatch.setattr(runner, "_FOLD_NODES", fold_nodes)
+        scenario = load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
+        failed, pairs = _fold_and_reference(scenario, ("nash", "team"), 3.0)
+        assert failed == {}
+        for acl, reference in pairs:
+            assert acl.shape == (301, 6, 6)
+            assert acl.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("fold_nodes", [3, runner._FOLD_NODES])
+    def test_escape_leaves_unreached_nodes_nan(self, tmp_path, monkeypatch, fold_nodes):
+        monkeypatch.setattr(runner, "_FOLD_NODES", fold_nodes)
+        scenario = parse_scenario(json.dumps(ESCAPE_GAME))
+        failed, [(acl, reference)] = _fold_and_reference(scenario, ("nash",), 1.0)
+        node, status, _ = failed[0]
+        assert status is SolveStatus.BLOW_UP and 0 < node < 1000
+        assert np.isnan(acl[: node + 1]).all() and np.isnan(reference[: node + 1]).all()
+        assert acl[node + 1 :].tobytes() == reference[node + 1 :].tobytes()
+        result = run_sweep(scenario, [1.0, 0.05], out_dir=tmp_path)
+        assert [c.status for c in result.cells] == ["blow_up", "ok"]
+
+    def test_substep_budget_cells(self, tmp_path, monkeypatch):
+        # The coarse team solve takes 531 substeps to tf = 4.
+        monkeypatch.setattr(riccati, "SUBSTEP_BUDGET", 300)
+        scenario = load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
+        failed, [(acl, reference)] = _fold_and_reference(scenario, ("team",), 4.0)
+        node, status, _ = failed[0]
+        assert status is SolveStatus.SUBSTEP_BUDGET
+        assert np.isnan(acl[: node + 1]).all()
+        assert acl[node + 1 :].tobytes() == reference[node + 1 :].tobytes()
+        result = run_sweep(scenario, [4.0, 3.0], out_dir=tmp_path)
+        assert [c.status for c in result.cells] == ["substep_budget", "substep_budget"]
+
+    def test_one_node_grid(self, tmp_path):
+        scenario = load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
+        failed, pairs = _fold_and_reference(scenario, ("nash", "team"), 0.0)
+        assert failed == {}
+        for acl, reference in pairs:
+            assert acl.shape == (1, 6, 6) and acl.tobytes() == reference.tobytes()
+        result = run_sweep(scenario, [0.0], modes=("nash", "team"), out_dir=tmp_path / "sweep")
+        fresh = run(scenario.with_tf(0.0), out_dir=tmp_path / "run")
+        for cell in result.cells:
+            assert cell.status == "ok"
+            assert cell.distances.tobytes() == fresh.pursuit.final_distances.tobytes()
+
+
+def test_sweep_holds_no_solution_history(tmp_path):
+    # Traced peak of a two-mode sweep at dt = 1e-3: folding each node into
+    # A_cl as the march reaches it stays below the bytes of the nash and
+    # team S histories alone, which holding both would pass.
+    scenario = load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
+    scenario = dataclasses.replace(scenario, run=dataclasses.replace(scenario.run, dt=1e-3))
+    game = scenario.build_game()
+    nodes = TimeGrid.from_step(game.t0, 6.0, 1e-3).steps + 1
+    histories = (game.num_players + 2) * nodes * game.n * game.n * 8
+    tracemalloc.start()
+    try:
+        result = run_sweep(scenario, [3.0, 6.0], modes=("nash", "team"), out_dir=tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(c.status == "ok" for c in result.cells)
+    assert peak < histories, (peak, histories)
 
 class TestCli:
     def test_check_exit_zero(self, tmp_path):

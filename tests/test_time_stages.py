@@ -64,6 +64,9 @@ def test_one_repeat_prints_every_stage_and_writes_nothing(tmp_path):
     forward = re.findall(r"^  gains \+ forward +(\d+\.\d{4}) s  \[", out, re.M)
     assert len(forward) == 1 and float(forward[0]) > 0.0
     assert len(re.findall(r"^  total +\d+\.\d{4} s  \[", out, re.M)) == 2
+    # The traced peak of one more, untimed, sweep.
+    peak = re.findall(r"^  tracemalloc peak +(\d+\.\d{2}) MiB  \(one untimed sweep\)$", out, re.M)
+    assert len(peak) == 1 and float(peak[0]) > 0.0
     assert list(tmp_path.iterdir()) == []
 
 
