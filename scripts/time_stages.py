@@ -27,9 +27,9 @@ in the same process under the package name ``aaolq_against``, on CPU time
 (``time.process_time``). The stages are the run's solve,
 ``verify_solution``, gains plus ``simulate``, the CSV writers and the
 sweep's lockstep march with its folds, each called as the pipeline calls
-it (a tree from before the folds solves whole histories there). A pair
-calls each stage ``ROUNDS`` times on each tree, the trees taking turns
-call by call, and its ratio is the median of the rounds' ratios (this
+it, so both trees must fold the sweep's march (``runner._ClosedLoopFold``).
+A pair calls each stage ``ROUNDS`` times on each tree, the trees taking
+turns call by call, and its ratio is the median of the rounds' ratios (this
 tree / PATH). Per stage it prints the median and quartiles of the pairs'
 ratios, the pairs where this tree was faster and where it was slower,
 each tree's median seconds per call and the pairs' ratios; the solve line
@@ -312,8 +312,6 @@ def _stage_calls(tree, scenario, out: Path):
     sweep_games = [long_game if t is None else t.reduced for t in sweep_teams]
 
     def sweep_solve():
-        if not hasattr(runner, "march_lockstep"):  # a tree from before the folds
-            return runner.solve_lockstep(sweep_games, long_grid)
         folds = [runner._ClosedLoopFold(long_game, t, long_grid) for t in sweep_teams]
         runner.march_lockstep(sweep_games, long_grid, folds)
         return [fold.finish() for fold in folds]

@@ -128,7 +128,8 @@ def solve_envelope(game: GameDefinition, q_bound, grid: TimeGrid) -> EnvelopeBou
         return lmat + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     zero = np.zeros((n, n))
-    step_t = np.stack([rk4_step(e.reshape(n, n), zero).reshape(-1) for e in np.eye(n * n)])
+    # Row i is the step of the i-th basis matrix: all n^2 of them in one stack.
+    step_t = rk4_step(np.eye(n * n).reshape(n * n, n, n), zero).reshape(n * n, n * n)
     offset = rk4_step(zero, c).reshape(-1)
 
     steps = grid.steps
@@ -369,12 +370,6 @@ def verify_solution(
 
     s_eigs = linalg.sym_eigenvalues(sol.S)  # (M, steps+1, n)
     opponent_max = float(s_eigs[OPPONENT, :, -1].max())
-    if game.num_players >= 2:
-        regulator_min = float(s_eigs[1:, :, 0].min())
-    else:
-        regulator_min = math.inf
-        notes.append("single-player game: no regulator definiteness to check")
-    definiteness_ok = bool(opponent_max < PSD_TOL and regulator_min > -PSD_TOL)
 
     steps = sol.grid.steps
     nodes = sol.S[:, ::screen_stride]
@@ -388,7 +383,17 @@ def verify_solution(
     p_eigs = linalg.sym_eigenvalues(p_series)
     per_norm = np.einsum("ikrc,ikrc->ik", sol.S, sol.S)
     max_norm = float(per_norm.max())
-    if game.num_players >= 2:
+    e_membership: bool | None = None
+    psd_chain_ok: bool | None = None
+    if game.num_players < 2:
+        regulator_min = math.inf
+        envelope_bound = math.nan
+        chain_lower = math.nan
+        chain_upper = math.nan
+        notes.append("single-player game: no regulator definiteness to check")
+        notes.append("envelope bound needs at least two players; not assessed")
+    else:
+        regulator_min = float(s_eigs[1:, :, 0].min())
         envelope = solve_envelope(game, q, sol.grid)
         envelope_bound = envelope.bound
         inside = bool(max_norm <= envelope.bound)
@@ -396,29 +401,17 @@ def verify_solution(
         chain_lower = float(linalg.sym_eigenvalues(combo)[..., 0].min())
         chain_upper = float(linalg.sym_eigenvalues(envelope.L - combo)[..., 0].min())
         chain_ok = bool(chain_lower >= -CHAIN_TOL and chain_upper >= -CHAIN_TOL)
-    else:
-        envelope_bound = math.nan
-        inside = False
-        chain_lower = math.nan
-        chain_upper = math.nan
-        chain_ok = False
-
-    if game.num_players < 2:
-        e_membership: bool | None = None
-        psd_chain_ok: bool | None = None
-        notes.append("envelope bound needs at least two players; not assessed")
-    elif rq_screen_psd:
-        e_membership = inside
-        psd_chain_ok = chain_ok
-        if chain_ok and not inside and max_norm > envelope_bound * (1.0 + CHAIN_TOL):
-            notes.append(
-                "ordering chain holds but a squared-trace norm exceeds the envelope "
-                "bound; the norm step of the envelope argument is the violated link"
-            )
-    else:
-        e_membership = None
-        psd_chain_ok = None
-        notes.append("existence screen not PSD at sampled points; envelope bound not certified")
+        if rq_screen_psd:
+            e_membership = inside
+            psd_chain_ok = chain_ok
+            if chain_ok and not inside and max_norm > envelope_bound * (1.0 + CHAIN_TOL):
+                notes.append(
+                    "ordering chain holds but a squared-trace norm exceeds the envelope "
+                    "bound; the norm step of the envelope argument is the violated link"
+                )
+        else:
+            notes.append("existence screen not PSD at sampled points; envelope bound not certified")
+    definiteness_ok = bool(opponent_max < PSD_TOL and regulator_min > -PSD_TOL)
 
     p_min = float(p_eigs[:, 0].min())
     p_max = float(p_eigs[:, -1].max())

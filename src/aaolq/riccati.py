@@ -57,11 +57,11 @@ dimension in one loop: every stack carries a game axis, games with fewer
 players are padded with zero players that stay exactly zero, and each
 output interval runs lockstep substeps until every game has covered it,
 each game with its own substep. A game that has covered the interval
-keeps its iterate. Each node reached goes to its game's receiver:
-``solve_lockstep`` stores full histories, each bitwise equal to its game's
-own solve (``solve_coupled`` is the batch of one), and a sweep, which
-pays numpy's per-call overhead once per substep for its nash and team
-games, folds each node into the closed-loop matrix its forward pass reads.
+keeps its iterate, so each game's nodes are bitwise those it reaches
+alone. Each node reached goes to its game's receiver: ``solve_coupled``
+marches its one game into a full history, and a sweep, which pays
+numpy's per-call overhead once per substep for its nash and team games,
+folds each node into the closed-loop matrix its forward pass reads.
 """
 from __future__ import annotations
 
@@ -349,44 +349,27 @@ def solve_coupled(game: game_mod.GameDefinition, grid: TimeGrid) -> RiccatiSolut
     exactly what a violated existence condition looks like numerically.
     A solve whose substeps pass ``SUBSTEP_BUDGET`` stops the same way, at
     the output interval where they did, with status SUBSTEP_BUDGET. This
-    is :func:`solve_lockstep` on a batch of one.
+    is :func:`march_lockstep` of the one game into a full history.
     """
-    return solve_lockstep([game], grid)[0]
-
-
-def solve_lockstep(games: list[game_mod.GameDefinition], grid: TimeGrid) -> list[RiccatiSolution]:
-    """:func:`solve_coupled` of every game on one shared ``grid``, in one loop.
-
-    :func:`march_lockstep` into a full history per game. Each returned
-    solution is bitwise equal to ``solve_coupled`` of its game alone,
-    status, failure fields and stats included.
-    """
-    hists = [np.full((game.num_players, grid.steps + 1, game.n, game.n), np.nan) for game in games]
-    failed, stats = march_lockstep(
-        games, grid, [h.reshape(h.shape[:2] + (-1,)).swapaxes(0, 1) for h in hists]
+    hist = np.full((game.num_players, grid.steps + 1, game.n, game.n), np.nan)
+    # The march stores node k as hist[:, k], each matrix flattened.
+    store = hist.reshape(hist.shape[:2] + (-1,)).swapaxes(0, 1)
+    failed, (stats,) = march_lockstep([game], grid, [store])
+    fail = failed.get(0)
+    # Integrity probe over the stored nodes: every stage is bitwise
+    # symmetric, so this reads 0.0 unless the arithmetic stops preserving it.
+    stored = hist[:, 0 if fail is None else fail[0] + 1 :]
+    max_residual = max(_asymmetry(si) for si in stored)
+    hist.flags.writeable = False
+    return RiccatiSolution(
+        grid=grid,
+        S=hist,
+        status=SolveStatus.COMPLETE if fail is None else fail[1],
+        failure_time=None if fail is None else float(grid.times()[fail[0]]),
+        failure_reason=None if fail is None else fail[2],
+        max_symmetry_residual=max_residual,
+        stats=stats,
     )
-    times = grid.times()
-    out = []
-    for g, (hist, stat) in enumerate(zip(hists, stats)):
-        fail = failed.get(g)
-        # Integrity probe over the stored nodes: every stage is bitwise
-        # symmetric, so this reads 0.0 unless the arithmetic stops
-        # preserving it.
-        stored = hist[:, 0 if fail is None else fail[0] + 1 :]
-        max_residual = max(_asymmetry(si) for si in stored)
-        hist.flags.writeable = False
-        out.append(
-            RiccatiSolution(
-                grid=grid,
-                S=hist,
-                status=SolveStatus.COMPLETE if fail is None else fail[1],
-                failure_time=None if fail is None else float(times[fail[0]]),
-                failure_reason=None if fail is None else fail[2],
-                max_symmetry_residual=max_residual,
-                stats=stat,
-            )
-        )
-    return out
 
 
 def march_lockstep(games: list[game_mod.GameDefinition], grid: TimeGrid, stores: list):

@@ -482,8 +482,9 @@ def _sweep_group(scenario: Scenario, modes: tuple[str, ...], tfs: list[float]) -
     matrices as the march reaches them, so no history of S is held. Every
     cell reads the tail of its mode's matrices: the forward pass reads
     only the grid, never the game's horizon. Each mode then runs one
-    forward pass that advances every cell from its own start node.
-    Returns the cells keyed by (mode, tf).
+    forward pass over the long grid that advances every cell from its own
+    start node, where the cell's horizon begins. Returns the cells keyed
+    by (mode, tf).
     """
     long_game = scenario.with_tf(max(tfs)).build_game()
     long_grid = TimeGrid.from_step(long_game.t0, long_game.tf, scenario.run.dt)
@@ -511,12 +512,7 @@ def _sweep_group(scenario: Scenario, modes: tuple[str, ...], tfs: list[float]) -
                 )
         if not starts:
             continue
-        # The longest reached cell: its slice holds every other one's as its tail.
-        first_tf = min(starts, key=starts.get)
-        first = starts[first_tf]
-        states = _propagate(
-            grids[first_tf], acl[first:], scenario.x0, [s - first for s in starts.values()]
-        )
+        states = _propagate(long_grid, acl, scenario.x0, list(starts.values()))
         for tf, x in zip(starts, states):
             if isinstance(x, DivergenceError):
                 cells[mode, tf] = SweepCell(
@@ -570,7 +566,11 @@ def run_sweep(scenario: Scenario, tf_list, modes=None, out_dir=None) -> SweepRes
     k = base_game.n // 2
     groups: dict[float, list[float]] = {}
     for tf in tf_tuple:
-        groups.setdefault(TimeGrid.from_step(base_game.t0, tf, scenario.run.dt).dt, []).append(tf)
+        try:
+            grid = TimeGrid.from_step(base_game.t0, tf, scenario.run.dt)
+        except ValidationError as exc:
+            raise ValidationError(f"tf_list: tf={tf!r}: {exc}") from None
+        groups.setdefault(grid.dt, []).append(tf)
     out = _out_path(scenario, out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -15,7 +15,15 @@ from aaolq import linalg
 from aaolq.analysis import PSD_TOL, _existence_stack, _q_matrix
 from aaolq.errors import DivergenceError, ValidationError
 from aaolq.game import ValueEquality
-from aaolq.riccati import BLOWUP_NORM, MAX_SUBSTEPS, STABILITY_TARGET, _RK4_WEIGHTS, _Stages
+from aaolq.riccati import (
+    BLOWUP_NORM,
+    MAX_SUBSTEPS,
+    STABILITY_TARGET,
+    _RK4_WEIGHTS,
+    RiccatiSolution,
+    _Stages,
+    march_lockstep,
+)
 from aaolq.sim import DIVERGENCE_NORM, _simpson_weights
 
 
@@ -207,13 +215,41 @@ def reference_solve_coupled(game, grid):
     return s_hist, status, failure_time, max_drift
 
 
+def march_solutions(games, grid) -> list[RiccatiSolution]:
+    """``march_lockstep`` of ``games`` into full NaN histories, one solution each.
+
+    Each carries the march's status, failure time and reason and stats, the
+    fields :func:`assert_same_solve` compares; ``max_symmetry_residual`` is
+    ``solve_coupled``'s probe and reads NaN here.
+    """
+    hists = [np.full((g.num_players, grid.steps + 1, g.n, g.n), np.nan) for g in games]
+    failed, stats = march_lockstep(
+        games, grid, [h.reshape(h.shape[:2] + (-1,)).swapaxes(0, 1) for h in hists]
+    )
+    times = grid.times()
+    sols = []
+    for g, (hist, stat) in enumerate(zip(hists, stats)):
+        k, status, reason = failed.get(g, (None, SolveStatus.COMPLETE, None))
+        time = None if k is None else float(times[k])
+        sols.append(RiccatiSolution(grid, hist, status, time, reason, math.nan, stat))
+    return sols
+
+
+def assert_same_solve(sol: RiccatiSolution, ref: RiccatiSolution) -> None:
+    """``sol`` holds ``ref``'s bytes of S, status, failure time and reason and stats."""
+    assert sol.S.tobytes() == ref.S.tobytes()
+    assert sol.status is ref.status
+    assert (sol.failure_time, sol.failure_reason) == (ref.failure_time, ref.failure_reason)
+    assert sol.stats == ref.stats
+
+
 def reference_step(stages: _Stages, cur, hb, out) -> None:
     """The substep of ``_Stages.step`` on ``stages``'s buffers, with every
     kernel looked up on ``np`` and every output passed as a keyword: the
     same kernels, operands and order.
 
     The solver's step must write the same bytes; the test suite checks
-    that, and drives ``solve_lockstep`` with this body in its place.
+    that, and drives ``march_lockstep`` with this body in its place.
     """
 
     def couple(s):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from aaolq import (
+    GameDefinition,
     RiccatiSolution,
     SolveStats,
     SolveStatus,
@@ -177,6 +178,45 @@ class TestSolveEnvelope:
         game = scalar_game(0.0, [1.0, 1.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0], tf=1.0)
         env = solve_envelope(game, np.array([[1.0]]), TimeGrid.from_step(0.0, 1.0, 1e-3))
         assert env.L[0, 0, 0] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_step_map_equals_one_step_per_basis_matrix(self, n):
+        # The envelope steps the n^2 basis matrices in one stacked call;
+        # stepping them one at a time and iterating gives the same bytes.
+        rng = np.random.default_rng(n)
+
+        def sym():
+            return symmetrize(rng.standard_normal((n, n)))
+
+        game = GameDefinition(
+            A=rng.standard_normal((n, n)),
+            B=(np.eye(n), np.eye(n)),
+            Q=(sym(), sym()),
+            R=(np.eye(n), np.eye(n)),
+            S_f=(sym(), sym()),
+            t0=0.0,
+            tf=1.0,
+        )
+        grid = TimeGrid.from_step(0.0, 1.0, 0.05)
+        a, at, h, zero = game.A, game.A.T.copy(), -grid.dt, np.zeros((n, n))
+
+        def step(lmat, const):
+            def rhs(x):
+                return -(x @ a + at @ x + const)
+
+            k1 = rhs(lmat)
+            k2 = rhs(lmat + (0.5 * h) * k1)
+            k3 = rhs(lmat + (0.5 * h) * k2)
+            k4 = rhs(lmat + h * k3)
+            return lmat + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+        step_t = np.stack([step(e.reshape(n, n), zero).reshape(-1) for e in np.eye(n * n)])
+        offset = step(zero, game.Q[1] - game.Q[0]).reshape(-1)
+        nodes = [(game.S_f[1] - game.S_f[0]).reshape(-1)]
+        for _ in range(grid.steps):
+            nodes.append(nodes[-1] @ step_t + offset)
+        reference = symmetrize(np.stack(nodes[::-1]).reshape(-1, n, n))
+        assert solve_envelope(game, None, grid).L.tobytes() == reference.tobytes()
 
     def test_single_player_not_applicable(self):
         game = scalar_lqr()
@@ -378,6 +418,22 @@ class TestVerifySolution:
         assert report.e_membership is None
         assert report.notes
         assert report.horizon_bound is not None and report.horizon_bound > 0.0
+
+    def test_single_player_report(self):
+        # One player: no regulators and no envelope, but the P(t) and
+        # horizon checks still run.
+        game = single_player_matrix_game()
+        sol = solve_coupled(game, TimeGrid.from_step(0.0, 1.0, 1e-2))
+        report = verify_solution(game, sol, x0_norm=1.0, r=0.1)
+        assert report.notes == (
+            "single-player game: no regulator definiteness to check",
+            "envelope bound needs at least two players; not assessed",
+        )
+        assert report.regulator_min_eig == math.inf
+        assert math.isnan(report.envelope_bound) and math.isnan(report.chain_lower_min_eig)
+        assert math.isnan(report.chain_upper_min_eig)
+        assert report.e_membership is None and report.psd_chain_ok is None
+        assert report.horizon_bound == 19.358476830963134
 
     def test_degenerate_horizon_reduces_to_terminal_checks(self):
         game = scalar_game(0.0, [1.0, 1.0], [-1.0, 2.0], [1.0, 1.0], [-1.0, 2.0], tf=0.0)

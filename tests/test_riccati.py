@@ -25,10 +25,12 @@ from aaolq import (
 from aaolq import riccati
 from aaolq.errors import IncompleteSolutionError, ValidationError
 from aaolq.linalg import sym_eigenvalues
-from aaolq.riccati import MAX_STEPS, MAX_SUBSTEPS, _Stages, solve_lockstep
+from aaolq.riccati import MAX_STEPS, MAX_SUBSTEPS, _Stages, march_lockstep
 from helpers import (
     ESCAPE_GAME,
+    assert_same_solve,
     gain_series,
+    march_solutions,
     random_diagonal_game,
     reference_solve_coupled,
     reference_step,
@@ -309,6 +311,16 @@ class TestSolveCoupled:
         assert sol.failure_reason == "non-finite entries during backward integration"
         assert sol.stats.substeps == 0
 
+    @pytest.mark.parametrize("name", ["escape", "nan"])
+    def test_failed_solve_probes_only_the_stored_nodes(self, name):
+        # The unreached nodes hold NaN; the asymmetry probe must not read them.
+        game, grid = _oracle_game("escape_explicit") if name == "escape" else _nan_game(True)
+        with np.errstate(over="ignore"):
+            sol = solve_coupled(game, grid)
+        assert sol.status is SolveStatus.BLOW_UP
+        assert np.isnan(sol.S[:, 0]).all()
+        assert sol.max_symmetry_residual == 0.0
+
     def test_benchmark_solve_stats(self, benchmark_sol):
         stats = benchmark_sol.stats
         assert (stats.substeps, stats.subdivided_intervals) == (10_584, 57)
@@ -426,16 +438,14 @@ class TestSolveCoupled:
 
 
 class TestSolveLockstep:
-    """Each game of a lockstep batch gets its own ``solve_coupled`` bitwise."""
+    """Each game of a lockstep march gets its own ``solve_coupled`` bitwise."""
 
     @staticmethod
     def _solve_both_ways(games, grid):
-        sols = solve_lockstep(games, grid)
+        sols = march_solutions(games, grid)
         assert len(sols) == len(games)
         for game, sol in zip(games, sols):
-            alone = solve_coupled(game, grid)
-            assert sol == alone
-            assert sol.S.tobytes() == alone.S.tobytes()
+            assert_same_solve(sol, solve_coupled(game, grid))
         return sols
 
     @pytest.mark.parametrize("nash_first", [True, False])
@@ -477,11 +487,11 @@ class TestSolveLockstep:
         game = single_player_matrix_game()
         grid = TimeGrid.from_step(0.0, 1.0, 1e-2)
         with pytest.raises(ValidationError, match="at least one game"):
-            solve_lockstep([], grid)
+            march_lockstep([], grid, [])
         with pytest.raises(ValidationError, match="does not match game horizon"):
-            solve_lockstep([game, dataclasses.replace(game, tf=2.0)], grid)
+            march_solutions([game, dataclasses.replace(game, tf=2.0)], grid)
         with pytest.raises(ValidationError, match="one state dimension"):
-            solve_lockstep([game, scalar_lqr()], grid)
+            march_solutions([game, scalar_lqr()], grid)
 
 
 class TestSubstepBitGuard:
@@ -509,7 +519,7 @@ class TestSubstepBitGuard:
     def test_step_writes_the_reference_bytes(self, per_player, with_team):
         nash, team, grid = self._coarse_games()
         games = [nash, team] if with_team else [nash]
-        sols = solve_lockstep(games, grid)
+        sols = march_solutions(games, grid)
         stages = _Stages(games)
         m, count = nash.num_players, len(games)
         if per_player:
@@ -534,11 +544,11 @@ class TestSubstepBitGuard:
 
     def test_lockstep_solve_driven_by_the_reference_step(self, monkeypatch):
         nash, team, grid = self._coarse_games()
-        sols = solve_lockstep([nash, team], grid)
+        sols = march_solutions([nash, team], grid)
         # Both step paths run: the games subdivide differently.
         assert sols[0].stats.substeps != sols[1].stats.substeps
         monkeypatch.setattr(_Stages, "step", reference_step)
-        for sol, ref in zip(sols, solve_lockstep([nash, team], grid)):
+        for sol, ref in zip(sols, march_solutions([nash, team], grid)):
             assert sol.S.tobytes() == ref.S.tobytes()
             assert sol.stats == ref.stats
             assert sol.complete and ref.complete
@@ -552,11 +562,10 @@ class TestSubstepBudget:
         nash = load_scenario(BENCHMARK).with_tf(2.0).build_game()
         team = build_team_game(nash).reduced
         grid = TimeGrid.from_step(nash.t0, nash.tf, 1e-3)
-        full = solve_lockstep([nash, team], grid)
+        full = march_solutions([nash, team], grid)
         monkeypatch.setattr(riccati, "SUBSTEP_BUDGET", 2_300)
-        stopped, finished = solve_lockstep([nash, team], grid)
-        assert finished == full[1]
-        assert finished.S.tobytes() == full[1].S.tobytes()
+        stopped, finished = march_solutions([nash, team], grid)
+        assert_same_solve(finished, full[1])
         assert stopped.status is SolveStatus.SUBSTEP_BUDGET
         assert stopped.failure_reason == "substeps passed the budget of 2,300 for one solve"
         k = round((stopped.failure_time - grid.t0) / grid.dt)
@@ -565,7 +574,7 @@ class TestSubstepBudget:
         assert stopped.S[:, k + 1 :].tobytes() == full[0].S[:, k + 1 :].tobytes()
         assert 2_300 < stopped.stats.substeps < full[0].stats.substeps
         # It stops where its own solve stops.
-        assert stopped == solve_coupled(nash, grid)
+        assert_same_solve(stopped, solve_coupled(nash, grid))
 
 
 class TestGains:

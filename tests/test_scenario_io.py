@@ -43,6 +43,7 @@ from aaolq.sim import PursuitReport, Trajectory
 from helpers import (
     ESCAPE_GAME,
     existence_map,
+    march_solutions,
     reference_distances_csv,
     reference_positions_csv,
     reference_solution_csv,
@@ -1235,7 +1236,7 @@ def _fold_and_reference(scenario, modes, tf):
     """Each mode's folded A_cl nodes beside A - sum_j B_j K_j of a full history.
 
     Returns the march's failures and, per mode, the folded nodes and the
-    reference, built from ``solve_lockstep`` and ``_player_gains``.
+    reference, built from ``helpers.march_solutions`` and ``_player_gains``.
     """
     long_game = scenario.with_tf(tf).build_game()
     grid = TimeGrid.from_step(long_game.t0, long_game.tf, scenario.run.dt)
@@ -1244,7 +1245,7 @@ def _fold_and_reference(scenario, modes, tf):
     folds = [runner._ClosedLoopFold(long_game, team, grid) for team in teams]
     failed, _ = riccati.march_lockstep(games, grid, folds)
     pairs = []
-    for fold, team, sol in zip(folds, teams, riccati.solve_lockstep(games, grid)):
+    for fold, team, sol in zip(folds, teams, march_solutions(games, grid)):
         # Gains of the nodes never reached are NaN, as their S is.
         whole = dataclasses.replace(sol, status=SolveStatus.COMPLETE)
         n = long_game.n
@@ -1523,20 +1524,23 @@ class TestCli:
         assert not (tmp_path / "o").exists()
 
     def test_non_finite_sweep_horizon_exit_two(self, tmp_path, capsys):
-        code = cli_main(
-            [
-                "sweep",
-                "--scenario",
-                str(SCENARIO_DIR / "pursuit_coarse.json"),
-                "--tf-list",
-                "1,inf",
-                "--out",
-                str(tmp_path / "o"),
-            ]
-        )
-        assert code == runner.EXIT_VALIDATION
-        assert capsys.readouterr().err == "validation error: grid endpoints must be finite\n"
-        assert not (tmp_path / "o").exists()
+        for bad in ("inf", "nan"):
+            code = cli_main(
+                [
+                    "sweep",
+                    "--scenario",
+                    str(SCENARIO_DIR / "pursuit_coarse.json"),
+                    "--tf-list",
+                    f"1,{bad}",
+                    "--out",
+                    str(tmp_path / "o"),
+                ]
+            )
+            assert code == runner.EXIT_VALIDATION
+            assert capsys.readouterr().err == (
+                f"validation error: tf_list: tf={bad}: grid endpoints must be finite\n"
+            )
+            assert not (tmp_path / "o").exists()
 
     def test_sweep_past_the_step_cap_exit_two(self, tmp_path, capsys):
         # 2e6 steps at dt = 1e-3: refused before any history is allocated.
@@ -1553,8 +1557,8 @@ class TestCli:
         )
         assert code == runner.EXIT_VALIDATION
         assert capsys.readouterr().err == (
-            "validation error: dt=0.001 asks for 2e+06 steps over the span 2000.0; "
-            "at most 1,000,000 are allowed\n"
+            "validation error: tf_list: tf=2000.0: dt=0.001 asks for 2e+06 steps over the "
+            "span 2000.0; at most 1,000,000 are allowed\n"
         )
         assert not (tmp_path / "o").exists()
 
