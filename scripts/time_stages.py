@@ -8,7 +8,11 @@ gain synthesis plus ``simulate``, ``lyapunov_check``, the other CSV writers
 and the rest of ``run()`` (validation, conditions.txt, summary.txt, the
 pursuit report). Beside each stage of the first repeat it prints the
 process's max RSS (``ru_maxrss``, the high-water mark) when that stage
-returned, and the header line gives it after import. Then it runs
+returned, and the header line gives it after import. A high-water mark
+cannot show a stage whose peak stays below an earlier stage's, so one
+more, untimed, run gives each stage's ``tracemalloc`` peak above the
+traced memory at the stage's start (the largest over its calls), and the
+whole run's peak on the total line. Then it runs
 ``run_sweep`` over the paper's horizons tf = 2, 4, ..., 14 in nash and
 team mode together, as the benchmark's ``sweep_table`` workload does, as
 many times. It times the one lockstep march of each step group, without
@@ -106,6 +110,21 @@ def _max_rss_mb() -> float:
 
 
 @contextlib.contextmanager
+def wrapped(stages: dict, wrap):
+    """Replace every stage attribute ``fn`` with ``wrap(stage, fn)`` in the body."""
+    saved = []
+    try:
+        for stage, targets in stages.items():
+            for module, attr in targets:
+                fn = getattr(module, attr)
+                saved.append((module, attr, fn))
+                setattr(module, attr, wrap(stage, fn))
+        yield
+    finally:
+        for module, attr, fn in reversed(saved):
+            setattr(module, attr, fn)
+
+
 def timed(stages: dict, log: list):
     """Wrap every stage attribute; each call appends (stage, seconds, result,
     max RSS in MB when it returned).
@@ -113,7 +132,6 @@ def timed(stages: dict, log: list):
     A call that raises (``lyapunov_check`` on a game it does not apply to)
     is logged with the result None.
     """
-    saved = []
 
     def wrap(stage, fn):
         def timed_call(*args, **kwargs):
@@ -127,25 +145,51 @@ def timed(stages: dict, log: list):
 
         return timed_call
 
+    return wrapped(stages, wrap)
+
+
+def traced_peaks(scenario, out: Path) -> dict[str, int]:
+    """Bytes of each stage's ``tracemalloc`` peak over one run into ``out``.
+
+    A stage's peak is the largest, over its calls, above the traced memory
+    at the call's start; "total" is the whole run's peak.
+    """
+    peaks = defaultdict(int)
+
+    def wrap(stage, fn):
+        def traced_call(*args, **kwargs):
+            current, peak = tracemalloc.get_traced_memory()
+            peaks["total"] = max(peaks["total"], peak)
+            tracemalloc.reset_peak()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                peak = tracemalloc.get_traced_memory()[1]
+                peaks[stage] = max(peaks[stage], peak - current)
+                peaks["total"] = max(peaks["total"], peak)
+
+        return traced_call
+
+    tracemalloc.start()
     try:
-        for stage, targets in stages.items():
-            for module, attr in targets:
-                fn = getattr(module, attr)
-                saved.append((module, attr, fn))
-                setattr(module, attr, wrap(stage, fn))
-        yield log
+        with wrapped(STAGES, wrap):
+            run(scenario, out, level="simulate")
+        peaks["total"] = max(peaks["total"], tracemalloc.get_traced_memory()[1])
     finally:
-        for module, attr, fn in reversed(saved):
-            setattr(module, attr, fn)
+        tracemalloc.stop()
+    return peaks
 
 
-def _line(label: str, seconds: list[float], sol=None, rss_mb=None) -> str:
+def _line(label: str, seconds: list[float], sol=None, rss_mb=None, peak=None) -> str:
     """Median and range of ``seconds``; with ``rss_mb``, the max RSS column;
-    with a solve, its substeps and the median microseconds per substep."""
+    with ``peak`` (bytes), the traced peak column; with a solve, its
+    substeps and the median microseconds per substep."""
     median = statistics.median(seconds)
     text = f"  {label:<18}{median:9.4f} s  [{min(seconds):.4f}, {max(seconds):.4f}]"
     if rss_mb is not None:
         text += f"  {rss_mb:7.1f} MB"
+    if peak is not None:
+        text += f"  {peak / 2**20:7.2f} MiB"
     if sol is not None:
         per = 1e6 * median / max(sol.stats.substeps, 1)
         text += f"  {sol.stats.substeps:>7,} substeps  {per:6.1f} us/substep"
@@ -168,13 +212,15 @@ def time_run(scenario, repeats: int, work: Path) -> list[str]:
         if i == 0:
             rss_after = {name: rss for name, _, _, rss in log}  # the stage's last call
             rss_after["total"] = _max_rss_mb()
+    peaks = traced_peaks(scenario, work / "run_traced")
     lines = [
         f"run(level='simulate'), mode {scenario.run.mode}, exit code {result.exit_code}",
-        f"  {'stage':<18}{'median':>9}    [min, max]          max RSS after stage (first repeat)",
+        f"  {'stage':<18}{'median':>9}    [min, max]          max RSS after stage (first repeat),"
+        " tracemalloc peak in stage (one untimed run)",
     ]
     for stage, seconds in per_stage.items():
         sol = result.sol if stage == "solve" else None
-        lines.append(_line(stage, seconds, sol, rss_after.get(stage)))
+        lines.append(_line(stage, seconds, sol, rss_after.get(stage), peaks.get(stage)))
     return lines
 
 

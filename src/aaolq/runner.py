@@ -4,10 +4,12 @@ Every artifact is written deterministically: floats are serialized with
 ``repr`` (shortest round-trip form), row order is fixed, and files land
 via a temp-file rename so readers never observe partial writes. The CSV
 writers format one bounded chunk at a time (a block of table rows, or of
-solution time nodes): within a chunk each distinct value, told apart by
-its bit pattern, is formatted once, and the chunk's rows go to the temp
-file before the next chunk is formatted, so neither the file nor one
-string per value of it is ever held in memory.
+solution time nodes, of at most ``sim.CHUNK_VALUES`` values unless one
+row or node alone is wider): within a chunk each distinct value, told
+apart by its bit pattern, is formatted once, and the chunk's rows go to
+the temp file before the next chunk is formatted, so neither the file nor
+one string per value of it is ever held in memory. The chunk size bounds
+memory, not bytes.
 Exit codes: 0 success, 2 validation failure, 3 backward solve blow-up,
 4 closed-loop divergence.
 """
@@ -35,7 +37,8 @@ from .riccati import (
 )
 from .scenario import Scenario
 from .sim import (
-    PursuitReport, Trajectory, _propagate, _pursuit_report, closed_loop, pursuit_report, simulate
+    PursuitReport, Trajectory, _propagate, _pursuit_report, chunk_items, closed_loop,
+    pursuit_report, simulate,
 )
 from .team import TeamGame, TeamWeights, build_team_game, team_gains_to_players
 
@@ -60,12 +63,6 @@ def _write_chunks(path: Path, chunks) -> None:
     os.replace(tmp, path)
 
 
-#: Rows per chunk :func:`_write_table` formats and hands to the file.
-_CHUNK_ROWS = 4096
-#: Time nodes per chunk :func:`write_solution_csv` formats and hands to the file.
-_CHUNK_NODES = 250
-
-
 def _reprs(values: np.ndarray) -> list[str]:
     """``_fmt`` of every value in C order, formatting each distinct value once.
 
@@ -81,11 +78,12 @@ def _reprs(values: np.ndarray) -> list[str]:
 def _write_table(path: Path, header: list[str], table: np.ndarray) -> None:
     """One CSV row per row of the float array ``table``."""
     row = ",".join(["%s"] * table.shape[1]) + "\n"
+    rows = chunk_items(table.shape[1])
 
     def chunks():
         yield ",".join(header) + "\n"
-        for lo in range(0, len(table), _CHUNK_ROWS):
-            block = table[lo : lo + _CHUNK_ROWS]
+        for lo in range(0, len(table), rows):
+            block = table[lo : lo + rows]
             yield (row * len(block)) % tuple(_reprs(block))
 
     _write_chunks(path, chunks())
@@ -100,12 +98,13 @@ def write_solution_csv(path: Path, sol: RiccatiSolution):
         f"\0,{i + 1},{r + 1},{c + 1},%s\n" for i in range(m) for r in range(n) for c in range(n)
     )
     times = sol.grid.times().tolist()
+    nodes = chunk_items(width)
 
     def chunks():
         yield "t,player,row,col,value\n"
-        for lo in range(0, len(times), _CHUNK_NODES):
-            values = _reprs(np.moveaxis(sol.S[:, lo : lo + _CHUNK_NODES], 1, 0))
-            for k, t in enumerate(times[lo : lo + _CHUNK_NODES]):
+        for lo in range(0, len(times), nodes):
+            values = _reprs(np.moveaxis(sol.S[:, lo : lo + nodes], 1, 0))
+            for k, t in enumerate(times[lo : lo + nodes]):
                 yield node.replace("\0", repr(t)) % tuple(values[k * width : (k + 1) * width])
 
     _write_chunks(path, chunks())
@@ -426,15 +425,13 @@ class SweepResult(ValueEquality):
         raise KeyError((mode, tf))
 
 
-_FOLD_NODES = 512  # nodes a fold holds before folding them; bounds memory, not results
-
-
 class _ClosedLoopFold:
     """One game's receiver of :func:`march_lockstep` nodes; keeps A_cl only.
 
     ``team`` is ``game``'s team reduction, which the march solves, or None.
-    Every ``_FOLD_NODES`` nodes, and in :meth:`finish`, the held nodes'
-    gains (``_player_gains``) are folded into ``closed_loop``: the calls
+    It holds up to ``chunk_items(players * n * n)`` nodes of S. Whenever
+    that many are held, and in :meth:`finish`, the held nodes' gains
+    (``_player_gains``) are folded into ``closed_loop``: the calls
     ``run()`` makes, on the same per-node operands. Nodes never received
     stay NaN.
     """
@@ -443,15 +440,16 @@ class _ClosedLoopFold:
         self.game, self.team, self.grid = game, team, grid
         players = game.num_players if team is None else team.reduced.num_players
         self.acl = np.full((grid.steps + 1, game.n, game.n), np.nan)
-        # Nodes lo .. hi - 1 are held, node k at held[:, k - hi + _FOLD_NODES].
-        self.held = np.empty((players, _FOLD_NODES, game.n * game.n))
+        self.size = chunk_items(players * game.n * game.n)
+        # Nodes lo .. hi - 1 are held, node k at held[:, k - hi + size].
+        self.held = np.empty((players, self.size, game.n * game.n))
         self.lo = self.hi = grid.steps + 1
 
     def __setitem__(self, k: int, s: np.ndarray) -> None:
         # The march stores nodes in descending order.
-        self.held[:, k - self.hi + _FOLD_NODES] = s
+        self.held[:, k - self.hi + self.size] = s
         self.lo = k
-        if self.hi - k == _FOLD_NODES:
+        if self.hi - k == self.size:
             self._fold()
 
     def _fold(self) -> None:
@@ -461,7 +459,7 @@ class _ClosedLoopFold:
         # gains() reads only S of a complete solution; the grid is the march's.
         sol = RiccatiSolution(
             self.grid,
-            self.held[:, lo - hi + _FOLD_NODES :].reshape(-1, hi - lo, n, n),
+            self.held[:, lo - hi + self.size :].reshape(-1, hi - lo, n, n),
             SolveStatus.COMPLETE, None, None, 0.0, SolveStats(0, 0, 0.0, 0.0, 0.0),
         )
         self.acl[lo:hi] = closed_loop(self.game, _player_gains(self.game, self.team, sol))

@@ -10,16 +10,19 @@ on near-escape games, each interval is subdivided into a deterministic
 number of equal substeps sized by the same kind of stability guard the
 backward solver uses; smooth games take exactly one substep per interval.
 On a linear ODE one RK4 substep is a matrix polynomial in its three stage
-matrices, so the n x n transition maps of at most 512 substeps are built
+matrices, so the n x n transition maps of a chunk of substeps are built
 in one stacked pass and then applied to the state in order, one
-matrix-vector product each. The same maps carry any number of start nodes
-at once: a sweep starts each horizon at its own node of the longest
-horizon's grid, a chunk of maps also ends where a horizon starts, and each
-start's states equal a run from that node alone bitwise. Costs accumulate
-by composite Simpson quadrature over the simulation grid plus the terminal
-term, which is why grids built through :meth:`TimeGrid.from_step` always
-carry an even step count. The decay certificate along a trajectory lives
-in :func:`aaolq.analysis.lyapunov_check`.
+matrix-vector product each. Every streamed stage, here and in the
+runner, sizes its chunks by one budget of ``CHUNK_VALUES`` float64
+values per array (:func:`chunk_items`); it bounds memory, not results.
+The same maps carry any number of start nodes at once: a sweep starts
+each horizon at its own node of the longest horizon's grid, a chunk of
+maps also ends where a horizon starts, and each start's states equal a
+run from that node alone bitwise. Costs accumulate by composite Simpson
+quadrature over the simulation grid plus the terminal term, which is why
+grids built through :meth:`TimeGrid.from_step` always carry an even step
+count. The decay certificate along a trajectory lives in
+:func:`aaolq.analysis.lyapunov_check`.
 """
 from __future__ import annotations
 
@@ -34,7 +37,13 @@ from .game import GameDefinition, ValueEquality
 from .riccati import MAX_SUBSTEPS, STABILITY_TARGET, FeedbackGain, TimeGrid
 
 DIVERGENCE_NORM = 1e12
-_CHUNK = 512  # substeps per stacked map build; bounds memory, not results
+#: Values per array that a streamed stage holds in one chunk; bounds memory, not results.
+CHUNK_VALUES = 8_192
+
+
+def chunk_items(width: int) -> int:
+    """Items of ``width`` values each in one chunk of ``CHUNK_VALUES``; at least one."""
+    return max(1, CHUNK_VALUES // width)
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,10 +83,11 @@ def _transition_maps(acl: np.ndarray, dt: float, nodes: list[int]):
 
     ``acl`` holds the closed-loop matrix at every node of a grid of step
     ``dt`` and ``nodes`` are the sorted start nodes. Yields ``(k, phi,
-    last)`` once per chunk, in order; a chunk ends every ``_CHUNK``
-    substeps and before the first substep of every start node. ``phi[i]``
-    maps the state over one substep of the interval that starts at node
-    ``k[i]``, and ``last[i]`` marks the substep that closes it.
+    last)`` once per chunk, in order; a chunk ends every
+    ``chunk_items(n * n)`` substeps and before the first substep of every
+    start node. ``phi[i]`` maps the state over one substep of the interval
+    that starts at node ``k[i]``, and ``last[i]`` marks the substep that
+    closes it.
     """
     first = nodes[0]
     acl_nodes = acl[first:]
@@ -89,8 +99,9 @@ def _transition_maps(acl: np.ndarray, dt: float, nodes: list[int]):
     n_sub = np.clip(np.ceil(dt * local / STABILITY_TARGET), 1, MAX_SUBSTEPS).astype(np.int64)
     bounds = np.concatenate(([0], np.cumsum(n_sub)))  # each interval's first substep
     total = int(bounds[-1])
-    cuts = sorted({*range(0, total, _CHUNK), *bounds[np.subtract(nodes, first)].tolist(), total})
     eye = np.eye(acl.shape[-1])
+    chunk = chunk_items(eye.size)
+    cuts = sorted({*range(0, total, chunk), *bounds[np.subtract(nodes, first)].tolist(), total})
     for s0, s1 in zip(cuts, cuts[1:]):
         sub = np.arange(s0, s1)
         k = np.searchsorted(bounds, sub, side="right") - 1  # interval of each substep
@@ -172,13 +183,14 @@ def simulate(game: GameDefinition, gains: list[FeedbackGain], x0) -> Trajectory:
     own, and reads each ``K`` at its nodes; gains on different grids, or a
     ``K`` without one matrix per node, raise :class:`ValidationError`. Each
     interval takes the number of equal RK4 substeps its stability guard
-    asks for; the substeps' transition maps are formed ``_CHUNK`` at a time
-    and applied in order. A Euclidean state norm above ``DIVERGENCE_NORM``
-    after any substep aborts with :class:`DivergenceError` at the end time
-    of that substep's interval; running past capture is normal and
-    expected, play continues to tf. A gain that is not finite at some node
-    raises :class:`ValidationError` naming the player and the first such
-    grid time.
+    asks for; the substeps' transition maps are formed in chunks of
+    ``CHUNK_VALUES // n**2`` substeps (at least one) and applied in order.
+    A Euclidean state norm above ``DIVERGENCE_NORM`` after any substep
+    aborts with :class:`DivergenceError` at the end time of that substep's
+    interval; running past capture is normal and expected, play continues
+    to tf. A gain that is not finite at some node raises
+    :class:`ValidationError` naming the player and the first such grid
+    time.
     """
     if len(gains) != game.num_players:
         raise ValidationError(f"expected {game.num_players} gains, got {len(gains)}")

@@ -38,7 +38,7 @@ from aaolq import linalg, riccati, runner, sim
 from aaolq.cli import _apply_overrides, build_parser
 from aaolq.cli import main as cli_main
 from aaolq.errors import DivergenceError, ScenarioError, ValidationError
-from aaolq.riccati import MAX_STEPS
+from aaolq.riccati import MAX_STEPS, FeedbackGain
 from aaolq.sim import PursuitReport, Trajectory
 from helpers import (
     ESCAPE_GAME,
@@ -954,13 +954,40 @@ class TestWriterBytes:
 
 
 class TestWriterBytesInSmallChunks(TestWriterBytes):
-    """Every writer case again, formatted 1 and 7 nodes or rows at a time:
-    partial last chunks, and chunks that straddle a failed solve's NaN tail."""
+    """Every writer case again under small value budgets.
 
-    @pytest.fixture(autouse=True, params=[1, 7])
+    A budget of 1 formats one node or row at a time. 56 values are 7 nodes
+    of the escape game's solution (M = 2, n = 2), so a chunk straddles its
+    NaN tail; they are 3 nodes of the 5-node special-value solution and 3,
+    14 and 6 rows of the coarse run's trajectory, distance and position
+    tables, each with a partial last chunk. 1,008 values are 7 nodes of the
+    coarse run's solution (M = 4, n = 6) and 67 of its trajectory rows."""
+
+    @pytest.fixture(autouse=True, params=[1, 56, 1008])
     def small_chunks(self, request, monkeypatch):
-        monkeypatch.setattr(runner, "_CHUNK_NODES", request.param)
-        monkeypatch.setattr(runner, "_CHUNK_ROWS", request.param)
+        monkeypatch.setattr(sim, "CHUNK_VALUES", request.param)
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _dense_solution(rng, players: int, nodes: int, n: int) -> RiccatiSolution:
+    grid = TimeGrid(0.0, 1.0, nodes - 1)
+    return RiccatiSolution(
+        grid=grid,
+        S=rng.normal(size=(players, nodes, n, n)),
+        status=SolveStatus.COMPLETE,
+        failure_time=None,
+        failure_reason=None,
+        max_symmetry_residual=0.0,
+        stats=SolveStats(0, 0, grid.dt, 0.0, grid.tf),
+    )
 
 
 def test_solution_writer_memory_does_not_grow_with_the_grid(tmp_path):
@@ -970,23 +997,64 @@ def test_solution_writer_memory_does_not_grow_with_the_grid(tmp_path):
     rng = np.random.default_rng(3)
     peaks = []
     for nodes in (2000, 8000):
-        grid = TimeGrid(0.0, 1.0, nodes - 1)
-        sol = RiccatiSolution(
-            grid=grid,
-            S=rng.normal(size=(4, nodes, 6, 6)),
-            status=SolveStatus.COMPLETE,
-            failure_time=None,
-            failure_reason=None,
-            max_symmetry_residual=0.0,
-            stats=SolveStats(0, 0, grid.dt, 0.0, grid.tf),
+        sol = _dense_solution(rng, 4, nodes, 6)
+        peaks.append(
+            _traced_peak(lambda: runner.write_solution_csv(tmp_path / "solution.csv", sol))
         )
-        tracemalloc.start()
-        try:
-            runner.write_solution_csv(tmp_path / "solution.csv", sol)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
     assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
+def test_streamed_stage_memory_does_not_grow_with_the_game(tmp_path):
+    # Traced peaks at a fixed node count, (n, M) = (24, 5) against (6, 4):
+    # each chunk holds a budget of values, not of nodes or rows, so a node
+    # 20 times wider does not make a chunk 20 times larger.
+    rng = np.random.default_rng(5)
+    peaks = []
+    for n, players in ((6, 4), (24, 5)):
+        sol = _dense_solution(rng, players, 100, n)
+        width = players * n * n
+        table = rng.normal(size=(100, width))
+        header = [f"c{j}" for j in range(width)]
+        # A stiff, stable closed loop, -c sum_j B_j B_j^T, on 10 intervals:
+        # 60 substeps each, more than the budget holds at either size.
+        grid = TimeGrid(0.0, 1.0, 10)
+        b = tuple(rng.normal(size=(n, 2)) for _ in range(players))
+        c = 150.0 / np.linalg.norm(sum(bj @ bj.T for bj in b))
+        game = GameDefinition(
+            A=np.zeros((n, n)),
+            B=b,
+            Q=(np.eye(n),) * players,
+            R=(np.eye(2),) * players,
+            S_f=(np.eye(n),) * players,
+            t0=0.0,
+            tf=1.0,
+        )
+        player_gains = [
+            FeedbackGain(i + 1, grid, np.broadcast_to(c * bj.T, (11, 2, n)).copy())
+            for i, bj in enumerate(b)
+        ]
+        x0 = rng.normal(size=n)
+        peaks.append((
+            _traced_peak(lambda: runner.write_solution_csv(tmp_path / "solution.csv", sol)),
+            _traced_peak(lambda: runner._write_table(tmp_path / "table.csv", header, table)),
+            _traced_peak(lambda: simulate(game, player_gains, x0)),
+        ))
+    for small, large in zip(*peaks):
+        assert large <= 1.25 * small, peaks
+
+
+def test_nodes_and_rows_wider_than_the_budget(tmp_path):
+    # One node of S (M = 4, n = 48: 9,216 values) and one trajectory row
+    # (8,449 columns) each exceed the budget, so every chunk holds one.
+    rng = np.random.default_rng(13)
+    sol = _dense_solution(rng, 4, 3, 48)
+    assert sol.S[:, 0].size > sim.CHUNK_VALUES
+    runner.write_solution_csv(tmp_path / "solution.csv", sol)
+    _same_bytes(tmp_path / "solution.csv", reference_solution_csv(sol))
+    u = tuple(rng.normal(size=(3, 2100)) for _ in range(4))
+    traj = Trajectory(grid=sol.grid, x=rng.normal(size=(3, 48)), u=u, costs=np.zeros(4))
+    runner.write_trajectory_csv(tmp_path / "trajectory.csv", traj)
+    _same_bytes(tmp_path / "trajectory.csv", reference_trajectory_csv(traj))
 
 
 class TestRunSweep:
@@ -1095,17 +1163,18 @@ class TestRunSweep:
         grid = TimeGrid.from_step(game.t0, game.tf, scenario.run.dt)
         acl = sim.closed_loop(game, gains(game, solve_coupled(game, grid)))
         starts = [40, 0, 17, 40, 3, 400]
-        assert grid.steps == 400
+        assert grid.steps == 400 and game.n == 6
         solo = {s: sim._propagate(grid, acl, scenario.x0, [s])[0] for s in starts}
-        for chunk in (1, 3, 7, 512):
-            monkeypatch.setattr(sim, "_CHUNK", chunk)
+        # Budgets of 1, 3, 7 and 227 substeps of 36 values, the last the default.
+        for budget in (1, 3 * 36, 7 * 36, sim.CHUNK_VALUES):
+            monkeypatch.setattr(sim, "CHUNK_VALUES", budget)
             states = sim._propagate(grid, acl, scenario.x0, starts)
             for s, x in zip(starts, states):
-                assert x.tobytes() == solo[s].tobytes(), (chunk, s)
+                assert x.tobytes() == solo[s].tobytes(), (budget, s)
         # One substep per interval: the node-0 start diverges at node 461,
         # inside the chunk that the node-400 start enters. The node-1,800
         # start stays finite.
-        monkeypatch.setattr(sim, "_CHUNK", 512)
+        monkeypatch.undo()
         scenario = parse_scenario(json.dumps(DIVERGENT_PLANAR_GAME))
         game = scenario.build_game()
         grid = TimeGrid.from_step(game.t0, game.tf, scenario.run.dt)
@@ -1114,19 +1183,21 @@ class TestRunSweep:
         solo = {s: sim._propagate(grid, acl, scenario.x0, [s])[0] for s in starts}
         assert solo[0].time == 0.461 and solo[400].time == 0.861
         assert solo[1800].shape == (201, 2)
-        for chunk in (1, 3, 7, 512):
-            monkeypatch.setattr(sim, "_CHUNK", chunk)
+        # Budgets of 1, 3, 7 and 2,048 substeps of 4 values, the last the default.
+        for budget in (1, 3 * 4, 7 * 4, sim.CHUNK_VALUES):
+            monkeypatch.setattr(sim, "CHUNK_VALUES", budget)
             states = sim._propagate(grid, acl, scenario.x0, starts)
             for s in (0, 400):
                 x = states[starts.index(s)]
-                assert isinstance(x, DivergenceError), (chunk, s)
-                assert (x.time, x.norm) == (solo[s].time, solo[s].norm), (chunk, s)
-            assert states[1].tobytes() == solo[1800].tobytes(), chunk
+                assert isinstance(x, DivergenceError), (budget, s)
+                assert (x.time, x.norm) == (solo[s].time, solo[s].norm), (budget, s)
+            assert states[1].tobytes() == solo[1800].tobytes(), budget
 
     def test_gains_synthesized_once_per_group(self, tmp_path, monkeypatch):
         # tf = 1.01 rounds to 102 steps: its own dt, its own group. The
-        # gains calls of a mode take its nodes in folds of _FOLD_NODES, the
-        # last one the rest: every node's gains are formed exactly once.
+        # gains calls of a mode take its nodes in folds of as many nodes of
+        # players * n * n values as the budget holds, the last one the
+        # rest: every node's gains are formed exactly once.
         scenario = load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
         real_gains = runner.gains
 
@@ -1135,8 +1206,9 @@ class TestRunSweep:
             return real_gains(game, sol)
 
         monkeypatch.setattr(runner, "gains", counting_gains)
-        for fold_nodes in (7, runner._FOLD_NODES):
-            monkeypatch.setattr(runner, "_FOLD_NODES", fold_nodes)
+        # 7 nash nodes (14 team nodes) of n = 6, then the default budget.
+        for budget in (7 * 4 * 36, sim.CHUNK_VALUES):
+            monkeypatch.setattr(sim, "CHUNK_VALUES", budget)
             calls = []
             result = run_sweep(
                 scenario, [1.0, 2.0, 3.0, 1.01], modes=("nash", "team"), out_dir=tmp_path
@@ -1144,6 +1216,7 @@ class TestRunSweep:
             for nodes in (301, 103):
                 for players in (4, 2):  # nash, and the team reduction
                     folds = [c for g, m, c in calls if (g, m) == (nodes, players)]
+                    fold_nodes = budget // (players * 36)
                     whole, rest = divmod(nodes, fold_nodes)
                     assert folds == [fold_nodes] * whole + [rest] * (rest > 0), (nodes, players)
             assert all(c.status == "ok" for c in result.cells)
@@ -1257,11 +1330,17 @@ def _fold_and_reference(scenario, modes, tf):
 
 
 class TestClosedLoopFold:
-    """The sweep's fold gives the closed loop of a full solve, bit for bit."""
+    """The sweep's fold gives the closed loop of a full solve, bit for bit.
 
-    @pytest.mark.parametrize("fold_nodes", [1, 3, 7, runner._FOLD_NODES])
-    def test_nodes_equal_a_full_history(self, monkeypatch, fold_nodes):
-        monkeypatch.setattr(runner, "_FOLD_NODES", fold_nodes)
+    The budgets hold 1, 3 and 7 nash nodes of the coarse game (M = 4,
+    n = 6: 144 values each), then the default; the team fold holds twice
+    as many nodes, except under budget 1, which is below one node of
+    either, so both folds hold one.
+    """
+
+    @pytest.mark.parametrize("budget", [1, 3 * 144, 7 * 144, sim.CHUNK_VALUES])
+    def test_nodes_equal_a_full_history(self, monkeypatch, budget):
+        monkeypatch.setattr(sim, "CHUNK_VALUES", budget)
         scenario = load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
         failed, pairs = _fold_and_reference(scenario, ("nash", "team"), 3.0)
         assert failed == {}
@@ -1269,9 +1348,10 @@ class TestClosedLoopFold:
             assert acl.shape == (301, 6, 6)
             assert acl.tobytes() == reference.tobytes()
 
-    @pytest.mark.parametrize("fold_nodes", [3, runner._FOLD_NODES])
-    def test_escape_leaves_unreached_nodes_nan(self, tmp_path, monkeypatch, fold_nodes):
-        monkeypatch.setattr(runner, "_FOLD_NODES", fold_nodes)
+    @pytest.mark.parametrize("budget", [3 * 8, sim.CHUNK_VALUES])
+    def test_escape_leaves_unreached_nodes_nan(self, tmp_path, monkeypatch, budget):
+        # 3 nodes of the escape game (M = 2, n = 2), then the default.
+        monkeypatch.setattr(sim, "CHUNK_VALUES", budget)
         scenario = parse_scenario(json.dumps(ESCAPE_GAME))
         failed, [(acl, reference)] = _fold_and_reference(scenario, ("nash",), 1.0)
         node, status, _ = failed[0]

@@ -43,6 +43,21 @@ def test_one_repeat_prints_every_stage_and_writes_nothing(tmp_path):
         if match:
             rss[stage] = float(match.group(1))
     assert 0.0 < rss["solve"] <= rss["solution.csv"] <= rss["other writers"] <= rss["total"]
+    # The traced peak of each stage in one more, untimed, run: above the
+    # traced memory at the stage's start, so never above the run's own.
+    assert "tracemalloc peak in stage (one untimed run)" in out
+    peaks = {}
+    for stage in stages:
+        match = re.search(
+            rf"^  {re.escape(stage)} +\d+\.\d{{4}} s  \[[^]]*\] +\d+\.\d MB +(\d+\.\d{{2}}) MiB",
+            out,
+            re.M,
+        )
+        assert (match is None) == (stage == "rest"), stage
+        if match:
+            peaks[stage] = float(match.group(1))
+    for stage in ("solve", "verify_solution", "solution.csv", "gains + simulate", "other writers"):
+        assert 0.0 < peaks[stage] <= peaks["total"], stage
     assert "run_sweep, modes nash,team, tf 2,4,6,8,10,12,14" in out
     # The run's solve, in microseconds per RK4 substep.
     per_substep = re.findall(r"([\d,]+) substeps +(\d+\.\d) us/substep$", out, re.M)
