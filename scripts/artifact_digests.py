@@ -30,10 +30,12 @@ MODES = ("nash", "team")
 
 
 def _digests(directory: Path) -> dict[str, str]:
-    return {
-        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(directory.iterdir())
-    }
+    """sha256 of every file in ``directory``, each read in blocks, not whole."""
+    digests = {}
+    for path in sorted(directory.iterdir()):
+        with path.open("rb") as file:
+            digests[path.name] = hashlib.file_digest(file, "sha256").hexdigest()
+    return digests
 
 
 def scenario_digests(path: Path, work: Path) -> dict:

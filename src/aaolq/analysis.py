@@ -217,8 +217,14 @@ def check_diagonal_subclass(game: GameDefinition) -> DiagonalSubclassVerdict:
 
 
 def lyapunov_weight_series(sol: RiccatiSolution) -> np.ndarray:
-    """P(t_k) = sum_i S_i(t_k) for every grid point, shape (steps+1, n, n)."""
-    return linalg.symmetrize(sol.S.sum(axis=0))
+    """P(t_k) = sum_i S_i(t_k) for every grid point, shape (steps+1, n, n).
+
+    The sum is returned with no symmetrizing pass, so ``sol.S`` must be
+    symmetric already. A solve's is bitwise symmetric at every stored node
+    (its ``max_symmetry_residual`` reads 0.0), and the sum of bitwise
+    symmetric matrices is bitwise symmetric, so P is too.
+    """
+    return sol.S.sum(axis=0)
 
 
 @dataclass(frozen=True)

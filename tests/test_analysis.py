@@ -330,6 +330,13 @@ class TestComputeP:
         for k in (0, 777, benchmark_sol.grid.steps):
             assert np.array_equal(series[k], symmetrize(benchmark_sol.S[:, k].sum(axis=0)))
 
+    @pytest.mark.parametrize("solution", ["benchmark_sol", "team_sol"])
+    def test_series_is_bitwise_symmetric_with_no_pass(self, solution, request):
+        sol = request.getfixturevalue(solution)
+        series = lyapunov_weight_series(sol)
+        assert series.tobytes() == series.swapaxes(-1, -2).copy().tobytes()
+        assert series.tobytes() == symmetrize(sol.S.sum(axis=0)).tobytes()
+
 
 def _horizon(game, sol, x0_norm, r):
     """``verify_solution``'s guaranteed-capture horizon and its notes."""
