@@ -12,7 +12,6 @@ from .analysis import (
     LyapunovReport,
     check_diagonal_subclass,
     lyapunov_check,
-    lyapunov_weight_series,
     solve_envelope,
     verify_solution,
 )

@@ -22,8 +22,9 @@ over the grid and the guaranteed-capture horizon ``horizon_bound``, and
 
 Every matrix norm here is the squared trace norm tr(S S') of
 :mod:`aaolq.linalg`: the sum of squared entries, no square root taken.
-Every eigenvalue comes from :func:`aaolq.linalg.sym_eigenvalues`, a whole
-grid in one call, with the extrema read off its first and last columns.
+Every eigenvalue comes from :func:`aaolq.linalg.sym_eigenvalues`, one
+chunk of grid nodes per call, with the extrema read off its first and
+last columns and reduced across the chunks.
 Every positive-definiteness verdict tests its smallest eigenvalue against
 ``PSD_TOL``, the tolerance :mod:`aaolq.linalg` uses.
 """
@@ -38,7 +39,7 @@ from . import linalg
 from .errors import IncompleteSolutionError, NotApplicableError, ValidationError
 from .game import OPPONENT, GameDefinition, ValueEquality
 from .riccati import RiccatiSolution, TimeGrid
-from .sim import Trajectory
+from .sim import Trajectory, chunk_items
 
 PSD_TOL = linalg.DEFINITENESS_TOL
 CHAIN_TOL = 1e-7
@@ -139,7 +140,10 @@ def solve_envelope(game: GameDefinition, q_bound, grid: TimeGrid) -> EnvelopeBou
     for k in range(steps - 1, -1, -1):
         cur = np.matmul(cur, step_t, out=hist[k])
         cur += offset
-    hist = linalg.symmetrize(hist.reshape(steps + 1, n, n))
+    hist = hist.reshape(steps + 1, n, n)
+    size = chunk_items(n * n)
+    for lo in range(0, steps + 1, size):  # in place: no second whole-grid array
+        hist[lo : lo + size] = linalg.symmetrize(hist[lo : lo + size])
     norms = np.einsum("kij,kij->k", hist, hist)
     hist.flags.writeable = False
     return EnvelopeBound(grid=grid, L=hist, bound=float(norms.max()))
@@ -180,15 +184,7 @@ def check_diagonal_subclass(game: GameDefinition) -> DiagonalSubclassVerdict:
 
     worst = 0.0
     diagonal_ok = game.num_players >= 2
-    mats = [("A", game.A)]
-    for i in range(game.num_players):
-        mats += [
-            (f"B[{i + 1}]", game.B[i]),
-            (f"Q[{i + 1}]", game.Q[i]),
-            (f"R[{i + 1}]", game.R[i]),
-            (f"S_f[{i + 1}]", game.S_f[i]),
-        ]
-    for name, mat in mats:
+    for mat in (game.A, *game.B, *game.Q, *game.R, *game.S_f):
         if mat.shape[0] != mat.shape[1]:
             diagonal_ok = False
             continue
@@ -214,17 +210,6 @@ def check_diagonal_subclass(game: GameDefinition) -> DiagonalSubclassVerdict:
         sum_q_min_eig=q_min,
         sum_sf_min_eig=sf_min,
     )
-
-
-def lyapunov_weight_series(sol: RiccatiSolution) -> np.ndarray:
-    """P(t_k) = sum_i S_i(t_k) for every grid point, shape (steps+1, n, n).
-
-    The sum is returned with no symmetrizing pass, so ``sol.S`` must be
-    symmetric already. A solve's is bitwise symmetric at every stored node
-    (its ``max_symmetry_residual`` reads 0.0), and the sum of bitwise
-    symmetric matrices is bitwise symmetric, so P is too.
-    """
-    return sol.S.sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -257,7 +242,7 @@ def lyapunov_check(
     Checks that V is strictly decreasing between grid points up to
     ``MONO_SLACK``, that it stays under V(t0) exp(-rate (t - t0)) with
     relative slack ``REL_SLACK``, and that the squared state-norm ratio
-    respects the matching spectral bound.
+    respects the matching spectral bound. P is summed per chunk of nodes.
     """
     if conditions.p_pd is None:
         raise NotApplicableError(
@@ -270,7 +255,12 @@ def lyapunov_check(
         raise NotApplicableError("decay certificate not applicable: P(t) is not positive definite")
     p_min, p_max = conditions.p_min_eig, conditions.p_max_eig
     rate = conditions.sum_q_min_eig / p_max
-    v = np.einsum("kn,knm,km->k", traj.x, lyapunov_weight_series(sol), traj.x)
+    x = traj.x
+    v = np.empty(len(x))
+    size = chunk_items(x.shape[1] ** 2)
+    for lo in range(0, len(x), size):
+        xs = x[lo : lo + size]
+        v[lo : lo + size] = np.einsum("kn,knm,km->k", xs, sol.S[:, lo : lo + size].sum(axis=0), xs)
     times = traj.grid.times()
     decay = np.exp(-rate * (times - times[0]))
     v0 = float(v[0])
@@ -349,9 +339,10 @@ def verify_solution(
 
     ``q_bound`` enters the existence map and the envelope ODE; None means
     the zero matrix. The existence screen evaluates the map at every grid
-    node by default, all nodes in one stacked pass; ``screen_stride`` > 1
-    samples every ``screen_stride``-th node instead (terminal node always
-    included). Failed checks are entries in the report, never exceptions.
+    node by default; ``screen_stride`` > 1 samples every ``screen_stride``-th
+    node instead (terminal node always included). Every check walks S in
+    ``chunk_items(n * n)``-node chunks; only the envelope's L spans the grid.
+    Failed checks are entries in the report, never exceptions.
 
     Given both ``x0_norm`` and ``r``, the report's ``horizon_bound`` is the
     smallest horizon guaranteeing the closed-loop state enters radius r,
@@ -374,38 +365,48 @@ def verify_solution(
     sum_q_pd = q_min > PSD_TOL
     sum_sf_pd = sf_min > PSD_TOL
 
-    s_eigs = linalg.sym_eigenvalues(sol.S)  # (M, steps+1, n)
-    opponent_max = float(s_eigs[OPPONENT, :, -1].max())
-
     steps = sol.grid.steps
-    nodes = sol.S[:, ::screen_stride]
-    if steps % screen_stride:
-        nodes = np.concatenate((nodes, sol.S[:, steps:]), axis=1)  # the terminal node
-    _, screen_lo = _existence_stack(game.H, q, nodes)
-    screen_min = float(screen_lo.min())
+    two_player = game.num_players >= 2
+    envelope = solve_envelope(game, q, sol.grid) if two_player else None
+    # Each chunk of nodes adds a row of maxima to ``highs`` and one of minima
+    # to ``lows``; reducing their columns propagates NaN as one whole-grid
+    # max or min would.
+    highs, lows = [], []
+    size = chunk_items(game.n * game.n)
+    for lo in range(0, steps + 1, size):
+        s = sol.S[:, lo : lo + size]
+        s_eigs = linalg.sym_eigenvalues(s)  # (M, nodes, n)
+        p = s.sum(axis=0)
+        p_eigs = linalg.sym_eigenvalues(p)
+        norms = np.einsum("ikrc,ikrc->ik", s, s)
+        highs.append((s_eigs[OPPONENT, :, -1].max(), norms.max(), p_eigs[:, -1].max()))
+        nodes = s[:, -lo % screen_stride :: screen_stride]  # the nodes k % stride == 0
+        if steps % screen_stride and lo + size > steps:
+            nodes = np.concatenate((nodes, s[:, -1:]), axis=1)  # the terminal node
+        screen = _existence_stack(game.H, q, nodes)[1].min() if nodes.shape[1] else math.inf
+        # A single player has no regulator minimum and no chain.
+        low = [screen, p_eigs[:, 0].min(), math.inf, math.nan, math.nan]
+        if two_player:
+            combo = p - 2.0 * s[OPPONENT]  # -S_1 + sum_{i>=2} S_i
+            low[2:] = (
+                s_eigs[1:, :, 0].min(),
+                linalg.sym_eigenvalues(combo)[:, 0].min(),
+                linalg.sym_eigenvalues(envelope.L[lo : lo + size] - combo)[:, 0].min(),
+            )
+        lows.append(low)
+    opponent_max, max_norm, p_max = map(float, np.max(highs, axis=0))
+    screen_min, p_min, regulator_min, chain_lower, chain_upper = map(float, np.min(lows, axis=0))
     rq_screen_psd = bool(screen_min >= -PSD_TOL)
 
-    p_series = lyapunov_weight_series(sol)
-    p_eigs = linalg.sym_eigenvalues(p_series)
-    per_norm = np.einsum("ikrc,ikrc->ik", sol.S, sol.S)
-    max_norm = float(per_norm.max())
     e_membership: bool | None = None
     psd_chain_ok: bool | None = None
-    if game.num_players < 2:
-        regulator_min = math.inf
+    if not two_player:
         envelope_bound = math.nan
-        chain_lower = math.nan
-        chain_upper = math.nan
         notes.append("single-player game: no regulator definiteness to check")
         notes.append("envelope bound needs at least two players; not assessed")
     else:
-        regulator_min = float(s_eigs[1:, :, 0].min())
-        envelope = solve_envelope(game, q, sol.grid)
         envelope_bound = envelope.bound
         inside = bool(max_norm <= envelope.bound)
-        combo = p_series - 2.0 * sol.S[OPPONENT]  # -S_1 + sum_{i>=2} S_i
-        chain_lower = float(linalg.sym_eigenvalues(combo)[..., 0].min())
-        chain_upper = float(linalg.sym_eigenvalues(envelope.L - combo)[..., 0].min())
         chain_ok = bool(chain_lower >= -CHAIN_TOL and chain_upper >= -CHAIN_TOL)
         if rq_screen_psd:
             e_membership = inside
@@ -419,8 +420,6 @@ def verify_solution(
             notes.append("existence screen not PSD at sampled points; envelope bound not certified")
     definiteness_ok = bool(opponent_max < PSD_TOL and regulator_min > -PSD_TOL)
 
-    p_min = float(p_eigs[:, 0].min())
-    p_max = float(p_eigs[:, -1].max())
     if sum_q_pd and sum_sf_pd:
         p_min_eig: float | None = p_min
         p_max_eig: float | None = p_max

@@ -12,9 +12,9 @@ backward solver uses; smooth games take exactly one substep per interval.
 On a linear ODE one RK4 substep is a matrix polynomial in its three stage
 matrices, so the n x n transition maps of a chunk of substeps are built
 in one stacked pass and then applied to the state in order, one
-matrix-vector product each. Every streamed stage, here and in the
-runner, sizes its chunks by one budget of ``CHUNK_VALUES`` float64
-values per array (:func:`chunk_items`); it bounds memory, not results.
+matrix-vector product each. Every streamed stage (here, in the runner and
+in the certificates) sizes its chunks by one budget of ``CHUNK_VALUES``
+float64 values per array (:func:`chunk_items`); it bounds memory, not results.
 The same maps carry any number of start nodes at once: a sweep starts
 each horizon at its own node of the longest horizon's grid, a chunk of
 maps also ends where a horizon starts, and each start's states equal a

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -25,6 +26,16 @@ from aaolq.riccati import (
     march_lockstep,
 )
 from aaolq.sim import DIVERGENCE_NORM, _simpson_weights
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that ``tracemalloc`` traces while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def mat(v) -> np.ndarray:

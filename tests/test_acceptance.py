@@ -7,6 +7,7 @@ in the terminal summary stays complete even when a criterion fails.
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 import math
 import re
 from pathlib import Path
@@ -27,32 +28,21 @@ from aaolq import (
     solve_envelope,
     team_gains_to_players,
 )
-from aaolq.analysis import lyapunov_weight_series
 from helpers import random_diagonal_game, scalar_lqr, stationarity_probe
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
-TF_LIST = (2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0)
-TABLE_TOL = 0.02
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIO_DIR = ROOT / "scenarios"
 
-# Reference final distances (pursuers 1..3) per horizon, rounded to 2 d.p.
-NASH_TABLE = {
-    2.0: (8.25, 9.59, 7.19),
-    4.0: (1.42, 2.22, 1.29),
-    6.0: (0.25, 0.40, 0.16),
-    8.0: (0.03, 0.05, 0.02),
-    10.0: (0.00, 0.00, 0.00),
-    12.0: (0.00, 0.00, 0.00),
-    14.0: (0.00, 0.00, 0.00),
-}
-TEAM_TABLE = {
-    2.0: (1.90, 5.94, 7.39),
-    4.0: (1.34, 4.18, 5.21),
-    6.0: (0.91, 2.85, 3.55),
-    8.0: (0.61, 1.92, 2.38),
-    10.0: (0.41, 1.28, 1.59),
-    12.0: (0.27, 0.85, 1.06),
-    14.0: (0.18, 0.57, 0.70),
-}
+
+# The paper's final distances (pursuers 1..3) per horizon, rounded to 2 d.p.,
+# its horizons and that rounding's tolerance: one copy, in the script that
+# prints the table.
+_spec = importlib.util.spec_from_file_location(
+    "reproduce_table", ROOT / "scripts" / "reproduce_table.py"
+)
+_table = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_table)
+TF_LIST, REFERENCE, TABLE_TOL = _table.TF_LIST, _table.REFERENCE, _table.TOL
 
 
 def record(number: int, ok: bool, detail: str) -> None:
@@ -97,7 +87,7 @@ def _table_deviations(sweep, mode, table):
 
 
 def test_criterion_01_nash_table(table_sweep):
-    devs = _table_deviations(table_sweep, "nash", NASH_TABLE)
+    devs = _table_deviations(table_sweep, "nash", REFERENCE["nash"])
     ok = all(d <= TABLE_TOL for d in devs.values())
     detail = "nash max|d - ref| by tf: " + ", ".join(
         f"{tf:g}->{d:.4f}" for tf, d in devs.items()
@@ -107,7 +97,7 @@ def test_criterion_01_nash_table(table_sweep):
 
 
 def test_criterion_02_team_table(table_sweep, benchmark_scenario, tmp_path):
-    devs = _table_deviations(table_sweep, "team", TEAM_TABLE)
+    devs = _table_deviations(table_sweep, "team", REFERENCE["team"])
     long = run_sweep(benchmark_scenario, [18.0], modes=("team",), out_dir=tmp_path)
     cell = long.cell("team", 18.0)
     p1 = float(cell.distances[0]) if cell.distances is not None else math.nan
@@ -223,7 +213,7 @@ def test_criterion_06_scalar_oracle():
 def test_criterion_07_decay_certificate(benchmark_traj, benchmark_sol, benchmark_conditions):
     report = lyapunov_check(benchmark_traj, benchmark_sol, benchmark_conditions)
     x = benchmark_traj.x
-    v = np.einsum("kn,knm,km->k", x, lyapunov_weight_series(benchmark_sol), x)
+    v = np.einsum("kn,knm,km->k", x, benchmark_sol.S.sum(axis=0), x)
     rises = int(np.sum(np.diff(v) > 1e-9))
     horizon = benchmark_conditions.horizon_bound
     if horizon is None:  # the report's notes say why

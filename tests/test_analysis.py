@@ -14,15 +14,18 @@ from aaolq import (
     SolveStats,
     SolveStatus,
     TimeGrid,
+    build_pursuit_example,
     build_team_game,
     check_diagonal_subclass,
+    gains,
     load_scenario,
     lyapunov_check,
+    simulate,
     solve_coupled,
     solve_envelope,
     verify_solution,
 )
-from aaolq.analysis import lyapunov_weight_series
+from aaolq import sim
 from aaolq.errors import (
     IncompleteSolutionError,
     NotApplicableError,
@@ -38,6 +41,7 @@ from helpers import (
     scalar_game,
     scalar_lqr,
     single_player_matrix_game,
+    traced_peak,
 )
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -308,34 +312,131 @@ class TestSumMatrices:
         assert verdict.sum_sf_min_eig == 0.0
 
 
-class TestComputeP:
-    """P(t_k) = sum_i S_i(t_k) at single grid nodes of ``lyapunov_weight_series``."""
+class TestLyapunovWeight:
+    """V = x' P x with P(t_k) = sum_i S_i(t_k), which ``lyapunov_check`` sums per chunk."""
 
-    def test_benchmark_terminal(self, benchmark_sol):
-        p_tf = lyapunov_weight_series(benchmark_sol)[benchmark_sol.grid.steps]
-        assert np.max(np.abs(p_tf - 0.25 * np.eye(6))) <= 1e-12
+    def test_v_is_the_whole_grid_einsum(self, benchmark_traj, benchmark_sol, benchmark_conditions):
+        x = benchmark_traj.x
+        v = np.einsum("kn,knm,km->k", x, benchmark_sol.S.sum(axis=0), x)
+        report = lyapunov_check(benchmark_traj, benchmark_sol, benchmark_conditions)
+        times = benchmark_traj.grid.times()
+        decay = np.exp(-report.decay_rate * (times - times[0]))
+        assert report.v0 == v[0]
+        assert report.max_increase == np.diff(v).max()
+        assert report.exp_bound_max_excess == (v / (v[0] * decay)).max() - 1.0
 
-    def test_zero_solution(self):
-        game = scalar_game(0.0, [1.0, 1.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0], tf=0.0)
-        sol = solve_coupled(game, TimeGrid(0.0, 0.0, 0))
-        assert lyapunov_weight_series(sol)[0, 0, 0] == 0.0
-
-    def test_single_player_is_identity(self):
-        game = scalar_lqr()
+    def test_single_player_weight_is_its_solution(self):
+        game = scalar_game(0.0, [1.0], [1.0], [1.0], [1.0])
         sol = solve_coupled(game, TimeGrid.from_step(0.0, 1.0, 1e-3))
-        assert lyapunov_weight_series(sol)[0, 0, 0] == sol.S[0, 0, 0, 0]
-
-    def test_series_matches_pointwise(self, benchmark_sol):
-        series = lyapunov_weight_series(benchmark_sol)
-        for k in (0, 777, benchmark_sol.grid.steps):
-            assert np.array_equal(series[k], symmetrize(benchmark_sol.S[:, k].sum(axis=0)))
+        traj = simulate(game, gains(game, sol), [2.0])
+        report = lyapunov_check(traj, sol, verify_solution(game, sol))
+        assert report.v0 == 4.0 * sol.S[0, 0, 0, 0]
 
     @pytest.mark.parametrize("solution", ["benchmark_sol", "team_sol"])
-    def test_series_is_bitwise_symmetric_with_no_pass(self, solution, request):
-        sol = request.getfixturevalue(solution)
-        series = lyapunov_weight_series(sol)
-        assert series.tobytes() == series.swapaxes(-1, -2).copy().tobytes()
-        assert series.tobytes() == symmetrize(sol.S.sum(axis=0)).tobytes()
+    def test_summed_weights_are_bitwise_symmetric(self, solution, request):
+        # verify_solution hands each chunk of P to LAPACK with no symmetrizing pass.
+        p = request.getfixturevalue(solution).S.sum(axis=0)
+        assert p.tobytes() == p.swapaxes(-1, -2).copy().tobytes()
+
+
+def _bits(value):
+    """``value`` with every float as its hex string, so NaN and -0.0 compare by their bits."""
+    if dataclasses.is_dataclass(value):
+        return tuple(_bits(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    return value.hex() if isinstance(value, float) else value
+
+
+def _certify(game, sol, traj, kwargs):
+    """Both certificate reports as bits; the decay one is None where it does not apply."""
+    x0_norm = float(np.linalg.norm(traj.x[0]))
+    conditions = verify_solution(game, sol, x0_norm=x0_norm, r=0.1, **kwargs)
+    decay = lyapunov_check(traj, sol, conditions) if conditions.p_pd else None
+    return _bits(conditions), _bits(decay)
+
+
+def _benchmark_case(get, **kwargs):
+    return get("benchmark_game"), get("benchmark_sol"), None, kwargs
+
+
+def _scenario_case(name):
+    scenario = load_scenario(SCENARIO_DIR / f"{name}.json")
+    game = scenario.build_game()
+    sol = solve_coupled(game, TimeGrid.from_step(game.t0, game.tf, scenario.run.dt))
+    return game, sol, scenario.x0, {}
+
+
+def _scalar_case(game):
+    return game, solve_coupled(game, TimeGrid.from_step(game.t0, game.tf, 1e-2)), [1.0], {}
+
+
+_BUDGET_CASES = {
+    "nash": _benchmark_case,
+    "team": lambda get: (get("benchmark_team").reduced, get("team_sol"), None, {}),
+    "nash_stride_7": lambda get: _benchmark_case(get, screen_stride=7),
+    "nash_stride_10": lambda get: _benchmark_case(get, screen_stride=10),
+    "pursuit_coarse": lambda get: _scenario_case("pursuit_coarse"),
+    "explicit_small": lambda get: _scenario_case("explicit_small"),
+    "zero_weights": lambda get: _scalar_case(
+        scalar_game(0.0, [1.0, 1.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0])
+    ),
+    "negative_zero_weights": lambda get: _scalar_case(
+        scalar_game(-0.0, [1.0, 1.0], [-0.0, -0.0], [1.0, 1.0], [-0.0, -0.0])
+    ),
+    "opponent_only": lambda get: _scalar_case(
+        scalar_game(0.0, [1.0] * 3, [-0.1, 0.0, 0.0], [1.0] * 3, [-0.1, 0.0, 0.0])
+    ),
+    "scalar_lqr": lambda get: _scalar_case(scalar_lqr()),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(_BUDGET_CASES))
+def certified(request, benchmark_params):
+    """A solved case, its trajectory and both reports with every node in one chunk."""
+    game, sol, x0, kwargs = _BUDGET_CASES[request.param](request.getfixturevalue)
+    traj = simulate(game, gains(game, sol), benchmark_params.x0 if x0 is None else x0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "CHUNK_VALUES", sol.S[0].size)
+        whole = _certify(game, sol, traj, kwargs)
+    return game, sol, traj, kwargs, whole
+
+
+class TestCertificatesInChunks:
+    """The certificates reduce per-chunk extrema; no budget moves a bit of either report."""
+
+    @pytest.mark.parametrize("nodes", [1, 3, None], ids=["1-node", "3-node", "default"])
+    def test_reports_match_one_whole_grid_chunk(self, certified, nodes, monkeypatch):
+        game, sol, traj, kwargs, whole = certified
+        if nodes is not None:
+            monkeypatch.setattr(sim, "CHUNK_VALUES", nodes * game.n * game.n)
+        assert _certify(game, sol, traj, kwargs) == whole
+
+    def test_verify_memory_does_not_grow_with_the_grid(
+        self, benchmark_params, benchmark_game, benchmark_sol
+    ):
+        # Traced peak less the envelope's L (the shape of one player's S),
+        # the one array that spans the grid: holding one chunk of nodes at a
+        # time keeps it flat from tf = 2 to tf = 10, where whole-grid stacks
+        # grow about fivefold.
+        short = build_pursuit_example(dataclasses.replace(benchmark_params, tf=2.0))
+        cases = [
+            (short, solve_coupled(short, TimeGrid.from_step(short.t0, short.tf, 1e-3))),
+            (benchmark_game, benchmark_sol),
+        ]
+        peaks = [
+            traced_peak(lambda: verify_solution(game, sol)) - sol.S[0].nbytes
+            for game, sol in cases
+        ]
+        assert peaks[1] <= 1.25 * peaks[0], peaks
+
+    def test_lyapunov_memory_stays_below_one_weight_series(
+        self, benchmark_traj, benchmark_sol, benchmark_conditions
+    ):
+        peak = traced_peak(
+            lambda: lyapunov_check(benchmark_traj, benchmark_sol, benchmark_conditions)
+        )
+        assert peak < benchmark_sol.S[0].nbytes, peak
 
 
 def _horizon(game, sol, x0_norm, r):

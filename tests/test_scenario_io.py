@@ -48,6 +48,7 @@ from helpers import (
     reference_positions_csv,
     reference_solution_csv,
     reference_trajectory_csv,
+    traced_peak,
 )
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -968,15 +969,6 @@ class TestWriterBytesInSmallChunks(TestWriterBytes):
         monkeypatch.setattr(sim, "CHUNK_VALUES", request.param)
 
 
-def _traced_peak(fn) -> int:
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def _dense_solution(rng, players: int, nodes: int, n: int) -> RiccatiSolution:
     grid = TimeGrid(0.0, 1.0, nodes - 1)
     return RiccatiSolution(
@@ -999,7 +991,7 @@ def test_solution_writer_memory_does_not_grow_with_the_grid(tmp_path):
     for nodes in (2000, 8000):
         sol = _dense_solution(rng, 4, nodes, 6)
         peaks.append(
-            _traced_peak(lambda: runner.write_solution_csv(tmp_path / "solution.csv", sol))
+            traced_peak(lambda: runner.write_solution_csv(tmp_path / "solution.csv", sol))
         )
     assert peaks[1] <= 1.25 * peaks[0], peaks
 
@@ -1035,9 +1027,9 @@ def test_streamed_stage_memory_does_not_grow_with_the_game(tmp_path):
         ]
         x0 = rng.normal(size=n)
         peaks.append((
-            _traced_peak(lambda: runner.write_solution_csv(tmp_path / "solution.csv", sol)),
-            _traced_peak(lambda: runner._write_table(tmp_path / "table.csv", header, table)),
-            _traced_peak(lambda: simulate(game, player_gains, x0)),
+            traced_peak(lambda: runner.write_solution_csv(tmp_path / "solution.csv", sol)),
+            traced_peak(lambda: runner._write_table(tmp_path / "table.csv", header, table)),
+            traced_peak(lambda: simulate(game, player_gains, x0)),
         ))
     for small, large in zip(*peaks):
         assert large <= 1.25 * small, peaks
