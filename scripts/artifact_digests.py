@@ -23,10 +23,9 @@ import tempfile
 from pathlib import Path
 
 from aaolq import load_scenario, run, run_sweep
+from reproduce_table import MODES, TF_LIST
 
 ROOT = Path(__file__).resolve().parent.parent
-TF_LIST = (2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0)
-MODES = ("nash", "team")
 
 
 def _digests(directory: Path) -> dict[str, str]:

@@ -24,6 +24,7 @@ from aaolq import load_scenario, run_sweep
 
 ROOT = Path(__file__).resolve().parent.parent
 TF_LIST = (2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0)
+MODES = ("nash", "team")
 REFERENCE = {
     "nash": {
         2.0: (8.25, 9.59, 7.19),
@@ -58,11 +59,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     scenario = load_scenario(args.scenario)
-    sweep = run_sweep(scenario, TF_LIST, modes=("nash", "team"), out_dir=args.out)
+    sweep = run_sweep(scenario, TF_LIST, modes=MODES, out_dir=args.out)
 
     failed_cells = 0
     print(f"{'mode':<6}{'tf':>4}   {'measured d1/d2/d3':<26}{'reference':<22}{'max dev':>8}")
-    for mode in ("nash", "team"):
+    for mode in MODES:
         for tf in TF_LIST:
             cell = sweep.cell(mode, tf)
             ref = REFERENCE[mode][tf]

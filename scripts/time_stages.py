@@ -8,10 +8,12 @@ complete. In order: ``solve`` (of the team reduction in team mode),
 ``verify_solution``, ``solution.csv``, ``gains + simulate``,
 ``lyapunov_check`` (a ``NotApplicableError`` is part of the call), ``other
 writers`` (trajectory.csv, the pursuit report with distances.csv,
-positions.csv), ``sweep solve`` (the lockstep march of the nash and team
-games of the table's longest horizon, folding nodes into closed-loop
-matrices as ``run_sweep`` does) and ``sweep forward`` (each mode's forward
-pass over those matrices from one start per horizon, tf = 2, 4, ..., 14).
+positions.csv), ``sweep solve`` (``runner._sweep_closed_loops``: the
+lockstep march of the nash and team games of the table's longest horizon,
+folding nodes into closed-loop matrices) and ``sweep forward``
+(``runner._sweep_cells``: each mode's forward pass over those matrices from
+one start per horizon of ``reproduce_table.TF_LIST``, and the cells'
+pursuit reports), the two calls ``run_sweep`` makes.
 
 By default it calls every stage, a whole ``run(level="simulate")`` and a
 whole ``run_sweep`` of the table ``--repeats`` times, and prints the median
@@ -25,10 +27,11 @@ last lines give the process's max RSS after import and at exit.
 
 With ``--against PATH`` it instead compares this tree's ``aaolq`` (the one
 on the import path) with the ``aaolq`` of the source tree at PATH, loaded
-in the same process as ``aaolq_against`` (it must have the ``runner`` names
-the table calls, such as ``_ClosedLoopFold``), stage by stage in pairs of
-calls on CPU time (``time_against``): wall-clock medians of separate
-processes cannot resolve a few percent. Per stage it prints the median and
+in the same process as ``aaolq_against`` (it must have every name the
+table calls, such as ``runner._sweep_closed_loops``; a missing one is an
+error that names it), stage by stage in pairs of calls on CPU time
+(``time_against``): wall-clock medians of separate processes cannot
+resolve a few percent. Per stage it prints the median and
 quartiles of the pairs' ratios (this tree / PATH), the pairs where either
 tree was faster, each tree's median seconds per call and the ratios.
 
@@ -59,10 +62,9 @@ import numpy as np
 
 import aaolq
 from aaolq import load_scenario, riccati, run, run_sweep
+from reproduce_table import MODES, TF_LIST
 
 ROOT = Path(__file__).resolve().parent.parent
-TF_LIST = [2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0]
-MODES = ("nash", "team")
 #: Package name of the tree loaded by ``--against``.
 AGAINST = "aaolq_against"
 #: Calls of each stage per tree in one ``--against`` pair.
@@ -137,23 +139,13 @@ def _stage_calls(tree, scenario, out: Path) -> dict:
             runner.write_positions_csv(writers_dir / "positions.csv", traj, scenario.pursuit)
         return writers_dir
 
-    long_game = scenario.with_tf(max(TF_LIST)).build_game()
-    long_grid = tree.TimeGrid.from_step(long_game.t0, long_game.tf, dt)
-    sweep_teams = [runner._team_game(scenario, long_game, mode) for mode in MODES]
-    sweep_games = [long_game if t is None else t.reduced for t in sweep_teams]
-
-    def sweep_solve():
-        folds = [runner._ClosedLoopFold(long_game, t, long_grid) for t in sweep_teams]
-        _, stats = runner.march_lockstep(sweep_games, long_grid, folds)
-        return [fold.finish() for fold in folds], stats
-
-    acls, _ = sweep_solve()
-    grids = [tree.TimeGrid.from_step(long_game.t0, tf, dt) for tf in TF_LIST]
-    starts = [long_grid.steps - grid.steps for grid in grids]
+    sweep_solve = partial(runner._sweep_closed_loops, scenario, MODES, max(TF_LIST))
+    long_grid, failed, _, acls = sweep_solve()
+    grids = {tf: tree.TimeGrid.from_step(game.t0, tf, dt) for tf in TF_LIST}
 
     def sweep_forward():
-        for acl in acls:
-            runner._propagate(long_grid, acl, scenario.x0, starts)
+        # A fresh list each call: _sweep_cells releases each mode's entry.
+        return runner._sweep_cells(scenario, MODES, long_grid, grids, failed, list(acls))
 
     return {
         "solve": solve,
@@ -225,7 +217,7 @@ def time_stages(scenario_path: str, repeats: int, work: Path) -> list[str]:
         elif isinstance(result, Path):
             text += f"  {sum(path.stat().st_size for path in result.iterdir()):>13,} bytes"
         elif stage == "sweep solve":
-            (_, stats), iterations = _iterations(call)
+            (*_, stats, _), iterations = _iterations(call)
             games = " + ".join(f"{mode} {s.substeps:,}" for mode, s in zip(MODES, stats))
             per = 1e6 * median / max(iterations, 1)
             text += f"  {games} substeps in {iterations:,} iterations  {per:6.1f} us/iteration"
@@ -331,7 +323,13 @@ def main(argv=None) -> int:
         if args.against is None:
             lines = time_stages(args.scenario, args.repeats, Path(tmp))
         else:
-            lines = time_against(other, args.scenario, args.repeats, Path(tmp))
+            try:
+                lines = time_against(other, args.scenario, args.repeats, Path(tmp))
+            except AttributeError as exc:
+                # A name the stage table looks up in PATH's tree; others are faults.
+                if getattr(exc.obj, "__name__", "").partition(".")[0] != AGAINST:
+                    raise
+                parser.error(f"--against: {exc.obj.__file__} has no {exc.name!r}")
     print("\n".join(lines))
     return 0
 

@@ -104,6 +104,16 @@ SUBSTEP_BUDGET = 10_000_000
 #: matrix per player and node, so a finer grid could not be stored.
 MAX_STEPS = 1_000_000
 
+#: Ceiling on the bytes of one solve's history of S, players * (steps + 1)
+#: * n * n * 8, which ``solve_coupled`` allocates whole before its first
+#: substep. ``MAX_STEPS`` alone lets it reach 1.15 GB on the benchmark game
+#: (M = 4, n = 6) and 23 GB at M = 5, n = 24, where the allocation fails
+#: with a bare ``MemoryError`` or the process is killed. 1 GiB is about 90
+#: times the benchmark's 11.5 MB history at dt = 1e-3, so the bundled
+#: scenarios keep ample headroom, and a grid past it is refused with a
+#: message that names its bytes. ``Scenario`` checks it on its own grid.
+MAX_HISTORY_BYTES = 2**30
+
 
 @dataclass(frozen=True)
 class TimeGrid:

@@ -471,30 +471,38 @@ class _ClosedLoopFold:
         return self.acl
 
 
-def _sweep_group(scenario: Scenario, modes: tuple[str, ...], tfs: list[float]) -> dict:
-    """Cells of one dt group, every mode's read off one lockstep march.
+def _sweep_closed_loops(scenario: Scenario, modes: tuple[str, ...], tf: float):
+    """Every mode's closed-loop matrices of the horizon-``tf`` game, off one march.
 
-    Each mode plays the group's long game, or its team reduction, and all
-    of them are marched in one loop over their longest horizon. Each
-    mode's :class:`_ClosedLoopFold` turns the nodes into closed-loop
-    matrices as the march reaches them, so no history of S is held. Every
-    cell reads the tail of its mode's matrices: the forward pass reads
-    only the grid, never the game's horizon. Each mode then runs one
-    forward pass over the long grid that advances every cell from its own
-    start node, where the cell's horizon begins. Returns the cells keyed
-    by (mode, tf).
+    Each mode plays the game, or its team reduction, and all of them are
+    marched in one loop. Each mode's :class:`_ClosedLoopFold` turns the
+    nodes into closed-loop matrices as the march reaches them, so no
+    history of S is held. Returns the grid, the march's failures and
+    stats, and each mode's matrices, (steps+1, n, n).
     """
-    long_game = scenario.with_tf(max(tfs)).build_game()
-    long_grid = TimeGrid.from_step(long_game.t0, long_game.tf, scenario.run.dt)
-    teams = [_team_game(scenario, long_game, mode) for mode in modes]
-    folds = [_ClosedLoopFold(long_game, team, long_grid) for team in teams]
-    failed, _ = march_lockstep(
-        [long_game if team is None else team.reduced for team in teams], long_grid, folds
+    game = scenario.with_tf(tf).build_game()
+    grid = TimeGrid.from_step(game.t0, game.tf, scenario.run.dt)
+    teams = [_team_game(scenario, game, mode) for mode in modes]
+    folds = [_ClosedLoopFold(game, team, grid) for team in teams]
+    failed, stats = march_lockstep(
+        [game if team is None else team.reduced for team in teams], grid, folds
     )
-    grids = {tf: TimeGrid.from_step(long_game.t0, tf, scenario.run.dt) for tf in tfs}
+    return grid, failed, stats, [fold.finish() for fold in folds]
+
+
+def _sweep_cells(scenario: Scenario, modes, long_grid, grids, failed, acls) -> dict:
+    """The cells of every horizon of ``grids`` ({tf: grid}), keyed by (mode, tf).
+
+    ``long_grid``, ``failed`` and ``acls`` come from
+    :func:`_sweep_closed_loops` of the longest horizon. Each cell starts at
+    the node of ``long_grid`` where its horizon does and reads the tail of
+    its mode's matrices; each mode makes one forward pass for all its
+    cells. Each entry of ``acls`` is set to None before its mode's pass, so
+    its matrices go once its cells are made.
+    """
     cells = {}
     for i, mode in enumerate(modes):
-        acl, folds[i] = folds[i].finish(), None
+        acl, acls[i] = acls[i], None
         fail = failed.get(i)
         starts = {}
         for tf, grid in grids.items():
@@ -505,26 +513,16 @@ def _sweep_group(scenario: Scenario, modes: tuple[str, ...], tfs: list[float]) -
             if fail is None or start > fail[0]:
                 starts[tf] = start
             else:
-                cells[mode, tf] = SweepCell(
-                    mode=mode, tf=tf, distances=None, captured=None, status=fail[1].value
-                )
+                cells[mode, tf] = SweepCell(mode, tf, None, None, fail[1].value)
         if not starts:
             continue
         states = _propagate(long_grid, acl, scenario.x0, list(starts.values()))
         for tf, x in zip(starts, states):
             if isinstance(x, DivergenceError):
-                cells[mode, tf] = SweepCell(
-                    mode=mode, tf=tf, distances=None, captured=None, status="diverged"
-                )
-                continue
-            report = _pursuit_report(x, grids[tf], scenario.capture_radius)
-            cells[mode, tf] = SweepCell(
-                mode=mode,
-                tf=tf,
-                distances=report.final_distances,
-                captured=report.captured,
-                status="ok",
-            )
+                cells[mode, tf] = SweepCell(mode, tf, None, None, "diverged")
+            else:
+                report = _pursuit_report(x, grids[tf], scenario.capture_radius)
+                cells[mode, tf] = SweepCell(mode, tf, report.final_distances, report.captured, "ok")
     return cells
 
 
@@ -562,19 +560,19 @@ def run_sweep(scenario: Scenario, tf_list, modes=None, out_dir=None) -> SweepRes
     if not validate(base_game).aao_compliant:
         raise ValidationError("game failed the all-against-one sign pattern; nothing solved")
     k = base_game.n // 2
-    groups: dict[float, list[float]] = {}
+    groups: dict[float, dict[float, TimeGrid]] = {}
     for tf in tf_tuple:
         try:
             grid = TimeGrid.from_step(base_game.t0, tf, scenario.run.dt)
         except ValidationError as exc:
             raise ValidationError(f"tf_list: tf={tf!r}: {exc}") from None
-        groups.setdefault(grid.dt, []).append(tf)
+        groups.setdefault(grid.dt, {})[tf] = grid
     out = _out_path(scenario, out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     by_cell = {}
-    for tfs in groups.values():
-        by_cell.update(_sweep_group(scenario, modes, tfs))
+    for grids in groups.values():
+        long_grid, failed, _, acls = _sweep_closed_loops(scenario, modes, max(grids))
+        by_cell.update(_sweep_cells(scenario, modes, long_grid, grids, failed, acls))
     cells = [by_cell[mode, tf] for mode in modes for tf in tf_tuple]
 
     def lines():
@@ -588,5 +586,8 @@ def run_sweep(scenario: Scenario, tf_list, modes=None, out_dir=None) -> SweepRes
                 cap = c.status
             yield ",".join([c.mode, _fmt(c.tf)] + ds + [cap]) + "\n"
 
+    # Made only now: a group's longest horizon, built as a scenario, may be
+    # refused (the history ceiling), and that must leave no directory.
+    out.mkdir(parents=True, exist_ok=True)
     _write_chunks(out / "sweep.csv", lines())
     return SweepResult(modes=modes, tf_list=tf_tuple, cells=cells)

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import re
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -1300,24 +1301,23 @@ class TestRunSweep:
 def _fold_and_reference(scenario, modes, tf):
     """Each mode's folded A_cl nodes beside A - sum_j B_j K_j of a full history.
 
-    Returns the march's failures and, per mode, the folded nodes and the
-    reference, built from ``helpers.march_solutions`` and ``_player_gains``.
+    Returns the march's failures and, per mode, the nodes
+    ``runner._sweep_closed_loops`` folded and the reference, built from
+    ``helpers.march_solutions`` and ``_player_gains``.
     """
+    grid, failed, _, acls = runner._sweep_closed_loops(scenario, modes, tf)
     long_game = scenario.with_tf(tf).build_game()
-    grid = TimeGrid.from_step(long_game.t0, long_game.tf, scenario.run.dt)
     teams = [runner._team_game(scenario, long_game, mode) for mode in modes]
     games = [long_game if team is None else team.reduced for team in teams]
-    folds = [runner._ClosedLoopFold(long_game, team, grid) for team in teams]
-    failed, _ = riccati.march_lockstep(games, grid, folds)
     pairs = []
-    for fold, team, sol in zip(folds, teams, march_solutions(games, grid)):
+    for acl, team, sol in zip(acls, teams, march_solutions(games, grid)):
         # Gains of the nodes never reached are NaN, as their S is.
         whole = dataclasses.replace(sol, status=SolveStatus.COMPLETE)
         n = long_game.n
         reference = np.broadcast_to(long_game.A, (grid.steps + 1, n, n)).copy()
         for b, g in zip(long_game.B, runner._player_gains(long_game, team, whole)):
             reference -= np.matmul(b, g.K)
-        pairs.append((fold.finish(), reference))
+        pairs.append((acl, reference))
     return failed, pairs
 
 
@@ -1395,6 +1395,71 @@ def test_sweep_holds_no_solution_history(tmp_path):
         tracemalloc.stop()
     assert all(c.status == "ok" for c in result.cells)
     assert peak < histories, (peak, histories)
+
+
+def test_sweep_releases_each_modes_matrices_before_the_next_forward_pass(tmp_path, monkeypatch):
+    # While the team forward pass runs, nothing holds the nash closed-loop
+    # matrices any more: each mode's go once its cells are made.
+    propagate, held, alive = runner._propagate, [], []
+
+    def watching(grid, acl, x0, starts):
+        alive.append([ref() is not None for ref in held])
+        held.append(weakref.ref(acl))
+        return propagate(grid, acl, x0, starts)
+
+    monkeypatch.setattr(runner, "_propagate", watching)
+    scenario = load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
+    result = run_sweep(scenario, [1.0, 2.0], modes=("nash", "team"), out_dir=tmp_path)
+    assert all(c.status == "ok" for c in result.cells)
+    assert alive == [[], [False]]
+
+
+class TestHistoryCeiling:
+    """``riccati.MAX_HISTORY_BYTES`` refuses a scenario whose solve's history
+    of S would pass it. It is patched down here, so no large array is made.
+
+    The coarse scenario's grid has 401 nodes of 6 x 6 matrices: its team
+    solve's history (the two-player reduction) takes 230,976 bytes, a nash
+    solve's (4 players) twice that.
+    """
+
+    TEAM = 2 * 401 * 36 * 8
+
+    def test_team_mode_counts_the_reduced_game(self, monkeypatch):
+        monkeypatch.setattr(riccati, "MAX_HISTORY_BYTES", self.TEAM)
+        scenario = load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
+        nash = dataclasses.replace(scenario.run, mode="nash")
+        with pytest.raises(ScenarioError, match=r"461,952 bytes \(4 players, 401 nodes, n = 6\)"):
+            dataclasses.replace(scenario, run=nash)
+
+    @pytest.mark.parametrize(
+        "command", [["check"], ["solve"], ["simulate"], ["sweep", "--tf-list", "1,2"]]
+    )
+    def test_past_the_ceiling_exit_two_before_any_directory(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        monkeypatch.setattr(riccati, "MAX_HISTORY_BYTES", self.TEAM - 1)
+        monkeypatch.chdir(tmp_path)
+        code = cli_main(
+            command[:1]
+            + ["--scenario", str(SCENARIO_DIR / "pursuit_coarse.json"), "--out", str(tmp_path / "o")]
+            + command[1:]
+        )
+        assert code == runner.EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "scenario error: run.dt: the solve's history of S would take 230,976 bytes "
+            "(2 players, 401 nodes, n = 6); at most 230,975 are allowed\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_horizon_past_the_ceiling_before_any_directory(self, tmp_path, monkeypatch):
+        # tf = 8 has 801 nodes: 461,376 bytes in team mode.
+        monkeypatch.setattr(riccati, "MAX_HISTORY_BYTES", self.TEAM)
+        scenario = load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
+        with pytest.raises(ScenarioError, match=r"461,376 bytes \(2 players, 801 nodes"):
+            run_sweep(scenario, [2.0, 8.0], out_dir=tmp_path / "sweep")
+        assert not (tmp_path / "sweep").exists()
+
 
 class TestCli:
     def test_check_exit_zero(self, tmp_path):
