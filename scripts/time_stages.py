@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Wall-clock medians of the stages of ``run()`` and of the paper-table
-sweep, or an in-process comparison of two source trees on CPU time.
+"""CPU-time medians of the stages of ``run()`` and of the paper-table sweep,
+each stage paired with an identical control tree and, optionally, another tree.
 
 One table (``_stage_calls``) defines the stages, each as one call that does
 the stage's work once, as the pipeline calls it; the scenario's solve must
@@ -10,45 +10,45 @@ complete. In order: ``solve`` (of the team reduction in team mode),
 writers`` (trajectory.csv, the pursuit report with distances.csv,
 positions.csv), ``sweep solve`` (``runner._sweep_closed_loops``: the
 lockstep march of the nash and team games of the table's longest horizon,
-folding nodes into closed-loop matrices) and ``sweep forward``
+folding nodes into closed-loop matrices), ``sweep forward``
 (``runner._sweep_cells``: each mode's forward pass over those matrices from
 one start per horizon of ``reproduce_table.TF_LIST``, and the cells'
-pursuit reports), the two calls ``run_sweep`` makes.
+pursuit reports), then a whole ``run(level="simulate")`` and a whole
+``run_sweep`` of the table.
 
-By default it calls every stage, a whole ``run(level="simulate")`` and a
-whole ``run_sweep`` of the table ``--repeats`` times, and prints the median
-[min, max] of each call's wall-clock seconds and the ``tracemalloc`` peak
-of one more call above the traced memory at its start. The solve line
-adds microseconds per RK4 substep, each writer line the bytes its call
-wrote, and the sweep solve line each game's substeps and the lockstep
-iterations (one RK4 substep of every game still marching), counted in one
-more, untimed, call that wraps ``riccati._Stages.step``. The first and
-last lines give the process's max RSS after import and at exit.
+Every tree is loaded by ``load_tree`` under its own package name:
+``aaolq_this`` and ``aaolq_control`` both from this checkout, and
+``aaolq_against`` from ``--against PATH``, which must have every name the
+table calls (a missing one is an error that names it). No stage calls the
+``aaolq`` on the import path, so no tree holds a place the others lack. A
+pair calls every stage ``ROUNDS`` times on each tree, the trees taking
+turns call by call in every order equally often; the pair's ratio of two
+trees is the median of its rounds' ratios. The control runs the same code
+as this tree, so this/control shows the timer's own noise and bias beside
+every other figure.
 
-With ``--against PATH`` it instead compares this tree's ``aaolq`` (the one
-on the import path) with the ``aaolq`` of the source tree at PATH, loaded
-in the same process as ``aaolq_against`` (it must have every name the
-table calls, such as ``runner._sweep_closed_loops``; a missing one is an
-error that names it), stage by stage in pairs of calls on CPU time
-(``time_against``): wall-clock medians of separate processes cannot
-resolve a few percent. Per stage it prints the median and
-quartiles of the pairs' ratios (this tree / PATH), the pairs where either
-tree was faster, each tree's median seconds per call and the ratios.
+Per stage one line gives this tree's median [quartiles] CPU seconds per
+call; the ``tracemalloc`` peak of one more call above the traced memory at
+its start; this/control as the median [quartiles] of the pairs' ratios,
+with the pairs where this tree was faster and slower; with ``--against``,
+this/against the same way and ``resolved`` when its median lies outside the
+control's quartiles, else ``unresolved``; and the stage's work: substeps
+and microseconds per substep for the solve, the bytes each writer wrote,
+and for the sweep solve each game's substeps and the lockstep iterations
+(one RK4 substep of every game still marching), counted in one more,
+untimed call that wraps ``riccati._Stages.step``.
 
 Artifacts go to a temporary directory that is removed on exit. Pin the
-BLAS thread count, and for ``--against`` the CPU, for comparable numbers:
+BLAS thread count and the CPU for comparable numbers:
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/time_stages.py \\
-        --scenario scenarios/pursuit_benchmark.json --repeats 5
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src taskset -c 1 python scripts/time_stages.py \\
-        --against ../parent --repeats 20
+        --against ../parent --repeats 12
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import importlib.util
-import resource
 import statistics
 import sys
 import tempfile
@@ -56,40 +56,37 @@ import time
 import tracemalloc
 from collections import defaultdict
 from functools import partial
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
 
-import aaolq
-from aaolq import load_scenario, riccati, run, run_sweep
 from reproduce_table import MODES, TF_LIST
 
 ROOT = Path(__file__).resolve().parent.parent
-#: Package name of the tree loaded by ``--against``.
-AGAINST = "aaolq_against"
-#: Calls of each stage per tree in one ``--against`` pair.
-ROUNDS = 5
+#: Calls of each stage per tree in one pair: every order of two or of three
+#: trees equally often, since a call timed later in a round reads slower.
+#: Each order of three comes twice: a pair's ratio spreads about as one over
+#: the square root of its rounds, and at six rounds the control's quartiles
+#: on the benchmark solve could hide a 2.5% change (one more numpy call per
+#: RK4 substep).
+ROUNDS = 12
 
 
-def _max_rss_mb() -> float:
-    """The process's max resident set size so far, in MB (Linux reports KiB)."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+def load_tree(path: Path, name: str):
+    """The ``aaolq`` package of the source tree at ``path``, imported as ``name``.
 
-
-def load_tree(path: Path):
-    """The ``aaolq`` package of the source tree at ``path``, imported as ``AGAINST``.
-
-    ``aaolq`` imports its own modules only relatively, so the copy runs
-    entirely from ``path``, beside the ``aaolq`` on the import path.
+    ``aaolq`` imports its own modules only relatively, so each copy runs
+    entirely from its own ``path``, beside every other copy.
     """
     init = path / "src" / "aaolq" / "__init__.py"
     if not init.is_file():
         raise FileNotFoundError(f"{path} holds no src/aaolq/__init__.py")
     spec = importlib.util.spec_from_file_location(
-        AGAINST, init, submodule_search_locations=[str(init.parent)]
+        name, init, submodule_search_locations=[str(init.parent)]
     )
     package = importlib.util.module_from_spec(spec)
-    sys.modules[AGAINST] = package
+    sys.modules[name] = package
     spec.loader.exec_module(package)
     return package
 
@@ -156,6 +153,8 @@ def _stage_calls(tree, scenario, out: Path) -> dict:
         "other writers": other_writers,
         "sweep solve": sweep_solve,
         "sweep forward": sweep_forward,
+        "run()": partial(tree.run, scenario, out / "run", level="simulate"),
+        "run_sweep()": partial(tree.run_sweep, scenario, TF_LIST, MODES, out / "sweep"),
     }
 
 
@@ -169,10 +168,11 @@ def _traced(call):
         tracemalloc.stop()
 
 
-def _iterations(call):
-    """``call()``'s result and the lockstep iterations it ran, counted as
+def _iterations(tree, call) -> int:
+    """The lockstep iterations ``call()`` runs, counted as ``tree``'s
     ``riccati._Stages.step`` calls."""
-    step = riccati._Stages.step
+    stages = tree.riccati._Stages
+    step = stages.step
     count = 0
 
     def counting_step(self, *args):
@@ -180,119 +180,86 @@ def _iterations(call):
         count += 1
         return step(self, *args)
 
-    riccati._Stages.step = counting_step
+    stages.step = counting_step
     try:
-        return call(), count
+        call()
+        return count
     finally:
-        riccati._Stages.step = step
+        stages.step = step
 
 
-def time_stages(scenario_path: str, repeats: int, work: Path) -> list[str]:
-    """Every stage's line, then the whole ``run()``'s and ``run_sweep``'s."""
-    scenario = load_scenario(scenario_path)
-    lines = [
-        f"{scenario_path}, mode {scenario.run.mode}: {repeats} repeats, medians [min, max] of"
-        f" wall-clock seconds; max RSS after import {_max_rss_mb():.1f} MB",
-        f"  {'stage':<18}{'median':>9}    [min, max]          tracemalloc peak of one more call",
-    ]
-    calls = _stage_calls(aaolq, scenario, work)
-    calls["run()"] = lambda: run(scenario, work / "run", level="simulate")
-    calls["run_sweep()"] = lambda: run_sweep(scenario, TF_LIST, modes=MODES, out_dir=work / "sweep")
+def _quartiles(values: list[float]) -> list[float]:
+    """The first quartile, median and third quartile of ``values``."""
+    return statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+
+
+def _ratio_text(label: str, ratios: list[float]) -> str:
+    """The median [quartiles] of the pairs' ratios and the pairs where this
+    tree was faster and slower."""
+    low, median, high = _quartiles(ratios)
+    faster, slower = sum(r < 1.0 for r in ratios), sum(r > 1.0 for r in ratios)
+    return (
+        f"  {label} {median:.3f} [{low:.3f}, {high:.3f}]"
+        f" {faster:>2}/{len(ratios)} faster {slower:>2} slower"
+    )
+
+
+def time_trees(trees: dict, scenario_path: str, pairs: int, work: Path) -> list[str]:
+    """Every stage's line, timing the trees (this one first) in ``pairs`` pairs."""
+    calls = {}
+    for label, tree in trees.items():
+        scenario = tree.load_scenario(scenario_path)
+        calls[label] = _stage_calls(tree, scenario, work / label)
+        for call in calls[label].values():
+            call()  # lazy set-up, untimed
+    labels = list(trees)
+    orders = list(permutations(labels))
     seconds = defaultdict(list)
-    for _ in range(repeats):
-        for stage, call in calls.items():
-            start = time.perf_counter()
-            call()
-            seconds[stage].append(time.perf_counter() - start)
-    for stage, call in calls.items():
+    ratios = {label: defaultdict(list) for label in labels[1:]}
+    for _ in range(pairs):
+        for stage in calls["this"]:
+            rounds = {label: [] for label in labels}
+            for r in range(ROUNDS):
+                for label in orders[r % len(orders)]:
+                    start = time.process_time()
+                    calls[label][stage]()
+                    rounds[label].append(time.process_time() - start)
+            for label in labels[1:]:
+                pair = zip(rounds["this"], rounds[label])
+                ratios[label][stage].append(statistics.median(a / b for a, b in pair))
+            seconds[stage] += rounds["this"]
+    lines = [
+        f"{scenario_path}, mode {scenario.run.mode}: {pairs} pairs of {ROUNDS} rounds on CPU"
+        f" time; sweeps of modes {','.join(MODES)}, tf {','.join(f'{t:g}' for t in TF_LIST)}",
+        *(f"  {label:<8}{Path(tree.__file__).parent}" for label, tree in trees.items()),
+        f"  {'stage':<18}{'this s':>8}   [q1, q3]          tracemalloc peak  pair ratios"
+        " median [q1, q3], pairs this tree won and lost; work",
+    ]
+    for stage, call in calls["this"].items():
         result, peak = _traced(call)
-        median = statistics.median(seconds[stage])
+        low, median, high = _quartiles(seconds[stage])
         text = (
-            f"  {stage:<18}{median:9.4f} s  [{min(seconds[stage]):.4f}, {max(seconds[stage]):.4f}]"
-            f"  {peak / 2**20:7.2f} MiB"
+            f"  {stage:<18}{median:8.4f} s [{low:.4f}, {high:.4f}] {peak / 2**20:7.2f} MiB"
+            + _ratio_text("control", ratios["control"][stage])
         )
+        if "against" in ratios:
+            q1, _, q3 = _quartiles(ratios["control"][stage])
+            resolved = not q1 <= _quartiles(ratios["against"][stage])[1] <= q3
+            text += _ratio_text("against", ratios["against"][stage])
+            text += " resolved" if resolved else " unresolved"
         if stage == "solve":
             per = 1e6 * median / max(result.stats.substeps, 1)
-            text += f"  {result.stats.substeps:>7,} substeps  {per:6.1f} us/substep"
+            text += f"  {result.stats.substeps:,} substeps {per:.1f} us/substep"
         elif isinstance(result, Path):
-            text += f"  {sum(path.stat().st_size for path in result.iterdir()):>13,} bytes"
+            text += f"  {sum(path.stat().st_size for path in result.iterdir()):,} bytes"
         elif stage == "sweep solve":
-            (*_, stats, _), iterations = _iterations(call)
-            games = " + ".join(f"{mode} {s.substeps:,}" for mode, s in zip(MODES, stats))
+            iterations = _iterations(trees["this"], call)
+            games = " + ".join(f"{mode} {s.substeps:,}" for mode, s in zip(MODES, result[2]))
             per = 1e6 * median / max(iterations, 1)
-            text += f"  {games} substeps in {iterations:,} iterations  {per:6.1f} us/iteration"
+            text += f"  {games} substeps in {iterations:,} iterations {per:.1f} us/iteration"
         elif stage == "run()":
             text += f"  exit code {result.exit_code}"
-        elif stage == "run_sweep()":
-            text += f"  modes {','.join(MODES)}, tf {','.join(f'{t:g}' for t in TF_LIST)}"
         lines.append(text)
-    return lines + [f"max RSS at exit {_max_rss_mb():.1f} MB"]
-
-
-def _ratio_lines(label: str, ratios: list[float], mine: list[float], theirs: list[float],
-                 substeps=None) -> list[str]:
-    """The median [quartiles] of the per-pair ratios, the pairs where this
-    tree was faster and slower, each tree's median seconds per call and,
-    given each tree's substeps, microseconds per substep; then the ratios."""
-    if len(ratios) > 1:
-        quartiles = statistics.quantiles(ratios, n=4, method="inclusive")
-    else:
-        quartiles = ratios * 3
-    faster = sum(r < 1.0 for r in ratios)
-    slower = sum(r > 1.0 for r in ratios)
-    a, b = statistics.median(mine), statistics.median(theirs)
-    text = (
-        f"  {label:<18}{quartiles[1]:7.3f}  [{quartiles[0]:.3f}, {quartiles[2]:.3f}]"
-        f"  {faster:>3}/{len(ratios)} faster {slower:>3} slower  {a:8.4f} s {b:8.4f} s"
-    )
-    if substeps is not None:
-        per = [1e6 * t / max(n, 1) for t, n in zip((a, b), substeps)]
-        text += f"  {per[0]:6.1f} {per[1]:6.1f} us/substep"
-    return [text, "    pairs: " + " ".join(f"{r:.3f}" for r in ratios)]
-
-
-def time_against(other, scenario_path: str, pairs: int, work: Path) -> list[str]:
-    """Alternate every stage of this tree and of ``other`` on CPU time.
-
-    A pair runs each stage ``ROUNDS`` times on each tree, the two trees
-    taking turns call by call and the first alternating (ABBA...); its
-    ratio is the median of the rounds' ratios this / other. Calls this
-    close together see the same load on the machine, and the median drops
-    a round that a burst of it hit.
-    """
-    trees = {"this": aaolq, "against": other}
-    calls, substeps = {}, {}
-    for side, tree in trees.items():
-        scenario = tree.load_scenario(scenario_path)
-        calls[side] = _stage_calls(tree, scenario, work / side)
-        results = {stage: call() for stage, call in calls[side].items()}  # lazy set-up, untimed
-        substeps[side] = results["solve"].stats.substeps
-    seconds = {side: defaultdict(list) for side in trees}
-    ratios = defaultdict(list)
-    for i in range(pairs):
-        for stage in calls["this"]:
-            rounds = {side: [] for side in trees}
-            for r in range(ROUNDS):
-                for side in ("this", "against") if (i + r) % 2 == 0 else ("against", "this"):
-                    call = calls[side][stage]
-                    start = time.process_time()
-                    call()
-                    rounds[side].append(time.process_time() - start)
-            ratios[stage].append(
-                statistics.median(a / b for a, b in zip(rounds["this"], rounds["against"]))
-            )
-            for side in trees:
-                seconds[side][stage] += rounds[side]
-    lines = [
-        f"A/B on CPU time: {pairs} pairs of {ROUNDS} rounds, {scenario_path},"
-        f" this tree {Path(aaolq.__file__).parent} against {Path(other.__file__).parent}",
-        f"  {'stage':<18}{'ratio':>7}  [q1, q3]          pairs                this s  against s",
-    ]
-    for stage, stage_ratios in ratios.items():
-        counts = (substeps["this"], substeps["against"]) if stage == "solve" else None
-        lines += _ratio_lines(
-            stage, stage_ratios, seconds["this"][stage], seconds["against"][stage], counts
-        )
     return lines
 
 
@@ -303,33 +270,28 @@ def main(argv=None) -> int:
         default=str(ROOT / "scenarios" / "pursuit_benchmark.json"),
         help="scenario to run (default: bundled benchmark)",
     )
+    parser.add_argument("--repeats", type=int, default=5, help="pairs of rounds to time")
     parser.add_argument(
-        "--repeats", type=int, default=5, help="timed repeats of each call, or pairs with --against"
-    )
-    parser.add_argument(
-        "--against",
-        metavar="PATH",
-        help="compare with the source tree at PATH, in this process on CPU time",
+        "--against", metavar="PATH", help="also time the source tree at PATH against this one"
     )
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
+    paths = {"this": ROOT, "control": ROOT}
     if args.against is not None:
-        try:
-            other = load_tree(Path(args.against))
-        except FileNotFoundError as exc:
-            parser.error(f"--against: {exc}")
+        paths["against"] = Path(args.against)
+    try:
+        trees = {label: load_tree(path, f"aaolq_{label}") for label, path in paths.items()}
+    except FileNotFoundError as exc:
+        parser.error(f"--against: {exc}")
     with tempfile.TemporaryDirectory() as tmp:
-        if args.against is None:
-            lines = time_stages(args.scenario, args.repeats, Path(tmp))
-        else:
-            try:
-                lines = time_against(other, args.scenario, args.repeats, Path(tmp))
-            except AttributeError as exc:
-                # A name the stage table looks up in PATH's tree; others are faults.
-                if getattr(exc.obj, "__name__", "").partition(".")[0] != AGAINST:
-                    raise
-                parser.error(f"--against: {exc.obj.__file__} has no {exc.name!r}")
+        try:
+            lines = time_trees(trees, args.scenario, args.repeats, Path(tmp))
+        except AttributeError as exc:
+            # A name the stage table looks up in PATH's tree; others are faults.
+            if getattr(exc.obj, "__name__", "").partition(".")[0] != "aaolq_against":
+                raise
+            parser.error(f"--against: {exc.obj.__file__} has no {exc.name!r}")
     print("\n".join(lines))
     return 0
 

@@ -94,7 +94,7 @@ MAX_SUBSTEPS = 100_000
 #: Ceiling on the RK4 substeps of one game's whole solve, checked once per
 #: output interval. ``MAX_SUBSTEPS`` bounds a single interval only, so a
 #: stiff but bounded game on a fine grid could otherwise run for hours; at
-#: about 40 us per substep this stops it within seven minutes. It is ten
+#: up to 54 us per substep this stops it within nine minutes. It is ten
 #: times ``MAX_STEPS``, so a grid at the node cap still has ten substeps
 #: per interval. A game past it stops as an escape does, with status
 #: ``SUBSTEP_BUDGET``.
