@@ -3,29 +3,32 @@
 each stage paired with an identical control tree and, optionally, another tree.
 
 One table (``_stage_calls``) defines the stages, each as one call that does
-the stage's work once, as the pipeline calls it; the scenario's solve must
-complete. In order: ``solve`` (of the team reduction in team mode),
-``verify_solution``, ``solution.csv``, ``gains + simulate``,
-``lyapunov_check`` (a ``NotApplicableError`` is part of the call), ``other
-writers`` (trajectory.csv, the pursuit report with distances.csv,
-positions.csv), ``sweep solve`` (``runner._sweep_closed_loops``: the
-lockstep march of the nash and team games of the table's longest horizon,
-folding nodes into closed-loop matrices), ``sweep forward``
-(``runner._sweep_cells``: each mode's forward pass over those matrices from
-one start per horizon of ``reproduce_table.TF_LIST``, and the cells'
-pursuit reports), then a whole ``run(level="simulate")`` and a whole
-``run_sweep`` of the table.
+the stage's work once. Its operands are one ``run(level="simulate")``'s
+result, and each ``run()`` stage is the call ``run()`` makes on it. In
+order: ``solve`` (of ``RunResult.solved_game``), ``verify_solution``
+(``runner._verify``), ``solution.csv``, ``gains + simulate``
+(``runner._simulate``), ``lyapunov_check`` (a ``NotApplicableError`` is
+part of the call), ``other writers`` (``runner._write_forward``:
+trajectory.csv, the pursuit report with distances.csv, positions.csv),
+``sweep solve`` (``runner._sweep_closed_loops``: the lockstep march of the
+nash and team games of the table's longest horizon, folding nodes into
+closed-loop matrices), ``sweep forward`` (``runner._sweep_cells``: each
+mode's forward pass over those matrices from one start per horizon of
+``reproduce_table.TF_LIST``, and the cells' pursuit reports), then a whole
+``run(level="simulate")`` and a whole ``run_sweep`` of the table.
 
 Every tree is loaded by ``load_tree`` under its own package name:
 ``aaolq_this`` and ``aaolq_control`` both from this checkout, and
-``aaolq_against`` from ``--against PATH``, which must have every name the
-table calls (a missing one is an error that names it). No stage calls the
-``aaolq`` on the import path, so no tree holds a place the others lack. A
-pair calls every stage ``ROUNDS`` times on each tree, the trees taking
-turns call by call in every order equally often; the pair's ratio of two
-trees is the median of its rounds' ratios. The control runs the same code
-as this tree, so this/control shows the timer's own noise and bias beside
-every other figure.
+``aaolq_against`` from ``--against PATH``. A tree that lacks a name the
+table reads is refused with exit code 2 and a message that names it; to
+time a tree older than ``runner._verify``, run that tree's own
+``scripts/time_stages.py --against`` this checkout, which has every name it
+reads. No stage calls the ``aaolq`` on the import path, so no tree holds a
+place the others lack. A pair calls every stage ``ROUNDS`` times on each
+tree, the trees taking turns call by call in every order equally often; the
+pair's ratio of two trees is the median of its rounds' ratios. The control
+runs the same code as this tree, so this/control shows the timer's own
+noise and bias beside every other figure.
 
 Per stage one line gives this tree's median [quartiles] CPU seconds per
 call; the ``tracemalloc`` peak of one more call above the traced memory at
@@ -49,6 +52,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import importlib.util
+import inspect
 import statistics
 import sys
 import tempfile
@@ -58,8 +62,6 @@ from collections import defaultdict
 from functools import partial
 from itertools import permutations
 from pathlib import Path
-
-import numpy as np
 
 from reproduce_table import MODES, TF_LIST
 
@@ -94,61 +96,44 @@ def load_tree(path: Path, name: str):
 def _stage_calls(tree, scenario, out: Path) -> dict:
     """Stage name -> a call on ``tree`` that does the stage's work once.
 
-    Each operand a later stage reads is made once, here, by the earlier
-    stage's call. A writer stage's call returns the directory under
-    ``out`` that it writes into.
+    The operands are one ``run()``'s; a writer stage's call returns the
+    directory under ``out`` that it writes into.
     """
     runner = tree.runner
-    game = scenario.build_game()
-    team = runner._team_game(scenario, game, scenario.run.mode)
-    active = game if team is None else team.reduced
-    dt, radius = scenario.run.dt, scenario.capture_radius
-    solve = partial(tree.solve_coupled, active, tree.TimeGrid.from_step(game.t0, game.tf, dt))
-    sol = solve()
-    if not sol.complete:
-        raise SystemExit(f"the scenario's solve ended with status {sol.status.value}")
-    bound_q, x0_norm = scenario.run.bound_q, float(np.linalg.norm(scenario.x0))
-    verify = partial(tree.verify_solution, active, sol, bound_q, x0_norm=x0_norm, r=radius)
-    conditions = verify()
-
-    def gains_simulate():
-        return tree.simulate(game, runner._player_gains(game, team, sol), scenario.x0)
-
-    traj = gains_simulate()
+    # Read before the run, which calls them too: a tree without one is named.
+    verify, simulate, write_forward = runner._verify, runner._simulate, runner._write_forward
+    result = tree.run(scenario, out / "run", level="simulate")
+    if result.traj is None:
+        raise SystemExit(f"the scenario's run ended with exit code {result.exit_code}")
     solution_dir, writers_dir = out / "solution", out / "writers"
     for directory in (solution_dir, writers_dir):
         directory.mkdir(parents=True)
 
     def solution_csv():
-        runner.write_solution_csv(solution_dir / "solution.csv", sol)
+        runner.write_solution_csv(solution_dir / "solution.csv", result.sol)
         return solution_dir
 
     def lyapunov():
         with contextlib.suppress(tree.NotApplicableError):
-            tree.lyapunov_check(traj, sol, conditions)
+            tree.lyapunov_check(result.traj, result.sol, result.conditions)
 
     def other_writers():
-        runner.write_trajectory_csv(writers_dir / "trajectory.csv", traj)
-        if game.n % 2 == 0:
-            report = tree.pursuit_report(traj, radius)
-            runner.write_distances_csv(writers_dir / "distances.csv", traj, report)
-        if scenario.pursuit is not None:
-            runner.write_positions_csv(writers_dir / "positions.csv", traj, scenario.pursuit)
+        write_forward(writers_dir, scenario, result)
         return writers_dir
 
     sweep_solve = partial(runner._sweep_closed_loops, scenario, MODES, max(TF_LIST))
     long_grid, failed, _, acls = sweep_solve()
-    grids = {tf: tree.TimeGrid.from_step(game.t0, tf, dt) for tf in TF_LIST}
+    grids = {tf: scenario.with_tf(tf).grid for tf in TF_LIST}
 
     def sweep_forward():
         # A fresh list each call: _sweep_cells releases each mode's entry.
         return runner._sweep_cells(scenario, MODES, long_grid, grids, failed, list(acls))
 
     return {
-        "solve": solve,
-        "verify_solution": verify,
+        "solve": partial(tree.solve_coupled, result.solved_game, result.grid),
+        "verify_solution": partial(verify, scenario, result),
         "solution.csv": solution_csv,
-        "gains + simulate": gains_simulate,
+        "gains + simulate": partial(simulate, scenario, result),
         "lyapunov_check": lyapunov,
         "other writers": other_writers,
         "sweep solve": sweep_solve,
@@ -288,10 +273,13 @@ def main(argv=None) -> int:
         try:
             lines = time_trees(trees, args.scenario, args.repeats, Path(tmp))
         except AttributeError as exc:
-            # A name the stage table looks up in PATH's tree; others are faults.
-            if getattr(exc.obj, "__name__", "").partition(".")[0] != "aaolq_against":
+            # A name PATH's tree lacks, of a module, a class or an instance; others are faults.
+            obj, module = exc.obj, inspect.getmodule(exc.obj)
+            if not getattr(module, "__name__", "").startswith("aaolq_against."):
                 raise
-            parser.error(f"--against: {exc.obj.__file__} has no {exc.name!r}")
+            owner = obj if isinstance(obj, type) else type(obj)
+            name = exc.name if obj is module else f"{owner.__qualname__}.{exc.name}"
+            parser.error(f"--against: {module.__file__} has no {name!r}")
     print("\n".join(lines))
     return 0
 

@@ -462,8 +462,10 @@ def march_lockstep(games: list[game_mod.GameDefinition], grid: TimeGrid, stores:
                     h = min(rem, max(STABILITY_TARGET / max(rate, 1e-300), h_min))
                     # A vanishing tail substep joins this one.
                     hs.append(rem if rem - h < h_min else h)
-                # Where no game subdivides, every game takes h = dt. An
-                # escaped game is never read again, so it rides along.
+                # Where every live game takes the same h (a lone game always
+                # does), hb is one float: the (M G, 1, 1) array gives S the same
+                # bits but took 1.13 times the CPU per benchmark nash solve on
+                # one core. An escaped game is never read again: it rides along.
                 stepped = len(running) == len(live)
                 if stepped and hs.count(hs[0]) == len(hs):
                     hb = -hs[0]

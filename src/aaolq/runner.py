@@ -145,25 +145,40 @@ def write_positions_csv(path: Path, traj: Trajectory, params):
     _write_table(path, header, table)
 
 
-def format_conditions(
-    mode: str,
-    game: GameDefinition,
-    grid: TimeGrid,
-    validation: ValidationReport,
-    sol: RiccatiSolution | None,
-    report: analysis.ConditionsReport | None,
-    extra_notes: tuple[str, ...] = (),
-) -> str:
+@dataclass
+class RunResult:
+    exit_code: int
+    out_dir: Path
+    mode: str
+    game: GameDefinition
+    grid: TimeGrid
+    team_game: TeamGame | None = None
+    validation: ValidationReport | None = None
+    sol: RiccatiSolution | None = None
+    conditions: analysis.ConditionsReport | None = None
+    traj: Trajectory | None = None
+    pursuit: PursuitReport | None = None
+    lyapunov: LyapunovReport | None = None
+    messages: list[str] = field(default_factory=list)
+
+    @property
+    def solved_game(self) -> GameDefinition:
+        """The game the backward solve plays: the team reduction in team mode, else the game."""
+        return self.game if self.team_game is None else self.team_game.reduced
+
+
+def _conditions_text(result: RunResult) -> str:
+    game, sol, report = result.solved_game, result.sol, result.conditions
     lines = ["conditions report", "================="]
-    lines.append(f"mode: {mode}")
+    lines.append(f"mode: {result.mode}")
     lines.append(
         f"players: {game.num_players}  states: {game.n}  "
-        f"horizon: [{_fmt(game.t0)}, {_fmt(game.tf)}]  dt: {_fmt(grid.dt)}"
+        f"horizon: [{_fmt(game.t0)}, {_fmt(game.tf)}]  dt: {_fmt(result.grid.dt)}"
     )
     lines.append("")
     lines.append("sign pattern")
-    lines.append(f"  aao_compliant: {_fmt_bool(validation.aao_compliant)}")
-    for v in validation.verdicts:
+    lines.append(f"  aao_compliant: {_fmt_bool(result.validation.aao_compliant)}")
+    for v in result.validation.verdicts:
         lines.append(
             f"  {v.name}: requirement={v.requirement} eig_min={_fmt(v.eig_min)} "
             f"eig_max={_fmt(v.eig_max)} ok={_fmt_bool(v.ok)}"
@@ -229,7 +244,12 @@ def format_conditions(
             f"(diagonal={_fmt_bool(d.diagonal_ok)} h_order={_fmt_bool(d.h_order_ok)} "
             f"sums={_fmt_bool(d.sums_ok)})"
         )
-    notes = list(validation.notes) + (list(report.notes) if report else []) + list(extra_notes)
+    notes = list(result.validation.notes) + (list(report.notes) if report else [])
+    if result.team_game is not None:
+        notes += [
+            "team mode: certificates refer to the reduced two-player game",
+            "nash and team comparisons share the scenario dt",
+        ]
     if notes:
         lines.append("")
         lines.append("notes")
@@ -238,29 +258,11 @@ def format_conditions(
     return "\n".join(lines) + "\n"
 
 
-@dataclass
-class RunResult:
-    exit_code: int
-    out_dir: Path
-    mode: str
-    game: GameDefinition | None = None
-    grid: TimeGrid | None = None
-    team_game: TeamGame | None = None
-    validation: ValidationReport | None = None
-    sol: RiccatiSolution | None = None
-    conditions: analysis.ConditionsReport | None = None
-    traj: Trajectory | None = None
-    pursuit: PursuitReport | None = None
-    lyapunov: LyapunovReport | None = None
-    messages: list[str] = field(default_factory=list)
-
-
 def _summary_text(result: RunResult) -> str:
     lines = ["run summary", "==========="]
     lines.append(f"mode: {result.mode}")
-    if result.grid is not None:
-        lines.append(f"dt: {_fmt(result.grid.dt)}")
-        lines.append(f"horizon: [{_fmt(result.grid.t0)}, {_fmt(result.grid.tf)}]")
+    lines.append(f"dt: {_fmt(result.grid.dt)}")
+    lines.append(f"horizon: [{_fmt(result.grid.t0)}, {_fmt(result.grid.tf)}]")
     lines.append(f"exit_code: {result.exit_code}")
     if result.sol is not None:
         lines.append(f"solve_status: {result.sol.status.value}")
@@ -323,6 +325,35 @@ def _out_path(scenario: Scenario, out_dir) -> Path:
     return Path(run_cfg.out_dir)
 
 
+def _verify(scenario: Scenario, result: RunResult) -> analysis.ConditionsReport:
+    """The certificates of ``result``'s complete solve, as ``run()`` makes them."""
+    return analysis.verify_solution(
+        result.solved_game,
+        result.sol,
+        scenario.run.bound_q,
+        x0_norm=float(np.linalg.norm(scenario.x0)),
+        r=scenario.capture_radius,
+    )
+
+
+def _simulate(scenario: Scenario, result: RunResult) -> Trajectory:
+    """The closed loop of ``result``'s solve from the scenario's x0."""
+    game = result.game
+    return simulate(game, _player_gains(game, result.team_game, result.sol), scenario.x0)
+
+
+def _write_forward(out: Path, scenario: Scenario, result: RunResult) -> PursuitReport | None:
+    """Write ``result``'s forward artifacts into ``out``; its pursuit report, None for odd n."""
+    traj, report = result.traj, None
+    write_trajectory_csv(out / "trajectory.csv", traj)
+    if result.game.n % 2 == 0:
+        report = pursuit_report(traj, scenario.capture_radius)
+        write_distances_csv(out / "distances.csv", traj, report)
+    if scenario.pursuit is not None:
+        write_positions_csv(out / "positions.csv", traj, scenario.pursuit)
+    return report
+
+
 def run(scenario: Scenario, out_dir=None, *, level: str = "simulate") -> RunResult:
     """Execute one scenario: validate, solve, verify, simulate, write artifacts.
 
@@ -331,33 +362,25 @@ def run(scenario: Scenario, out_dir=None, *, level: str = "simulate") -> RunResu
     solution.csv; "simulate" (the default) adds the forward run with
     trajectory.csv, distances.csv and, for pursuit scenarios,
     positions.csv. A failed stage sets the exit code and skips the stages
-    after it; conditions.txt and summary.txt are written once either way.
-    ``out_dir`` overrides ``scenario.run.out_dir`` and is checked as it is,
-    before anything is written.
+    after it; conditions.txt and summary.txt are written once either way,
+    each rendered from the result. ``_verify``, ``_simulate`` and
+    ``_write_forward`` run their stages on the scenario and the result,
+    which they leave as it is. ``out_dir`` overrides ``scenario.run.out_dir``
+    and is checked as it is, before anything is written.
     """
     if level not in ("check", "solve", "simulate"):
         raise ValueError(f"unknown run level {level!r}")
     out = _out_path(scenario, out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    mode = scenario.run.mode
-    result = RunResult(exit_code=EXIT_OK, out_dir=out, mode=mode)
-
-    game = active_game = result.game = scenario.build_game()
-    validation = result.validation = validate(game)
-    grid = result.grid = TimeGrid.from_step(game.t0, game.tf, scenario.run.dt)
-    extra_notes: tuple[str, ...] = ()
-    if not validation.aao_compliant:
+    game = scenario.build_game()
+    result = RunResult(EXIT_OK, out, scenario.run.mode, game=game, grid=scenario.grid)
+    result.validation = validate(game)
+    if not result.validation.aao_compliant:
         result.exit_code = EXIT_VALIDATION
         result.messages.append("game failed the all-against-one sign pattern; nothing solved")
     else:
-        result.team_game = _team_game(scenario, game, mode)
-        if result.team_game is not None:
-            active_game = result.team_game.reduced
-            extra_notes = (
-                "team mode: certificates refer to the reduced two-player game",
-                "nash and team comparisons share the scenario dt",
-            )
-        result.sol = solve_coupled(active_game, grid)
+        result.team_game = _team_game(scenario, game, result.mode)
+        result.sol = solve_coupled(result.solved_game, result.grid)
         if not result.sol.complete:
             result.exit_code = EXIT_BLOWUP
             result.messages.append(
@@ -365,38 +388,22 @@ def run(scenario: Scenario, out_dir=None, *, level: str = "simulate") -> RunResu
                 f"at t={_fmt(result.sol.failure_time)}"
             )
         else:
-            result.conditions = analysis.verify_solution(
-                active_game,
-                result.sol,
-                scenario.run.bound_q,
-                x0_norm=float(np.linalg.norm(scenario.x0)),
-                r=scenario.capture_radius,
-            )
-    conditions_txt = format_conditions(
-        mode, active_game, grid, validation, result.sol, result.conditions, extra_notes
-    )
-    _write_chunks(out / "conditions.txt", (conditions_txt,))
+            result.conditions = _verify(scenario, result)
+    _write_chunks(out / "conditions.txt", (_conditions_text(result),))
     if result.sol is not None and level in ("solve", "simulate"):
         write_solution_csv(out / "solution.csv", result.sol)
     if result.conditions is not None and level == "simulate":
-        player_gains = _player_gains(game, result.team_game, result.sol)
         try:
-            result.traj = simulate(game, player_gains, scenario.x0)
+            result.traj = _simulate(scenario, result)
         except DivergenceError as exc:
             result.exit_code = EXIT_DIVERGENCE
             result.messages.append(str(exc))
-    traj = result.traj
-    if traj is not None:
-        write_trajectory_csv(out / "trajectory.csv", traj)
-        if game.n % 2 == 0:
-            result.pursuit = pursuit_report(traj, scenario.capture_radius)
-            write_distances_csv(out / "distances.csv", traj, result.pursuit)
-        else:
+    if result.traj is not None:
+        result.pursuit = _write_forward(out, scenario, result)
+        if result.pursuit is None:
             result.messages.append("odd state dimension: no distance reporting")
-        if scenario.pursuit is not None:
-            write_positions_csv(out / "positions.csv", traj, scenario.pursuit)
         try:
-            result.lyapunov = lyapunov_check(traj, result.sol, result.conditions)
+            result.lyapunov = lyapunov_check(result.traj, result.sol, result.conditions)
         except NotApplicableError as exc:
             result.messages.append(str(exc))
     _write_chunks(out / "summary.txt", (_summary_text(result),))
@@ -480,8 +487,8 @@ def _sweep_closed_loops(scenario: Scenario, modes: tuple[str, ...], tf: float):
     history of S is held. Returns the grid, the march's failures and
     stats, and each mode's matrices, (steps+1, n, n).
     """
-    game = scenario.with_tf(tf).build_game()
-    grid = TimeGrid.from_step(game.t0, game.tf, scenario.run.dt)
+    long = scenario.with_tf(tf)
+    game, grid = long.build_game(), long.grid
     teams = [_team_game(scenario, game, mode) for mode in modes]
     folds = [_ClosedLoopFold(game, team, grid) for team in teams]
     failed, stats = march_lockstep(

@@ -24,9 +24,9 @@ are a convex combination over the M - 1 regulators, and one capture
 radius per scenario. The parser only
 converts JSON types and rejects unknown fields at every level. Errors
 carry the path of the offending field. A scenario keeps the game its
-constructor built and checked, and :meth:`Scenario.build_game` returns
-that object. Emission uses ``repr`` floats (17 significant digits), so
-parse(emit(s)) reproduces every matrix bitwise.
+constructor built and checked, returned by :meth:`Scenario.build_game`,
+and the grid it checked, ``Scenario.grid``. Emission uses ``repr`` floats
+(17 significant digits), so parse(emit(s)) reproduces every matrix bitwise.
 """
 from __future__ import annotations
 
@@ -89,6 +89,7 @@ class Scenario(ValueEquality):
     explicit_x0: np.ndarray | None
     run: RunConfig
     _game: GameDefinition = field(init=False, repr=False)
+    grid: TimeGrid = field(init=False, repr=False)
 
     def __post_init__(self):
         if (self.pursuit is None) == (self.explicit is None):
@@ -109,6 +110,7 @@ class Scenario(ValueEquality):
             grid = TimeGrid.from_step(game.t0, game.tf, self.run.dt)
         except ValidationError as exc:
             raise ScenarioError(f"run.dt: {exc}") from exc
+        object.__setattr__(self, "grid", grid)
         # Team mode solves the two-player reduction.
         players = 2 if self.run.mode == "team" else game.num_players
         history = players * (grid.steps + 1) * game.n * game.n * 8

@@ -459,6 +459,21 @@ class TestScenarioChecks:
         scenario = parse_scenario(json.dumps(doc))
         assert scenario.pursuit is None and scenario.run == RunConfig()
 
+    @pytest.mark.parametrize("name", ["pursuit_coarse.json", "explicit_small.json"])
+    def test_grid_is_the_checked_grid_of_every_rebuild(self, name):
+        scenario = load_scenario(SCENARIO_DIR / name)
+        game, dt = scenario.build_game(), scenario.run.dt
+        assert scenario.grid == TimeGrid.from_step(game.t0, game.tf, dt)
+        finer = _replace_run(scenario, dt=dt / 2)
+        assert finer.grid == TimeGrid.from_step(game.t0, game.tf, dt / 2)
+        shorter = scenario.with_tf(game.tf / 2)
+        assert shorter.grid == TimeGrid.from_step(game.t0, game.tf / 2, dt)
+        # The grid is derived, never emitted.
+        text = emit_scenario(scenario)
+        assert "grid" not in text and parse_scenario(text).grid == scenario.grid
+        if scenario.explicit is not None:
+            assert json.loads(text) == json.loads((SCENARIO_DIR / name).read_text())
+
 
 class TestReadmeExamples:
     def test_readme_scenario_blocks_parse(self):
@@ -782,6 +797,17 @@ class TestRunPipeline:
         assert f"  peak_norm: {stats.peak_norm!r} at t={stats.peak_time!r}\n" in text
         assert result.conditions.sum_q_min_eig == pytest.approx(-3.92, abs=0.005)
         assert result.conditions.sum_sf_min_eig == pytest.approx(-11.92, abs=0.005)
+        assert text.endswith(
+            "  - team mode: certificates refer to the reduced two-player game\n"
+            "  - nash and team comparisons share the scenario dt\n"
+        )
+
+    def test_solved_game_is_the_game_or_its_team_reduction(self, tmp_path):
+        team_scenario = load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
+        team = run(team_scenario, out_dir=tmp_path / "team", level="check")
+        assert team.team_game is not None and team.solved_game is team.team_game.reduced
+        nash = run(_replace_run(team_scenario, mode="nash"), out_dir=tmp_path / "nash", level="check")
+        assert nash.team_game is None and nash.solved_game is nash.game
 
     def test_zero_horizon_trajectory_single_row(self, tmp_path):
         doc = {
@@ -816,6 +842,18 @@ class TestRunPipeline:
         assert result.sol is None
         text = (tmp_path / "conditions.txt").read_text()
         assert "aao_compliant: false" in text
+
+    def test_noncompliant_team_run_reports_the_full_game(self, tmp_path):
+        # The coarse team game with a regulating opponent: four players, none reduced.
+        coarse = load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
+        game = coarse.build_game()
+        broken = dataclasses.replace(game, Q=(-game.Q[0], *game.Q[1:]))
+        result = run(Scenario(None, broken, coarse.x0, coarse.run), out_dir=tmp_path)
+        assert result.exit_code == 2 and result.team_game is None
+        assert result.solved_game is result.game
+        text = (tmp_path / "conditions.txt").read_text()
+        assert "mode: team\nplayers: 4  states: 6  " in text
+        assert "team mode" not in text and "scenario dt" not in text
 
     def test_blowup_still_writes_conditions(self, tmp_path):
         result = run(parse_scenario(json.dumps(ESCAPE_GAME)), out_dir=tmp_path)

@@ -160,15 +160,15 @@ def test_against_a_path_without_a_source_tree_is_an_error(tmp_path):
     assert f"--against: {tmp_path} holds no src/aaolq/__init__.py" in child.stderr
 
 
-def test_against_a_tree_without_a_stage_table_name_is_an_error(tmp_path):
-    # A tree whose runner lacks one of the names the stage table calls.
+@pytest.mark.parametrize("name", ["_sweep_closed_loops", "_verify"])
+def test_against_a_tree_without_a_stage_table_name_is_an_error(tmp_path, name):
+    # A tree whose runner lacks one of the names the stage table calls;
+    # _verify is named before the tree's own run(), which calls it, fails.
     tree = tmp_path / "tree"
     package = tree / "src" / "aaolq"
     shutil.copytree(ROOT / "src" / "aaolq", package, ignore=shutil.ignore_patterns("__pycache__"))
     with (package / "runner.py").open("a") as runner_py:
-        runner_py.write("\ndel _sweep_closed_loops\n")
+        runner_py.write(f"\ndel {name}\n")
     child = _script(tmp_path, "--scenario", str(COARSE), "--repeats", "1", "--against", str(tree))
     assert child.returncode == 2
-    assert child.stderr.endswith(
-        f"--against: {package / 'runner.py'} has no '_sweep_closed_loops'\n"
-    ), child.stderr
+    assert child.stderr.endswith(f"--against: {package / 'runner.py'} has no {name!r}\n"), child.stderr
