@@ -28,12 +28,19 @@ from reproduce_table import MODES, TF_LIST
 ROOT = Path(__file__).resolve().parent.parent
 
 
+#: Bytes read at a time when hashing an artifact.
+BLOCK = 1 << 20
+
+
 def _digests(directory: Path) -> dict[str, str]:
     """sha256 of every file in ``directory``, each read in blocks, not whole."""
     digests = {}
     for path in sorted(directory.iterdir()):
+        digest = hashlib.sha256()
         with path.open("rb") as file:
-            digests[path.name] = hashlib.file_digest(file, "sha256").hexdigest()
+            while block := file.read(BLOCK):
+                digest.update(block)
+        digests[path.name] = digest.hexdigest()
     return digests
 
 

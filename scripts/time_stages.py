@@ -2,44 +2,44 @@
 """CPU-time medians of the stages of ``run()`` and of the paper-table sweep,
 each stage paired with an identical control tree and, optionally, another tree.
 
-One table (``_stage_calls``) defines the stages, each as one call that does
-the stage's work once. Its operands are one ``run(level="simulate")``'s
-result, and each ``run()`` stage is the call ``run()`` makes on it. In
-order: ``solve`` (of ``RunResult.solved_game``), ``verify_solution``
-(``runner._verify``), ``solution.csv``, ``gains + simulate``
-(``runner._simulate``), ``lyapunov_check`` (a ``NotApplicableError`` is
-part of the call), ``other writers`` (``runner._write_forward``:
-trajectory.csv, the pursuit report with distances.csv, positions.csv),
-``sweep solve`` (``runner._sweep_closed_loops``: the lockstep march of the
-nash and team games of the table's longest horizon, folding nodes into
-closed-loop matrices), ``sweep forward`` (``runner._sweep_cells``: each
-mode's forward pass over those matrices from one start per horizon of
-``reproduce_table.TF_LIST``, and the cells' pursuit reports), then a whole
-``run(level="simulate")`` and a whole ``run_sweep`` of the table.
+A round of a tree is one ``run(level="simulate")`` and one ``run_sweep`` of
+the table, and a ``Clock`` times the stage calls those two make on their own
+operands: for the round it replaces the ``runner`` functions they look up at
+call time (``STAGES``) with timing wrappers, as perfbench's tracer does. In
+order: ``solve`` (``solve_coupled``), ``verify_solution`` (``_verify``),
+``solution.csv`` (``write_solution_csv``), ``gains + simulate``
+(``_simulate``), ``lyapunov_check`` (a ``NotApplicableError`` is part of the
+call), ``other writers`` (``_write_forward``: trajectory.csv, the pursuit
+report with distances.csv, positions.csv), ``sweep solve``
+(``_sweep_closed_loops``: the lockstep march of the nash and team games of
+the table's longest horizon, folding nodes into closed-loop matrices) and
+``sweep forward`` (``_sweep_cells``: each mode's forward pass from one start
+per horizon of ``reproduce_table.TF_LIST``, and the cells' pursuit reports),
+then the whole ``run()`` and ``run_sweep()``. A scenario whose run ends with
+a non-zero exit code, or a round that misses a stage, is refused.
 
 Every tree is loaded by ``load_tree`` under its own package name:
 ``aaolq_this`` and ``aaolq_control`` both from this checkout, and
-``aaolq_against`` from ``--against PATH``. A tree that lacks a name the
-table reads is refused with exit code 2 and a message that names it; to
-time a tree older than ``runner._verify``, run that tree's own
-``scripts/time_stages.py --against`` this checkout, which has every name it
-reads. No stage calls the ``aaolq`` on the import path, so no tree holds a
-place the others lack. A pair calls every stage ``ROUNDS`` times on each
-tree, the trees taking turns call by call in every order equally often; the
-pair's ratio of two trees is the median of its rounds' ratios. The control
-runs the same code as this tree, so this/control shows the timer's own
-noise and bias beside every other figure.
+``aaolq_against`` from ``--against PATH``. A tree whose ``runner`` lacks a
+stage function is refused with exit code 2 and a message that names it. No
+round calls the ``aaolq`` on the import path, so no tree holds a place the
+others lack. Every tree runs one untimed round first; then a pair runs
+``ROUNDS`` rounds of every tree, the trees taking turns in every order
+equally often, and the pair's ratio of two trees is the median of its
+rounds' ratios. The control runs the same code as this tree, so
+this/control shows the timer's own noise and bias beside every other figure.
 
 Per stage one line gives this tree's median [quartiles] CPU seconds per
-call; the ``tracemalloc`` peak of one more call above the traced memory at
-its start; this/control as the median [quartiles] of the pairs' ratios,
-with the pairs where this tree was faster and slower; with ``--against``,
-this/against the same way and ``resolved`` when its median lies outside the
-control's quartiles, else ``unresolved``; and the stage's work: substeps
-and microseconds per substep for the solve, the bytes each writer wrote,
-and for the sweep solve each game's substeps and the lockstep iterations
-(one RK4 substep of every game still marching), counted in one more,
-untimed call that wraps ``riccati._Stages.step``.
+round; the ``tracemalloc`` peak above the traced memory at the call's start
+in one more round of this tree, traced, into an empty directory;
+this/control as the median [quartiles] of the pairs' ratios, with the pairs
+where this tree was faster and slower; with ``--against``, this/against the
+same way and ``resolved`` when its median lies outside the control's
+quartiles, else ``unresolved``; and the work of the traced round: substeps
+and microseconds per substep for the solve, the bytes each writer added to
+the directory, and for the sweep solve each game's substeps and the lockstep
+iterations ``march_lockstep`` counts (one RK4 substep of every game still
+marching).
 
 Artifacts go to a temporary directory that is removed on exit. Pin the
 BLAS thread count and the CPU for comparable numbers:
@@ -50,9 +50,7 @@ BLAS thread count and the CPU for comparable numbers:
 from __future__ import annotations
 
 import argparse
-import contextlib
 import importlib.util
-import inspect
 import statistics
 import sys
 import tempfile
@@ -66,13 +64,26 @@ from pathlib import Path
 from reproduce_table import MODES, TF_LIST
 
 ROOT = Path(__file__).resolve().parent.parent
-#: Calls of each stage per tree in one pair: every order of two or of three
-#: trees equally often, since a call timed later in a round reads slower.
-#: Each order of three comes twice: a pair's ratio spreads about as one over
-#: the square root of its rounds, and at six rounds the control's quartiles
-#: on the benchmark solve could hide a 2.5% change (one more numpy call per
-#: RK4 substep).
+#: Rounds of every tree in one pair: every order of two or of three trees
+#: equally often, since a tree timed later in a round reads slower. Each
+#: order of three comes twice: a pair's ratio spreads about as one over the
+#: square root of its rounds, and at six rounds the control's quartiles on
+#: the benchmark solve could hide a 2.5% change (one more numpy call per RK4
+#: substep).
 ROUNDS = 12
+#: Stage -> the ``runner`` function whose call inside ``run()`` or
+#: ``run_sweep()`` is the stage.
+STAGES = {
+    "solve": "solve_coupled",
+    "verify_solution": "_verify",
+    "solution.csv": "write_solution_csv",
+    "gains + simulate": "_simulate",
+    "lyapunov_check": "lyapunov_check",
+    "other writers": "_write_forward",
+    "sweep solve": "_sweep_closed_loops",
+    "sweep forward": "_sweep_cells",
+}
+LINES = (*STAGES, "run()", "run_sweep()")
 
 
 def load_tree(path: Path, name: str):
@@ -93,84 +104,71 @@ def load_tree(path: Path, name: str):
     return package
 
 
-def _stage_calls(tree, scenario, out: Path) -> dict:
-    """Stage name -> a call on ``tree`` that does the stage's work once.
-
-    The operands are one ``run()``'s; a writer stage's call returns the
-    directory under ``out`` that it writes into.
-    """
-    runner = tree.runner
-    # Read before the run, which calls them too: a tree without one is named.
-    verify, simulate, write_forward = runner._verify, runner._simulate, runner._write_forward
-    result = tree.run(scenario, out / "run", level="simulate")
-    if result.traj is None:
-        raise SystemExit(f"the scenario's run ended with exit code {result.exit_code}")
-    solution_dir, writers_dir = out / "solution", out / "writers"
-    for directory in (solution_dir, writers_dir):
-        directory.mkdir(parents=True)
-
-    def solution_csv():
-        runner.write_solution_csv(solution_dir / "solution.csv", result.sol)
-        return solution_dir
-
-    def lyapunov():
-        with contextlib.suppress(tree.NotApplicableError):
-            tree.lyapunov_check(result.traj, result.sol, result.conditions)
-
-    def other_writers():
-        write_forward(writers_dir, scenario, result)
-        return writers_dir
-
-    sweep_solve = partial(runner._sweep_closed_loops, scenario, MODES, max(TF_LIST))
-    long_grid, failed, _, acls = sweep_solve()
-    grids = {tf: scenario.with_tf(tf).grid for tf in TF_LIST}
-
-    def sweep_forward():
-        # A fresh list each call: _sweep_cells releases each mode's entry.
-        return runner._sweep_cells(scenario, MODES, long_grid, grids, failed, list(acls))
-
-    return {
-        "solve": partial(tree.solve_coupled, result.solved_game, result.grid),
-        "verify_solution": partial(verify, scenario, result),
-        "solution.csv": solution_csv,
-        "gains + simulate": partial(simulate, scenario, result),
-        "lyapunov_check": lyapunov,
-        "other writers": other_writers,
-        "sweep solve": sweep_solve,
-        "sweep forward": sweep_forward,
-        "run()": partial(tree.run, scenario, out / "run", level="simulate"),
-        "run_sweep()": partial(tree.run_sweep, scenario, TF_LIST, MODES, out / "sweep"),
-    }
+def _size(directory: Path) -> int:
+    """Bytes of every file under ``directory``."""
+    return sum(path.stat().st_size for path in directory.rglob("*") if path.is_file())
 
 
-def _traced(call):
-    """``call()``'s result and its ``tracemalloc`` peak in bytes; tracing
-    starts with the call, so the peak is above the traced memory at its start."""
-    tracemalloc.start()
+class Clock:
+    """The CPU seconds of every call one round times, summed by stage; when
+    ``traced``, also each stage's result, ``tracemalloc`` peak and the bytes
+    it added under ``out``, the round's directory."""
+
+    def __init__(self, out: Path, traced: bool):
+        self.out, self.traced = out, traced
+        self.seconds, self.results = defaultdict(float), {}
+        self.peaks, self.written = defaultdict(int), defaultdict(int)
+        # The whole call's traced peak before a stage's reset_peak().
+        self.high = 0
+
+    def call(self, stage: str, fn, *args, **kwargs):
+        """``fn(*args, **kwargs)``, timed as ``stage``; a call made while no
+        tracing runs is a whole call, and starts and stops it."""
+        if self.traced:
+            size = _size(self.out)
+            whole = not tracemalloc.is_tracing()
+            if whole:
+                tracemalloc.start()
+            base, high = tracemalloc.get_traced_memory()
+            self.high = 0 if whole else max(self.high, high)
+            tracemalloc.reset_peak()
+        start = time.process_time()
+        try:
+            result = fn(*args, **kwargs)
+            if self.traced:
+                self.results[stage] = result
+            return result
+        finally:
+            self.seconds[stage] += time.process_time() - start
+            if self.traced:
+                peak = tracemalloc.get_traced_memory()[1]
+                if whole:
+                    peak = max(peak, self.high)
+                    tracemalloc.stop()
+                self.peaks[stage] = max(self.peaks[stage], peak - base)
+                self.written[stage] += _size(self.out) - size
+
+
+def _round(tree, scenario, out: Path, traced: bool = False) -> Clock:
+    """One ``run()`` and one table ``run_sweep()`` of ``tree`` into ``out``,
+    clocked with every stage call they make."""
+    clock, runner = Clock(out, traced), tree.runner
+    originals = {stage: getattr(runner, name) for stage, name in STAGES.items()}
+    out.mkdir(parents=True, exist_ok=True)
     try:
-        return call(), tracemalloc.get_traced_memory()[1]
+        for stage, name in STAGES.items():
+            setattr(runner, name, partial(clock.call, stage, originals[stage]))
+        result = clock.call("run()", tree.run, scenario, out / "run", level="simulate")
+        if result.exit_code:
+            raise SystemExit(f"the scenario's run ended with exit code {result.exit_code}")
+        clock.call("run_sweep()", tree.run_sweep, scenario, TF_LIST, MODES, out / "sweep")
     finally:
-        tracemalloc.stop()
-
-
-def _iterations(tree, call) -> int:
-    """The lockstep iterations ``call()`` runs, counted as ``tree``'s
-    ``riccati._Stages.step`` calls."""
-    stages = tree.riccati._Stages
-    step = stages.step
-    count = 0
-
-    def counting_step(self, *args):
-        nonlocal count
-        count += 1
-        return step(self, *args)
-
-    stages.step = counting_step
-    try:
-        call()
-        return count
-    finally:
-        stages.step = step
+        for stage, name in STAGES.items():
+            setattr(runner, name, originals[stage])
+    missing = [stage for stage in LINES if stage not in clock.seconds]
+    if missing:
+        raise SystemExit(f"{tree.__name__}'s pipeline did not call {', '.join(missing)}")
+    return clock
 
 
 def _quartiles(values: list[float]) -> list[float]:
@@ -191,40 +189,39 @@ def _ratio_text(label: str, ratios: list[float]) -> str:
 
 def time_trees(trees: dict, scenario_path: str, pairs: int, work: Path) -> list[str]:
     """Every stage's line, timing the trees (this one first) in ``pairs`` pairs."""
-    calls = {}
+    scenarios = {label: tree.load_scenario(scenario_path) for label, tree in trees.items()}
     for label, tree in trees.items():
-        scenario = tree.load_scenario(scenario_path)
-        calls[label] = _stage_calls(tree, scenario, work / label)
-        for call in calls[label].values():
-            call()  # lazy set-up, untimed
+        # Untimed: lazy set-up, and the artifacts every later round replaces.
+        _round(tree, scenarios[label], work / label)
     labels = list(trees)
     orders = list(permutations(labels))
     seconds = defaultdict(list)
     ratios = {label: defaultdict(list) for label in labels[1:]}
     for _ in range(pairs):
-        for stage in calls["this"]:
-            rounds = {label: [] for label in labels}
-            for r in range(ROUNDS):
-                for label in orders[r % len(orders)]:
-                    start = time.process_time()
-                    calls[label][stage]()
-                    rounds[label].append(time.process_time() - start)
+        pair = {label: defaultdict(list) for label in labels}
+        for r in range(ROUNDS):
+            for label in orders[r % len(orders)]:
+                clock = _round(trees[label], scenarios[label], work / label)
+                for stage, s in clock.seconds.items():
+                    pair[label][stage].append(s)
+        for stage in LINES:
             for label in labels[1:]:
-                pair = zip(rounds["this"], rounds[label])
-                ratios[label][stage].append(statistics.median(a / b for a, b in pair))
-            seconds[stage] += rounds["this"]
+                ratio = zip(pair["this"][stage], pair[label][stage])
+                ratios[label][stage].append(statistics.median(a / b for a, b in ratio))
+            seconds[stage] += pair["this"][stage]
+    traced = _round(trees["this"], scenarios["this"], work / "traced", traced=True)
     lines = [
-        f"{scenario_path}, mode {scenario.run.mode}: {pairs} pairs of {ROUNDS} rounds on CPU"
-        f" time; sweeps of modes {','.join(MODES)}, tf {','.join(f'{t:g}' for t in TF_LIST)}",
+        f"{scenario_path}, mode {scenarios['this'].run.mode}: {pairs} pairs of {ROUNDS} rounds"
+        f" on CPU time; sweeps of modes {','.join(MODES)}, tf {','.join(f'{t:g}' for t in TF_LIST)}",
         *(f"  {label:<8}{Path(tree.__file__).parent}" for label, tree in trees.items()),
         f"  {'stage':<18}{'this s':>8}   [q1, q3]          tracemalloc peak  pair ratios"
         " median [q1, q3], pairs this tree won and lost; work",
     ]
-    for stage, call in calls["this"].items():
-        result, peak = _traced(call)
+    for stage in LINES:
         low, median, high = _quartiles(seconds[stage])
         text = (
-            f"  {stage:<18}{median:8.4f} s [{low:.4f}, {high:.4f}] {peak / 2**20:7.2f} MiB"
+            f"  {stage:<18}{median:8.4f} s [{low:.4f}, {high:.4f}]"
+            f" {traced.peaks[stage] / 2**20:7.2f} MiB"
             + _ratio_text("control", ratios["control"][stage])
         )
         if "against" in ratios:
@@ -232,14 +229,15 @@ def time_trees(trees: dict, scenario_path: str, pairs: int, work: Path) -> list[
             resolved = not q1 <= _quartiles(ratios["against"][stage])[1] <= q3
             text += _ratio_text("against", ratios["against"][stage])
             text += " resolved" if resolved else " unresolved"
+        result = traced.results.get(stage)
         if stage == "solve":
             per = 1e6 * median / max(result.stats.substeps, 1)
             text += f"  {result.stats.substeps:,} substeps {per:.1f} us/substep"
-        elif isinstance(result, Path):
-            text += f"  {sum(path.stat().st_size for path in result.iterdir()):,} bytes"
+        elif stage in ("solution.csv", "other writers"):
+            text += f"  {traced.written[stage]:,} bytes"
         elif stage == "sweep solve":
-            iterations = _iterations(trees["this"], call)
-            games = " + ".join(f"{mode} {s.substeps:,}" for mode, s in zip(MODES, result[2]))
+            _, _, stats, iterations, _ = result
+            games = " + ".join(f"{mode} {s.substeps:,}" for mode, s in zip(MODES, stats))
             per = 1e6 * median / max(iterations, 1)
             text += f"  {games} substeps in {iterations:,} iterations {per:.1f} us/iteration"
         elif stage == "run()":
@@ -269,17 +267,13 @@ def main(argv=None) -> int:
         trees = {label: load_tree(path, f"aaolq_{label}") for label, path in paths.items()}
     except FileNotFoundError as exc:
         parser.error(f"--against: {exc}")
+    if "against" in trees:
+        runner = trees["against"].runner
+        missing = [name for name in STAGES.values() if not hasattr(runner, name)]
+        if missing:
+            parser.error(f"--against: {runner.__file__} has no {', '.join(map(repr, missing))}")
     with tempfile.TemporaryDirectory() as tmp:
-        try:
-            lines = time_trees(trees, args.scenario, args.repeats, Path(tmp))
-        except AttributeError as exc:
-            # A name PATH's tree lacks, of a module, a class or an instance; others are faults.
-            obj, module = exc.obj, inspect.getmodule(exc.obj)
-            if not getattr(module, "__name__", "").startswith("aaolq_against."):
-                raise
-            owner = obj if isinstance(obj, type) else type(obj)
-            name = exc.name if obj is module else f"{owner.__qualname__}.{exc.name}"
-            parser.error(f"--against: {module.__file__} has no {name!r}")
+        lines = time_trees(trees, args.scenario, args.repeats, Path(tmp))
     print("\n".join(lines))
     return 0
 

@@ -364,7 +364,7 @@ def solve_coupled(game: game_mod.GameDefinition, grid: TimeGrid) -> RiccatiSolut
     hist = np.full((game.num_players, grid.steps + 1, game.n, game.n), np.nan)
     # The march stores node k as hist[:, k], each matrix flattened.
     store = hist.reshape(hist.shape[:2] + (-1,)).swapaxes(0, 1)
-    failed, (stats,) = march_lockstep([game], grid, [store])
+    failed, (stats,), _ = march_lockstep([game], grid, [store])
     fail = failed.get(0)
     # Integrity probe over the stored nodes: every stage is bitwise
     # symmetric, so this reads 0.0 unless the arithmetic stops preserving it.
@@ -393,8 +393,9 @@ def march_lockstep(games: list[game_mod.GameDefinition], grid: TimeGrid, stores:
     g reaches is stored as ``stores[g][k] = s``, from the grid's last node
     down: ``s`` holds its players' matrices flattened, (players, n * n),
     and is a view the loop overwrites. Returns each failed game's first
-    node not reached, status and reason, keyed by game, and every game's
-    stats.
+    node not reached, status and reason, keyed by game, every game's
+    stats, and the loop's iterations: one RK4 substep of every game still
+    marching, so a lone complete game's iterations are its substeps.
     """
     if not games:
         raise ValidationError("a lockstep solve needs at least one game")
@@ -427,6 +428,7 @@ def march_lockstep(games: list[game_mod.GameDefinition], grid: TimeGrid, stores:
     dt = grid.dt
     h_min = dt / float(MAX_SUBSTEPS) if steps else 0.0
     substeps = [0] * count
+    iterations = 0
     subdivided = [0] * count
     smallest = [dt] * count
     # Squared-trace norms of every player, game by game; padded players
@@ -475,6 +477,7 @@ def march_lockstep(games: list[game_mod.GameDefinition], grid: TimeGrid, stores:
                         hb_players[:, g] = -h
                     hb = hb_array
                 step(cur, hb, new)
+                iterations += 1
                 norms = _vecdot(new_f, new_f).tolist()
                 going = []
                 for g, h in zip(running, hs):
@@ -526,7 +529,8 @@ def march_lockstep(games: list[game_mod.GameDefinition], grid: TimeGrid, stores:
                 live = [g for g in live if g not in failed]
                 if not live:
                     break
-    return failed, list(map(SolveStats, substeps, subdivided, smallest, peak, peak_time))
+    stats = list(map(SolveStats, substeps, subdivided, smallest, peak, peak_time))
+    return failed, stats, iterations
 
 
 @dataclass(frozen=True, eq=False)

@@ -484,17 +484,17 @@ def _sweep_closed_loops(scenario: Scenario, modes: tuple[str, ...], tf: float):
     Each mode plays the game, or its team reduction, and all of them are
     marched in one loop. Each mode's :class:`_ClosedLoopFold` turns the
     nodes into closed-loop matrices as the march reaches them, so no
-    history of S is held. Returns the grid, the march's failures and
-    stats, and each mode's matrices, (steps+1, n, n).
+    history of S is held. Returns the grid, the march's failures, stats
+    and iterations, and each mode's matrices, (steps+1, n, n).
     """
     long = scenario.with_tf(tf)
     game, grid = long.build_game(), long.grid
     teams = [_team_game(scenario, game, mode) for mode in modes]
     folds = [_ClosedLoopFold(game, team, grid) for team in teams]
-    failed, stats = march_lockstep(
+    failed, stats, iterations = march_lockstep(
         [game if team is None else team.reduced for team in teams], grid, folds
     )
-    return grid, failed, stats, [fold.finish() for fold in folds]
+    return grid, failed, stats, iterations, [fold.finish() for fold in folds]
 
 
 def _sweep_cells(scenario: Scenario, modes, long_grid, grids, failed, acls) -> dict:
@@ -578,7 +578,7 @@ def run_sweep(scenario: Scenario, tf_list, modes=None, out_dir=None) -> SweepRes
 
     by_cell = {}
     for grids in groups.values():
-        long_grid, failed, _, acls = _sweep_closed_loops(scenario, modes, max(grids))
+        long_grid, failed, _, _, acls = _sweep_closed_loops(scenario, modes, max(grids))
         by_cell.update(_sweep_cells(scenario, modes, long_grid, grids, failed, acls))
     cells = [by_cell[mode, tf] for mode in modes for tf in tf_tuple]
 

@@ -234,7 +234,7 @@ def march_solutions(games, grid) -> list[RiccatiSolution]:
     ``solve_coupled``'s probe and reads NaN here.
     """
     hists = [np.full((g.num_players, grid.steps + 1, g.n, g.n), np.nan) for g in games]
-    failed, stats = march_lockstep(
+    failed, stats, _ = march_lockstep(
         games, grid, [h.reshape(h.shape[:2] + (-1,)).swapaxes(0, 1) for h in hists]
     )
     times = grid.times()

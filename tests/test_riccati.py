@@ -462,6 +462,30 @@ class TestSolveLockstep:
         assert (sols["nash"].num_players, sols["team"].num_players) == (4, 2)
         assert (sols["nash"].stats.substeps, sols["team"].stats.substeps) == (2_584, 2_094)
 
+    def test_iterations_count_the_lockstep_substeps(self, monkeypatch):
+        # Alone, a complete game's iterations are its substeps. Beside its
+        # padded team reduction, nash's iterations lie between the larger and
+        # the summed substeps, and each is one _Stages.step call.
+        scenario = load_scenario(BENCHMARK).with_tf(2.0)
+        nash = scenario.build_game()
+        team = build_team_game(nash).reduced
+        grid = TimeGrid.from_step(nash.t0, nash.tf, scenario.run.dt)
+        _, (alone,), iterations = march_lockstep([nash], grid, [{}])
+        assert iterations == alone.substeps == 2_584
+        steps = 0
+        step = _Stages.step
+
+        def counting_step(self, *args):
+            nonlocal steps
+            steps += 1
+            return step(self, *args)
+
+        monkeypatch.setattr(_Stages, "step", counting_step)
+        failed, stats, iterations = march_lockstep([nash, team], grid, [{}, {}])
+        assert not failed and [s.substeps for s in stats] == [2_584, 2_094]
+        assert 2_584 <= iterations <= 2_584 + 2_094
+        assert iterations == steps
+
     @pytest.mark.parametrize("escape_first", [True, False])
     def test_escape_beside_bounded_game(self, escape_first):
         # The bounded game is one player, padded to two, and runs on alone

@@ -1343,7 +1343,7 @@ def _fold_and_reference(scenario, modes, tf):
     ``runner._sweep_closed_loops`` folded and the reference, built from
     ``helpers.march_solutions`` and ``_player_gains``.
     """
-    grid, failed, _, acls = runner._sweep_closed_loops(scenario, modes, tf)
+    grid, failed, _, _, acls = runner._sweep_closed_loops(scenario, modes, tf)
     long_game = scenario.with_tf(tf).build_game()
     teams = [runner._team_game(scenario, long_game, mode) for mode in modes]
     games = [long_game if team is None else team.reduced for team in teams]

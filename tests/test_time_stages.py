@@ -1,16 +1,19 @@
 """Smoke tests of ``scripts/time_stages.py`` on the coarse pursuit scenario."""
 from __future__ import annotations
 
+import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 from aaolq import load_scenario, run
+from helpers import ESCAPE_GAME
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "time_stages.py"
@@ -95,8 +98,8 @@ def test_one_pair_prints_every_stage_and_writes_nothing(fixture, request):
             # With one pair, the control's quartiles are its one ratio.
             if a_ratio != float(ratio):
                 assert verdict[6] == "resolved", stage
-    # The traced peak of one more call above its start, never above the
-    # whole run()'s or run_sweep()'s; lyapunov_check raises at once.
+    # The traced round's peak of each call above its start, never above the
+    # whole run()'s or run_sweep()'s it is made in; lyapunov_check raises at once.
     peaks = {stage: float(fields[3]) for stage, fields in lines.items()}
     for stage in RUN_STAGES:
         if stage != "lyapunov_check":
@@ -162,8 +165,8 @@ def test_against_a_path_without_a_source_tree_is_an_error(tmp_path):
 
 @pytest.mark.parametrize("name", ["_sweep_closed_loops", "_verify"])
 def test_against_a_tree_without_a_stage_table_name_is_an_error(tmp_path, name):
-    # A tree whose runner lacks one of the names the stage table calls;
-    # _verify is named before the tree's own run(), which calls it, fails.
+    # A tree whose runner lacks one of the functions the clock wraps is
+    # named before any round, so its own run(), which calls it, never fails.
     tree = tmp_path / "tree"
     package = tree / "src" / "aaolq"
     shutil.copytree(ROOT / "src" / "aaolq", package, ignore=shutil.ignore_patterns("__pycache__"))
@@ -172,3 +175,35 @@ def test_against_a_tree_without_a_stage_table_name_is_an_error(tmp_path, name):
     child = _script(tmp_path, "--scenario", str(COARSE), "--repeats", "1", "--against", str(tree))
     assert child.returncode == 2
     assert child.stderr.endswith(f"--against: {package / 'runner.py'} has no {name!r}\n"), child.stderr
+
+
+def test_a_scenario_whose_run_fails_is_refused(tmp_path):
+    scenario = tmp_path / "escape.json"
+    scenario.write_text(json.dumps(ESCAPE_GAME))
+    child = _script(tmp_path, "--scenario", str(scenario), "--repeats", "1")
+    assert child.returncode == 1
+    assert child.stderr == "the scenario's run ended with exit code 3\n"
+
+
+def test_a_round_that_misses_a_stage_names_it(monkeypatch, tmp_path):
+    # A pipeline whose run() calls only the solve and whose run_sweep()
+    # calls only the sweep's forward pass; the clock restores every name.
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import time_stages
+
+    runner = types.SimpleNamespace(**{name: len for name in time_stages.STAGES.values()})
+
+    def run(scenario, out, level):
+        runner.solve_coupled("game")
+        return types.SimpleNamespace(exit_code=0)
+
+    tree = types.SimpleNamespace(
+        __name__="aaolq_test", runner=runner, run=run, run_sweep=lambda *args: runner._sweep_cells("")
+    )
+    with pytest.raises(SystemExit) as refusal:
+        time_stages._round(tree, None, tmp_path)
+    assert str(refusal.value) == (
+        "aaolq_test's pipeline did not call verify_solution, solution.csv, gains + simulate,"
+        " lyapunov_check, other writers, sweep solve"
+    )
+    assert all(value is len for value in vars(runner).values())
