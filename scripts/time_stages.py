@@ -3,25 +3,23 @@
 each stage paired with an identical control tree and, optionally, another tree.
 
 A round of a tree is one ``run(level="simulate")`` and one ``run_sweep`` of
-the table, and a ``Clock`` times the stage calls those two make on their own
-operands: for the round it replaces the ``runner`` functions they look up at
-call time (``STAGES``) with timing wrappers, as perfbench's tracer does. In
-order: ``solve`` (``solve_coupled``), ``verify_solution`` (``_verify``),
-``solution.csv`` (``write_solution_csv``), ``gains + simulate``
-(``_simulate``), ``lyapunov_check`` (a ``NotApplicableError`` is part of the
-call), ``other writers`` (``_write_forward``: trajectory.csv, the pursuit
-report with distances.csv, positions.csv), ``sweep solve``
-(``_sweep_closed_loops``: the lockstep march of the nash and team games of
-the table's longest horizon, folding nodes into closed-loop matrices) and
-``sweep forward`` (``_sweep_cells``: each mode's forward pass from one start
-per horizon of ``reproduce_table.TF_LIST``, and the cells' pursuit reports),
-then the whole ``run()`` and ``run_sweep()``. A scenario whose run ends with
-a non-zero exit code, or a round that misses a stage, is refused.
+the table. Each stage's CPU seconds are those the two results report in
+their ``timings``; the timer times the whole ``run()`` and ``run_sweep()``
+with the same ``runner._stage``. In order: ``solve``, ``verify_solution``,
+``solution.csv``, ``gains + simulate``, ``lyapunov_check`` (a
+``NotApplicableError`` is part of it), ``other writers`` (trajectory.csv,
+the pursuit report with distances.csv, positions.csv), ``sweep solve`` (the
+lockstep march of the nash and team games of the table's longest horizon,
+folding nodes into closed-loop matrices) and ``sweep forward`` (each mode's
+forward pass from one start per horizon of ``reproduce_table.TF_LIST``, and
+the cells' pursuit reports), then the whole ``run()`` and ``run_sweep()``.
+A scenario whose run ends with a non-zero exit code, or a round whose
+results lack a stage, is refused.
 
 Every tree is loaded by ``load_tree`` under its own package name:
 ``aaolq_this`` and ``aaolq_control`` both from this checkout, and
-``aaolq_against`` from ``--against PATH``. A tree whose ``runner`` lacks a
-stage function is refused with exit code 2 and a message that names it. No
+``aaolq_against`` from ``--against PATH``. A tree whose ``runner`` has no
+``_stage`` is refused with exit code 2 and a message that names it. No
 round calls the ``aaolq`` on the import path, so no tree holds a place the
 others lack. Every tree runs one untimed round first; then a pair runs
 ``ROUNDS`` rounds of every tree, the trees taking turns in every order
@@ -30,16 +28,17 @@ rounds' ratios. The control runs the same code as this tree, so
 this/control shows the timer's own noise and bias beside every other figure.
 
 Per stage one line gives this tree's median [quartiles] CPU seconds per
-round; the ``tracemalloc`` peak above the traced memory at the call's start
-in one more round of this tree, traced, into an empty directory;
-this/control as the median [quartiles] of the pairs' ratios, with the pairs
-where this tree was faster and slower; with ``--against``, this/against the
-same way and ``resolved`` when its median lies outside the control's
-quartiles, else ``unresolved``; and the work of the traced round: substeps
-and microseconds per substep for the solve, the bytes each writer added to
-the directory, and for the sweep solve each game's substeps and the lockstep
-iterations ``march_lockstep`` counts (one RK4 substep of every game still
-marching).
+round; the ``tracemalloc`` peak above the traced memory at the stage's start
+in one more round of this tree, traced, into an empty directory (the only
+round that replaces anything: ``runner._stage``, with a wrapper that traces
+each stage); this/control as the median [quartiles] of the pairs' ratios,
+with the pairs where this tree was faster and slower; with ``--against``,
+this/against the same way and ``resolved`` when its median lies outside the
+control's quartiles, else ``unresolved``; and the work of the traced round:
+substeps and microseconds per substep for the solve, the bytes of each
+writer's files, and for the sweep solve each game's substeps and the
+lockstep iterations (``SweepResult.solves``; one RK4 substep of every game
+still marching).
 
 Artifacts go to a temporary directory that is removed on exit. Pin the
 BLAS thread count and the CPU for comparable numbers:
@@ -54,10 +53,9 @@ import importlib.util
 import statistics
 import sys
 import tempfile
-import time
 import tracemalloc
 from collections import defaultdict
-from functools import partial
+from contextlib import contextmanager
 from itertools import permutations
 from pathlib import Path
 
@@ -71,19 +69,16 @@ ROOT = Path(__file__).resolve().parent.parent
 #: the benchmark solve could hide a 2.5% change (one more numpy call per RK4
 #: substep).
 ROUNDS = 12
-#: Stage -> the ``runner`` function whose call inside ``run()`` or
-#: ``run_sweep()`` is the stage.
-STAGES = {
-    "solve": "solve_coupled",
-    "verify_solution": "_verify",
-    "solution.csv": "write_solution_csv",
-    "gains + simulate": "_simulate",
-    "lyapunov_check": "lyapunov_check",
-    "other writers": "_write_forward",
-    "sweep solve": "_sweep_closed_loops",
-    "sweep forward": "_sweep_cells",
+#: The stages ``run()`` and ``run_sweep()`` time, in order, then the two whole calls.
+LINES = (
+    "solve", "verify_solution", "solution.csv", "gains + simulate", "lyapunov_check",
+    "other writers", "sweep solve", "sweep forward", "run()", "run_sweep()",
+)
+#: Writer stage -> the files of the run it writes.
+WRITERS = {
+    "solution.csv": ("solution.csv",),
+    "other writers": ("trajectory.csv", "distances.csv", "positions.csv"),
 }
-LINES = (*STAGES, "run()", "run_sweep()")
 
 
 def load_tree(path: Path, name: str):
@@ -104,71 +99,58 @@ def load_tree(path: Path, name: str):
     return package
 
 
-def _size(directory: Path) -> int:
-    """Bytes of every file under ``directory``."""
-    return sum(path.stat().st_size for path in directory.rglob("*") if path.is_file())
+class Peaks:
+    """A ``runner._stage`` that also books each stage's ``tracemalloc`` peak
+    above the traced memory at its start; a stage begun while no tracing
+    runs is a whole call, and starts and stops it."""
 
-
-class Clock:
-    """The CPU seconds of every call one round times, summed by stage; when
-    ``traced``, also each stage's result, ``tracemalloc`` peak and the bytes
-    it added under ``out``, the round's directory."""
-
-    def __init__(self, out: Path, traced: bool):
-        self.out, self.traced = out, traced
-        self.seconds, self.results = defaultdict(float), {}
-        self.peaks, self.written = defaultdict(int), defaultdict(int)
+    def __init__(self, stage):
+        self.stage, self.peaks = stage, defaultdict(int)
         # The whole call's traced peak before a stage's reset_peak().
         self.high = 0
 
-    def call(self, stage: str, fn, *args, **kwargs):
-        """``fn(*args, **kwargs)``, timed as ``stage``; a call made while no
-        tracing runs is a whole call, and starts and stops it."""
-        if self.traced:
-            size = _size(self.out)
-            whole = not tracemalloc.is_tracing()
-            if whole:
-                tracemalloc.start()
-            base, high = tracemalloc.get_traced_memory()
-            self.high = 0 if whole else max(self.high, high)
-            tracemalloc.reset_peak()
-        start = time.process_time()
+    @contextmanager
+    def __call__(self, timings: dict, name: str):
+        whole = not tracemalloc.is_tracing()
+        if whole:
+            tracemalloc.start()
+        base, high = tracemalloc.get_traced_memory()
+        self.high = 0 if whole else max(self.high, high)
+        tracemalloc.reset_peak()
         try:
-            result = fn(*args, **kwargs)
-            if self.traced:
-                self.results[stage] = result
-            return result
+            with self.stage(timings, name):
+                yield
         finally:
-            self.seconds[stage] += time.process_time() - start
-            if self.traced:
-                peak = tracemalloc.get_traced_memory()[1]
-                if whole:
-                    peak = max(peak, self.high)
-                    tracemalloc.stop()
-                self.peaks[stage] = max(self.peaks[stage], peak - base)
-                self.written[stage] += _size(self.out) - size
+            peak = tracemalloc.get_traced_memory()[1]
+            if whole:
+                peak = max(peak, self.high)
+                tracemalloc.stop()
+            self.peaks[name] = max(self.peaks[name], peak - base)
 
 
-def _round(tree, scenario, out: Path, traced: bool = False) -> Clock:
-    """One ``run()`` and one table ``run_sweep()`` of ``tree`` into ``out``,
-    clocked with every stage call they make."""
-    clock, runner = Clock(out, traced), tree.runner
-    originals = {stage: getattr(runner, name) for stage, name in STAGES.items()}
+def _round(tree, scenario, out: Path, peaks: Peaks | None = None):
+    """One ``run()`` and one table ``run_sweep()`` of ``tree`` into ``out``:
+    both results and every line's CPU seconds. With ``peaks``, it stands in
+    for ``runner._stage`` for the round."""
+    runner, whole = tree.runner, {}
+    stage = runner._stage
     out.mkdir(parents=True, exist_ok=True)
     try:
-        for stage, name in STAGES.items():
-            setattr(runner, name, partial(clock.call, stage, originals[stage]))
-        result = clock.call("run()", tree.run, scenario, out / "run", level="simulate")
+        if peaks is not None:
+            runner._stage = peaks
+        with runner._stage(whole, "run()"):
+            result = tree.run(scenario, out / "run", level="simulate")
         if result.exit_code:
             raise SystemExit(f"the scenario's run ended with exit code {result.exit_code}")
-        clock.call("run_sweep()", tree.run_sweep, scenario, TF_LIST, MODES, out / "sweep")
+        with runner._stage(whole, "run_sweep()"):
+            sweep = tree.run_sweep(scenario, TF_LIST, MODES, out / "sweep")
     finally:
-        for stage, name in STAGES.items():
-            setattr(runner, name, originals[stage])
-    missing = [stage for stage in LINES if stage not in clock.seconds]
+        runner._stage = stage
+    timings = {**result.timings, **sweep.timings, **whole}
+    missing = [name for name in LINES if name not in timings]
     if missing:
-        raise SystemExit(f"{tree.__name__}'s pipeline did not call {', '.join(missing)}")
-    return clock
+        raise SystemExit(f"{tree.__name__}'s results did not time {', '.join(missing)}")
+    return result, sweep, {name: cpu for name, (cpu, _) in timings.items()}
 
 
 def _quartiles(values: list[float]) -> list[float]:
@@ -201,15 +183,16 @@ def time_trees(trees: dict, scenario_path: str, pairs: int, work: Path) -> list[
         pair = {label: defaultdict(list) for label in labels}
         for r in range(ROUNDS):
             for label in orders[r % len(orders)]:
-                clock = _round(trees[label], scenarios[label], work / label)
-                for stage, s in clock.seconds.items():
+                for stage, s in _round(trees[label], scenarios[label], work / label)[2].items():
                     pair[label][stage].append(s)
         for stage in LINES:
             for label in labels[1:]:
                 ratio = zip(pair["this"][stage], pair[label][stage])
                 ratios[label][stage].append(statistics.median(a / b for a, b in ratio))
             seconds[stage] += pair["this"][stage]
-    traced = _round(trees["this"], scenarios["this"], work / "traced", traced=True)
+    traced = Peaks(trees["this"].runner._stage)
+    result, sweep, _ = _round(trees["this"], scenarios["this"], work / "traced", traced)
+    sizes = {path.name: path.stat().st_size for path in (work / "traced" / "run").iterdir()}
     lines = [
         f"{scenario_path}, mode {scenarios['this'].run.mode}: {pairs} pairs of {ROUNDS} rounds"
         f" on CPU time; sweeps of modes {','.join(MODES)}, tf {','.join(f'{t:g}' for t in TF_LIST)}",
@@ -229,15 +212,18 @@ def time_trees(trees: dict, scenario_path: str, pairs: int, work: Path) -> list[
             resolved = not q1 <= _quartiles(ratios["against"][stage])[1] <= q3
             text += _ratio_text("against", ratios["against"][stage])
             text += " resolved" if resolved else " unresolved"
-        result = traced.results.get(stage)
         if stage == "solve":
-            per = 1e6 * median / max(result.stats.substeps, 1)
-            text += f"  {result.stats.substeps:,} substeps {per:.1f} us/substep"
-        elif stage in ("solution.csv", "other writers"):
-            text += f"  {traced.written[stage]:,} bytes"
+            per = 1e6 * median / max(result.sol.stats.substeps, 1)
+            text += f"  {result.sol.stats.substeps:,} substeps {per:.1f} us/substep"
+        elif stage in WRITERS:
+            text += f"  {sum(sizes.get(name, 0) for name in WRITERS[stage]):,} bytes"
         elif stage == "sweep solve":
-            _, _, stats, iterations, _ = result
-            games = " + ".join(f"{mode} {s.substeps:,}" for mode, s in zip(MODES, stats))
+            # Each game's substeps and the iterations, summed over the step groups.
+            games = " + ".join(
+                f"{mode} {sum(stats[m].substeps for stats, _ in sweep.solves):,}"
+                for m, mode in enumerate(MODES)
+            )
+            iterations = sum(n for _, n in sweep.solves)
             per = 1e6 * median / max(iterations, 1)
             text += f"  {games} substeps in {iterations:,} iterations {per:.1f} us/iteration"
         elif stage == "run()":
@@ -267,11 +253,8 @@ def main(argv=None) -> int:
         trees = {label: load_tree(path, f"aaolq_{label}") for label, path in paths.items()}
     except FileNotFoundError as exc:
         parser.error(f"--against: {exc}")
-    if "against" in trees:
-        runner = trees["against"].runner
-        missing = [name for name in STAGES.values() if not hasattr(runner, name)]
-        if missing:
-            parser.error(f"--against: {runner.__file__} has no {', '.join(map(repr, missing))}")
+    if "against" in trees and not hasattr(trees["against"].runner, "_stage"):
+        parser.error(f"--against: {trees['against'].runner.__file__} has no '_stage'")
     with tempfile.TemporaryDirectory() as tmp:
         lines = time_trees(trees, args.scenario, args.repeats, Path(tmp))
     print("\n".join(lines))

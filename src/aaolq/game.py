@@ -39,8 +39,8 @@ class ValueEquality:
     """``==`` by value for dataclasses with array fields (declared ``eq=False``).
 
     Arrays, also inside tuples, compare entrywise, NaN equal to NaN (the
-    unreached nodes of a failed solve); other fields with their own ``==``.
-    Instances are unhashable, as their arrays are.
+    unreached nodes of a failed solve); fields declared ``compare=False`` not
+    at all; others with their own ``==``. Unhashable, as arrays are.
     """
 
     __hash__ = None
@@ -48,7 +48,8 @@ class ValueEquality:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return all(_same_value(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self) if f.compare)
+        return all(_same_value(a, b) for a, b in pairs)
 
 
 @dataclass(frozen=True, eq=False)

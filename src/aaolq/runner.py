@@ -16,6 +16,8 @@ Exit codes: 0 success, 2 validation failure, 3 backward solve blow-up,
 from __future__ import annotations
 
 import os
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -46,6 +48,18 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_BLOWUP = 3
 EXIT_DIVERGENCE = 4
+
+
+@contextmanager
+def _stage(timings: dict, name: str):
+    """Add the body's (CPU s, wall s) to ``timings[name]``, also when it raises."""
+    cpu, wall = time.process_time(), time.perf_counter()
+    try:
+        yield
+    finally:
+        was = timings.get(name, (0.0, 0.0))
+        timings[name] = (was[0] + time.process_time() - cpu, was[1] + time.perf_counter() - wall)
+
 
 def _fmt(v) -> str:
     return repr(float(v))
@@ -160,6 +174,7 @@ class RunResult:
     pursuit: PursuitReport | None = None
     lyapunov: LyapunovReport | None = None
     messages: list[str] = field(default_factory=list)
+    timings: dict[str, tuple[float, float]] = field(default_factory=dict, compare=False)
 
     @property
     def solved_game(self) -> GameDefinition:
@@ -325,35 +340,6 @@ def _out_path(scenario: Scenario, out_dir) -> Path:
     return Path(run_cfg.out_dir)
 
 
-def _verify(scenario: Scenario, result: RunResult) -> analysis.ConditionsReport:
-    """The certificates of ``result``'s complete solve, as ``run()`` makes them."""
-    return analysis.verify_solution(
-        result.solved_game,
-        result.sol,
-        scenario.run.bound_q,
-        x0_norm=float(np.linalg.norm(scenario.x0)),
-        r=scenario.capture_radius,
-    )
-
-
-def _simulate(scenario: Scenario, result: RunResult) -> Trajectory:
-    """The closed loop of ``result``'s solve from the scenario's x0."""
-    game = result.game
-    return simulate(game, _player_gains(game, result.team_game, result.sol), scenario.x0)
-
-
-def _write_forward(out: Path, scenario: Scenario, result: RunResult) -> PursuitReport | None:
-    """Write ``result``'s forward artifacts into ``out``; its pursuit report, None for odd n."""
-    traj, report = result.traj, None
-    write_trajectory_csv(out / "trajectory.csv", traj)
-    if result.game.n % 2 == 0:
-        report = pursuit_report(traj, scenario.capture_radius)
-        write_distances_csv(out / "distances.csv", traj, report)
-    if scenario.pursuit is not None:
-        write_positions_csv(out / "positions.csv", traj, scenario.pursuit)
-    return report
-
-
 def run(scenario: Scenario, out_dir=None, *, level: str = "simulate") -> RunResult:
     """Execute one scenario: validate, solve, verify, simulate, write artifacts.
 
@@ -361,17 +347,22 @@ def run(scenario: Scenario, out_dir=None, *, level: str = "simulate") -> RunResu
     writes conditions.txt plus summary.txt; "solve" additionally writes
     solution.csv; "simulate" (the default) adds the forward run with
     trajectory.csv, distances.csv and, for pursuit scenarios,
-    positions.csv. A failed stage sets the exit code and skips the stages
-    after it; conditions.txt and summary.txt are written once either way,
-    each rendered from the result. ``_verify``, ``_simulate`` and
-    ``_write_forward`` run their stages on the scenario and the result,
-    which they leave as it is. ``out_dir`` overrides ``scenario.run.out_dir``
-    and is checked as it is, before anything is written.
+    positions.csv; any of these six an earlier run left is removed first.
+    A failed stage sets the exit code and skips the stages after it;
+    conditions.txt and summary.txt are written once either way. Each stage
+    that ran adds its (CPU s, wall s) to ``result.timings``: ``solve``,
+    ``verify_solution``, ``solution.csv``, ``gains + simulate``,
+    ``lyapunov_check`` and ``other writers`` (the forward files and the
+    pursuit report). ``out_dir`` overrides ``scenario.run.out_dir`` and is
+    checked as it is, before anything is written.
     """
     if level not in ("check", "solve", "simulate"):
         raise ValueError(f"unknown run level {level!r}")
     out = _out_path(scenario, out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for stale in ("conditions.txt", "summary.txt", "solution.csv", "trajectory.csv",
+                  "distances.csv", "positions.csv"):
+        (out / stale).unlink(missing_ok=True)
     game = scenario.build_game()
     result = RunResult(EXIT_OK, out, scenario.run.mode, game=game, grid=scenario.grid)
     result.validation = validate(game)
@@ -380,7 +371,8 @@ def run(scenario: Scenario, out_dir=None, *, level: str = "simulate") -> RunResu
         result.messages.append("game failed the all-against-one sign pattern; nothing solved")
     else:
         result.team_game = _team_game(scenario, game, result.mode)
-        result.sol = solve_coupled(result.solved_game, result.grid)
+        with _stage(result.timings, "solve"):
+            result.sol = solve_coupled(result.solved_game, result.grid)
         if not result.sol.complete:
             result.exit_code = EXIT_BLOWUP
             result.messages.append(
@@ -388,22 +380,37 @@ def run(scenario: Scenario, out_dir=None, *, level: str = "simulate") -> RunResu
                 f"at t={_fmt(result.sol.failure_time)}"
             )
         else:
-            result.conditions = _verify(scenario, result)
+            with _stage(result.timings, "verify_solution"):
+                result.conditions = analysis.verify_solution(
+                    result.solved_game, result.sol, scenario.run.bound_q,
+                    x0_norm=float(np.linalg.norm(scenario.x0)), r=scenario.capture_radius,
+                )
     _write_chunks(out / "conditions.txt", (_conditions_text(result),))
     if result.sol is not None and level in ("solve", "simulate"):
-        write_solution_csv(out / "solution.csv", result.sol)
+        with _stage(result.timings, "solution.csv"):
+            write_solution_csv(out / "solution.csv", result.sol)
     if result.conditions is not None and level == "simulate":
         try:
-            result.traj = _simulate(scenario, result)
+            with _stage(result.timings, "gains + simulate"):
+                result.traj = simulate(
+                    game, _player_gains(game, result.team_game, result.sol), scenario.x0
+                )
         except DivergenceError as exc:
             result.exit_code = EXIT_DIVERGENCE
             result.messages.append(str(exc))
     if result.traj is not None:
-        result.pursuit = _write_forward(out, scenario, result)
+        with _stage(result.timings, "other writers"):
+            write_trajectory_csv(out / "trajectory.csv", result.traj)
+            if game.n % 2 == 0:
+                result.pursuit = pursuit_report(result.traj, scenario.capture_radius)
+                write_distances_csv(out / "distances.csv", result.traj, result.pursuit)
+            if scenario.pursuit is not None:
+                write_positions_csv(out / "positions.csv", result.traj, scenario.pursuit)
         if result.pursuit is None:
             result.messages.append("odd state dimension: no distance reporting")
         try:
-            result.lyapunov = lyapunov_check(result.traj, result.sol, result.conditions)
+            with _stage(result.timings, "lyapunov_check"):
+                result.lyapunov = lyapunov_check(result.traj, result.sol, result.conditions)
         except NotApplicableError as exc:
             result.messages.append(str(exc))
     _write_chunks(out / "summary.txt", (_summary_text(result),))
@@ -424,6 +431,8 @@ class SweepResult(ValueEquality):
     modes: tuple[str, ...]
     tf_list: tuple[float, ...]
     cells: list[SweepCell]
+    solves: list[tuple[list[SolveStats], int]] = field(default_factory=list)
+    timings: dict[str, tuple[float, float]] = field(default_factory=dict, compare=False)
 
     def cell(self, mode: str, tf: float) -> SweepCell:
         for c in self.cells:
@@ -550,7 +559,9 @@ def run_sweep(scenario: Scenario, tf_list, modes=None, out_dir=None) -> SweepRes
     every cell from its start node through the same closed-loop maps; each
     cell's final distances and capture flag equal its own ``run()``
     bitwise. Every cell is attempted; blow-ups and divergences are recorded
-    in the cell status and the sweep continues.
+    in the cell status and the sweep continues. ``solves`` holds each step
+    group's per-mode :class:`SolveStats` and lockstep iterations; ``timings``
+    the (CPU s, wall s) of ``sweep solve`` and ``sweep forward``.
     """
     modes = tuple(modes) if modes else (scenario.run.mode,)
     for m in modes:
@@ -576,10 +587,13 @@ def run_sweep(scenario: Scenario, tf_list, modes=None, out_dir=None) -> SweepRes
         groups.setdefault(grid.dt, {})[tf] = grid
     out = _out_path(scenario, out_dir)
 
-    by_cell = {}
+    by_cell, solves, timings = {}, [], {}
     for grids in groups.values():
-        long_grid, failed, _, _, acls = _sweep_closed_loops(scenario, modes, max(grids))
-        by_cell.update(_sweep_cells(scenario, modes, long_grid, grids, failed, acls))
+        with _stage(timings, "sweep solve"):
+            long_grid, failed, *solve, acls = _sweep_closed_loops(scenario, modes, max(grids))
+        solves.append(tuple(solve))
+        with _stage(timings, "sweep forward"):
+            by_cell.update(_sweep_cells(scenario, modes, long_grid, grids, failed, acls))
     cells = [by_cell[mode, tf] for mode in modes for tf in tf_tuple]
 
     def lines():
@@ -597,4 +611,4 @@ def run_sweep(scenario: Scenario, tf_list, modes=None, out_dir=None) -> SweepRes
     # refused (the history ceiling), and that must leave no directory.
     out.mkdir(parents=True, exist_ok=True)
     _write_chunks(out / "sweep.csv", lines())
-    return SweepResult(modes=modes, tf_list=tf_tuple, cells=cells)
+    return SweepResult(modes, tf_tuple, cells, solves, timings)

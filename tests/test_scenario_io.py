@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
+import time
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -667,6 +668,18 @@ class TestValueEquality:
         with pytest.raises(TypeError, match="unhashable type"):
             hash(cell())
 
+    def test_sweeps_and_runs_compare_whatever_their_timings(self, tmp_path):
+        scenario = load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
+        first, again = (
+            run_sweep(scenario, [2.0, 4.0], modes=("nash", "team"), out_dir=tmp_path / name)
+            for name in "ab"
+        )
+        assert first.timings and again.timings
+        assert first == again and first == dataclasses.replace(again, timings={})
+        assert first != dataclasses.replace(again, solves=[])
+        result = run(scenario, out_dir=tmp_path / "run", level="check")
+        assert result.timings and result == dataclasses.replace(result, timings={})
+
     def test_results_compare_by_value(self):
         game = load_scenario(SCENARIO_DIR / "explicit_small.json").build_game()
         grid = TimeGrid(game.t0, game.tf, 4)
@@ -884,6 +897,22 @@ class TestRunPipeline:
         assert result.exit_code == 4
         assert any("divergence threshold" in m for m in result.messages)
 
+    @pytest.mark.parametrize("level", ["simulate", "check"])
+    def test_a_run_leaves_only_its_own_artifacts(self, tmp_path, level):
+        # A simulate run, then a divergent n = 1 game or a check of the same
+        # game into its directory: only a fresh run's files are left, and
+        # the sweep.csv of a sweep into the same directory.
+        coarse = load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
+        later = parse_scenario(json.dumps(DIVERGENT_GAME)) if level == "simulate" else coarse
+        shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+        run_sweep(coarse, [2.0], out_dir=shared)
+        assert run(coarse, out_dir=shared).exit_code == 0
+        assert run(later, out_dir=shared, level=level).exit_code == (4 if later is not coarse else 0)
+        run(later, out_dir=fresh, level=level)
+        left = {path.name: path.read_bytes() for path in shared.iterdir()}
+        assert left.pop("sweep.csv").startswith(b"mode,tf,d1,")
+        assert left == {path.name: path.read_bytes() for path in fresh.iterdir()}
+
     def test_byte_determinism(self, tmp_path):
         scenario = load_scenario(SCENARIO_DIR / "explicit_small.json")
         run(scenario, out_dir=tmp_path / "a")
@@ -1086,6 +1115,54 @@ def test_nodes_and_rows_wider_than_the_budget(tmp_path):
     traj = Trajectory(grid=sol.grid, x=rng.normal(size=(3, 48)), u=u, costs=np.zeros(4))
     runner.write_trajectory_csv(tmp_path / "trajectory.csv", traj)
     _same_bytes(tmp_path / "trajectory.csv", reference_trajectory_csv(traj))
+
+
+class TestTimings:
+    """The (CPU s, wall s) that ``run()`` and ``run_sweep()`` book per stage."""
+
+    @staticmethod
+    def _check(timings: dict, whole: float):
+        assert all(cpu >= 0.0 and wall >= 0.0 for cpu, wall in timings.values())
+        assert sum(cpu for cpu, _ in timings.values()) <= whole
+
+    @pytest.mark.parametrize("level, stages", [
+        ("check", ["solve", "verify_solution"]),
+        ("solve", ["solve", "verify_solution", "solution.csv"]),
+        ("simulate", [
+            "solve", "verify_solution", "solution.csv", "gains + simulate", "other writers",
+            "lyapunov_check",
+        ]),
+    ])
+    def test_each_level_times_its_stages(self, tmp_path, level, stages):
+        start = time.process_time()
+        result = run(load_scenario(SCENARIO_DIR / "pursuit_coarse.json"), tmp_path, level=level)
+        whole = time.process_time() - start
+        assert result.exit_code == 0
+        assert list(result.timings) == stages
+        self._check(result.timings, whole)
+
+    @pytest.mark.parametrize("level", ["check", "solve", "simulate"])
+    def test_a_blown_up_solve_times_the_solve_alone(self, tmp_path, level):
+        # The solve and simulate levels still write the failed solve's
+        # solution.csv, NaN past its failure, and time that.
+        result = run(parse_scenario(json.dumps(ESCAPE_GAME)), tmp_path, level=level)
+        assert result.exit_code == 3
+        assert list(result.timings) == ["solve"] + ["solution.csv"] * (level != "check")
+
+    def test_a_sweep_books_each_step_groups_solves(self, tmp_path):
+        # 2.03 is no multiple of the scenario's dt = 0.01, so it makes a
+        # second step group; the first holds every other horizon.
+        scenario = load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
+        start = time.process_time()
+        sweep = run_sweep(scenario, [*range(2, 16, 2), 2.03], ("nash", "team"), tmp_path)
+        whole = time.process_time() - start
+        assert list(sweep.timings) == ["sweep solve", "sweep forward"]
+        self._check(sweep.timings, whole)
+        assert len(sweep.solves) == 2
+        (nash, team), iterations = sweep.solves[0]
+        long = scenario.with_tf(14.0)
+        assert nash == solve_coupled(long.build_game(), long.grid).stats
+        assert max(nash.substeps, team.substeps) <= iterations <= nash.substeps + team.substeps
 
 
 class TestRunSweep:

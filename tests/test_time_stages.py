@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from aaolq import load_scenario, run
+from aaolq import runner as aaolq_runner
 from helpers import ESCAPE_GAME
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -163,18 +164,17 @@ def test_against_a_path_without_a_source_tree_is_an_error(tmp_path):
     assert f"--against: {tmp_path} holds no src/aaolq/__init__.py" in child.stderr
 
 
-@pytest.mark.parametrize("name", ["_sweep_closed_loops", "_verify"])
-def test_against_a_tree_without_a_stage_table_name_is_an_error(tmp_path, name):
-    # A tree whose runner lacks one of the functions the clock wraps is
-    # named before any round, so its own run(), which calls it, never fails.
+def test_against_a_tree_without_a_stage_seam_is_an_error(tmp_path):
+    # The timer times every tree through its runner's _stage; a tree without
+    # one is named before any round, so its own run(), which calls it, never fails.
     tree = tmp_path / "tree"
     package = tree / "src" / "aaolq"
     shutil.copytree(ROOT / "src" / "aaolq", package, ignore=shutil.ignore_patterns("__pycache__"))
     with (package / "runner.py").open("a") as runner_py:
-        runner_py.write(f"\ndel {name}\n")
+        runner_py.write("\ndel _stage\n")
     child = _script(tmp_path, "--scenario", str(COARSE), "--repeats", "1", "--against", str(tree))
     assert child.returncode == 2
-    assert child.stderr.endswith(f"--against: {package / 'runner.py'} has no {name!r}\n"), child.stderr
+    assert child.stderr.endswith(f"--against: {package / 'runner.py'} has no '_stage'\n"), child.stderr
 
 
 def test_a_scenario_whose_run_fails_is_refused(tmp_path):
@@ -185,25 +185,25 @@ def test_a_scenario_whose_run_fails_is_refused(tmp_path):
     assert child.stderr == "the scenario's run ended with exit code 3\n"
 
 
-def test_a_round_that_misses_a_stage_names_it(monkeypatch, tmp_path):
-    # A pipeline whose run() calls only the solve and whose run_sweep()
-    # calls only the sweep's forward pass; the clock restores every name.
+def test_a_round_whose_results_miss_stages_names_them(monkeypatch, tmp_path):
+    # A pipeline whose run() times only the solve and whose run_sweep() only
+    # the sweep's forward pass; the round restores the runner's _stage.
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     import time_stages
 
-    runner = types.SimpleNamespace(**{name: len for name in time_stages.STAGES.values()})
+    runner = types.SimpleNamespace(_stage=aaolq_runner._stage)
 
     def run(scenario, out, level):
-        runner.solve_coupled("game")
-        return types.SimpleNamespace(exit_code=0)
+        return types.SimpleNamespace(exit_code=0, timings={"solve": (0.0, 0.0)})
 
     tree = types.SimpleNamespace(
-        __name__="aaolq_test", runner=runner, run=run, run_sweep=lambda *args: runner._sweep_cells("")
+        __name__="aaolq_test", runner=runner, run=run,
+        run_sweep=lambda *args: types.SimpleNamespace(timings={"sweep forward": (0.0, 0.0)}),
     )
     with pytest.raises(SystemExit) as refusal:
-        time_stages._round(tree, None, tmp_path)
+        time_stages._round(tree, None, tmp_path, time_stages.Peaks(runner._stage))
     assert str(refusal.value) == (
-        "aaolq_test's pipeline did not call verify_solution, solution.csv, gains + simulate,"
+        "aaolq_test's results did not time verify_solution, solution.csv, gains + simulate,"
         " lyapunov_check, other writers, sweep solve"
     )
-    assert all(value is len for value in vars(runner).values())
+    assert runner._stage is aaolq_runner._stage
