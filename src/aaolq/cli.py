@@ -1,15 +1,17 @@
 """Command line front end.
 
-Subcommands:
+Subcommands (the first three all write conditions.txt and summary.txt):
 
-* ``check``    validate a scenario, solve backward, write conditions.txt
+* ``check``    validate a scenario, solve backward, verify the solution
 * ``solve``    check plus solution.csv
-* ``simulate`` full pipeline: trajectory, distances, summary
+* ``simulate`` solve plus trajectory.csv, distances.csv (even state
+               dimension) and positions.csv (pursuit scenarios)
 * ``sweep``    simulate every horizon in --tf-list off one lockstep
                backward solve of every mode per step, write sweep.csv
 
 Exit codes: 0 success, 2 validation or scenario failure, 3 backward solve
-blow-up, 4 closed-loop divergence.
+blow-up or a solve past ``SUBSTEP_BUDGET`` (for ``sweep``, any failed
+cell), 4 closed-loop divergence.
 """
 from __future__ import annotations
 

@@ -13,7 +13,7 @@ class ScenarioError(ValidationError):
     """Scenario document is malformed; the message carries the field path."""
 
 
-class SingularMatrixError(AaolqError):
+class SingularMatrixError(ValidationError):
     """Matrix is numerically singular or too ill-conditioned to invert."""
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import linalg
-from .errors import SingularMatrixError, ValidationError
+from .errors import ValidationError
 
 #: Index of the de-regulating opponent. Fixed by convention.
 OPPONENT = 0
@@ -110,10 +110,7 @@ class GameDefinition(ValueEquality):
                     f"R[{i + 1}]: expected shape ({b.shape[1]}, {b.shape[1]}), got {r.shape}"
                 )
             # R_i > 0 is required unconditionally, not just for AAO compliance.
-            try:
-                r_invs.append(linalg.spd_inverse(r, name=f"R[{i + 1}]"))
-            except SingularMatrixError as exc:
-                raise ValidationError(str(exc)) from exc
+            r_invs.append(linalg.spd_inverse(r, name=f"R[{i + 1}]"))
         with np.errstate(over="ignore", invalid="ignore"):
             h = np.stack([linalg.symmetrize(b @ r_inv @ b.T) for b, r_inv in zip(bs, r_invs)])
         h.flags.writeable = False

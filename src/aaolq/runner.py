@@ -5,13 +5,12 @@ Every artifact is written deterministically: floats are serialized with
 via a temp-file rename so readers never observe partial writes. The CSV
 writers format one bounded chunk at a time (a block of table rows, or of
 solution time nodes, of at most ``sim.CHUNK_VALUES`` values unless one
-row or node alone is wider): within a chunk each distinct value, told
-apart by its bit pattern, is formatted once, and the chunk's rows go to
-the temp file before the next chunk is formatted, so neither the file nor
-one string per value of it is ever held in memory. The chunk size bounds
-memory, not bytes.
-Exit codes: 0 success, 2 validation failure, 3 backward solve blow-up,
-4 closed-loop divergence.
+row or node alone is wider), and the chunk's rows go to the temp file
+before the next chunk is formatted, so neither the file nor one string
+per value of it is ever held in memory. The chunk size bounds memory,
+not bytes.
+Exit codes: 0 success, 2 validation failure, 3 backward solve blow-up or
+a solve past ``SUBSTEP_BUDGET``, 4 closed-loop divergence.
 """
 from __future__ import annotations
 
@@ -77,28 +76,16 @@ def _write_chunks(path: Path, chunks) -> None:
     os.replace(tmp, path)
 
 
-def _reprs(values: np.ndarray) -> list[str]:
-    """``_fmt`` of every value in C order, formatting each distinct value once.
-
-    Values are uniqued by their bit patterns, so ``-0.0`` and ``0.0`` (equal
-    as floats, different in print) stay apart.
-    """
-    bits = np.ascontiguousarray(values, dtype=float).reshape(-1).view(np.int64)
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    texts = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)
-    return texts[inverse].tolist()
-
-
 def _write_table(path: Path, header: list[str], table: np.ndarray) -> None:
     """One CSV row per row of the float array ``table``."""
-    row = ",".join(["%s"] * table.shape[1]) + "\n"
+    row = ",".join(["%r"] * table.shape[1]) + "\n"
     rows = chunk_items(table.shape[1])
 
     def chunks():
         yield ",".join(header) + "\n"
         for lo in range(0, len(table), rows):
             block = table[lo : lo + rows]
-            yield (row * len(block)) % tuple(_reprs(block))
+            yield (row * len(block)) % tuple(np.asarray(block, dtype=float).ravel().tolist())
 
     _write_chunks(path, chunks())
 
@@ -117,7 +104,12 @@ def write_solution_csv(path: Path, sol: RiccatiSolution):
     def chunks():
         yield "t,player,row,col,value\n"
         for lo in range(0, len(times), nodes):
-            values = _reprs(np.moveaxis(sol.S[:, lo : lo + nodes], 1, 0))
+            # S repeats values within a chunk: format each bit pattern once (-0.0 apart from 0.0).
+            block = np.moveaxis(sol.S[:, lo : lo + nodes], 1, 0)
+            bits = np.ascontiguousarray(block, dtype=float).reshape(-1).view(np.int64)
+            distinct, inverse = np.unique(bits, return_inverse=True)
+            texts = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)
+            values = texts[inverse].tolist()
             for k, t in enumerate(times[lo : lo + nodes]):
                 yield node.replace("\0", repr(t)) % tuple(values[k * width : (k + 1) * width])
 

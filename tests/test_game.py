@@ -14,7 +14,7 @@ from aaolq import (
     build_pursuit_example,
     validate,
 )
-from aaolq.errors import ValidationError
+from aaolq.errors import SingularMatrixError, ValidationError
 from aaolq.game import absolute_starts
 from helpers import closed_loop_A, scalar_game
 
@@ -91,6 +91,13 @@ class TestVerdictThresholds:
         # R_i > 0 is enforced when the game is built, so no verdict can read it false.
         with pytest.raises(ValidationError, match="^R\\[2\\] must be positive definite$"):
             _two_player_verdicts(R=(np.eye(2), -3.92 * np.eye(2)))
+
+    def test_indefinite_weight_is_a_validation_error_where_it_is_raised(self):
+        message = "^R\\[1\\] must be positive definite$"
+        with pytest.raises(SingularMatrixError, match=message) as info:
+            _two_player_verdicts(R=(np.diag([1.0, -1.0]), np.eye(2)))
+        # Raised by linalg.spd_inverse itself, not re-raised by the game.
+        assert isinstance(info.value, ValidationError) and info.value.__cause__ is None
 
     def test_nd_and_its_mirror(self):
         half = 0.5 * np.eye(2)
