@@ -3,8 +3,9 @@
 
 For each scenario, in nash and in team mode, it runs ``run(level="simulate")``
 and records the exit code and the sha256 of every file the run writes. For
-each pursuit scenario it also records the sha256 of the ``sweep.csv`` of the
-paper's table: tf = 2, 4, ..., 14 in both modes. Artifacts go to a temporary
+each scenario with an even state dimension, the ones ``run_sweep`` takes,
+it also records the sha256 of the ``sweep.csv`` of the paper's table:
+tf = 2, 4, ..., 14 in both modes. Artifacts go to a temporary
 directory that is removed on exit.
 
 A change that must keep every artifact byte-identical prints the same
@@ -52,7 +53,7 @@ def scenario_digests(path: Path, work: Path) -> dict:
         moded = dataclasses.replace(scenario, run=dataclasses.replace(scenario.run, mode=mode))
         result = run(moded, work / mode, level="simulate")
         out[mode] = {"exit_code": result.exit_code, "artifacts": _digests(work / mode)}
-    if scenario.pursuit is not None:
+    if scenario.build_game().n % 2 == 0:
         run_sweep(scenario, TF_LIST, modes=MODES, out_dir=work / "sweep")
         out["sweep.csv"] = _digests(work / "sweep")["sweep.csv"]
     return out

@@ -36,7 +36,7 @@ from .riccati import (
     march_lockstep,
     solve_coupled,
 )
-from .scenario import Scenario
+from .scenario import MODES, Scenario
 from .sim import (
     PursuitReport, Trajectory, _propagate, _pursuit_report, chunk_items, closed_loop,
     pursuit_report, simulate,
@@ -479,61 +479,6 @@ class _ClosedLoopFold:
         return self.acl
 
 
-def _sweep_closed_loops(scenario: Scenario, modes: tuple[str, ...], tf: float):
-    """Every mode's closed-loop matrices of the horizon-``tf`` game, off one march.
-
-    Each mode plays the game, or its team reduction, and all of them are
-    marched in one loop. Each mode's :class:`_ClosedLoopFold` turns the
-    nodes into closed-loop matrices as the march reaches them, so no
-    history of S is held. Returns the grid, the march's failures, stats
-    and iterations, and each mode's matrices, (steps+1, n, n).
-    """
-    long = scenario.with_tf(tf)
-    game, grid = long.build_game(), long.grid
-    teams = [_team_game(scenario, game, mode) for mode in modes]
-    folds = [_ClosedLoopFold(game, team, grid) for team in teams]
-    failed, stats, iterations = march_lockstep(
-        [game if team is None else team.reduced for team in teams], grid, folds
-    )
-    return grid, failed, stats, iterations, [fold.finish() for fold in folds]
-
-
-def _sweep_cells(scenario: Scenario, modes, long_grid, grids, failed, acls) -> dict:
-    """The cells of every horizon of ``grids`` ({tf: grid}), keyed by (mode, tf).
-
-    ``long_grid``, ``failed`` and ``acls`` come from
-    :func:`_sweep_closed_loops` of the longest horizon. Each cell starts at
-    the node of ``long_grid`` where its horizon does and reads the tail of
-    its mode's matrices; each mode makes one forward pass for all its
-    cells. Each entry of ``acls`` is set to None before its mode's pass, so
-    its matrices go once its cells are made.
-    """
-    cells = {}
-    for i, mode in enumerate(modes):
-        acl, acls[i] = acls[i], None
-        fail = failed.get(i)
-        starts = {}
-        for tf, grid in grids.items():
-            start = long_grid.steps - grid.steps
-            # A failed solve never reached its failure node or any before
-            # it; a fresh solve of this horizon fails at the same node once
-            # its slice starts at one.
-            if fail is None or start > fail[0]:
-                starts[tf] = start
-            else:
-                cells[mode, tf] = SweepCell(mode, tf, None, None, fail[1].value)
-        if not starts:
-            continue
-        states = _propagate(long_grid, acl, scenario.x0, list(starts.values()))
-        for tf, x in zip(starts, states):
-            if isinstance(x, DivergenceError):
-                cells[mode, tf] = SweepCell(mode, tf, None, None, "diverged")
-            else:
-                report = _pursuit_report(x, grids[tf], scenario.capture_radius)
-                cells[mode, tf] = SweepCell(mode, tf, report.final_distances, report.captured, "ok")
-    return cells
-
-
 def run_sweep(scenario: Scenario, tf_list, modes=None, out_dir=None) -> SweepResult:
     """Solve and simulate every (mode, tf) cell; rectangular results table.
 
@@ -557,7 +502,7 @@ def run_sweep(scenario: Scenario, tf_list, modes=None, out_dir=None) -> SweepRes
     """
     modes = tuple(modes) if modes else (scenario.run.mode,)
     for m in modes:
-        if m not in ("nash", "team"):
+        if m not in MODES:
             raise ValueError(f"unknown sweep mode {m!r}")
     if len(set(modes)) < len(modes):
         raise ValueError(f"sweep modes must be distinct, got {','.join(modes)}")
@@ -582,10 +527,43 @@ def run_sweep(scenario: Scenario, tf_list, modes=None, out_dir=None) -> SweepRes
     by_cell, solves, timings = {}, [], {}
     for grids in groups.values():
         with _stage(timings, "sweep solve"):
-            long_grid, failed, *solve, acls = _sweep_closed_loops(scenario, modes, max(grids))
-        solves.append(tuple(solve))
+            long = scenario.with_tf(max(grids))
+            game, long_grid = long.build_game(), long.grid
+            teams = [_team_game(scenario, game, mode) for mode in modes]
+            folds = [_ClosedLoopFold(game, team, long_grid) for team in teams]
+            failed, stats, iterations = march_lockstep(
+                [game if team is None else team.reduced for team in teams], long_grid, folds
+            )
+            acls = [fold.finish() for fold in folds]
+        solves.append((stats, iterations))
+        # The folds hold the matrices too: drop them, so acls alone decides when each mode's go.
+        del folds
         with _stage(timings, "sweep forward"):
-            by_cell.update(_sweep_cells(scenario, modes, long_grid, grids, failed, acls))
+            for i, mode in enumerate(modes):
+                # Released before the pass, so its matrices go once its cells are made.
+                acl, acls[i] = acls[i], None
+                fail = failed.get(i)
+                starts = {}
+                for tf, grid in grids.items():
+                    start = long_grid.steps - grid.steps
+                    # A failed solve never reached its failure node or any
+                    # before it; a fresh solve of this horizon fails at the
+                    # same node once its slice starts at one.
+                    if fail is None or start > fail[0]:
+                        starts[tf] = start
+                    else:
+                        by_cell[mode, tf] = SweepCell(mode, tf, None, None, fail[1].value)
+                if not starts:
+                    continue
+                states = _propagate(long_grid, acl, scenario.x0, list(starts.values()))
+                for tf, x in zip(starts, states):
+                    if isinstance(x, DivergenceError):
+                        by_cell[mode, tf] = SweepCell(mode, tf, None, None, "diverged")
+                    else:
+                        report = _pursuit_report(x, grids[tf], scenario.capture_radius)
+                        by_cell[mode, tf] = SweepCell(
+                            mode, tf, report.final_distances, report.captured, "ok"
+                        )
     cells = [by_cell[mode, tf] for mode in modes for tf in tf_tuple]
 
     def lines():

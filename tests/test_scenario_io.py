@@ -1413,14 +1413,26 @@ class TestRunSweep:
         )
 
 
-def _fold_and_reference(scenario, modes, tf):
+def _fold_and_reference(scenario, modes, tf, tmp_path):
     """Each mode's folded A_cl nodes beside A - sum_j B_j K_j of a full history.
 
-    Returns the march's failures and, per mode, the nodes
-    ``runner._sweep_closed_loops`` folded and the reference, built from
+    Sweeps the one horizon ``tf`` into ``tmp_path / "fold"``, catching the
+    march's grid, folds and failures. Returns the failures and, per mode,
+    the nodes its fold made and the reference, built from
     ``helpers.march_solutions`` and ``_player_gains``.
     """
-    grid, failed, _, _, acls = runner._sweep_closed_loops(scenario, modes, tf)
+    real_march, caught = runner.march_lockstep, []
+
+    def catching_march(games, grid, stores):
+        marched = real_march(games, grid, stores)
+        caught.append((grid, stores, marched[0]))
+        return marched
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(runner, "march_lockstep", catching_march)
+        run_sweep(scenario, [tf], modes=modes, out_dir=tmp_path / "fold")
+    [(grid, stores, failed)] = caught
+    acls = [fold.acl for fold in stores]
     long_game = scenario.with_tf(tf).build_game()
     teams = [runner._team_game(scenario, long_game, mode) for mode in modes]
     games = [long_game if team is None else team.reduced for team in teams]
@@ -1446,10 +1458,10 @@ class TestClosedLoopFold:
     """
 
     @pytest.mark.parametrize("budget", [1, 3 * 144, 7 * 144, sim.CHUNK_VALUES])
-    def test_nodes_equal_a_full_history(self, monkeypatch, budget):
+    def test_nodes_equal_a_full_history(self, tmp_path, monkeypatch, budget):
         monkeypatch.setattr(sim, "CHUNK_VALUES", budget)
         scenario = load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
-        failed, pairs = _fold_and_reference(scenario, ("nash", "team"), 3.0)
+        failed, pairs = _fold_and_reference(scenario, ("nash", "team"), 3.0, tmp_path)
         assert failed == {}
         for acl, reference in pairs:
             assert acl.shape == (301, 6, 6)
@@ -1460,7 +1472,7 @@ class TestClosedLoopFold:
         # 3 nodes of the escape game (M = 2, n = 2), then the default.
         monkeypatch.setattr(sim, "CHUNK_VALUES", budget)
         scenario = parse_scenario(json.dumps(ESCAPE_GAME))
-        failed, [(acl, reference)] = _fold_and_reference(scenario, ("nash",), 1.0)
+        failed, [(acl, reference)] = _fold_and_reference(scenario, ("nash",), 1.0, tmp_path)
         node, status, _ = failed[0]
         assert status is SolveStatus.BLOW_UP and 0 < node < 1000
         assert np.isnan(acl[: node + 1]).all() and np.isnan(reference[: node + 1]).all()
@@ -1472,7 +1484,7 @@ class TestClosedLoopFold:
         # The coarse team solve takes 531 substeps to tf = 4.
         monkeypatch.setattr(riccati, "SUBSTEP_BUDGET", 300)
         scenario = load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
-        failed, [(acl, reference)] = _fold_and_reference(scenario, ("team",), 4.0)
+        failed, [(acl, reference)] = _fold_and_reference(scenario, ("team",), 4.0, tmp_path)
         node, status, _ = failed[0]
         assert status is SolveStatus.SUBSTEP_BUDGET
         assert np.isnan(acl[: node + 1]).all()
@@ -1482,7 +1494,7 @@ class TestClosedLoopFold:
 
     def test_one_node_grid(self, tmp_path):
         scenario = load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
-        failed, pairs = _fold_and_reference(scenario, ("nash", "team"), 0.0)
+        failed, pairs = _fold_and_reference(scenario, ("nash", "team"), 0.0, tmp_path)
         assert failed == {}
         for acl, reference in pairs:
             assert acl.shape == (1, 6, 6) and acl.tobytes() == reference.tobytes()
