@@ -10,10 +10,10 @@ reference by far more than the 0.02 print-rounding tolerance. Those
 horizons end inside the steep terminal transient of the nash solution,
 and the measured nash distances there are not converged in dt: nash d1 at
 tf = 2 reads 59.95, 2.83, 54.46, 5.24, 36.75 and 6.96 at dt = 2e-3, 1e-3,
-5e-4, 2.5e-4, 2e-4 and 1e-4. The forward pass interpolating the gains
-linearly across the spike is the leading cause (ROADMAP open item 1), so
-these rows measure the discretization, not the game. See README
-"Short-horizon sensitivity".
+5e-4, 2.5e-4, 2e-4 and 1e-4. The forward pass interpolating the
+closed-loop matrix A - sum_j B_j K_j linearly across the spike is the
+leading cause (ROADMAP open item 1), so these rows measure the
+discretization, not the game. See README "Short-horizon sensitivity".
 """
 from __future__ import annotations
 

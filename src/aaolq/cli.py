@@ -29,7 +29,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--mode", help="override the run mode (nash or team; sweep accepts 'nash,team')")
     p.add_argument("--alphas", help="override team weights, comma separated")
     p.add_argument("--dt", type=float, help="override the integration step")
-    p.add_argument("--tf", type=float, help="override the horizon end time")
     p.add_argument("--out", help="override the output directory")
 
 
@@ -46,9 +45,12 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=text)
         _add_common(p)
+        p.add_argument("--tf", type=float, help="override the horizon end time")
+    # No abbreviated options: a sweep would read --tf as --tf-list.
     p = sub.add_parser(
         "sweep",
         help="simulate a list of horizons off one backward solve and tabulate distances",
+        allow_abbrev=False,
     )
     _add_common(p)
     p.add_argument("--tf-list", required=True, help="comma separated horizon end times")
@@ -78,7 +80,7 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
     if args.out is not None:
         updates["out_dir"] = args.out
     changes = {"run": dataclasses.replace(scenario.run, **updates)} if updates else {}
-    if args.tf is not None:
+    if getattr(args, "tf", None) is not None:
         return scenario.with_tf(args.tf, **changes)
     return dataclasses.replace(scenario, **changes) if changes else scenario
 

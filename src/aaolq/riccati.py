@@ -112,6 +112,8 @@ MAX_STEPS = 1_000_000
 #: times the benchmark's 11.5 MB history at dt = 1e-3, so the bundled
 #: scenarios keep ample headroom, and a grid past it is refused with a
 #: message that names its bytes. ``Scenario`` checks it on its own grid.
+#: ``run_sweep``, which holds no history of S, checks its closed-loop
+#: matrices against it instead: modes * (steps + 1) * n * n * 8 per horizon.
 MAX_HISTORY_BYTES = 2**30
 
 
@@ -426,7 +428,7 @@ def march_lockstep(games: list[game_mod.GameDefinition], grid: TimeGrid, stores:
     hb_players = np.empty((m, count, 1, 1))
     hb_array = hb_players.reshape(m * count, 1, 1)
     dt = grid.dt
-    h_min = dt / float(MAX_SUBSTEPS) if steps else 0.0
+    h_min = dt / float(MAX_SUBSTEPS)
     substeps = [0] * count
     iterations = 0
     subdivided = [0] * count

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis
+from . import analysis, riccati
 from .analysis import LyapunovReport, lyapunov_check
 from .errors import DivergenceError, NotApplicableError, ValidationError
 from .game import GameDefinition, ValidationReport, ValueEquality, absolute_starts, validate
@@ -484,7 +484,9 @@ def run_sweep(scenario: Scenario, tf_list, modes=None, out_dir=None) -> SweepRes
 
     The game must pass the all-against-one sign pattern, as in ``run()``;
     otherwise :class:`ValidationError` is raised before anything is solved
-    or written. Every game here is time-invariant, so the Riccati solution
+    or written, as it is for a horizon whose closed-loop matrices, modes
+    × nodes × n² × 8 bytes, would pass ``riccati.MAX_HISTORY_BYTES``.
+    Every game here is time-invariant, so the Riccati solution
     depends on time-to-go only and one long solve holds every shorter
     horizon. Cells are grouped by the step of their grid
     ``TimeGrid.from_step(t0, tf, dt)``, compared exactly; each group solves
@@ -521,14 +523,23 @@ def run_sweep(scenario: Scenario, tf_list, modes=None, out_dir=None) -> SweepRes
             grid = TimeGrid.from_step(base_game.t0, tf, scenario.run.dt)
         except ValidationError as exc:
             raise ValidationError(f"tf_list: tf={tf!r}: {exc}") from None
+        # Each mode's fold holds a closed-loop matrix per node of its group's
+        # longest grid, which is one of the horizons checked here.
+        acl_bytes = len(modes) * (grid.steps + 1) * base_game.n**2 * 8
+        if acl_bytes > riccati.MAX_HISTORY_BYTES:
+            raise ValidationError(
+                f"tf_list: tf={tf!r}: the sweep's closed-loop matrices would take "
+                f"{acl_bytes:,} bytes ({len(modes)} modes, {grid.steps + 1:,} nodes, "
+                f"n = {base_game.n}); at most {riccati.MAX_HISTORY_BYTES:,} are allowed"
+            )
         groups.setdefault(grid.dt, {})[tf] = grid
     out = _out_path(scenario, out_dir)
 
     by_cell, solves, timings = {}, [], {}
     for grids in groups.values():
         with _stage(timings, "sweep solve"):
-            long = scenario.with_tf(max(grids))
-            game, long_grid = long.build_game(), long.grid
+            tf_long = max(grids)
+            game, long_grid = replace(base_game, tf=tf_long), grids[tf_long]
             teams = [_team_game(scenario, game, mode) for mode in modes]
             folds = [_ClosedLoopFold(game, team, long_grid) for team in teams]
             failed, stats, iterations = march_lockstep(
@@ -577,8 +588,7 @@ def run_sweep(scenario: Scenario, tf_list, modes=None, out_dir=None) -> SweepRes
                 cap = c.status
             yield ",".join([c.mode, _fmt(c.tf)] + ds + [cap]) + "\n"
 
-    # Made only now: a group's longest horizon, built as a scenario, may be
-    # refused (the history ceiling), and that must leave no directory.
+    # Made only now, so a sweep that is refused or raises leaves no directory.
     out.mkdir(parents=True, exist_ok=True)
     _write_chunks(out / "sweep.csv", lines())
     return SweepResult(modes, tf_tuple, cells, solves, timings)

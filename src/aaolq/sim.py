@@ -62,8 +62,6 @@ class Trajectory(ValueEquality):
 
 
 def _simpson_weights(steps: int, dt: float) -> np.ndarray:
-    if steps == 0:
-        return np.zeros(1)
     w = np.ones(steps + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0

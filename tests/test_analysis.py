@@ -569,6 +569,19 @@ class TestVerifySolution:
         with pytest.raises(IncompleteSolutionError):
             verify_solution(game, sol)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"q_bound": np.eye(2)}, r"^q_bound must be 1 x 1$"),
+            ({"screen_stride": 0}, r"^screen_stride must be at least 1$"),
+        ],
+    )
+    def test_bad_arguments_rejected(self, kwargs, message):
+        game = scalar_game(0.0, [1.0, 1.0], [-1.0, 2.0], [1.0, 1.0], [-1.0, 2.0])
+        sol = solve_coupled(game, TimeGrid.from_step(0.0, 1.0, 0.1))
+        with pytest.raises(ValidationError, match=message):
+            verify_solution(game, sol, **kwargs)
+
     def test_player_count_mismatch_rejected(self, benchmark_sol):
         game = scalar_game(0.0, [1.0, 1.0], [-1.0, 2.0], [1.0, 1.0], [-1.0, 2.0])
         with pytest.raises(ValidationError):

@@ -625,6 +625,14 @@ class TestGains:
         with pytest.raises(IncompleteSolutionError):
             gains(game, sol)
 
+    def test_another_games_solution_rejected(self):
+        sol = solve_coupled(scalar_lqr(), TimeGrid.from_step(0.0, 1.0, 0.1))
+        game = scalar_game(0.0, [1.0, 1.0], [-1.0, 2.0], [1.0, 1.0], [-1.0, 2.0])
+        with pytest.raises(
+            ValidationError, match=r"^solution and game disagree on the player count$"
+        ):
+            gains(game, sol)
+
     def test_gain_recomputation_identity(self, benchmark_game, benchmark_gains, benchmark_sol):
         rinv = [np.linalg.inv(r) for r in benchmark_game.R]
         for i in (0, 3):

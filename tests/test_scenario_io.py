@@ -1,6 +1,7 @@
 """Scenario files, the run pipeline, artifact layouts, CLI exit codes."""
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 import re
@@ -496,6 +497,22 @@ class TestReadmeExamples:
         for block in blocks:
             exec(compile(block, str(README), "exec"), {})
 
+    def test_readme_cli_options_match_the_parser(self):
+        # The CLI section's options table lists, per row of subcommands,
+        # exactly the options build_parser() accepts for each of them.
+        section = README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        choices = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ).choices
+        listed = {}
+        for row in re.findall(r"^\| (`\w+`(?:, `\w+`)*) \| (.*`--.*) \|$", section, flags=re.M):
+            for command in re.findall(r"`(\w+)`", row[0]):
+                listed[command] = set(re.findall(r"`(--[\w-]+)`", row[1]))
+        assert sorted(listed) == sorted(choices)
+        for command, parser in choices.items():
+            options = {o for a in parser._actions for o in a.option_strings if o.startswith("--")}
+            assert listed[command] == options - {"--help"}, command
+
     def test_readme_python_api_names_resolve(self):
         # Every backticked identifier in the "Python API" section names
         # something importable from aaolq; `sweep` is the CLI command and
@@ -912,6 +929,12 @@ class TestRunPipeline:
         left = {path.name: path.read_bytes() for path in shared.iterdir()}
         assert left.pop("sweep.csv").startswith(b"mode,tf,d1,")
         assert left == {path.name: path.read_bytes() for path in fresh.iterdir()}
+
+    def test_unknown_level_rejected_before_any_directory(self, tmp_path):
+        scenario = load_scenario(SCENARIO_DIR / "explicit_small.json")
+        with pytest.raises(ValueError, match=r"^unknown run level 'x'$"):
+            run(scenario, out_dir=tmp_path / "o", level="x")
+        assert not (tmp_path / "o").exists()
 
     def test_byte_determinism(self, tmp_path):
         scenario = load_scenario(SCENARIO_DIR / "explicit_small.json")
@@ -1402,6 +1425,28 @@ class TestRunSweep:
                     run_sweep(sc, tfs, modes=modes, out_dir=out_dir)
         assert list(tmp_path.iterdir()) == []
 
+    def test_a_table_sweep_builds_no_scenario(self, tmp_path, monkeypatch):
+        # Each step group marches the checked game with its horizon moved
+        # and the grid the sweep already built for it.
+        scenario = load_scenario(SCENARIO_DIR / "pursuit_benchmark.json")
+        built = []
+        post_init = Scenario.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(Scenario, "__post_init__", counting)
+        result = run_sweep(scenario, range(2, 16, 2), ("nash", "team"), tmp_path)
+        assert built == []
+        assert [c.status for c in result.cells] == ["ok"] * 14
+
+    def test_missing_cell_raises_key_error(self):
+        table = runner.SweepResult(("nash",), (2.0,), [])
+        with pytest.raises(KeyError) as err:
+            table.cell("nash", 3.0)
+        assert err.value.args == (("nash", 3.0),)
+
     def test_cells_past_the_substep_budget(self, tmp_path, monkeypatch):
         # The coarse team solve takes 231 substeps to tf = 1 and 531 to tf = 4.
         monkeypatch.setattr(riccati, "SUBSTEP_BUDGET", 300)
@@ -1579,13 +1624,45 @@ class TestHistoryCeiling:
         )
         assert list(tmp_path.iterdir()) == []
 
-    def test_sweep_horizon_past_the_ceiling_before_any_directory(self, tmp_path, monkeypatch):
-        # tf = 8 has 801 nodes: 461,376 bytes in team mode.
-        monkeypatch.setattr(riccati, "MAX_HISTORY_BYTES", self.TEAM)
+    def test_sweep_horizon_past_the_ceiling_before_any_directory(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # A sweep holds no history of S, but a closed-loop matrix per mode
+        # and node: tf = 8 has 801 nodes, 461,376 bytes in both modes.
+        monkeypatch.setattr(riccati, "MAX_HISTORY_BYTES", 2 * 801 * 36 * 8 - 1)
+        path = SCENARIO_DIR / "pursuit_coarse.json"
+        message = (
+            "tf_list: tf=8.0: the sweep's closed-loop matrices would take 461,376 bytes "
+            "(2 modes, 801 nodes, n = 6); at most 461,375 are allowed"
+        )
+        with pytest.raises(ValidationError) as err:
+            run_sweep(load_scenario(path), [2.0, 8.0], ("nash", "team"), tmp_path / "sweep")
+        assert str(err.value) == message
+        code = cli_main(
+            ["sweep", "--scenario", str(path), "--mode", "nash,team", "--tf-list", "2,8",
+             "--out", str(tmp_path / "sweep")]
+        )
+        assert code == runner.EXIT_VALIDATION
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_of_a_nash_file_is_bound_by_what_it_holds(self, tmp_path, monkeypatch):
+        # The nash file's own run holds 4 * 401 * 36 * 8 = 461,952 bytes of
+        # S, at the ceiling; its sweep to tf = 8 holds no S history, and
+        # both modes' closed-loop matrices take 461,376 bytes.
         scenario = load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
-        with pytest.raises(ScenarioError, match=r"461,376 bytes \(2 players, 801 nodes"):
-            run_sweep(scenario, [2.0, 8.0], out_dir=tmp_path / "sweep")
-        assert not (tmp_path / "sweep").exists()
+        nash_run = dataclasses.replace(scenario.run, mode="nash")
+        expected = run_sweep(
+            dataclasses.replace(scenario, run=nash_run), [4.0, 8.0], ("nash", "team"),
+            tmp_path / "default",
+        )
+        monkeypatch.setattr(riccati, "MAX_HISTORY_BYTES", 2 * self.TEAM)
+        nash = dataclasses.replace(scenario, run=nash_run)
+        result = run_sweep(nash, [4.0, 8.0], ("nash", "team"), tmp_path / "ceiling")
+        assert [c.status for c in result.cells] == ["ok"] * 4
+        assert result == expected
+        csv = [(tmp_path / d / "sweep.csv").read_bytes() for d in ("default", "ceiling")]
+        assert csv[0] == csv[1]
 
 
 class TestCli:
@@ -1716,6 +1793,11 @@ class TestCli:
                 "pursuit_coarse.json",
                 ["--mode", "team", "--alphas", "0.5,0.5"],
                 "scenario error: run.alphas: expected 3 weights, got 2",
+            ),
+            (
+                "pursuit_coarse.json",
+                ["--alphas", "x"],
+                "scenario error: --alphas: expected comma separated numbers, got 'x'",
             ),
             (
                 "pursuit_coarse.json",
@@ -1872,6 +1954,25 @@ class TestCli:
         scenario = _apply_overrides(benchmark, args)
         assert len(inversions) == 4
         assert (scenario.build_game().tf, scenario.run.dt) == (5.0, 0.01)
+
+    def test_sweep_has_no_tf_option(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli_main(
+                ["sweep", "--scenario", str(SCENARIO_DIR / "pursuit_coarse.json"),
+                 "--tf-list", "2", "--tf", "5", "--out", str(tmp_path / "o")]
+            )
+        assert err.value.code == 2
+        assert "error: unrecognized arguments: --tf 5" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_sweep_horizon_list_without_a_value_exit_two(self, tmp_path, capsys):
+        code = cli_main(
+            ["sweep", "--scenario", str(SCENARIO_DIR / "pursuit_coarse.json"),
+             "--tf-list", ",", "--out", str(tmp_path / "o")]
+        )
+        assert code == runner.EXIT_VALIDATION
+        assert capsys.readouterr().err == "scenario error: --tf-list: expected at least one value\n"
+        assert not (tmp_path / "o").exists()
 
     def test_mode_override(self, tmp_path):
         code = cli_main(

@@ -140,6 +140,18 @@ class TestSimulate:
             expected = 0.5 * sf * x0sq + 0.5 * 2.0 * q * x0sq
             assert traj.costs[i] == pytest.approx(expected, rel=1e-12)
 
+    def test_wrong_size_initial_state_rejected(self):
+        game = scalar_game(0.0, [1.0, 1.0], [-1.0, 2.0], [1.0, 1.0], [-2.0, 3.0])
+        grid = TimeGrid.from_step(0.0, 1.0, 0.1)
+        with pytest.raises(ValidationError, match=r"^x0: expected 1 entries, got 2$"):
+            simulate(game, _zero_gains(game, grid), [1.0, 2.0])
+
+    def test_wrong_gain_count_rejected(self):
+        game = scalar_game(0.0, [1.0, 1.0], [-1.0, 2.0], [1.0, 1.0], [-2.0, 3.0])
+        grid = TimeGrid.from_step(0.0, 1.0, 0.1)
+        with pytest.raises(ValidationError, match=r"^expected 2 gains, got 1$"):
+            simulate(game, _zero_gains(game, grid)[:1], [1.0])
+
     def test_zero_initial_state(self, benchmark_game, benchmark_gains):
         traj = simulate(benchmark_game, benchmark_gains, np.zeros(6))
         assert np.all(traj.x == 0.0)
@@ -309,6 +321,11 @@ class TestPursuitReport:
         report = pursuit_report(traj, 0.1)
         assert report.capture_time == 1.0
         assert report.captured_by == 0
+
+    def test_non_positive_radius_rejected(self):
+        traj = Trajectory(grid=TimeGrid(0.0, 1.0, 1), x=np.ones((2, 2)), u=(), costs=np.zeros(0))
+        with pytest.raises(ValidationError, match=r"^capture_radius must be positive$"):
+            pursuit_report(traj, 0.0)
 
     def test_odd_dimension_rejected(self):
         grid = TimeGrid(0.0, 1.0, 1)

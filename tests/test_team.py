@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from aaolq import (
+    FeedbackGain,
     PursuitParams,
     TeamWeights,
     TimeGrid,
@@ -25,6 +26,12 @@ class TestTeamWeights:
     def test_uniform(self):
         w = TeamWeights.uniform(3)
         assert w.alpha == (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
+
+    def test_uniform_needs_a_regulator(self):
+        with pytest.raises(
+            ValidationError, match=r"^uniform weights need at least one regulator$"
+        ):
+            TeamWeights.uniform(0)
 
     def test_invalid_weights_rejected(self):
         with pytest.raises(ValidationError):
@@ -125,6 +132,13 @@ class TestTeamGainsToPlayers:
     def test_wrong_player_rejected(self, benchmark_team, team_gains):
         with pytest.raises(ValidationError):
             team_gains_to_players(benchmark_team, team_gains[0])
+
+    def test_wrong_row_count_rejected(self):
+        team = build_team_game(scalar_game(0.0, [1.0, 1.0], [-1.0, 2.0], [1.0, 1.0], [-1.0, 2.0]))
+        grid = TimeGrid(0.0, 1.0, 2)
+        gain = FeedbackGain(player=1, grid=grid, K=np.zeros((3, 2, 1)))
+        with pytest.raises(ValidationError, match=r"^team gain has 2 control rows, expected 1$"):
+            team_gains_to_players(team, gain)
 
     def test_closed_loop_equivalence(
         self, benchmark_game, benchmark_team, team_sol, team_gains
