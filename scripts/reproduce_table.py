@@ -3,21 +3,29 @@
 
 Sweeps tf over {2, 4, ..., 14} in nash and team mode on the bundled
 benchmark, prints measured final distances next to the reference values,
-and runs the extra team-mode tf = 18 point that ends in capture.
+and runs the extra team-mode tf = 18 point that ends in capture. The
+sweep runs a second time at dt / 2 (its artifacts under ``half_dt/``),
+and the last column, "dt/2 max |dd|", is each cell's largest change of
+a final distance between the two: how far the cell is from converged in
+dt. A cell that fails at dt / 2 reads nan there and counts as failed.
 
 Known discrepancy: the nash rows at tf = 2, 4, 6 deviate from the
 reference by far more than the 0.02 print-rounding tolerance. Those
 horizons end inside the steep terminal transient of the nash solution,
 and the measured nash distances there are not converged in dt: nash d1 at
 tf = 2 reads 59.95, 2.83, 54.46, 5.24, 36.75 and 6.96 at dt = 2e-3, 1e-3,
-5e-4, 2.5e-4, 2e-4 and 1e-4. The forward pass interpolating the
-closed-loop matrix A - sum_j B_j K_j linearly across the spike is the
-leading cause (ROADMAP open item 1), so these rows measure the
-discretization, not the game. See README "Short-horizon sensitivity".
+5e-4, 2.5e-4, 2e-4 and 1e-4. The dt / 2 column shows it on every run:
+on the benchmark it reads 52.47, 9.159, 1.191 and 0.1369 for nash at
+tf = 2, 4, 6 and 8, and at most 0.0029 for team. The forward pass
+interpolating the closed-loop matrix A - sum_j B_j K_j linearly across
+the spike is the leading cause (ROADMAP open item 1), so these rows
+measure the discretization, not the game. See README "Short-horizon
+sensitivity".
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 from pathlib import Path
 
 from aaolq import load_scenario, run_sweep
@@ -60,9 +68,17 @@ def main(argv=None) -> int:
 
     scenario = load_scenario(args.scenario)
     sweep = run_sweep(scenario, TF_LIST, modes=MODES, out_dir=args.out)
+    half_dt = dataclasses.replace(scenario.run, dt=scenario.run.dt / 2)
+    fine = run_sweep(
+        dataclasses.replace(scenario, run=half_dt), TF_LIST, modes=MODES,
+        out_dir=Path(args.out) / "half_dt",
+    )
 
     failed_cells = 0
-    print(f"{'mode':<6}{'tf':>4}   {'measured d1/d2/d3':<26}{'reference':<22}{'max dev':>8}")
+    print(
+        f"{'mode':<6}{'tf':>4}   {'measured d1/d2/d3':<26}{'reference':<22}{'max dev':>8}"
+        f"{'dt/2 max |dd|':>15}"
+    )
     for mode in MODES:
         for tf in TF_LIST:
             cell = sweep.cell(mode, tf)
@@ -74,8 +90,17 @@ def main(argv=None) -> int:
             measured = "/".join(f"{d:7.4f}" for d in cell.distances)
             reference = "/".join(f"{r:5.2f}" for r in ref)
             dev = max(abs(d - r) for d, r in zip(cell.distances, ref))
+            halved = fine.cell(mode, tf)
+            if halved.status == "ok":
+                change = max(abs(d - h) for d, h in zip(cell.distances, halved.distances))
+            else:
+                failed_cells += 1
+                change = float("nan")
             marker = "" if dev <= TOL else "  <- exceeds 0.02"
-            print(f"{mode:<6}{tf:>4.0f}   {measured:<26}{reference:<22}{dev:8.4f}{marker}")
+            print(
+                f"{mode:<6}{tf:>4.0f}   {measured:<26}{reference:<22}{dev:8.4f}"
+                f"{change:15.4g}{marker}"
+            )
 
     long = run_sweep(scenario, [18.0], modes=("team",), out_dir=Path(args.out) / "tf18")
     cell = long.cell("team", 18.0)

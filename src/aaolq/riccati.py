@@ -101,20 +101,9 @@ MAX_SUBSTEPS = 100_000
 SUBSTEP_BUDGET = 10_000_000
 
 #: Ceiling on the output intervals of a grid. Every history holds one
-#: matrix per player and node, so a finer grid could not be stored.
+#: matrix per player and node, so a finer grid could not be stored;
+#: ``runner.MAX_GRID_BYTES`` bounds the bytes that a run holds on it.
 MAX_STEPS = 1_000_000
-
-#: Ceiling on the bytes of one solve's history of S, players * (steps + 1)
-#: * n * n * 8, which ``solve_coupled`` allocates whole before its first
-#: substep. ``MAX_STEPS`` alone lets it reach 1.15 GB on the benchmark game
-#: (M = 4, n = 6) and 23 GB at M = 5, n = 24, where the allocation fails
-#: with a bare ``MemoryError`` or the process is killed. 1 GiB is about 90
-#: times the benchmark's 11.5 MB history at dt = 1e-3, so the bundled
-#: scenarios keep ample headroom, and a grid past it is refused with a
-#: message that names its bytes. ``Scenario`` checks it on its own grid.
-#: ``run_sweep``, which holds no history of S, checks its closed-loop
-#: matrices against it instead: modes * (steps + 1) * n * n * 8 per horizon.
-MAX_HISTORY_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -137,6 +126,8 @@ class TimeGrid:
             raise ValidationError("grid endpoints must be finite")
         if tf < t0:
             raise ValidationError(f"need tf >= t0, got t0={t0}, tf={tf}")
+        if tf - t0 == math.inf:
+            raise ValidationError(f"the span tf - t0 is not finite (t0={t0}, tf={tf})")
         if tf > t0 and steps < 1:
             raise ValidationError("a positive horizon needs at least one step")
         if tf == t0 and steps != 0:

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, riccati
+from . import analysis
 from .analysis import LyapunovReport, lyapunov_check
 from .errors import DivergenceError, NotApplicableError, ValidationError
 from .game import GameDefinition, ValidationReport, ValueEquality, absolute_starts, validate
@@ -47,6 +47,21 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_BLOWUP = 3
 EXIT_DIVERGENCE = 4
+
+#: Ceiling on the bytes of the whole-grid arrays that ``run()``, or a step group
+#: of ``run_sweep()``, holds; both sum them in ``_check_grid_bytes`` before any mkdir.
+MAX_GRID_BYTES = 2**30
+
+
+def _check_grid_bytes(prefix: str, nodes: int, terms: dict[str, int]) -> None:
+    """Raise :class:`ValidationError` if the byte ``terms`` sum past ``MAX_GRID_BYTES``."""
+    total = sum(terms.values())
+    if total > MAX_GRID_BYTES:
+        named = ", ".join(f"{name} {size:,}" for name, size in terms.items())
+        raise ValidationError(
+            f"{prefix} the whole-grid arrays of {nodes:,} nodes would take {total:,} bytes "
+            f"({named}); at most {MAX_GRID_BYTES:,} are allowed"
+        )
 
 
 @contextmanager
@@ -346,16 +361,23 @@ def run(scenario: Scenario, out_dir=None, *, level: str = "simulate") -> RunResu
     ``verify_solution``, ``solution.csv``, ``gains + simulate``,
     ``lyapunov_check`` and ``other writers`` (the forward files and the
     pursuit report). ``out_dir`` overrides ``scenario.run.out_dir`` and is
-    checked as it is, before anything is written.
+    checked as it is, before anything is written. So are the whole-grid
+    arrays the level holds, S and L, and at "simulate" also K, the closed
+    loop, x and u: past ``MAX_GRID_BYTES`` they raise :class:`ValidationError`.
     """
     if level not in ("check", "solve", "simulate"):
         raise ValueError(f"unknown run level {level!r}")
     out = _out_path(scenario, out_dir)
+    game, nodes = scenario.build_game(), scenario.grid.steps + 1
+    n, controls = game.n, sum(b.shape[1] for b in game.B)
+    floats = {"S": (2 if scenario.run.mode == "team" else game.num_players) * n * n, "L": n * n}
+    if level == "simulate":
+        floats |= {"K": controls * n, "closed_loop": n * n, "x": n, "u": controls}
+    _check_grid_bytes("run.dt:", nodes, {name: nodes * 8 * f for name, f in floats.items()})
     out.mkdir(parents=True, exist_ok=True)
     for stale in ("conditions.txt", "summary.txt", "solution.csv", "trajectory.csv",
                   "distances.csv", "positions.csv"):
         (out / stale).unlink(missing_ok=True)
-    game = scenario.build_game()
     result = RunResult(EXIT_OK, out, scenario.run.mode, game=game, grid=scenario.grid)
     result.validation = validate(game)
     if not result.validation.aao_compliant:
@@ -484,8 +506,8 @@ def run_sweep(scenario: Scenario, tf_list, modes=None, out_dir=None) -> SweepRes
 
     The game must pass the all-against-one sign pattern, as in ``run()``;
     otherwise :class:`ValidationError` is raised before anything is solved
-    or written, as it is for a horizon whose closed-loop matrices, modes
-    × nodes × n² × 8 bytes, would pass ``riccati.MAX_HISTORY_BYTES``.
+    or written, as it is for a step group whose closed-loop matrices (on its
+    longest grid) and state paths (one per horizon) would pass ``MAX_GRID_BYTES``.
     Every game here is time-invariant, so the Riccati solution
     depends on time-to-go only and one long solve holds every shorter
     horizon. Cells are grouped by the step of their grid
@@ -516,23 +538,18 @@ def run_sweep(scenario: Scenario, tf_list, modes=None, out_dir=None) -> SweepRes
         raise ValueError("sweeps need an even state dimension for distance reporting")
     if not validate(base_game).aao_compliant:
         raise ValidationError("game failed the all-against-one sign pattern; nothing solved")
-    k = base_game.n // 2
+    n, k = base_game.n, base_game.n // 2
     groups: dict[float, dict[float, TimeGrid]] = {}
     for tf in tf_tuple:
         try:
             grid = TimeGrid.from_step(base_game.t0, tf, scenario.run.dt)
         except ValidationError as exc:
             raise ValidationError(f"tf_list: tf={tf!r}: {exc}") from None
-        # Each mode's fold holds a closed-loop matrix per node of its group's
-        # longest grid, which is one of the horizons checked here.
-        acl_bytes = len(modes) * (grid.steps + 1) * base_game.n**2 * 8
-        if acl_bytes > riccati.MAX_HISTORY_BYTES:
-            raise ValidationError(
-                f"tf_list: tf={tf!r}: the sweep's closed-loop matrices would take "
-                f"{acl_bytes:,} bytes ({len(modes)} modes, {grid.steps + 1:,} nodes, "
-                f"n = {base_game.n}); at most {riccati.MAX_HISTORY_BYTES:,} are allowed"
-            )
         groups.setdefault(grid.dt, {})[tf] = grid
+    for grids in groups.values():
+        nodes, paths = grids[max(grids)].steps + 1, sum(g.steps + 1 for g in grids.values())
+        _check_grid_bytes(f"tf_list: tf={max(grids)!r}:", nodes, {
+            "closed_loop": len(modes) * nodes * n * n * 8, "paths": len(modes) * paths * n * 8})
     out = _out_path(scenario, out_dir)
 
     by_cell, solves, timings = {}, [], {}

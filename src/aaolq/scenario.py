@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import linalg, riccati
+from . import linalg
 from .errors import ScenarioError, ValidationError
 from .game import GameDefinition, PursuitParams, ValueEquality, build_pursuit_example
 from .riccati import TimeGrid
@@ -111,15 +111,6 @@ class Scenario(ValueEquality):
         except ValidationError as exc:
             raise ScenarioError(f"run.dt: {exc}") from exc
         object.__setattr__(self, "grid", grid)
-        # Team mode solves the two-player reduction.
-        players = 2 if self.run.mode == "team" else game.num_players
-        history = players * (grid.steps + 1) * game.n * game.n * 8
-        if history > riccati.MAX_HISTORY_BYTES:
-            raise ScenarioError(
-                f"run.dt: the solve's history of S would take {history:,} bytes "
-                f"({players} players, {grid.steps + 1:,} nodes, n = {game.n}); "
-                f"at most {riccati.MAX_HISTORY_BYTES:,} are allowed"
-            )
         n, regulators = game.n, game.num_players - 1
         if self.x0.size != n:
             raise ScenarioError(f"{source}.x0: expected {n} entries, got {self.x0.size}")

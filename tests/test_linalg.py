@@ -89,7 +89,9 @@ class TestSymEigenvalues:
         values = linalg.sym_eigenvalues(s)
         assert float(np.sum(values)) == pytest.approx(float(np.trace(s)), abs=1e-9 * n)
         if n <= 3:
-            det = float(np.linalg.det(s))
+            # The LU of some near-singular draws divides by zero, and numpy warns.
+            with np.errstate(divide="ignore"):
+                det = float(np.linalg.det(s))
             assert float(np.prod(values)) == pytest.approx(det, rel=1e-9, abs=1e-9)
 
     @given(st.integers(min_value=0, max_value=10_000))

@@ -349,6 +349,12 @@ MALFORMED = {
         lambda sc: _replace_run(sc, dt=1e-320),
         "run.dt: dt=1e-320 is too small for the span 1.5: span / dt is not finite",
     ),
+    "span_overflows": (
+        "explicit_small.json",
+        lambda doc: doc["explicit"].update(t0=-1e308, tf=1e308),
+        lambda sc: _replace_explicit(sc, t0=-1e308, tf=1e308),
+        "run.dt: the span tf - t0 is not finite (t0=-1e+308, tf=1e+308)",
+    ),
     "mode_unknown": (
         "pursuit_benchmark.json",
         _set(("run", "mode"), "minimax"),
@@ -1586,23 +1592,67 @@ def test_sweep_releases_each_modes_matrices_before_the_next_forward_pass(tmp_pat
     assert alive == [[], [False]]
 
 
-class TestHistoryCeiling:
-    """``riccati.MAX_HISTORY_BYTES`` refuses a scenario whose solve's history
-    of S would pass it. It is patched down here, so no large array is made.
+class TestGridCeiling:
+    """``runner.MAX_GRID_BYTES`` refuses a run or a sweep whose whole-grid
+    arrays would pass it, naming each array's bytes, before any directory is
+    made. It is patched down here, so no large array is made.
 
-    The coarse scenario's grid has 401 nodes of 6 x 6 matrices: its team
-    solve's history (the two-player reduction) takes 230,976 bytes, a nash
-    solve's (4 players) twice that.
+    The coarse scenario's grid has 401 nodes: n = 6, M = 4 and 8 control
+    columns in all. Its S history takes 2 players × 36 floats per node in
+    team mode (the reduction), 4 in nash; L 36 floats, K 48, the closed loop
+    36, x 6 and u 8, each × 401 nodes × 8 bytes.
     """
 
-    TEAM = 2 * 401 * 36 * 8
+    #: Per mode, the bytes of a check (S and L) and of a simulate run.
+    CHECK = {"nash": 577_440, "team": 346_464}
+    SIMULATE = {"nash": 891_824, "team": 660_848}
+    S = {"nash": "S 461,952", "team": "S 230,976"}
+    FORWARD = "K 153,984, closed_loop 115,488, x 19,248, u 25,664"
+    #: A sweep of the nash file to [4, 8] in both modes: each mode's
+    #: closed-loop matrices on the 801 nodes of tf = 8 and its state paths,
+    #: (401 + 801) nodes × 6 floats.
+    SWEEP = 576_768
 
-    def test_team_mode_counts_the_reduced_game(self, monkeypatch):
-        monkeypatch.setattr(riccati, "MAX_HISTORY_BYTES", self.TEAM)
-        scenario = load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
-        nash = dataclasses.replace(scenario.run, mode="nash")
-        with pytest.raises(ScenarioError, match=r"461,952 bytes \(4 players, 401 nodes, n = 6\)"):
-            dataclasses.replace(scenario, run=nash)
+    def _held(self, mode: str, level: str) -> str:
+        """The refusal's account of what a run at ``level`` holds."""
+        if level == "simulate":
+            return f"{self.SIMULATE[mode]:,} bytes ({self.S[mode]}, L 115,488, {self.FORWARD})"
+        return f"{self.CHECK[mode]:,} bytes ({self.S[mode]}, L 115,488)"
+
+    @staticmethod
+    def _scenario(mode: str) -> Scenario:
+        return _replace_run(load_scenario(SCENARIO_DIR / "pursuit_coarse.json"), mode=mode)
+
+    @staticmethod
+    def _nash_file(tmp_path) -> Path:
+        doc = json.loads((SCENARIO_DIR / "pursuit_coarse.json").read_text())
+        doc["run"].update(mode="nash", alphas=None)
+        return _write_scenario(tmp_path, doc, "nash.json")
+
+    @pytest.mark.parametrize("mode", ["nash", "team"])
+    @pytest.mark.parametrize("level", ["check", "solve", "simulate"])
+    def test_refusal_names_every_term(self, tmp_path, monkeypatch, mode, level):
+        monkeypatch.setattr(runner, "MAX_GRID_BYTES", 100)
+        with pytest.raises(ValidationError) as err:
+            run(self._scenario(mode), tmp_path / "o", level=level)
+        assert str(err.value) == (
+            f"run.dt: the whole-grid arrays of 401 nodes would take {self._held(mode, level)}; "
+            "at most 100 are allowed"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("mode", ["nash", "team"])
+    def test_check_fits_where_simulate_does_not(self, tmp_path, monkeypatch, mode):
+        # At the check's own sum: a sum equal to the ceiling is allowed.
+        monkeypatch.setattr(runner, "MAX_GRID_BYTES", self.CHECK[mode])
+        result = run(self._scenario(mode), tmp_path / "check", level="check")
+        assert result.exit_code == runner.EXIT_OK
+        assert sorted(p.name for p in (tmp_path / "check").iterdir()) == [
+            "conditions.txt", "summary.txt"
+        ]
+        with pytest.raises(ValidationError, match=re.escape(self._held(mode, "simulate"))):
+            run(self._scenario(mode), tmp_path / "simulate")
+        assert not (tmp_path / "simulate").exists()
 
     @pytest.mark.parametrize(
         "command", [["check"], ["solve"], ["simulate"], ["sweep", "--tf-list", "1,2"]]
@@ -1610,59 +1660,66 @@ class TestHistoryCeiling:
     def test_past_the_ceiling_exit_two_before_any_directory(
         self, tmp_path, monkeypatch, capsys, command
     ):
-        monkeypatch.setattr(riccati, "MAX_HISTORY_BYTES", self.TEAM - 1)
+        # Under the team file's sweep to tf = 2, the least of the four.
+        monkeypatch.setattr(runner, "MAX_GRID_BYTES", 72_383)
         monkeypatch.chdir(tmp_path)
         code = cli_main(
             command[:1]
             + ["--scenario", str(SCENARIO_DIR / "pursuit_coarse.json"), "--out", str(tmp_path / "o")]
             + command[1:]
         )
+        if command[0] == "sweep":
+            message = (
+                "tf_list: tf=2.0: the whole-grid arrays of 201 nodes would take 72,384 bytes "
+                "(closed_loop 57,888, paths 14,496)"
+            )
+        else:
+            message = (
+                "run.dt: the whole-grid arrays of 401 nodes would take "
+                + self._held("team", command[0])
+            )
         assert code == runner.EXIT_VALIDATION
         assert capsys.readouterr().err == (
-            "scenario error: run.dt: the solve's history of S would take 230,976 bytes "
-            "(2 players, 401 nodes, n = 6); at most 230,975 are allowed\n"
+            f"validation error: {message}; at most 72,383 are allowed\n"
         )
         assert list(tmp_path.iterdir()) == []
 
-    def test_sweep_horizon_past_the_ceiling_before_any_directory(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        # A sweep holds no history of S, but a closed-loop matrix per mode
-        # and node: tf = 8 has 801 nodes, 461,376 bytes in both modes.
-        monkeypatch.setattr(riccati, "MAX_HISTORY_BYTES", 2 * 801 * 36 * 8 - 1)
-        path = SCENARIO_DIR / "pursuit_coarse.json"
-        message = (
-            "tf_list: tf=8.0: the sweep's closed-loop matrices would take 461,376 bytes "
-            "(2 modes, 801 nodes, n = 6); at most 461,375 are allowed"
-        )
-        with pytest.raises(ValidationError) as err:
-            run_sweep(load_scenario(path), [2.0, 8.0], ("nash", "team"), tmp_path / "sweep")
-        assert str(err.value) == message
-        code = cli_main(
-            ["sweep", "--scenario", str(path), "--mode", "nash,team", "--tf-list", "2,8",
-             "--out", str(tmp_path / "sweep")]
-        )
-        assert code == runner.EXIT_VALIDATION
-        assert capsys.readouterr().err == f"validation error: {message}\n"
-        assert list(tmp_path.iterdir()) == []
+    def test_a_nash_file_parses_at_any_ceiling(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(runner, "MAX_GRID_BYTES", 0)
+        assert load_scenario(self._nash_file(tmp_path)).run.mode == "nash"
 
-    def test_sweep_of_a_nash_file_is_bound_by_what_it_holds(self, tmp_path, monkeypatch):
-        # The nash file's own run holds 4 * 401 * 36 * 8 = 461,952 bytes of
-        # S, at the ceiling; its sweep to tf = 8 holds no S history, and
-        # both modes' closed-loop matrices take 461,376 bytes.
-        scenario = load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
-        nash_run = dataclasses.replace(scenario.run, mode="nash")
-        expected = run_sweep(
-            dataclasses.replace(scenario, run=nash_run), [4.0, 8.0], ("nash", "team"),
-            tmp_path / "default",
-        )
-        monkeypatch.setattr(riccati, "MAX_HISTORY_BYTES", 2 * self.TEAM)
-        nash = dataclasses.replace(scenario, run=nash_run)
-        result = run_sweep(nash, [4.0, 8.0], ("nash", "team"), tmp_path / "ceiling")
+    def test_sweep_of_a_nash_file_is_bound_by_what_it_holds(self, tmp_path, monkeypatch, capsys):
+        path = self._nash_file(tmp_path)
+        expected = run_sweep(load_scenario(path), [4.0, 8.0], ("nash", "team"), tmp_path / "default")
+        monkeypatch.setattr(runner, "MAX_GRID_BYTES", self.SWEEP)
+        result = run_sweep(load_scenario(path), [4.0, 8.0], ("nash", "team"), tmp_path / "ceiling")
         assert [c.status for c in result.cells] == ["ok"] * 4
         assert result == expected
         csv = [(tmp_path / d / "sweep.csv").read_bytes() for d in ("default", "ceiling")]
         assert csv[0] == csv[1]
+        # The file's own run holds S, L and the forward arrays: 891,824 bytes.
+        code = cli_main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "run")])
+        assert code == runner.EXIT_VALIDATION
+        assert self._held("nash", "simulate") in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_sweep_one_byte_under_is_refused_for_its_paths(self, tmp_path, monkeypatch, capsys):
+        path = self._nash_file(tmp_path)
+        monkeypatch.setattr(runner, "MAX_GRID_BYTES", self.SWEEP - 1)
+        message = (
+            "tf_list: tf=8.0: the whole-grid arrays of 801 nodes would take 576,768 bytes "
+            "(closed_loop 461,376, paths 115,392); at most 576,767 are allowed"
+        )
+        with pytest.raises(ValidationError) as err:
+            run_sweep(load_scenario(path), [4.0, 8.0], ("nash", "team"), tmp_path / "sweep")
+        assert str(err.value) == message
+        code = cli_main(
+            ["sweep", "--scenario", str(path), "--mode", "nash,team", "--tf-list", "4,8",
+             "--out", str(tmp_path / "sweep")]
+        )
+        assert code == runner.EXIT_VALIDATION
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["nash.json"]
 
 
 class TestCli:
