@@ -11,8 +11,8 @@ with the same ``runner._stage``. In order: ``solve``, ``verify_solution``,
 the pursuit report with distances.csv, positions.csv), ``sweep solve`` (the
 lockstep march of the nash and team games of the table's longest horizon,
 folding nodes into closed-loop matrices) and ``sweep forward`` (each mode's
-forward pass from one start per horizon of ``reproduce_table.TF_LIST``, and
-the cells' pursuit reports), then the whole ``run()`` and ``run_sweep()``.
+forward pass from one start per horizon of ``reproduce_table.TF_LIST`` into
+the cells' capture receivers), then the whole ``run()`` and ``run_sweep()``.
 A scenario whose run ends with a non-zero exit code, or a round whose
 results lack a stage, is refused.
 

@@ -38,7 +38,7 @@ from .riccati import (
 )
 from .scenario import MODES, Scenario
 from .sim import (
-    PursuitReport, Trajectory, _propagate, _pursuit_report, chunk_items, closed_loop,
+    PursuitReport, Trajectory, _block_distances, _propagate, chunk_items, closed_loop,
     pursuit_report, simulate,
 )
 from .team import TeamGame, TeamWeights, build_team_game, team_gains_to_players
@@ -501,13 +501,31 @@ class _ClosedLoopFold:
         return self.acl
 
 
+class _Capture:
+    """One sweep start's receiver of :func:`_propagate` states; keeps what its cell reads.
+
+    ``captured`` tells whether some node's smallest block distance was at or
+    under ``radius``, as :func:`pursuit_report` decides; ``distances`` is the
+    last node's block distances, a read-only array of its own.
+    """
+
+    def __init__(self, radius: float):
+        self.radius, self.captured = radius, False
+
+    def __setitem__(self, rows: slice, states: np.ndarray) -> None:
+        d = _block_distances(states)
+        self.captured = self.captured or bool((d.min(axis=1) <= self.radius).any())
+        self.distances = d[-1].copy()
+        self.distances.flags.writeable = False
+
+
 def run_sweep(scenario: Scenario, tf_list, modes=None, out_dir=None) -> SweepResult:
     """Solve and simulate every (mode, tf) cell; rectangular results table.
 
     The game must pass the all-against-one sign pattern, as in ``run()``;
     otherwise :class:`ValidationError` is raised before anything is solved
     or written, as it is for a step group whose closed-loop matrices (on its
-    longest grid) and state paths (one per horizon) would pass ``MAX_GRID_BYTES``.
+    longest grid) would pass ``MAX_GRID_BYTES``.
     Every game here is time-invariant, so the Riccati solution
     depends on time-to-go only and one long solve holds every shorter
     horizon. Cells are grouped by the step of their grid
@@ -517,12 +535,13 @@ def run_sweep(scenario: Scenario, tf_list, modes=None, out_dir=None) -> SweepRes
     fresh solve of the cell's horizon bitwise. Each mode's nodes are
     folded into closed-loop matrices while the loop runs, each node's
     gains formed once, and each mode runs one forward pass, which advances
-    every cell from its start node through the same closed-loop maps; each
-    cell's final distances and capture flag equal its own ``run()``
-    bitwise. Every cell is attempted; blow-ups and divergences are recorded
-    in the cell status and the sweep continues. ``solves`` holds each step
-    group's per-mode :class:`SolveStats` and lockstep iterations; ``timings``
-    the (CPU s, wall s) of ``sweep solve`` and ``sweep forward``.
+    every cell from its start node through the same closed-loop maps into
+    a receiver that keeps only the cell's capture flag and final distances;
+    both equal its own ``run()`` bitwise. Every cell is attempted; blow-ups
+    and divergences are recorded in the cell status and the sweep
+    continues. ``solves`` holds each step group's per-mode
+    :class:`SolveStats` and lockstep iterations; ``timings`` the (CPU s,
+    wall s) of ``sweep solve`` and ``sweep forward``.
     """
     modes = tuple(modes) if modes else (scenario.run.mode,)
     for m in modes:
@@ -547,9 +566,10 @@ def run_sweep(scenario: Scenario, tf_list, modes=None, out_dir=None) -> SweepRes
             raise ValidationError(f"tf_list: tf={tf!r}: {exc}") from None
         groups.setdefault(grid.dt, {})[tf] = grid
     for grids in groups.values():
-        nodes, paths = grids[max(grids)].steps + 1, sum(g.steps + 1 for g in grids.values())
-        _check_grid_bytes(f"tf_list: tf={max(grids)!r}:", nodes, {
-            "closed_loop": len(modes) * nodes * n * n * 8, "paths": len(modes) * paths * n * 8})
+        nodes = grids[max(grids)].steps + 1
+        _check_grid_bytes(
+            f"tf_list: tf={max(grids)!r}:", nodes, {"closed_loop": len(modes) * nodes * n * n * 8}
+        )
     out = _out_path(scenario, out_dir)
 
     by_cell, solves, timings = {}, [], {}
@@ -583,15 +603,13 @@ def run_sweep(scenario: Scenario, tf_list, modes=None, out_dir=None) -> SweepRes
                         by_cell[mode, tf] = SweepCell(mode, tf, None, None, fail[1].value)
                 if not starts:
                     continue
-                states = _propagate(long_grid, acl, scenario.x0, list(starts.values()))
+                captures = [_Capture(scenario.capture_radius) for _ in starts]
+                states = _propagate(long_grid, acl, scenario.x0, list(starts.values()), captures)
                 for tf, x in zip(starts, states):
                     if isinstance(x, DivergenceError):
                         by_cell[mode, tf] = SweepCell(mode, tf, None, None, "diverged")
                     else:
-                        report = _pursuit_report(x, grids[tf], scenario.capture_radius)
-                        by_cell[mode, tf] = SweepCell(
-                            mode, tf, report.final_distances, report.captured, "ok"
-                        )
+                        by_cell[mode, tf] = SweepCell(mode, tf, x.distances, x.captured, "ok")
     cells = [by_cell[mode, tf] for mode in modes for tf in tf_tuple]
 
     def lines():

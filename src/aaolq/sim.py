@@ -119,14 +119,18 @@ def _transition_maps(acl: np.ndarray, dt: float, nodes: list[int]):
         yield k + first, phi, sub == bounds[k + 1] - 1
 
 
-def _propagate(grid: TimeGrid, acl: np.ndarray, x0, starts) -> list[np.ndarray | DivergenceError]:
+def _propagate(grid: TimeGrid, acl: np.ndarray, x0, starts, stores) -> list:
     """Closed-loop states from ``x0`` at each start node to the grid's end.
 
-    ``acl`` holds the closed-loop matrix at every node of ``grid``. Entry i
-    holds the states on nodes ``starts[i]`` .. steps of ``grid``, or the
-    :class:`DivergenceError` of the first substep whose state norm passed
-    ``DIVERGENCE_NORM``, at the end time of that substep's interval; a
-    diverged start stops counting (its state is zeroed), the others go on.
+    ``acl`` holds the closed-loop matrix at every node of ``grid``. The
+    states of start i, on nodes ``starts[i]`` .. steps of ``grid``, go to
+    its receiver in node order as ``stores[i][rows] = states``: ``rows``
+    a slice of those nodes counted from the start, row 0 (``x0``) first,
+    and ``states`` their (rows, n) states, at least one row per write.
+    Entry i of the result is ``stores[i]``, or the :class:`DivergenceError`
+    of the first substep whose state norm passed ``DIVERGENCE_NORM``, at
+    the end time of that substep's interval; a diverged start stops
+    counting (its state is zeroed), the others go on.
     One set of transition maps, built from the earliest start onward,
     serves every start. Each substep advances every running start in one
     stacked product of matrix-vector products, one per start, so each
@@ -139,12 +143,9 @@ def _propagate(grid: TimeGrid, acl: np.ndarray, x0, starts) -> list[np.ndarray |
     x0v = linalg.as_vector(x0, "x0")
     if x0v.size != n:
         raise ValidationError(f"x0: expected {n} entries, got {x0v.size}")
-    times = grid.times()
-    out: list[np.ndarray | DivergenceError] = []
-    for s in starts:
-        path = np.empty((grid.steps - s + 1, n))
-        path[0] = x0v
-        out.append(path)
+    out: list = list(stores)
+    for store in out:
+        store[:1] = x0v[None]
     # Starts enter in node order, so the running ones are a prefix of ``state``.
     order = sorted(range(len(starts)), key=starts.__getitem__)
     nodes = [starts[i] for i in order]
@@ -161,16 +162,17 @@ def _propagate(grid: TimeGrid, acl: np.ndarray, x0, starts) -> list[np.ndarray |
             xk = np.matmul(p, xk, out=dst)
         state[:running] = xk
         norms = np.linalg.norm(xs[..., 0], axis=-1)
+        ends = k[last] + 1  # the nodes whose intervals close in this chunk, in order
         for i in range(running):
             if isinstance(out[order[i]], DivergenceError):
                 continue
             bad = np.flatnonzero(~(norms[:, i] <= DIVERGENCE_NORM))
             if bad.size:
-                t_bad = float(times[k[bad[0]] + 1])
+                t_bad = float(grid.times()[k[bad[0]] + 1])
                 out[order[i]] = DivergenceError(t_bad, float(norms[bad[0], i]))
                 state[i] = 0.0
-                continue
-            out[order[i]][k[last] + 1 - nodes[i]] = xs[last, i, :, 0]
+            elif ends.size:
+                out[order[i]][ends[0] - nodes[i] : ends[-1] + 1 - nodes[i]] = xs[last, i, :, 0]
     return out
 
 
@@ -204,7 +206,9 @@ def simulate(game: GameDefinition, gains: list[FeedbackGain], x0) -> Trajectory:
             first = np.flatnonzero(~np.isfinite(g.K).reshape(len(g.K), -1).all(axis=1))[0]
             t_bad = float(grid.times()[first])
             raise ValidationError(f"player {i + 1}: gain is not finite at t={t_bad!r}")
-    (x,) = _propagate(grid, closed_loop(game, gains), x0, (0,))
+    (x,) = _propagate(
+        grid, closed_loop(game, gains), x0, (0,), [np.empty((grid.steps + 1, game.n))]
+    )
     if isinstance(x, DivergenceError):
         raise x
     # x was allocated above the closed-loop matrices in the heap; a copy
@@ -254,26 +258,23 @@ class PursuitReport(ValueEquality):
         return self.capture_time is not None
 
 
+def _block_distances(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each planar block of each row of the states ``x``: (rows, n // 2)."""
+    blocks = x.reshape(x.shape[0], -1, 2)
+    return np.sqrt(np.einsum("tkc,tkc->tk", blocks, blocks))
+
+
 def pursuit_report(traj: Trajectory, capture_radius: float) -> PursuitReport:
     """Distances and capture outcome under the planar block convention."""
-    return _pursuit_report(traj.x, traj.grid, capture_radius)
-
-
-def _pursuit_report(x: np.ndarray, grid: TimeGrid, capture_radius: float) -> PursuitReport:
-    """:func:`pursuit_report` of the states ``x`` on the nodes of ``grid``."""
     if not capture_radius > 0:
         raise ValidationError("capture_radius must be positive")
-    n = x.shape[1]
-    if n % 2:
+    if traj.x.shape[1] % 2:
         raise ValidationError("pursuit reporting needs an even state dimension")
-    k = n // 2
-    blocks = x.reshape(x.shape[0], k, 2)
-    distances = np.sqrt(np.einsum("tkc,tkc->tk", blocks, blocks))
-    mins = distances.min(axis=1)
-    hits = np.nonzero(mins <= capture_radius)[0]
+    distances = _block_distances(traj.x)
+    hits = np.nonzero(distances.min(axis=1) <= capture_radius)[0]
     if hits.size:
         first = int(hits[0])
-        capture_time = float(grid.times()[first])
+        capture_time = float(traj.grid.times()[first])
         captured_by = int(np.argmin(distances[first]))
     else:
         capture_time = None

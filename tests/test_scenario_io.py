@@ -1210,6 +1210,16 @@ class TestRunSweep:
             assert cell.distances is not None and len(cell.distances) == 3
         assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.csv"]
 
+    def test_cells_own_their_distances(self, tmp_path):
+        # A cell keeps its final distances alone, read-only, not a view of
+        # its horizon's whole distance history.
+        scenario = load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
+        result = run_sweep(scenario, [2.0, 4.0], modes=("nash", "team"), out_dir=tmp_path)
+        for cell in result.cells:
+            assert cell.status == "ok" and cell.distances.shape == (3,)
+            assert cell.distances.base is None
+            assert not cell.distances.flags.writeable
+
     def test_sliced_cells_equal_fresh_solves(self, tmp_path, monkeypatch):
         # One lockstep solve of both modes per dt group; every cell must
         # match a fresh run of its own horizon bitwise. tf = 1.01 rounds to
@@ -1301,11 +1311,11 @@ class TestRunSweep:
         acl = sim.closed_loop(game, gains(game, solve_coupled(game, grid)))
         starts = [40, 0, 17, 40, 3, 400]
         assert grid.steps == 400 and game.n == 6
-        solo = {s: sim._propagate(grid, acl, scenario.x0, [s])[0] for s in starts}
+        solo = {s: _propagate_paths(grid, acl, scenario.x0, [s])[0] for s in starts}
         # Budgets of 1, 3, 7 and 227 substeps of 36 values, the last the default.
         for budget in (1, 3 * 36, 7 * 36, sim.CHUNK_VALUES):
             monkeypatch.setattr(sim, "CHUNK_VALUES", budget)
-            states = sim._propagate(grid, acl, scenario.x0, starts)
+            states = _propagate_paths(grid, acl, scenario.x0, starts)
             for s, x in zip(starts, states):
                 assert x.tobytes() == solo[s].tobytes(), (budget, s)
         # One substep per interval: the node-0 start diverges at node 461,
@@ -1317,13 +1327,13 @@ class TestRunSweep:
         grid = TimeGrid.from_step(game.t0, game.tf, scenario.run.dt)
         acl = sim.closed_loop(game, gains(game, solve_coupled(game, grid)))
         starts = [400, 1800, 0]
-        solo = {s: sim._propagate(grid, acl, scenario.x0, [s])[0] for s in starts}
+        solo = {s: _propagate_paths(grid, acl, scenario.x0, [s])[0] for s in starts}
         assert solo[0].time == 0.461 and solo[400].time == 0.861
         assert solo[1800].shape == (201, 2)
         # Budgets of 1, 3, 7 and 2,048 substeps of 4 values, the last the default.
         for budget in (1, 3 * 4, 7 * 4, sim.CHUNK_VALUES):
             monkeypatch.setattr(sim, "CHUNK_VALUES", budget)
-            states = sim._propagate(grid, acl, scenario.x0, starts)
+            states = _propagate_paths(grid, acl, scenario.x0, starts)
             for s in (0, 400):
                 x = states[starts.index(s)]
                 assert isinstance(x, DivergenceError), (budget, s)
@@ -1464,6 +1474,12 @@ class TestRunSweep:
         )
 
 
+def _propagate_paths(grid, acl, x0, starts):
+    """``sim._propagate`` into one whole state path per start, (steps - start + 1, n)."""
+    paths = [np.empty((grid.steps - s + 1, acl.shape[-1])) for s in starts]
+    return sim._propagate(grid, acl, x0, starts, paths)
+
+
 def _fold_and_reference(scenario, modes, tf, tmp_path):
     """Each mode's folded A_cl nodes beside A - sum_j B_j K_j of a full history.
 
@@ -1497,6 +1513,88 @@ def _fold_and_reference(scenario, modes, tf, tmp_path):
             reference -= np.matmul(b, g.K)
         pairs.append((acl, reference))
     return failed, pairs
+
+
+class TestCaptureReceiver:
+    """Each start's capture receiver keeps what ``pursuit_report`` says of its path.
+
+    A sweep cell's final distances and capture flag must equal its own
+    ``run()`` bitwise when capture comes at node 0, only at the last node
+    or never, on the one-node grid and beside a diverged start, under
+    budgets of 1, 3 and 7 forward substeps of n² values and the default.
+    """
+
+    @staticmethod
+    def _coarse(radius: float | None = None) -> Scenario:
+        scenario = load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
+        return scenario if radius is None else _replace_pursuit(scenario, capture_radius=radius)
+
+    @staticmethod
+    def _check(tmp_path, monkeypatch, scenario, tf_list) -> dict:
+        """Sweep ``tf_list`` at every budget against each horizon's ``run()``; the runs."""
+        mode, n = scenario.run.mode, len(scenario.x0)
+        fresh = {tf: run(_with_mode_and_tf(scenario, mode, tf), tmp_path / f"{tf}") for tf in tf_list}
+        for budget in (1, 3 * n * n, 7 * n * n, sim.CHUNK_VALUES):
+            monkeypatch.setattr(sim, "CHUNK_VALUES", budget)
+            result = run_sweep(scenario, tf_list, out_dir=tmp_path / f"sweep_{budget}")
+            for tf, ref in fresh.items():
+                cell = result.cell(mode, tf)
+                if ref.exit_code == runner.EXIT_DIVERGENCE:
+                    assert cell.status == "diverged" and cell.distances is None, (budget, tf)
+                    continue
+                assert cell.status == "ok" and ref.exit_code == runner.EXIT_OK, (budget, tf)
+                assert cell.distances.tobytes() == ref.pursuit.final_distances.tobytes(), (budget, tf)
+                assert cell.captured == ref.pursuit.captured, (budget, tf)
+        return fresh
+
+    def test_capture_at_node_zero(self, tmp_path, monkeypatch):
+        # x0's blocks lie 13.2, 11.4 and 17.2 from the evader.
+        fresh = self._check(tmp_path, monkeypatch, self._coarse(12.0), [2.0, 4.0])
+        assert [r.pursuit.capture_time for r in fresh.values()] == [0.0, 0.0]
+
+    def test_capture_only_at_the_last_node(self, tmp_path, monkeypatch):
+        # The radius is tf = 4's smallest final distance; every earlier
+        # node's smallest distance is larger.
+        radius = float(run(self._coarse(), tmp_path / "ref").pursuit.final_distances.min())
+        fresh = self._check(tmp_path, monkeypatch, self._coarse(radius), [2.0, 4.0])
+        assert [r.pursuit.capture_time for r in fresh.values()] == [None, 4.0]
+
+    def test_no_capture(self, tmp_path, monkeypatch):
+        fresh = self._check(tmp_path, monkeypatch, self._coarse(), [2.0, 4.0])
+        assert [r.pursuit.captured for r in fresh.values()] == [False, False]
+
+    @pytest.mark.parametrize("radius", [12.0, 0.1])
+    def test_one_node_grid(self, tmp_path, monkeypatch, radius):
+        fresh = self._check(tmp_path, monkeypatch, self._coarse(radius), [0.0])
+        assert fresh[0.0].pursuit.captured == (radius == 12.0)
+
+    def test_diverged_start_beside_a_finished_one(self, tmp_path, monkeypatch):
+        scenario = parse_scenario(json.dumps(DIVERGENT_PLANAR_GAME))
+        fresh = self._check(tmp_path, monkeypatch, scenario, [0.2, 2.0])
+        assert [r.exit_code for r in fresh.values()] == [runner.EXIT_OK, runner.EXIT_DIVERGENCE]
+
+    @pytest.mark.parametrize("radius", [12.0, 0.1])
+    def test_start_at_the_last_node(self, monkeypatch, radius):
+        # A sweep starts at a grid's last node only on the one-node grid;
+        # the forward pass takes one beside others on a longer grid. Each
+        # receiver equals the report of its start's whole path.
+        scenario = self._coarse()
+        game = scenario.build_game()
+        grid = TimeGrid.from_step(game.t0, game.tf, scenario.run.dt)
+        acl = sim.closed_loop(game, gains(game, solve_coupled(game, grid)))
+        starts = [400, 0, 200, 400]
+        reports = []
+        for s, path in zip(starts, _propagate_paths(grid, acl, scenario.x0, starts)):
+            tail = TimeGrid(float(grid.times()[s]), grid.tf, grid.steps - s)
+            reports.append(sim.pursuit_report(Trajectory(tail, path, (), np.zeros(0)), radius))
+        assert reports[0].distances.shape == (1, 3)
+        for budget in (1, 3 * 36, 7 * 36, sim.CHUNK_VALUES):
+            monkeypatch.setattr(sim, "CHUNK_VALUES", budget)
+            captures = [runner._Capture(radius) for _ in starts]
+            assert sim._propagate(grid, acl, scenario.x0, starts, captures) == captures
+            for got, report in zip(captures, reports):
+                assert got.distances.tobytes() == report.final_distances.tobytes(), budget
+                assert got.captured == report.captured, budget
 
 
 class TestClosedLoopFold:
@@ -1575,15 +1673,37 @@ def test_sweep_holds_no_solution_history(tmp_path):
     assert peak < histories, (peak, histories)
 
 
+def test_sweep_holds_no_state_path(tmp_path):
+    # Traced peak of a two-mode sweep of 21 horizons in [5, 6] at dt = 1e-3:
+    # each cell keeps its capture flag and final distances, so the peak
+    # stays within the two modes' closed-loop matrices plus 2 MiB for the
+    # march's and the forward pass's working sets (1.4 MB measured). One
+    # state path per horizon would add about 5.3 MB per mode.
+    scenario = load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
+    scenario = dataclasses.replace(scenario, run=dataclasses.replace(scenario.run, dt=1e-3))
+    game = scenario.build_game()
+    nodes = TimeGrid.from_step(game.t0, 6.0, 1e-3).steps + 1
+    closed_loops = 2 * nodes * game.n * game.n * 8
+    tf_list = np.linspace(5.0, 6.0, 21).tolist()
+    tracemalloc.start()
+    try:
+        result = run_sweep(scenario, tf_list, modes=("nash", "team"), out_dir=tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [c.status for c in result.cells] == ["ok"] * 42
+    assert peak < closed_loops + 2**21, (peak, closed_loops)
+
+
 def test_sweep_releases_each_modes_matrices_before_the_next_forward_pass(tmp_path, monkeypatch):
     # While the team forward pass runs, nothing holds the nash closed-loop
     # matrices any more: each mode's go once its cells are made.
     propagate, held, alive = runner._propagate, [], []
 
-    def watching(grid, acl, x0, starts):
+    def watching(grid, acl, x0, starts, stores):
         alive.append([ref() is not None for ref in held])
         held.append(weakref.ref(acl))
-        return propagate(grid, acl, x0, starts)
+        return propagate(grid, acl, x0, starts, stores)
 
     monkeypatch.setattr(runner, "_propagate", watching)
     scenario = load_scenario(SCENARIO_DIR / "pursuit_coarse.json")
@@ -1609,9 +1729,8 @@ class TestGridCeiling:
     S = {"nash": "S 461,952", "team": "S 230,976"}
     FORWARD = "K 153,984, closed_loop 115,488, x 19,248, u 25,664"
     #: A sweep of the nash file to [4, 8] in both modes: each mode's
-    #: closed-loop matrices on the 801 nodes of tf = 8 and its state paths,
-    #: (401 + 801) nodes × 6 floats.
-    SWEEP = 576_768
+    #: closed-loop matrices on the 801 nodes of tf = 8.
+    SWEEP = 461_376
 
     def _held(self, mode: str, level: str) -> str:
         """The refusal's account of what a run at ``level`` holds."""
@@ -1660,8 +1779,9 @@ class TestGridCeiling:
     def test_past_the_ceiling_exit_two_before_any_directory(
         self, tmp_path, monkeypatch, capsys, command
     ):
-        # Under the team file's sweep to tf = 2, the least of the four.
-        monkeypatch.setattr(runner, "MAX_GRID_BYTES", 72_383)
+        # Under the team file's sweep to tf = 2, the least of the four: its
+        # closed-loop matrices on 201 nodes.
+        monkeypatch.setattr(runner, "MAX_GRID_BYTES", 57_887)
         monkeypatch.chdir(tmp_path)
         code = cli_main(
             command[:1]
@@ -1670,8 +1790,8 @@ class TestGridCeiling:
         )
         if command[0] == "sweep":
             message = (
-                "tf_list: tf=2.0: the whole-grid arrays of 201 nodes would take 72,384 bytes "
-                "(closed_loop 57,888, paths 14,496)"
+                "tf_list: tf=2.0: the whole-grid arrays of 201 nodes would take 57,888 bytes "
+                "(closed_loop 57,888)"
             )
         else:
             message = (
@@ -1680,7 +1800,7 @@ class TestGridCeiling:
             )
         assert code == runner.EXIT_VALIDATION
         assert capsys.readouterr().err == (
-            f"validation error: {message}; at most 72,383 are allowed\n"
+            f"validation error: {message}; at most 57,887 are allowed\n"
         )
         assert list(tmp_path.iterdir()) == []
 
@@ -1703,12 +1823,14 @@ class TestGridCeiling:
         assert self._held("nash", "simulate") in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
-    def test_sweep_one_byte_under_is_refused_for_its_paths(self, tmp_path, monkeypatch, capsys):
+    def test_sweep_one_byte_under_is_refused_for_its_closed_loop(
+        self, tmp_path, monkeypatch, capsys
+    ):
         path = self._nash_file(tmp_path)
         monkeypatch.setattr(runner, "MAX_GRID_BYTES", self.SWEEP - 1)
         message = (
-            "tf_list: tf=8.0: the whole-grid arrays of 801 nodes would take 576,768 bytes "
-            "(closed_loop 461,376, paths 115,392); at most 576,767 are allowed"
+            "tf_list: tf=8.0: the whole-grid arrays of 801 nodes would take 461,376 bytes "
+            "(closed_loop 461,376); at most 461,375 are allowed"
         )
         with pytest.raises(ValidationError) as err:
             run_sweep(load_scenario(path), [4.0, 8.0], ("nash", "team"), tmp_path / "sweep")
