@@ -109,24 +109,26 @@ def write_solution_csv(path: Path, sol: RiccatiSolution):
     """Long-form dump: one row per (time, player, entry)."""
     m, _, n, _ = sol.S.shape
     width = m * n * n
-    # One time node's rows; "\0" stands for its time, "%s" for each value.
-    node = "".join(
-        f"\0,{i + 1},{r + 1},{c + 1},%s\n" for i in range(m) for r in range(n) for c in range(n)
-    )
+    labels = [f",{i + 1},{r + 1},{c + 1}," for i in range(m) for r in range(n) for c in range(n)]
     times = sol.grid.times().tolist()
     nodes = chunk_items(width)
 
     def chunks():
-        yield "t,player,row,col,value\n"
+        # Each row opens with its newline, so the header has none and one "\n" closes the file.
+        yield "t,player,row,col,value"
         for lo in range(0, len(times), nodes):
             # S repeats values within a chunk: format each bit pattern once (-0.0 apart from 0.0).
             block = np.moveaxis(sol.S[:, lo : lo + nodes], 1, 0)
             bits = np.ascontiguousarray(block, dtype=float).reshape(-1).view(np.int64)
             distinct, inverse = np.unique(bits, return_inverse=True)
             texts = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)
-            values = texts[inverse].tolist()
-            for k, t in enumerate(times[lo : lo + nodes]):
-                yield node.replace("\0", repr(t)) % tuple(values[k * width : (k + 1) * width])
+            starts = np.array(["\n" + repr(t) for t in times[lo : lo + nodes]], dtype=object)
+            rows = [""] * (3 * len(bits))  # "\n" and time, label, value: three texts per row
+            rows[0::3] = np.repeat(starts, width).tolist()
+            rows[1::3] = labels * len(starts)
+            rows[2::3] = texts[inverse].tolist()
+            yield "".join(rows)
+        yield "\n"
 
     _write_chunks(path, chunks())
 

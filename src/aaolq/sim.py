@@ -71,8 +71,10 @@ def _simpson_weights(steps: int, dt: float) -> np.ndarray:
 def closed_loop(game: GameDefinition, gains: list[FeedbackGain]) -> np.ndarray:
     """A - sum_j B_j K_j at every node of ``gains``: shape (nodes, n, n)."""
     acl = np.broadcast_to(game.A, (len(gains[0].K),) + game.A.shape).copy()
-    for b, g in zip(game.B, gains):
-        acl -= np.matmul(b, g.K)
+    nodes = chunk_items(game.A.size)  # one chunk of B_j K_j at a time, not a whole-grid one
+    for lo in range(0, len(acl), nodes):
+        for b, g in zip(game.B, gains):
+            acl[lo : lo + nodes] -= np.matmul(b, g.K[lo : lo + nodes])
     return acl
 
 

@@ -51,6 +51,7 @@ from helpers import (
     reference_positions_csv,
     reference_solution_csv,
     reference_trajectory_csv,
+    scalar_lqr,
     traced_peak,
 )
 
@@ -1011,6 +1012,39 @@ class TestWriterBytes:
         _same_bytes(tmp_path / "solution.csv", reference_solution_csv(sol))
         _same_bytes(tmp_path / "trajectory.csv", reference_trajectory_csv(traj))
 
+    def test_one_player_one_state(self, tmp_path):
+        # M = 1, n = 1: one row per node, so every chunk seam falls between
+        # two rows, and 101 nodes leave a partial last chunk at budget 56.
+        sol = solve_coupled(scalar_lqr(), TimeGrid(0.0, 1.0, 100))
+        runner.write_solution_csv(tmp_path / "solution.csv", sol)
+        expected = reference_solution_csv(sol)
+        assert expected.startswith("t,player,row,col,value\n0.0,1,1,1,0.76159415")
+        assert expected.endswith("\n1.0,1,1,1,0.0\n")
+        _same_bytes(tmp_path / "solution.csv", expected)
+
+    def test_nan_sign_bits(self, tmp_path):
+        # -nan and nan are distinct bit patterns that both print "nan"; beside
+        # them -0.0 and 0.0 differ in bits and in text.
+        grid = TimeGrid(0.0, 1.0, 12)
+        values = np.array([np.nan, np.copysign(np.nan, -1.0), -0.0, 0.0])
+        S = np.random.default_rng(19).choice(values, size=(2, grid.steps + 1, 2, 2))
+        S[0, 0, 0, 0] = S[-1, -1, -1, -1] = values[1]
+        assert set(np.signbit(S[np.isnan(S)]).tolist()) == {False, True}
+        sol = RiccatiSolution(
+            grid=grid,
+            S=S,
+            status=SolveStatus.COMPLETE,
+            failure_time=None,
+            failure_reason=None,
+            max_symmetry_residual=0.0,
+            stats=SolveStats(0, 0, grid.dt, 0.0, grid.tf),
+        )
+        runner.write_solution_csv(tmp_path / "solution.csv", sol)
+        expected = reference_solution_csv(sol)
+        assert expected.startswith("t,player,row,col,value\n0.0,1,1,1,nan\n")
+        assert expected.endswith("\n1.0,2,2,2,nan\n")
+        _same_bytes(tmp_path / "solution.csv", expected)
+
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_special_values(self, tmp_path):
         grid = TimeGrid(0.0, 1.0, 4)
@@ -1056,7 +1090,8 @@ class TestWriterBytesInSmallChunks(TestWriterBytes):
 
     A budget of 1 formats one node or row at a time. 56 values are 7 nodes
     of the escape game's solution (M = 2, n = 2), so a chunk straddles its
-    NaN tail; they are 3 nodes of the 5-node special-value solution and 3,
+    NaN tail; they are 3 nodes of the 5-node special-value solution, 56 of
+    the 101-node M = n = 1 one, 7 of the 13-node signed-NaN one and 3,
     14 and 6 rows of the coarse run's trajectory, distance and position
     tables, each with a partial last chunk. 1,008 values are 7 nodes of the
     coarse run's solution (M = 4, n = 6) and 67 of its trajectory rows."""
@@ -1091,6 +1126,24 @@ def test_solution_writer_memory_does_not_grow_with_the_grid(tmp_path):
             traced_peak(lambda: runner.write_solution_csv(tmp_path / "solution.csv", sol))
         )
     assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
+def test_solution_writer_joins_each_chunk_once(tmp_path, monkeypatch):
+    # The writer hands _write_chunks the header, one string per chunk of
+    # nodes and the closing newline, not one string per node.
+    sol = _dense_solution(np.random.default_rng(17), 4, 2000, 6)
+    write, counts = runner._write_chunks, []
+
+    def counting(path, chunks):
+        chunks = list(chunks)
+        counts.append(len(chunks))
+        write(path, chunks)
+
+    monkeypatch.setattr(runner, "_write_chunks", counting)
+    runner.write_solution_csv(tmp_path / "solution.csv", sol)
+    per_chunk = sim.chunk_items(4 * 6 * 6)
+    assert counts[0] <= -(-2000 // per_chunk) + 2, (counts, per_chunk)
+    _same_bytes(tmp_path / "solution.csv", reference_solution_csv(sol))
 
 
 def test_streamed_stage_memory_does_not_grow_with_the_game(tmp_path):

@@ -27,7 +27,7 @@ from aaolq import (
     solve_coupled,
     verify_solution,
 )
-from aaolq import linalg
+from aaolq import linalg, sim
 from aaolq.errors import DivergenceError, NotApplicableError, ValidationError
 from aaolq.sim import Trajectory
 from helpers import (
@@ -39,6 +39,7 @@ from helpers import (
     scalar_game,
     scalar_lqr,
     stationarity_probe,
+    traced_peak,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -272,6 +273,24 @@ class TestSimulate:
         message = rf"player 3: gain is not finite at t={re.escape(repr(t))}$"
         with pytest.raises(ValidationError, match=message):
             simulate(game, player_gains, scenario.x0)
+
+    def test_closed_loop_holds_one_chunk_beside_its_result(
+        self, benchmark_game, benchmark_gains, monkeypatch
+    ):
+        # A - sum_j B_j K_j is subtracted one chunk of nodes at a time, so no
+        # whole-grid product B_j K_j (one more n^2 per node) sits beside the
+        # (10,001, 6, 6) result. The bits equal those of subtracting each
+        # whole-grid product in turn, at the default chunk and at one node
+        # per chunk.
+        whole = np.broadcast_to(benchmark_game.A, (10_001, 6, 6)).copy()
+        for b, g in zip(benchmark_game.B, benchmark_gains):
+            whole -= np.matmul(b, g.K)
+        acl = sim.closed_loop(benchmark_game, benchmark_gains)
+        peak = traced_peak(lambda: sim.closed_loop(benchmark_game, benchmark_gains))
+        assert peak < 1.25 * acl.nbytes, (peak, acl.nbytes)
+        assert acl.tobytes() == whole.tobytes()
+        monkeypatch.setattr(sim, "CHUNK_VALUES", 1)
+        assert sim.closed_loop(benchmark_game, benchmark_gains).tobytes() == whole.tobytes()
 
     def test_costs_independent_of_blas_threads(self):
         # Costs, states and the nash and team solves' S, at 1 and 2 OpenBLAS threads.
